@@ -138,5 +138,47 @@ TEST(MetricsTest, RequestTraceTotalsAndRendering) {
   EXPECT_EQ(hit.ToString().find("path-index"), std::string::npos);
 }
 
+// Golden bytes: every field distinct, so a renamed, dropped or reordered
+// counter changes the rendering.
+RequestTrace GoldenTrace() {
+  RequestTrace t;
+  t.queue_ms = 1.25;
+  t.parse_ms = 2.5;
+  t.prepare_ms = 3.75;
+  t.candidates_ms = 0.5;
+  t.answer_match_ms = 0.625;
+  t.path_index_ms = 0.875;
+  t.search_ms = 10.125;
+  t.matcher_candidates = 11;
+  t.mbs_enumerated = 12;
+  t.mbs_verified = 13;
+  t.greedy_rounds = 14;
+  t.ctx_hits = 15;
+  t.ctx_misses = 16;
+  t.ctx_delta_builds = 17;
+  t.ctx_pruned = 18;
+  return t;
+}
+
+TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
+  EXPECT_EQ(GoldenTrace().ToString(),
+            "stages: queue=1.25ms parse=2.50ms prepare=3.75ms "
+            "(candidates=0.50ms match=0.62ms path-index=0.88ms) "
+            "search=10.12ms\n"
+            "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
+            "greedy-rounds=14\n"
+            "ctx: hits=15 misses=16 delta-builds=17 pruned=18\n");
+  RequestTrace hit = GoldenTrace();
+  hit.candidates_ms = 0;
+  hit.answer_match_ms = 0;
+  hit.path_index_ms = 0;
+  EXPECT_EQ(hit.ToString(),
+            "stages: queue=1.25ms parse=2.50ms prepare=3.75ms "
+            "search=10.12ms\n"
+            "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
+            "greedy-rounds=14\n"
+            "ctx: hits=15 misses=16 delta-builds=17 pruned=18\n");
+}
+
 }  // namespace
 }  // namespace whyq

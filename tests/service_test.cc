@@ -662,5 +662,165 @@ TEST_F(ServiceTest, StatsSnapshotRendersLatencies) {
   EXPECT_FALSE(s.ToString().empty());
 }
 
+// Golden bytes for both renderings: every field holds a distinct value, so
+// a renamed, dropped or reordered counter changes the output.
+StatsSnapshot GoldenSnapshot() {
+  StatsSnapshot s;
+  s.received = 101;
+  s.rejected = 102;
+  s.shutdown = 103;
+  s.completed = 104;
+  s.truncated = 105;
+  s.bad_requests = 106;
+  s.cache_hits = 107;
+  s.cache_misses = 108;
+  s.updates_applied = 109;
+  s.graph_generation = 110;
+  s.cache_invalidated = 111;
+  s.cache_rekeyed = 112;
+  s.plan_store_hits = 113;
+  s.plan_store_misses = 114;
+  s.plan_store_writes = 115;
+  s.plan_store_evictions = 116;
+  s.plan_store_invalid = 117;
+  LatencySummary l;
+  l.count = 3;
+  l.min_ms = 0.5;
+  l.mean_ms = 1.75;
+  l.p50_ms = 1.5;
+  l.p95_ms = 2.25;
+  l.p99_ms = 2.75;
+  l.max_ms = 3.125;
+  l.buckets = {{0.5, 1}, {1.5, 2}};
+  s.latency["why/auto"] = l;
+  l.count = 1;
+  l.buckets = {{2.0, 1}};
+  s.latency["whynot/\"exact\""] = l;
+  s.stages.queue_ms = 1.5;
+  s.stages.parse_ms = 2.5;
+  s.stages.prepare_ms = 3.5;
+  s.stages.candidates_ms = 0.25;
+  s.stages.answer_match_ms = 0.375;
+  s.stages.path_index_ms = 0.125;
+  s.stages.search_ms = 20.0625;
+  s.stages.latency_ms = 27.75;
+  s.work.matcher_candidates = 201;
+  s.work.mbs_enumerated = 202;
+  s.work.mbs_verified = 203;
+  s.work.greedy_rounds = 204;
+  s.work.ctx_hits = 205;
+  s.work.ctx_misses = 206;
+  s.work.ctx_delta_builds = 207;
+  s.work.ctx_pruned = 208;
+  s.slow_threshold_ms = 5.5;
+  SlowQueryEntry e;
+  e.seq = 7;
+  e.klass = "why/exact";
+  e.latency_ms = 9.25;
+  e.truncated = true;
+  e.cache_hit = false;
+  e.trace.queue_ms = 0.75;
+  e.trace.parse_ms = 1.25;
+  e.trace.prepare_ms = 2.125;
+  e.trace.candidates_ms = 0.0625;
+  e.trace.answer_match_ms = 0.1875;
+  e.trace.path_index_ms = 0.3125;
+  e.trace.search_ms = 4.5;
+  e.trace.matcher_candidates = 301;
+  e.trace.mbs_enumerated = 302;
+  e.trace.mbs_verified = 303;
+  e.trace.greedy_rounds = 304;
+  e.trace.ctx_hits = 305;
+  e.trace.ctx_misses = 306;
+  e.trace.ctx_delta_builds = 307;
+  e.trace.ctx_pruned = 308;
+  s.slow.push_back(e);
+  e.seq = 8;
+  e.truncated = false;
+  e.cache_hit = true;
+  e.trace = RequestTrace();
+  s.slow.push_back(e);
+  return s;
+}
+
+TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
+  EXPECT_EQ(GoldenSnapshot().ToJson(),
+            "{\"counters\":{\"received\":101,\"rejected\":102,"
+            "\"shutdown\":103,\"completed\":104,\"truncated\":105,"
+            "\"bad_requests\":106,\"cache_hits\":107,"
+            "\"cache_misses\":108,\"updates_applied\":109,"
+            "\"graph_generation\":110,\"cache_invalidated\":111,"
+            "\"cache_rekeyed\":112,\"plan_store_hits\":113,"
+            "\"plan_store_misses\":114,\"plan_store_writes\":115,"
+            "\"plan_store_evictions\":116,\"plan_store_invalid\":117},"
+            "\"latency_ms\":{\"why/auto\":{\"count\":3,\"min\":0.5,"
+            "\"mean\":1.75,\"p50\":1.5,\"p95\":2.25,\"p99\":2.75,"
+            "\"max\":3.125,\"buckets\":[[0.5,1],[1.5,2]]},"
+            "\"whynot/\\\"exact\\\"\":{\"count\":1,\"min\":0.5,"
+            "\"mean\":1.75,\"p50\":1.5,\"p95\":2.25,\"p99\":2.75,"
+            "\"max\":3.125,\"buckets\":[[2,1]]}},"
+            "\"stage_totals_ms\":{\"queue\":1.5,\"parse\":2.5,"
+            "\"prepare\":3.5,\"candidates\":0.25,\"answer_match\":0.375,"
+            "\"path_index\":0.125,\"search\":20.0625,\"latency\":27.75},"
+            "\"work\":{\"matcher_candidates\":201,\"mbs_enumerated\":202,"
+            "\"mbs_verified\":203,\"greedy_rounds\":204,\"ctx_hits\":205,"
+            "\"ctx_misses\":206,\"ctx_delta_builds\":207,"
+            "\"ctx_pruned\":208},\"slow_queries\":{\"threshold_ms\":5.5,"
+            "\"entries\":[{\"seq\":7,\"class\":\"why/exact\","
+            "\"latency_ms\":9.25,\"truncated\":true,\"cache_hit\":false,"
+            "\"stages_ms\":{\"queue\":0.75,\"parse\":1.25,"
+            "\"prepare\":2.125,\"candidates\":0.0625,"
+            "\"answer_match\":0.1875,\"path_index\":0.3125,"
+            "\"search\":4.5,\"latency\":9.25},"
+            "\"work\":{\"matcher_candidates\":301,\"mbs_enumerated\":302,"
+            "\"mbs_verified\":303,\"greedy_rounds\":304,\"ctx_hits\":305,"
+            "\"ctx_misses\":306,\"ctx_delta_builds\":307,"
+            "\"ctx_pruned\":308}},{\"seq\":8,\"class\":\"why/exact\","
+            "\"latency_ms\":9.25,\"truncated\":false,\"cache_hit\":true,"
+            "\"stages_ms\":{\"queue\":0,\"parse\":0,\"prepare\":0,"
+            "\"candidates\":0,\"answer_match\":0,\"path_index\":0,"
+            "\"search\":0,\"latency\":9.25},"
+            "\"work\":{\"matcher_candidates\":0,\"mbs_enumerated\":0,"
+            "\"mbs_verified\":0,\"greedy_rounds\":0,\"ctx_hits\":0,"
+            "\"ctx_misses\":0,\"ctx_delta_builds\":0,"
+            "\"ctx_pruned\":0}}]}}");
+}
+
+TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
+  EXPECT_EQ(GoldenSnapshot().ToString(),
+            "requests: received=101 rejected=102 completed=104 "
+            "truncated=105 bad=106 shutdown=103\n"
+            "prepared cache: hits=107 misses=108 (49.8% hit rate)\n"
+            "plan store: hits=113 misses=114 writes=115 evictions=116 "
+            "invalid=117\n"
+            "updates: applied=109 generation=110 cache-invalidated=111 "
+            "cache-rekeyed=112\n"
+            "  why/auto: n=3 min=0.50ms mean=1.75ms p50=1.50ms "
+            "p95=2.25ms p99=2.75ms max=3.12ms\n"
+            "  whynot/\"exact\": n=1 min=0.50ms mean=1.75ms p50=1.50ms "
+            "p95=2.25ms p99=2.75ms max=3.12ms\n"
+            "stage totals: queue=1.5ms parse=2.5ms prepare=3.5ms "
+            "(candidates=0.2ms match=0.4ms path-index=0.1ms) "
+            "search=20.1ms | latency=27.8ms\n"
+            "work totals: candidates=201 mbs-enumerated=202 "
+            "mbs-verified=203 greedy-rounds=204\n"
+            "ctx totals: hits=205 misses=206 delta-builds=207 pruned=208 "
+            "(33.2% hit rate)\n"
+            "slow queries (>= 5.5ms): 2 retained\n"
+            "  #7 why/exact 9.25ms truncated\n"
+            "    stages: queue=0.75ms parse=1.25ms prepare=2.12ms "
+            "(candidates=0.06ms match=0.19ms path-index=0.31ms) "
+            "search=4.50ms\n"
+            "    work: candidates=301 mbs-enumerated=302 "
+            "mbs-verified=303 greedy-rounds=304\n"
+            "    ctx: hits=305 misses=306 delta-builds=307 pruned=308\n"
+            "  #8 why/exact 9.25ms cached\n"
+            "    stages: queue=0.00ms parse=0.00ms prepare=0.00ms "
+            "search=0.00ms\n"
+            "    work: candidates=0 mbs-enumerated=0 mbs-verified=0 "
+            "greedy-rounds=0\n"
+            "    ctx: hits=0 misses=0 delta-builds=0 pruned=0\n");
+}
+
 }  // namespace
 }  // namespace whyq
