@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/stats_fields.h"
+
 namespace whyq {
 
 /// Monotonic event counter. `Add` is lock-free and safe from any thread;
@@ -80,46 +82,44 @@ class StreamingHistogram {
   double max_ = 0.0;
 };
 
+/// Candidate-memo counters of one MatchContext (matcher/match_context.h),
+/// summed over several contexts with Add. Rows: WHYQ_CTX_COUNTERS.
+struct CtxCounters {
+  WHYQ_CTX_COUNTERS(WHYQ_STATS_U64)
+
+  void Add(const CtxCounters& o) { WHYQ_CTX_COUNTERS(WHYQ_STATS_ADD) }
+};
+
 /// Per-request breakdown threaded through the serving pipeline: where one
 /// response's wall clock went (stage timings, ms) and how much hot-loop
 /// work it did (counters). Filled by WhyqService::Run / PrepareQuery and
 /// returned on every ServiceResponse; aggregated by ServiceStats; rendered
-/// by `whyq_cli --trace` and the slow-query log.
+/// by `whyq_cli --trace` and the slow-query log. Members and their meaning:
+/// WHYQ_TRACE_STAGES, WHYQ_WORK_COUNTERS and WHYQ_CTX_COUNTERS (as ctx_*)
+/// in common/stats_fields.h.
 ///
 /// The four top-level stages partition a request's latency:
 ///   queue_ms + parse_ms + prepare_ms + search_ms ~= latency_ms
 /// (the residue is bookkeeping between timers, well under 5%). The three
 /// prepare sub-stages are only nonzero on a prepared-cache miss; on a hit
-/// prepare_ms is just the lookup.
+/// prepare_ms is just the lookup. The ctx_* counters sum every context the
+/// request used (prepare-stage context + all evaluator/slot contexts).
 struct RequestTrace {
-  double queue_ms = 0.0;         // submission -> worker pickup
-  double parse_ms = 0.0;         // request validation + query-DSL parse
-  double prepare_ms = 0.0;       // cache lookup (+ build on a miss)
-  double candidates_ms = 0.0;    //   output-candidate filter (miss only)
-  double answer_match_ms = 0.0;  //   answer-set match (miss only)
-  double path_index_ms = 0.0;    //   PathIndex sampling (miss only)
-  double search_ms = 0.0;        // the question algorithm itself
+  WHYQ_TRACE_STAGES(WHYQ_STATS_MS)
+  WHYQ_WORK_COUNTERS(WHYQ_STATS_U64)
+  WHYQ_CTX_COUNTERS(WHYQ_STATS_CTX_U64)
 
-  uint64_t matcher_candidates = 0;  // |output-candidate set| used
-  uint64_t mbs_enumerated = 0;      // maximal bounded sets emitted (exact)
-  uint64_t mbs_verified = 0;        // ... of which verified (exact)
-  uint64_t greedy_rounds = 0;       // selection rounds (greedy algorithms)
-
-  // Candidate-memo (MatchContext) counters summed over every context the
-  // request used (prepare-stage context + all evaluator/slot contexts).
-  // Zero under simulation semantics. See docs/ARCHITECTURE.md
-  // "Stats glossary".
-  uint64_t ctx_hits = 0;          // memoized candidate-set lookups served
-  uint64_t ctx_misses = 0;        // sets built by scanning a label bucket
-  uint64_t ctx_delta_builds = 0;  // sets built by filtering a cached parent
-  uint64_t ctx_pruned = 0;        // match attempts skipped via bitmaps
+  /// Adds one context's candidate-memo counters onto the ctx_* members.
+  void AddCtx(const CtxCounters& o) {
+    WHYQ_CTX_COUNTERS(WHYQ_STATS_ADD_FROM_CTX)
+  }
 
   /// Sum of the four top-level stages (the accounted share of latency).
   double StagesTotalMs() const {
     return queue_ms + parse_ms + prepare_ms + search_ms;
   }
 
-  /// Two-line human-readable rendering (stages, then work counters).
+  /// Three-line human-readable rendering (stages, work, ctx counters).
   std::string ToString() const;
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/metrics.h"
 #include "graph/graph.h"
 #include "query/query.h"
 
@@ -67,19 +68,7 @@ class MatchContext {
 
   /// Cache effectiveness counters, surfaced through MatcherStats and
   /// RequestTrace (see docs/ARCHITECTURE.md "Stats glossary").
-  struct Stats {
-    uint64_t hits = 0;          // signature already memoized
-    uint64_t misses = 0;        // built by scanning the label bucket
-    uint64_t delta_builds = 0;  // built by filtering a cached parent set
-    uint64_t pruned = 0;        // match attempts skipped via bitmap/list
-
-    void Add(const Stats& o) {
-      hits += o.hits;
-      misses += o.misses;
-      delta_builds += o.delta_builds;
-      pruned += o.pruned;
-    }
-  };
+  using Stats = CtxCounters;
 
   explicit MatchContext(const Graph& g);
 

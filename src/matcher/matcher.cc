@@ -330,11 +330,7 @@ std::vector<std::vector<NodeId>> Matcher::MatchAllOutputs(
 MatcherStats Matcher::stats() const {
   MatcherStats s = stats_;
   if (ctx_ != nullptr) {
-    const MatchContext::Stats& c = ctx_->stats();
-    s.ctx_hits = c.hits;
-    s.ctx_misses = c.misses;
-    s.ctx_delta_builds = c.delta_builds;
-    s.ctx_pruned = c.pruned;
+    s.AddCtx(ctx_->stats());  // stats_ itself never counts ctx_*
     s.ctx_arena_bytes = ctx_->arena().bytes_allocated();
   }
   return s;

@@ -18,11 +18,13 @@ namespace whyq {
 struct MatcherStats {
   uint64_t embeddings_tried = 0;  // backtracking extensions attempted
   uint64_t iso_tests = 0;         // IsAnswer-style verifications performed
-  uint64_t ctx_hits = 0;          // candidate-set lookups served from cache
-  uint64_t ctx_misses = 0;        // candidate sets built by bucket scan
-  uint64_t ctx_delta_builds = 0;  // candidate sets built by delta filter
-  uint64_t ctx_pruned = 0;        // attempts skipped via candidate bitmaps
-  uint64_t ctx_arena_bytes = 0;   // bytes bump-allocated by the context
+  WHYQ_CTX_COUNTERS(WHYQ_STATS_CTX_U64)
+  uint64_t ctx_arena_bytes = 0;  // bytes bump-allocated by the context
+
+  /// Adds one context's candidate-memo counters onto the ctx_* members.
+  void AddCtx(const CtxCounters& o) {
+    WHYQ_CTX_COUNTERS(WHYQ_STATS_ADD_FROM_CTX)
+  }
 };
 
 /// Subgraph-isomorphism engine over one data graph.

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json_escape.h"
+
 namespace whyq::server {
 
 /// Minimal JSON value for the wire protocol — parse one request line,
@@ -61,8 +63,8 @@ class JsonValue {
 bool ParseJson(const std::string& text, size_t max_depth, JsonValue* out,
                std::string* error);
 
-/// JSON string escaping for hand-rolled emitters (quotes not included).
-std::string JsonEscape(const std::string& s);
+/// JSON string escaping for hand-rolled emitters (common/json_escape.h).
+using whyq::JsonEscape;
 
 /// Number formatting: integers without an exponent, finite doubles with
 /// enough digits to round-trip, non-finite values as 0 (JSON has no NaN).

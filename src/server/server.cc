@@ -22,20 +22,13 @@ constexpr uint64_t kFirstConnTag = 2;
 }  // namespace
 
 std::string ServerSnapshot::ToJson() const {
-  std::string o = "{";
-  o += "\"accepted\":" + std::to_string(accepted);
-  o += ",\"refused\":" + std::to_string(refused);
-  o += ",\"closed\":" + std::to_string(closed);
-  o += ",\"idle_closed\":" + std::to_string(idle_closed);
-  o += ",\"requests\":" + std::to_string(requests);
-  o += ",\"responded\":" + std::to_string(responded);
-  o += ",\"admitted\":" + std::to_string(admitted);
-  o += ",\"rejected\":" + std::to_string(rejected);
-  o += ",\"bad_lines\":" + std::to_string(bad_lines);
-  o += ",\"updates\":" + std::to_string(updates);
-  o += ",\"drained\":" + std::to_string(drained);
-  o += "}";
-  return o;
+  std::string o;
+  ForEachField([&o](const char* key, uint64_t value) {
+    o += o.empty() ? "{\"" : ",\"";
+    o += key;
+    o += "\":" + std::to_string(value);
+  });
+  return o + "}";
 }
 
 /// Per-connection state, owned by the event loop (single-threaded: only
@@ -99,19 +92,9 @@ void WhyqServer::RequestStop() {
 }
 
 ServerSnapshot WhyqServer::Snapshot() const {
-  ServerSnapshot s;
-  s.accepted = accepted_.Value();
-  s.refused = refused_.Value();
-  s.closed = closed_.Value();
-  s.idle_closed = idle_closed_.Value();
-  s.requests = requests_.Value();
-  s.responded = responded_.Value();
-  s.admitted = admitted_.Value();
-  s.rejected = rejected_.Value();
-  s.bad_lines = bad_lines_.Value();
-  s.updates = updates_.Value();
-  s.drained = drained_.Value();
-  return s;
+  ServerSnapshot out;
+  WHYQ_SERVER_COUNTERS(WHYQ_STATS_READ_COUNTER)
+  return out;
 }
 
 std::string WhyqServer::StatsJson() const {
@@ -164,9 +147,12 @@ void WhyqServer::CloseConn(uint64_t id, bool idle) {
   while (::recv(it->second->fd.get(), discard, sizeof discard,
                 MSG_DONTWAIT) > 0) {
   }
-  conns_.erase(it);
+  // Count before erasing: erasing closes the fd, and a client that sees
+  // the EOF must find the close in the next snapshot (accepted == closed +
+  // live holds for every observer).
   closed_.Add();
   if (idle) idle_closed_.Add();
+  conns_.erase(it);
 }
 
 void WhyqServer::QueueResponse(uint64_t id, Conn* conn,
@@ -381,13 +367,15 @@ void WhyqServer::DumpStatsIfDue(bool force) {
   // Atomic publication: readers either see the previous dump or this one,
   // never a torn file.
   std::string tmp = cfg_.stats_json_path + ".tmp";
-  {
-    std::ofstream js(tmp);
-    if (!js) return;
-    js << StatsJson() << "\n";
-    if (!js) return;
+  std::ofstream js(tmp);
+  if (!js) return;  // nothing was created
+  js << StatsJson() << "\n";
+  js.close();
+  // A failed write or rename (e.g. the path names a directory) must not
+  // leave the temp file behind; the next dump simply tries again.
+  if (!js || std::rename(tmp.c_str(), cfg_.stats_json_path.c_str()) != 0) {
+    std::remove(tmp.c_str());
   }
-  std::rename(tmp.c_str(), cfg_.stats_json_path.c_str());
 }
 
 int WhyqServer::Run(const volatile std::sig_atomic_t* stop_flag) {

@@ -46,23 +46,20 @@ struct ServerConfig {
 };
 
 /// Monotonic daemon counters, snapshotted for the stats JSON ("server"
-/// block; see docs/ARCHITECTURE.md glossary). Connection counters satisfy
+/// block; rows and meanings: WHYQ_SERVER_COUNTERS in common/stats_fields.h,
+/// glossary in docs/ARCHITECTURE.md). Connection counters satisfy
 /// accepted = closed + live; request counters satisfy
 /// requests = admitted + rejected + bad_lines + stats-requests + updates
 /// (a failed update counts under bad_lines instead of updates) and
 /// responded counts every response line queued toward a client.
 struct ServerSnapshot {
-  uint64_t accepted = 0;     // connections accepted
-  uint64_t refused = 0;      // connections refused at the connection cap
-  uint64_t closed = 0;       // connections fully closed (any reason)
-  uint64_t idle_closed = 0;  // ... of which by idle timeout
-  uint64_t requests = 0;     // complete request lines received
-  uint64_t responded = 0;    // response lines queued (ok, error, rejection)
-  uint64_t admitted = 0;     // requests admitted into a service queue
-  uint64_t rejected = 0;     // admission-control rejections (queue full)
-  uint64_t bad_lines = 0;    // malformed, oversized or invalid requests
-  uint64_t updates = 0;      // {"op":"update"} batches applied successfully
-  uint64_t drained = 0;      // in-flight responses delivered during drain
+  WHYQ_SERVER_COUNTERS(WHYQ_STATS_U64)
+
+  /// Calls f(json_key, value) for every counter, in declaration order.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    WHYQ_SERVER_COUNTERS(WHYQ_STATS_VISIT)
+  }
 
   std::string ToJson() const;
 };
@@ -164,9 +161,7 @@ class WhyqServer {
 
   // Counters are relaxed atomics (common/metrics.h) so Snapshot() from a
   // test/monitor thread never races the loop.
-  Counter accepted_, refused_, closed_, idle_closed_;
-  Counter requests_, responded_, admitted_, rejected_, bad_lines_, updates_,
-      drained_;
+  WHYQ_SERVER_COUNTERS(WHYQ_STATS_COUNTER)
 
   // Declared last: destroying a service joins its workers, whose `done`
   // callbacks touch the completion queue and wake pipe above — those must

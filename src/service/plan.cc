@@ -573,7 +573,7 @@ void PlanStore::IndexErase(const std::string& name) {
 void PlanStore::DeleteFile(const std::string& name, bool count_invalid) {
   IndexErase(name);
   ::unlink((dir_ + "/" + name).c_str());
-  if (count_invalid) invalid_.fetch_add(1, std::memory_order_relaxed);
+  if (count_invalid) invalid_.Add();
 }
 
 std::string PlanStore::PickEvictionVictimLocked() const {
@@ -600,7 +600,7 @@ void PlanStore::EvictOverBudget() {
     }
     if (victim.empty()) return;
     DeleteFile(victim, /*count_invalid=*/false);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_.Add();
   }
 }
 
@@ -614,7 +614,7 @@ std::shared_ptr<const PreparedQuery> PlanStore::TryLoad(
     MutexLock lock(mu_);
     auto it = index_.find(name);
     if (it == index_.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.Add();
       return nullptr;
     }
     it->second.use_seq = ++use_counter_;
@@ -623,8 +623,8 @@ std::shared_ptr<const PreparedQuery> PlanStore::TryLoad(
   PlanStamp stamp;
   std::string error;
   auto reject = [this, &name] {
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    invalid_.Add();
+    misses_.Add();
     Enqueue([this, name] { DeleteFile(name, /*count_invalid=*/false); });
     return nullptr;
   };
@@ -648,7 +648,7 @@ std::shared_ptr<const PreparedQuery> PlanStore::TryLoad(
   std::shared_ptr<const PreparedQuery> prepared =
       PreparedFromPlan(plan, g, &error);
   if (prepared == nullptr) return reject();
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  hits_.Add();
   return prepared;
 }
 
@@ -675,7 +675,7 @@ void PlanStore::SaveAsync(std::shared_ptr<const PreparedQuery> prepared,
         ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
                                        : 0;
     IndexInsert(name, bytes);
-    writes_.fetch_add(1, std::memory_order_relaxed);
+    writes_.Add();
     EvictOverBudget();
   });
 }
@@ -703,7 +703,7 @@ size_t PlanStore::WarmLoad(const Graph& g, uint64_t graph_fp,
     PlanStamp stamp;
     std::string error;
     if (!LoadPlanFile(dir_ + "/" + name, &plan, &stamp, &error)) {
-      invalid_.fetch_add(1, std::memory_order_relaxed);
+      invalid_.Add();
       Enqueue([this, name = name] {
         DeleteFile(name, /*count_invalid=*/false);
       });
@@ -719,7 +719,7 @@ size_t PlanStore::WarmLoad(const Graph& g, uint64_t graph_fp,
     std::shared_ptr<const PreparedQuery> prepared =
         PreparedFromPlan(plan, g, &error);
     if (prepared == nullptr) {
-      invalid_.fetch_add(1, std::memory_order_relaxed);
+      invalid_.Add();
       Enqueue([this, name = name] {
         DeleteFile(name, /*count_invalid=*/false);
       });
@@ -767,7 +767,7 @@ void PlanStore::OnUpdate(uint64_t old_fp, PlanStamp new_stamp,
                              ? static_cast<uint64_t>(st.st_size)
                              : 0;
         IndexInsert(new_name, bytes);
-        writes_.fetch_add(1, std::memory_order_relaxed);
+        writes_.Add();
         if (new_name != old_name) {
           DeleteFile(old_name, /*count_invalid=*/false);
         }
@@ -781,13 +781,9 @@ void PlanStore::OnUpdate(uint64_t old_fp, PlanStamp new_stamp,
 }
 
 PlanStore::Counters PlanStore::counters() const {
-  Counters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.writes = writes_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.invalid = invalid_.load(std::memory_order_relaxed);
-  return c;
+  Counters out;
+  WHYQ_PLAN_STORE_COUNTERS(WHYQ_STATS_READ_COUNTER)
+  return out;
 }
 
 size_t PlanStore::file_count() const {

@@ -1,7 +1,6 @@
 #ifndef WHYQ_SERVICE_PLAN_H_
 #define WHYQ_SERVICE_PLAN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -12,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "graph/snapshot.h"
 #include "graph/update.h"
@@ -194,18 +194,15 @@ std::string PlanFileName(uint64_t key_hash);
 /// background writer thread, keeping them off the request critical path and
 /// trivially race-free with each other; TryLoad reads concurrently —
 /// open-then-read is safe against a racing unlink, and a file that
-/// disappears mid-probe is simply a miss. Counters are atomics, exported
+/// disappears mid-probe is simply a miss. Counters are lock-free, exported
 /// into StatsSnapshot by the owning service.
 ///
 /// Thread-safety: every public method may be called from any thread.
 class PlanStore {
  public:
+  /// Rows and meanings: WHYQ_PLAN_STORE_COUNTERS (common/stats_fields.h).
   struct Counters {
-    uint64_t hits = 0;       // TryLoad served a validated plan
-    uint64_t misses = 0;     // TryLoad found nothing usable
-    uint64_t writes = 0;     // plan files durably written (saves + restamps)
-    uint64_t evictions = 0;  // files dropped by the LRU byte budget
-    uint64_t invalid = 0;    // files rejected (corrupt/stale) and deleted
+    WHYQ_PLAN_STORE_COUNTERS(WHYQ_STATS_U64)
   };
 
   /// Opens (creating if needed) `dir` and indexes its existing *.plan
@@ -292,11 +289,7 @@ class PlanStore {
   uint64_t total_bytes_ WHYQ_GUARDED_BY(mu_) = 0;
   uint64_t use_counter_ WHYQ_GUARDED_BY(mu_) = 0;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalid_{0};
+  WHYQ_PLAN_STORE_COUNTERS(WHYQ_STATS_COUNTER)
 
   Mutex queue_mu_;
   CondVar queue_cv_;

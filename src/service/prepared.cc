@@ -89,13 +89,7 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
   prepared->answers = engine->MatchOutput(prepared->query);
   if (trace != nullptr) {
     trace->answer_match_ms = stage.ElapsedMillis();
-    if (ctx_ptr != nullptr) {
-      const MatchContext::Stats& cs = ctx.stats();
-      trace->ctx_hits += cs.hits;
-      trace->ctx_misses += cs.misses;
-      trace->ctx_delta_builds += cs.delta_builds;
-      trace->ctx_pruned += cs.pruned;
-    }
+    if (ctx_ptr != nullptr) trace->AddCtx(ctx.stats());
   }
   // A build whose answer match was clipped would poison every later hit;
   // the caller keeps it request-local instead of caching it.

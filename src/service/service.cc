@@ -247,11 +247,9 @@ StatsSnapshot WhyqService::Stats() const {
   StatsSnapshot s = stats_.Snapshot();
   if (cfg_.plan_store != nullptr) {
     PlanStore::Counters c = cfg_.plan_store->counters();
-    s.plan_store_hits = c.hits;
-    s.plan_store_misses = c.misses;
-    s.plan_store_writes = c.writes;
-    s.plan_store_evictions = c.evictions;
-    s.plan_store_invalid = c.invalid;
+#define WHYQ_COPY_PLAN_STORE(name, key, help) s.plan_store_##name = c.name;
+    WHYQ_PLAN_STORE_COUNTERS(WHYQ_COPY_PLAN_STORE)
+#undef WHYQ_COPY_PLAN_STORE
   }
   return s;
 }
@@ -419,19 +417,9 @@ ServiceResponse WhyqService::Run(const ServiceRequest& req,
       break;
   }
   if (req.kind == RequestKind::kWhy || req.kind == RequestKind::kWhyNot) {
-    if (req.algo == AlgoChoice::kExact) {
-      resp.trace.mbs_enumerated = resp.answer.sets_enumerated;
-      resp.trace.mbs_verified = resp.answer.sets_verified;
-    } else {
-      // Greedy variants verify one candidate set per round.
-      resp.trace.greedy_rounds = resp.answer.sets_verified;
-    }
-    // Candidate-memo counters: the search's contexts add onto whatever the
-    // prepare stage recorded (cache misses only).
-    resp.trace.ctx_hits += resp.answer.ctx_hits;
-    resp.trace.ctx_misses += resp.answer.ctx_misses;
-    resp.trace.ctx_delta_builds += resp.answer.ctx_delta_builds;
-    resp.trace.ctx_pruned += resp.answer.ctx_pruned;
+    // The search's candidate-memo counters add onto whatever the prepare
+    // stage recorded (cache misses only).
+    AddAnswerWork(resp.answer, req.algo == AlgoChoice::kExact, &resp.trace);
   }
   resp.trace.search_ms = stage.ElapsedMillis();
   // Deadline expiry anywhere in the pipeline (including the prepare step)

@@ -4,47 +4,14 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
+#include "common/json_escape.h"
 #include "common/table.h"
 
 namespace whyq {
 
 namespace {
-
-// Minimal JSON emission helpers (the snapshot's strings are request-class
-// labels and never exotic, but escape defensively anyway).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string JsonNum(double v) {
   if (!std::isfinite(v)) return "0";
@@ -53,38 +20,21 @@ std::string JsonNum(double v) {
   return buf;
 }
 
-void AppendStages(std::ostringstream& os, const StageTotals& s) {
-  os << "{\"queue\":" << JsonNum(s.queue_ms)
-     << ",\"parse\":" << JsonNum(s.parse_ms)
-     << ",\"prepare\":" << JsonNum(s.prepare_ms)
-     << ",\"candidates\":" << JsonNum(s.candidates_ms)
-     << ",\"answer_match\":" << JsonNum(s.answer_match_ms)
-     << ",\"path_index\":" << JsonNum(s.path_index_ms)
-     << ",\"search\":" << JsonNum(s.search_ms)
-     << ",\"latency\":" << JsonNum(s.latency_ms) << "}";
-}
-
-void AppendWork(std::ostringstream& os, const WorkTotals& w) {
-  os << "{\"matcher_candidates\":" << w.matcher_candidates
-     << ",\"mbs_enumerated\":" << w.mbs_enumerated
-     << ",\"mbs_verified\":" << w.mbs_verified
-     << ",\"greedy_rounds\":" << w.greedy_rounds
-     << ",\"ctx_hits\":" << w.ctx_hits << ",\"ctx_misses\":" << w.ctx_misses
-     << ",\"ctx_delta_builds\":" << w.ctx_delta_builds
-     << ",\"ctx_pruned\":" << w.ctx_pruned << "}";
-}
-
-StageTotals TraceStages(const RequestTrace& t, double latency_ms) {
-  StageTotals s;
-  s.queue_ms = t.queue_ms;
-  s.parse_ms = t.parse_ms;
-  s.prepare_ms = t.prepare_ms;
-  s.candidates_ms = t.candidates_ms;
-  s.answer_match_ms = t.answer_match_ms;
-  s.path_index_ms = t.path_index_ms;
-  s.search_ms = t.search_ms;
-  s.latency_ms = latency_ms;
-  return s;
+// Appends `t` as one JSON object, a "key":value pair per field its
+// ForEachField visits: integers in decimal, doubles via JsonNum.
+template <typename T>
+void AppendFields(std::ostringstream& os, const T& t) {
+  const char* sep = "{";
+  t.ForEachField([&](const char* key, auto value) {
+    os << sep << "\"" << key << "\":";
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      os << JsonNum(value);
+    } else {
+      os << value;
+    }
+    sep = ",";
+  });
+  os << "}";
 }
 
 }  // namespace
@@ -105,33 +55,19 @@ void ServiceStats::RecordCompleted(const std::string& klass,
                                    bool cache_hit,
                                    const RequestTrace& trace) {
   MutexLock lock(mu_);
-  ++completed_;
-  if (truncated) ++truncated_;
+  ++counters_.completed;
+  if (truncated) ++counters_.truncated;
   if (cache_hit) {
-    ++cache_hits_;
+    ++counters_.cache_hits;
   } else {
-    ++cache_misses_;
+    ++counters_.cache_misses;
   }
   latency_[klass].Record(latency_ms);
-  stages_.queue_ms += trace.queue_ms;
-  stages_.parse_ms += trace.parse_ms;
-  stages_.prepare_ms += trace.prepare_ms;
-  stages_.candidates_ms += trace.candidates_ms;
-  stages_.answer_match_ms += trace.answer_match_ms;
-  stages_.path_index_ms += trace.path_index_ms;
-  stages_.search_ms += trace.search_ms;
-  stages_.latency_ms += latency_ms;
-  work_.matcher_candidates += trace.matcher_candidates;
-  work_.mbs_enumerated += trace.mbs_enumerated;
-  work_.mbs_verified += trace.mbs_verified;
-  work_.greedy_rounds += trace.greedy_rounds;
-  work_.ctx_hits += trace.ctx_hits;
-  work_.ctx_misses += trace.ctx_misses;
-  work_.ctx_delta_builds += trace.ctx_delta_builds;
-  work_.ctx_pruned += trace.ctx_pruned;
+  stages_.Add(trace, latency_ms);
+  work_.Add(trace);
   if (slow_threshold_ms_ > 0 && latency_ms >= slow_threshold_ms_) {
     SlowQueryEntry e;
-    e.seq = completed_;
+    e.seq = counters_.completed;
     e.klass = klass;
     e.latency_ms = latency_ms;
     e.truncated = truncated;
@@ -145,24 +81,17 @@ void ServiceStats::RecordCompleted(const std::string& klass,
 void ServiceStats::RecordUpdate(uint64_t generation, size_t invalidated,
                                 size_t rekeyed) {
   MutexLock lock(mu_);
-  ++updates_applied_;
-  graph_generation_ = generation;
-  cache_invalidated_ += invalidated;
-  cache_rekeyed_ += rekeyed;
+  ++counters_.updates_applied;
+  counters_.graph_generation = generation;
+  counters_.cache_invalidated += invalidated;
+  counters_.cache_rekeyed += rekeyed;
 }
 
 StatsSnapshot ServiceStats::Snapshot() const {
   StatsSnapshot out;
   {
     MutexLock lock(mu_);
-    out.completed = completed_;
-    out.truncated = truncated_;
-    out.cache_hits = cache_hits_;
-    out.cache_misses = cache_misses_;
-    out.updates_applied = updates_applied_;
-    out.graph_generation = graph_generation_;
-    out.cache_invalidated = cache_invalidated_;
-    out.cache_rekeyed = cache_rekeyed_;
+    static_cast<ServiceCounters&>(out) = counters_;
     out.stages = stages_;
     out.work = work_;
     out.slow_threshold_ms = slow_threshold_ms_;
@@ -277,21 +206,8 @@ std::string StatsSnapshot::ToString() const {
 
 std::string StatsSnapshot::ToJson() const {
   std::ostringstream os;
-  os << "{\"counters\":{\"received\":" << received
-     << ",\"rejected\":" << rejected << ",\"shutdown\":" << shutdown
-     << ",\"completed\":" << completed << ",\"truncated\":" << truncated
-     << ",\"bad_requests\":" << bad_requests
-     << ",\"cache_hits\":" << cache_hits
-     << ",\"cache_misses\":" << cache_misses
-     << ",\"updates_applied\":" << updates_applied
-     << ",\"graph_generation\":" << graph_generation
-     << ",\"cache_invalidated\":" << cache_invalidated
-     << ",\"cache_rekeyed\":" << cache_rekeyed
-     << ",\"plan_store_hits\":" << plan_store_hits
-     << ",\"plan_store_misses\":" << plan_store_misses
-     << ",\"plan_store_writes\":" << plan_store_writes
-     << ",\"plan_store_evictions\":" << plan_store_evictions
-     << ",\"plan_store_invalid\":" << plan_store_invalid << "}";
+  os << "{\"counters\":";
+  AppendFields(os, static_cast<const ServiceCounters&>(*this));
   os << ",\"latency_ms\":{";
   bool first = true;
   for (const auto& [klass, s] : latency) {
@@ -311,9 +227,9 @@ std::string StatsSnapshot::ToJson() const {
   }
   os << "}";
   os << ",\"stage_totals_ms\":";
-  AppendStages(os, stages);
+  AppendFields(os, stages);
   os << ",\"work\":";
-  AppendWork(os, work);
+  AppendFields(os, work);
   os << ",\"slow_queries\":{\"threshold_ms\":" << JsonNum(slow_threshold_ms)
      << ",\"entries\":[";
   for (size_t i = 0; i < slow.size(); ++i) {
@@ -324,18 +240,13 @@ std::string StatsSnapshot::ToJson() const {
        << ",\"truncated\":" << (e.truncated ? "true" : "false")
        << ",\"cache_hit\":" << (e.cache_hit ? "true" : "false")
        << ",\"stages_ms\":";
-    AppendStages(os, TraceStages(e.trace, e.latency_ms));
+    StageTotals stages_ms;
+    stages_ms.Add(e.trace, e.latency_ms);
+    AppendFields(os, stages_ms);
     os << ",\"work\":";
-    WorkTotals w;
-    w.matcher_candidates = e.trace.matcher_candidates;
-    w.mbs_enumerated = e.trace.mbs_enumerated;
-    w.mbs_verified = e.trace.mbs_verified;
-    w.greedy_rounds = e.trace.greedy_rounds;
-    w.ctx_hits = e.trace.ctx_hits;
-    w.ctx_misses = e.trace.ctx_misses;
-    w.ctx_delta_builds = e.trace.ctx_delta_builds;
-    w.ctx_pruned = e.trace.ctx_pruned;
-    AppendWork(os, w);
+    WorkTotals work_totals;
+    work_totals.Add(e.trace);
+    AppendFields(os, work_totals);
     os << "}";
   }
   os << "]}}";

@@ -32,30 +32,43 @@ struct LatencySummary {
 };
 
 /// Wall-clock totals (ms) summed over every completed request, one slot
-/// per RequestTrace stage plus the end-to-end latency they decompose.
-/// queue + parse + prepare + search ~= latency (small bookkeeping residue).
+/// per RequestTrace stage plus the end-to-end latency they decompose
+/// (WHYQ_STAGE_TOTALS). queue + parse + prepare + search ~= latency (small
+/// bookkeeping residue); the prepare sub-stages count cache misses only.
 struct StageTotals {
-  double queue_ms = 0.0;
-  double parse_ms = 0.0;
-  double prepare_ms = 0.0;
-  double candidates_ms = 0.0;    // prepare sub-stage (cache misses only)
-  double answer_match_ms = 0.0;  // prepare sub-stage (cache misses only)
-  double path_index_ms = 0.0;    // prepare sub-stage (cache misses only)
-  double search_ms = 0.0;
-  double latency_ms = 0.0;
+  WHYQ_STAGE_TOTALS(WHYQ_STATS_MS)
+
+  /// Adds one completed request: its trace stages and its latency.
+  void Add(const RequestTrace& o, double request_latency_ms) {
+    WHYQ_TRACE_STAGES(WHYQ_STATS_ADD)
+    latency_ms += request_latency_ms;
+  }
+
+  /// Calls f(json_key, value) for every field, in declaration order.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    WHYQ_STAGE_TOTALS(WHYQ_STATS_VISIT)
+  }
 };
 
-/// Hot-loop work totals summed over every completed request.
+/// Hot-loop work totals summed over every completed request
+/// (WHYQ_WORK_COUNTERS, then WHYQ_CTX_COUNTERS as ctx_*).
 struct WorkTotals {
-  uint64_t matcher_candidates = 0;
-  uint64_t mbs_enumerated = 0;
-  uint64_t mbs_verified = 0;
-  uint64_t greedy_rounds = 0;
-  // Candidate-memo (MatchContext) totals — see RequestTrace.
-  uint64_t ctx_hits = 0;
-  uint64_t ctx_misses = 0;
-  uint64_t ctx_delta_builds = 0;
-  uint64_t ctx_pruned = 0;
+  WHYQ_WORK_COUNTERS(WHYQ_STATS_U64)
+  WHYQ_CTX_COUNTERS(WHYQ_STATS_CTX_U64)
+
+  /// Adds one request's work counters.
+  void Add(const RequestTrace& o) {
+    WHYQ_WORK_COUNTERS(WHYQ_STATS_ADD)
+    WHYQ_CTX_COUNTERS(WHYQ_STATS_ADD_CTX)
+  }
+
+  /// Calls f(json_key, value) for every field, in declaration order.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    WHYQ_WORK_COUNTERS(WHYQ_STATS_VISIT)
+    WHYQ_CTX_COUNTERS(WHYQ_STATS_VISIT_CTX)
+  }
 };
 
 /// One slow request retained by the bounded slow-query log.
@@ -68,6 +81,33 @@ struct SlowQueryEntry {
   RequestTrace trace;
 };
 
+/// The service's counter block (JSON "counters"): WHYQ_SERVICE_COUNTERS,
+/// then WHYQ_PLAN_STORE_COUNTERS as plan_store_*.
+///
+/// graph_generation is the published epoch's generation(); for a
+/// text-loaded graph it equals updates_applied (every successful
+/// ApplyUpdate bumps both by one). cache_invalidated counts prepared
+/// entries dropped because their footprint intersected an update delta —
+/// each will cost a later cache miss if its query returns, so
+/// cache_invalidated <= cache_misses once those queries have re-run.
+///
+/// The plan_store_* counters (service/plan.h) are merged in by
+/// WhyqService::Stats when a store is configured; all zero otherwise.
+/// Every cache miss makes exactly one store probe, so with a store enabled
+///   plan_store_hits + plan_store_misses == cache_misses
+/// (tools/check_stats_json.sh reconciles this on a live run).
+struct ServiceCounters {
+  WHYQ_SERVICE_COUNTERS(WHYQ_STATS_U64)
+  WHYQ_PLAN_STORE_COUNTERS(WHYQ_STATS_PLAN_STORE_U64)
+
+  /// Calls f(json_key, value) for every field, in declaration order.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    WHYQ_SERVICE_COUNTERS(WHYQ_STATS_VISIT)
+    WHYQ_PLAN_STORE_COUNTERS(WHYQ_STATS_VISIT_PLAN_STORE)
+  }
+};
+
 /// A consistent copy of the service counters, snapshotable at any time.
 ///
 /// Reconciliation invariants (exact once the service is drained; received
@@ -77,40 +117,7 @@ struct SlowQueryEntry {
 ///   completed == cache_hits + cache_misses
 /// and every Submit() call lands in exactly one of received / rejected /
 /// shutdown.
-struct StatsSnapshot {
-  uint64_t received = 0;   // accepted into the queue (or executed inline)
-  uint64_t rejected = 0;   // backpressure: bounded queue was full
-  uint64_t shutdown = 0;   // submitted after Stop(), resolved kShutdown
-  uint64_t completed = 0;  // ok responses produced
-  uint64_t truncated = 0;  // ... of which deadline/cancellation clipped
-  uint64_t bad_requests = 0;  // invalid input or contained internal error
-  uint64_t cache_hits = 0;    // prepared-question artifacts reused
-  uint64_t cache_misses = 0;  // built fresh (and inserted when complete)
-
-  /// Graph-update counters (docs/ARCHITECTURE.md "Mutable graphs &
-  /// epochs"). graph_generation is the published epoch's generation();
-  /// for a text-loaded graph it equals updates_applied (every successful
-  /// ApplyUpdate bumps both by one). cache_invalidated counts prepared
-  /// entries dropped because their footprint intersected an update delta
-  /// — each will cost a later cache miss if its query returns, so
-  /// cache_invalidated <= cache_misses once those queries have re-run.
-  /// cache_rekeyed counts entries carried across an epoch verbatim.
-  uint64_t updates_applied = 0;    // successful ApplyUpdate publishes
-  uint64_t graph_generation = 0;   // generation() of the published epoch
-  uint64_t cache_invalidated = 0;  // prepared entries dropped by updates
-  uint64_t cache_rekeyed = 0;      // prepared entries carried across epochs
-
-  /// Plan-store counters (service/plan.h), merged in by WhyqService::Stats
-  /// when a store is configured; all zero otherwise. Every cache miss makes
-  /// exactly one store probe, so with a store enabled
-  ///   plan_store_hits + plan_store_misses == cache_misses
-  /// (tools/check_stats_json.sh reconciles this on a live run).
-  uint64_t plan_store_hits = 0;    // store probes serving a validated plan
-  uint64_t plan_store_misses = 0;  // store probes finding nothing usable
-  uint64_t plan_store_writes = 0;  // plan files durably written
-  uint64_t plan_store_evictions = 0;  // files dropped by the byte budget
-  uint64_t plan_store_invalid = 0;    // files rejected or update-staled
-
+struct StatsSnapshot : ServiceCounters {
   /// Keyed by "<kind>/<algo>" (e.g. "why/auto", "whynot/exact").
   std::map<std::string, LatencySummary> latency;
 
@@ -175,14 +182,9 @@ class ServiceStats {
   Counter bad_requests_;
 
   mutable Mutex mu_;  // guards everything below
-  uint64_t completed_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t truncated_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t cache_hits_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t cache_misses_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t updates_applied_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t graph_generation_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t cache_invalidated_ WHYQ_GUARDED_BY(mu_) = 0;
-  uint64_t cache_rekeyed_ WHYQ_GUARDED_BY(mu_) = 0;
+  // Only the terminal and update counters are written here; the four
+  // submission-side ones above overwrite theirs in every snapshot.
+  ServiceCounters counters_ WHYQ_GUARDED_BY(mu_);
   StageTotals stages_ WHYQ_GUARDED_BY(mu_);
   WorkTotals work_ WHYQ_GUARDED_BY(mu_);
   std::map<std::string, StreamingHistogram> latency_ WHYQ_GUARDED_BY(mu_);

@@ -23,14 +23,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Folds accumulated candidate-memo counters into the answer's ctx_* fields.
-void FillContextStats(RewriteAnswer& out, const MatchContext::Stats& s) {
-  out.ctx_hits = s.hits;
-  out.ctx_misses = s.misses;
-  out.ctx_delta_builds = s.delta_builds;
-  out.ctx_pruned = s.pruned;
-}
-
 // Shared exact post-processing: greedily drop operators while the exact
 // closeness does not decrease and the guard stays valid ("minimal MBS").
 // Every dropped-operator trial is a full exact evaluation, so the loop
@@ -81,6 +73,16 @@ std::string RewriteAnswer::Explain(const Graph& g) const {
   return os.str();
 }
 
+void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace) {
+  if (exact) {
+    trace->mbs_enumerated = a.sets_enumerated;
+    trace->mbs_verified = a.sets_verified;
+  } else {
+    trace->greedy_rounds = a.sets_verified;
+  }
+  trace->AddCtx(a.ctx);
+}
+
 RewriteAnswer ExactWhy(const Graph& g, const Query& q,
                        const std::vector<NodeId>& answers,
                        const WhyQuestion& w, const AnswerConfig& cfg) {
@@ -120,7 +122,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
-  MatchContext::Stats ctx_stats = search.ctx;  // slot evaluators' share
+  out.ctx = search.ctx;  // slot evaluators' share
 
   // Fallback when the capped enumeration missed a solution the greedy can
   // still reach: the greedy set is a valid bounded set, so adopting it
@@ -128,10 +130,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   // the request itself is cancelled/past deadline — return best-so-far now.
   if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
     RewriteAnswer seed = ApproxWhy(g, q, answers, w, cfg);
-    ctx_stats.hits += seed.ctx_hits;  // the seeding work happened regardless
-    ctx_stats.misses += seed.ctx_misses;
-    ctx_stats.delta_builds += seed.ctx_delta_builds;
-    ctx_stats.pruned += seed.ctx_pruned;
+    out.ctx.Add(seed.ctx);  // the seeding work happened regardless
     if (seed.found && seed.eval.guard_ok &&
         seed.cost <= cfg.budget + kEps &&
         (seed.eval.closeness > best_cl + kEps ||
@@ -146,8 +145,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   if (best_cl < 0.0 || best_ops.empty()) {
     // No improving set: answer with the empty rewrite (Q itself).
     out.eval = eval.Evaluate(q);
-    ctx_stats.Add(eval.ContextStats());
-    FillContextStats(out, ctx_stats);
+    out.ctx.Add(eval.ContextStats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -160,8 +158,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  ctx_stats.Add(eval.ContextStats());
-  FillContextStats(out, ctx_stats);
+  out.ctx.Add(eval.ContextStats());
   return out;
 }
 
@@ -201,9 +198,8 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
   // Sum of every evaluator's candidate-memo counters, folded into the
   // answer at each exit.
   auto finish_ctx = [&]() {
-    MatchContext::Stats c = eval.ContextStats();
-    for (const auto& se : slot_evals) c.Add(se->ContextStats());
-    FillContextStats(out, c);
+    out.ctx = eval.ContextStats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
   };
 
   std::vector<EditOp> picky =

@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "graph/graph.h"
+#include "matcher/match_context.h"
 #include "query/query.h"
 #include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
@@ -39,14 +41,16 @@ struct RewriteAnswer {
   // Candidate-memo (MatchContext) counters summed over every evaluator the
   // question used — the main evaluator plus all parallel executor slots.
   // All zero under simulation semantics (no context there).
-  uint64_t ctx_hits = 0;          // memoized candidate-set lookups served
-  uint64_t ctx_misses = 0;        // sets built by scanning a label bucket
-  uint64_t ctx_delta_builds = 0;  // sets built by filtering a cached parent
-  uint64_t ctx_pruned = 0;        // match attempts skipped via bitmaps
+  MatchContext::Stats ctx;
 
   /// One-line explanation: the operators and the achieved closeness.
   std::string Explain(const Graph& g) const;
 };
+
+/// Adds the answer's work to `trace`: the MBS counts for ExactWhy /
+/// ExactWhyNot (`exact`), the greedy rounds (one verified set per round)
+/// otherwise, and the candidate-memo counters.
+void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace);
 
 /// ExactWhy (Fig. 3): enumerates maximal bounded sets over the refinement
 /// picky set, verifies each with the incremental Match, early-terminates at

@@ -21,14 +21,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Folds accumulated candidate-memo counters into the answer's ctx_* fields.
-void FillContextStats(RewriteAnswer& out, const MatchContext::Stats& s) {
-  out.ctx_hits = s.hits;
-  out.ctx_misses = s.misses;
-  out.ctx_delta_builds = s.delta_builds;
-  out.ctx_pruned = s.pruned;
-}
-
 // Polls `cancel` per dropped-operator trial (each trial is a full exact
 // evaluation); an expiring deadline keeps the current valid rewrite.
 void MinimizeCostWhyNot(const Query& q, const WhyNotEvaluator& eval,
@@ -99,16 +91,13 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
-  MatchContext::Stats ctx_stats = search.ctx;  // slot evaluators' share
+  out.ctx = search.ctx;  // slot evaluators' share
 
   // Fallback under truncation (see ExactWhy): never worse than the fast
   // heuristic. Skipped once the request itself is cancelled/past deadline.
   if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
     RewriteAnswer seed = FastWhyNot(g, q, answers, w, cfg);
-    ctx_stats.hits += seed.ctx_hits;  // the seeding work happened regardless
-    ctx_stats.misses += seed.ctx_misses;
-    ctx_stats.delta_builds += seed.ctx_delta_builds;
-    ctx_stats.pruned += seed.ctx_pruned;
+    out.ctx.Add(seed.ctx);  // the seeding work happened regardless
     if (seed.found && seed.eval.guard_ok &&
         seed.cost <= cfg.budget + kEps &&
         (seed.eval.closeness > best_cl + kEps ||
@@ -122,8 +111,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
 
   if (best_cl < 0.0 || best_ops.empty()) {
     out.eval = eval.Evaluate(q);
-    ctx_stats.Add(eval.ContextStats());
-    FillContextStats(out, ctx_stats);
+    out.ctx.Add(eval.ContextStats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -136,8 +124,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  ctx_stats.Add(eval.ContextStats());
-  FillContextStats(out, ctx_stats);
+  out.ctx.Add(eval.ContextStats());
   return out;
 }
 
@@ -174,9 +161,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   // Sum the candidate-memo counters across every evaluator this question
   // touched; called once per exit path.
   auto finish_ctx = [&] {
-    MatchContext::Stats c = eval.ContextStats();
-    for (const auto& se : slot_evals) c.Add(se->ContextStats());
-    FillContextStats(out, c);
+    out.ctx = eval.ContextStats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
   };
 
   std::vector<EditOp> picky = GenPickyWhyNot(g, q, eval.missing(), cfg);

@@ -1,8 +1,9 @@
 // whyq-lint rule tests: every rule is exercised against its positive and
 // negative fixtures under tests/lint_fixtures/ (linted under virtual
 // src/ paths so path-based applicability triggers), plus inline edge
-// cases for the lexer. The final test runs the linter over the real
-// tree, which is what keeps the repo invariant-clean.
+// cases for the lexer, and a check that every stats counter key is in the
+// docs/ARCHITECTURE.md glossary. The final test runs the linter over the
+// real tree, which is what keeps the repo invariant-clean.
 //
 // Note: banned tokens appear below only inside string literals — the
 // linter strips literals before matching, so this file stays clean when
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_fields.h"
 #include "gtest/gtest.h"
 
 namespace whyq::lint {
@@ -259,59 +261,6 @@ TEST(LintOutputChannelTest, ToolsAndBenchAreExempt) {
   EXPECT_TRUE(
       LintFile("bench/fixture.cc", ReadFixture("rule3_output_bad.cc"))
           .empty());
-}
-
-// ---------------------------------------------------------------------------
-// Rule 4: stats-roundtrip
-// ---------------------------------------------------------------------------
-
-constexpr const char* kFixtureJson =
-    "j[\"received\"]; j[\"completed\"]; j[\"latency_ms\"]; "
-    "j[\"threshold_ms\"];";
-constexpr const char* kFixtureGlossary =
-    "| received | completed | latency | threshold |";
-
-TEST(LintStatsRoundTripTest, FlagsMembersMissingFromJsonAndGlossary) {
-  StatsDecl d{"tests/lint_fixtures/rule4_stats_bad.h",
-              ReadFixture("rule4_stats_bad.h"), "FixtureStats", true};
-  std::vector<Violation> v =
-      LintStatsRoundTrip({d}, kFixtureJson, kFixtureGlossary);
-  ExpectAllRule(v, "stats-roundtrip");
-  // orphaned and lost_histo each miss both the JSON emitter and the
-  // glossary.
-  ASSERT_EQ(v.size(), 4u);
-  int orphaned = 0;
-  int lost = 0;
-  for (const auto& viol : v) {
-    if (viol.message.find("orphaned") != std::string::npos) ++orphaned;
-    if (viol.message.find("lost_histo") != std::string::npos) ++lost;
-  }
-  EXPECT_EQ(orphaned, 2);
-  EXPECT_EQ(lost, 2);
-}
-
-TEST(LintStatsRoundTripTest, AcceptsFullyDocumentedStruct) {
-  StatsDecl d{"tests/lint_fixtures/rule4_stats_good.h",
-              ReadFixture("rule4_stats_good.h"), "FixtureStats", true};
-  std::vector<Violation> v =
-      LintStatsRoundTrip({d}, kFixtureJson, kFixtureGlossary);
-  EXPECT_TRUE(v.empty()) << v.front().message;
-}
-
-TEST(LintStatsRoundTripTest, GlossaryOnlyModeSkipsJson) {
-  StatsDecl d{"tests/lint_fixtures/rule4_stats_good.h",
-              ReadFixture("rule4_stats_good.h"), "FixtureStats", false};
-  // Empty JSON source: fine, because require_json is off and the
-  // glossary covers every key.
-  std::vector<Violation> v = LintStatsRoundTrip({d}, "", kFixtureGlossary);
-  EXPECT_TRUE(v.empty()) << v.front().message;
-}
-
-TEST(LintStatsRoundTripTest, ReportsMissingStruct) {
-  StatsDecl d{"x.h", "struct Other {};", "FixtureStats", true};
-  std::vector<Violation> v = LintStatsRoundTrip({d}, "", "");
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_NE(v[0].message.find("not found"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -629,6 +578,53 @@ TEST(LintHotLoopAllocTest, RuleOnlyAppliesToMatcherAndWhy) {
   EXPECT_TRUE(
       LintFile("src/gen/fixture.cc", ReadFixture("rule13_hotloop_bad.cc"))
           .empty());
+}
+
+// ---------------------------------------------------------------------------
+// Stats glossary: every serialized counter is one row of a
+// common/stats_fields.h list; its JSON key must be documented, backticked,
+// in a row of the matching glossary table of docs/ARCHITECTURE.md.
+// ---------------------------------------------------------------------------
+
+std::string GlossaryTableRows(const std::string& doc,
+                              const std::string& heading) {
+  size_t begin = doc.find("\n" + heading + "\n");
+  EXPECT_NE(begin, std::string::npos) << "missing section " << heading;
+  if (begin == std::string::npos) return "";
+  size_t end = doc.find("\n#", begin + heading.size() + 2);
+  std::istringstream lines(doc.substr(begin, end - begin));
+  std::string rows;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("|", 0) == 0) rows += line + "\n";
+  }
+  return rows;
+}
+
+TEST(StatsGlossaryTest, EveryCounterKeyIsDocumented) {
+  std::ifstream in(std::string(WHYQ_REPO_ROOT) + "/docs/ARCHITECTURE.md");
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string stats = GlossaryTableRows(ss.str(), "### Stats glossary");
+  const std::string server =
+      GlossaryTableRows(ss.str(), "### Server stats glossary");
+  auto expect_documented = [](const std::string& table, const char* glossary,
+                              const std::string& key) {
+    EXPECT_NE(table.find("`" + key + "`"), std::string::npos)
+        << "add `" << key << "` to the " << glossary;
+  };
+#define WHYQ_IN_STATS(name, key, help) \
+  expect_documented(stats, "Stats glossary", key);
+#define WHYQ_IN_SERVER(name, key, help) \
+  expect_documented(server, "Server stats glossary", key);
+  WHYQ_STAGE_TOTALS(WHYQ_IN_STATS)
+  WHYQ_WORK_COUNTERS(WHYQ_IN_STATS)
+  WHYQ_CTX_COUNTERS(WHYQ_IN_STATS)
+  WHYQ_SERVICE_COUNTERS(WHYQ_IN_STATS)
+  WHYQ_PLAN_STORE_COUNTERS(WHYQ_IN_STATS)
+  WHYQ_SERVER_COUNTERS(WHYQ_IN_SERVER)
+#undef WHYQ_IN_STATS
+#undef WHYQ_IN_SERVER
 }
 
 // ---------------------------------------------------------------------------

@@ -998,9 +998,9 @@ TEST(PlanEquivalenceTest, LoadedPlanAnswersByteIdenticallyUnderBothSemantics) {
     EXPECT_EQ(a.estimated_closeness, b.estimated_closeness);
     EXPECT_EQ(a.picky_count, b.picky_count);
     EXPECT_EQ(a.sets_verified, b.sets_verified);
-    EXPECT_EQ(a.ctx_hits, b.ctx_hits);
-    EXPECT_EQ(a.ctx_misses, b.ctx_misses);
-    EXPECT_EQ(a.ctx_pruned, b.ctx_pruned);
+    EXPECT_EQ(a.ctx.hits, b.ctx.hits);
+    EXPECT_EQ(a.ctx.misses, b.ctx.misses);
+    EXPECT_EQ(a.ctx.pruned, b.ctx.pruned);
 
     // And the same for a Why-not question over the loaded candidates.
     WhyNotQuestion whynot;

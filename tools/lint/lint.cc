@@ -996,93 +996,6 @@ void CheckHotLoopAlloc(const std::string& path, const TuModel& model,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: stats-roundtrip helpers
-// ---------------------------------------------------------------------------
-
-struct Member {
-  std::string name;
-  int line = 0;
-};
-
-// Counter-like member declarations of `struct_name` in `header` (already
-// stripped): uint64_t / double / Counter / StreamingHistogram fields,
-// including map<..., StreamingHistogram> aggregations.
-std::vector<Member> ExtractCounterMembers(const std::string& stripped,
-                                          const std::string& struct_name,
-                                          bool* found_struct) {
-  std::vector<Member> members;
-  *found_struct = false;
-  size_t pos = std::string::npos;
-  for (const char* kw : {"struct", "class"}) {
-    for (size_t k = FindToken(stripped, kw); k != std::string::npos;
-         k = FindToken(stripped, kw, k + 1)) {
-      size_t name_pos = FindToken(stripped, struct_name, k);
-      if (name_pos == std::string::npos) continue;
-      // The struct keyword must be immediately followed by the name.
-      std::string between = stripped.substr(
-          k + std::string(kw).size(), name_pos - k - std::string(kw).size());
-      if (between.find_first_not_of(" \t\n") != std::string::npos) continue;
-      pos = name_pos;
-      break;
-    }
-    if (pos != std::string::npos) break;
-  }
-  if (pos == std::string::npos) return members;
-  size_t open = stripped.find('{', pos);
-  if (open == std::string::npos) return members;
-  size_t close = MatchDelim(stripped, open, '{', '}');
-  if (close == std::string::npos) return members;
-  *found_struct = true;
-
-  // Split the body into top-level statements (nested braces — method
-  // bodies, brace initializers — do not split).
-  size_t stmt_begin = open + 1;
-  int depth = 0;
-  for (size_t i = open + 1; i < close; ++i) {
-    char c = stripped[i];
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    if ((c == ';' && depth == 0) || (c == '}' && depth == 0)) {
-      size_t this_begin = stmt_begin;
-      std::string stmt = stripped.substr(this_begin, i - this_begin);
-      stmt_begin = i + 1;
-      if (stmt.find('(') != std::string::npos) continue;  // functions
-      bool counterish = false;
-      for (const char* t : {"uint64_t", "double", "Counter",
-                            "StreamingHistogram"}) {
-        if (ContainsToken(stmt, t)) {
-          counterish = true;
-          break;
-        }
-      }
-      if (!counterish) continue;
-      // Member name: the last identifier before any initializer.
-      size_t cut = stmt.find_first_of("={[");
-      std::string decl = cut == std::string::npos ? stmt : stmt.substr(0, cut);
-      size_t end = decl.find_last_not_of(" \t\n");
-      if (end == std::string::npos) continue;
-      size_t begin = end;
-      while (begin > 0 && IsIdentChar(decl[begin - 1])) --begin;
-      std::string name = decl.substr(begin, end - begin + 1);
-      if (name.empty() || !IsIdentChar(name[0])) continue;
-      // `>` directly before the name means a template type like
-      // map<string, StreamingHistogram>; still a tracked member.
-      members.push_back({name, LineOfOffset(stripped, this_begin)});
-    }
-  }
-  return members;
-}
-
-std::string KeyOfMember(std::string name) {
-  while (!name.empty() && name.back() == '_') name.pop_back();
-  if (EndsWith(name, "_ms")) name.resize(name.size() - 3);
-  // Snapshot/JSON naming divergences, kept deliberately small. Extend only
-  // with a matching glossary entry.
-  if (name == "slow_threshold") return "threshold";
-  return name;
-}
-
 bool ReadFile(const std::filesystem::path& p, std::string* out) {
   std::ifstream in(p, std::ios::binary);
   if (!in) return false;
@@ -1093,42 +1006,6 @@ bool ReadFile(const std::filesystem::path& p, std::string* out) {
 }
 
 }  // namespace
-
-std::vector<Violation> LintStatsRoundTrip(const std::vector<StatsDecl>& decls,
-                                          const std::string& json_source,
-                                          const std::string& glossary) {
-  std::vector<Violation> out;
-  for (const StatsDecl& d : decls) {
-    std::string stripped = StripCommentsAndStrings(d.header_contents);
-    bool found = false;
-    std::vector<Member> members =
-        ExtractCounterMembers(stripped, d.struct_name, &found);
-    if (!found) {
-      out.push_back({d.header_path, 1, "stats-roundtrip",
-                     "struct " + d.struct_name + " not found"});
-      continue;
-    }
-    for (const Member& m : members) {
-      std::string key = KeyOfMember(m.name);
-      if (d.require_json &&
-          json_source.find("\"" + key) == std::string::npos) {
-        out.push_back({d.header_path, m.line, "stats-roundtrip",
-                       d.struct_name + "::" + m.name +
-                           " has no \"" + key +
-                           "\" key in the stats JSON emitter "
-                           "(src/service/stats.cc ToJson)"});
-      }
-      if (glossary.find(key) == std::string::npos) {
-        out.push_back({d.header_path, m.line, "stats-roundtrip",
-                       d.struct_name + "::" + m.name +
-                           " is undocumented: add '" + key +
-                           "' to the stats glossary in "
-                           "docs/ARCHITECTURE.md"});
-      }
-    }
-  }
-  return out;
-}
 
 TuModel BuildTuModel(const std::string& contents) {
   TuModel model;
@@ -1225,46 +1102,6 @@ std::vector<Violation> LintTree(const std::string& root, std::string* error) {
     std::vector<Violation> v = LintFile(rel, contents);
     out.insert(out.end(), v.begin(), v.end());
   }
-
-  // stats-roundtrip over the canonical declarations.
-  std::string stats_h;
-  std::string metrics_h;
-  std::string matcher_h;
-  std::string server_h;
-  std::string stats_cc;
-  std::string server_cc;
-  std::string arch_md;
-  for (const auto& [p, dst] :
-       std::vector<std::pair<const char*, std::string*>>{
-           {"src/service/stats.h", &stats_h},
-           {"src/common/metrics.h", &metrics_h},
-           {"src/matcher/matcher.h", &matcher_h},
-           {"src/server/server.h", &server_h},
-           {"src/service/stats.cc", &stats_cc},
-           {"src/server/server.cc", &server_cc},
-           {"docs/ARCHITECTURE.md", &arch_md}}) {
-    if (!ReadFile(fs::path(root) / p, dst)) {
-      if (error != nullptr) *error = std::string("cannot read ") + p;
-      return out;
-    }
-  }
-  std::vector<StatsDecl> decls = {
-      {"src/service/stats.h", stats_h, "StatsSnapshot", true},
-      {"src/service/stats.h", stats_h, "LatencySummary", true},
-      {"src/service/stats.h", stats_h, "StageTotals", true},
-      {"src/service/stats.h", stats_h, "WorkTotals", true},
-      {"src/service/stats.h", stats_h, "ServiceStats", true},
-      {"src/common/metrics.h", metrics_h, "RequestTrace", true},
-      // MatcherStats is surfaced via benches/experiments, not the service
-      // JSON; its counters still must be in the glossary.
-      {"src/matcher/matcher.h", matcher_h, "MatcherStats", false},
-      // The daemon's "server" block (ServerSnapshot::ToJson, server.cc).
-      {"src/server/server.h", server_h, "ServerSnapshot", true},
-  };
-  // The emitters live in two files; the key check only needs the union.
-  std::vector<Violation> v =
-      LintStatsRoundTrip(decls, stats_cc + server_cc, arch_md);
-  out.insert(out.end(), v.begin(), v.end());
   return out;
 }
 

@@ -17,9 +17,6 @@
 //   output-channel   no std::cout/std::cerr/printf-family output in
 //                    library code under src/ (metrics and traces are the
 //                    only output channel; CLI/tools/bench are exempt).
-//   stats-roundtrip  every counter member of the stats structs must
-//                    appear in the stats JSON emitter and the
-//                    ARCHITECTURE.md stats glossary.
 //   nodespan-member  no class outside src/graph/ may store a borrowed
 //                    NodeSpan as a data member.
 //   graph-mutation   no reference to the Graph's derived-storage members
@@ -134,24 +131,9 @@ TuModel BuildTuModel(const std::string& contents);
 std::vector<Violation> LintFile(const std::string& path,
                                 const std::string& contents);
 
-/// Rule "stats-roundtrip" over explicit document contents, so fixtures
-/// can exercise it without touching the real tree. Counter members are
-/// extracted from the struct declarations; each derived key must appear
-/// quoted in `json_source` (JSON emitters) and as a word in `glossary`.
-struct StatsDecl {
-  std::string header_path;  // for messages
-  std::string header_contents;
-  std::string struct_name;
-  bool require_json = true;  // MatcherStats is glossary-only
-};
-std::vector<Violation> LintStatsRoundTrip(const std::vector<StatsDecl>& decls,
-                                          const std::string& json_source,
-                                          const std::string& glossary);
-
 /// Scans the real tree rooted at `root`: per-file rules over src/, tools/,
-/// bench/, examples/, and tests/ (fixtures excluded), plus the
-/// stats-roundtrip rule over the canonical files. Returns all violations;
-/// `error` is set when required files cannot be read.
+/// bench/, examples/, and tests/ (fixtures excluded). Returns all
+/// violations; `error` is set when a file cannot be read.
 std::vector<Violation> LintTree(const std::string& root, std::string* error);
 
 }  // namespace whyq::lint

@@ -565,16 +565,7 @@ int CmdWhy(const Options& o, bool why_not) {
     }
   }
   trace.search_ms = stage.ElapsedMillis();
-  if (o.algo == "exact") {
-    trace.mbs_enumerated = a.sets_enumerated;
-    trace.mbs_verified = a.sets_verified;
-  } else {
-    trace.greedy_rounds = a.sets_verified;
-  }
-  trace.ctx_hits = a.ctx_hits;
-  trace.ctx_misses = a.ctx_misses;
-  trace.ctx_delta_builds = a.ctx_delta_builds;
-  trace.ctx_pruned = a.ctx_pruned;
+  AddAnswerWork(a, o.algo == "exact", &trace);
   PrintAnswer(g, *q, a);
   if (o.trace) std::printf("%s", trace.ToString().c_str());
   return a.found ? 0 : 2;
