@@ -88,11 +88,12 @@ void BM_MbsEnumeration(benchmark::State& state) {
   std::vector<std::vector<size_t>> conflicts(n);
   for (auto _ : state) {
     size_t emitted = 0;
-    EnumerateMaximalBoundedSets(costs, conflicts, 4.0, 5000,
-                                [&](const std::vector<size_t>&) {
-                                  ++emitted;
-                                  return true;
-                                });
+    EnumerateMaximalBoundedSetsBatched(
+        costs, conflicts, 4.0, 5000, /*batch_size=*/1,
+        [&](const std::vector<std::vector<size_t>>&) {
+          ++emitted;
+          return true;
+        });
     benchmark::DoNotOptimize(emitted);
   }
 }

@@ -41,6 +41,8 @@
   X(matcher_candidates, "matcher_candidates", "|output-candidate set| used")  \
   X(mbs_enumerated, "mbs_enumerated", "maximal bounded sets emitted (exact)") \
   X(mbs_verified, "mbs_verified", "... of which verified (exact)")            \
+  X(guard_checks, "guard_checks",                                             \
+    "guard admission checks run, one per distinct set (exact)")               \
   X(greedy_rounds, "greedy_rounds", "selection rounds (greedy algorithms)")
 
 /// MatchContext candidate-memo counters (CtxCounters); RequestTrace,

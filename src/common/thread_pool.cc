@@ -72,11 +72,8 @@ size_t ThreadPool::queued_tasks() const {
   return tasks_.size();
 }
 
-void ThreadPool::RunSlot(ForState& state, size_t slot) {
-  for (;;) {
-    if (state.abort.load()) return;
-    size_t i = state.next.fetch_add(1);
-    if (i >= state.n) return;
+void ThreadPool::RunSlot(ForState& state, size_t slot, size_t i) {
+  for (; i < state.n && !state.abort.load(); i = state.next.fetch_add(1)) {
     try {
       state.body(i, slot);
     } catch (...) {
@@ -104,6 +101,9 @@ void ThreadPool::ParallelFor(
   auto state = std::make_shared<ForState>();
   state->n = n;
   state->body = body;
+  // The caller claims its first index before any helper can run, so slot 0
+  // always executes at least one body (n > 1 here).
+  const size_t first = state->next.fetch_add(1);
   {
     MutexLock lock(mu_);
     if (!stopping_) {
@@ -113,7 +113,7 @@ void ThreadPool::ParallelFor(
             MutexLock slock(state->mu);
             ++state->executing;
           }
-          RunSlot(*state, s);
+          RunSlot(*state, s, state->next.fetch_add(1));
           {
             MutexLock slock(state->mu);
             --state->executing;
@@ -125,7 +125,7 @@ void ThreadPool::ParallelFor(
   }
   cv_.NotifyAll();
 
-  RunSlot(*state, 0);  // the caller is executor slot 0
+  RunSlot(*state, 0, first);  // the caller is executor slot 0
 
   // The caller's loop only returns once every index was claimed; wait for
   // helpers that are still running a claimed body. Helpers dequeued later

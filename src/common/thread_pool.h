@@ -24,9 +24,10 @@ namespace whyq {
 ///    this call is still running or can run later. Nothing leaks into the
 ///    pool past the call — a deadline that unwinds an algorithm mid-search
 ///    leaves no orphaned work behind.
-///  * The caller participates as executor slot 0, so a ParallelFor can
-///    never deadlock waiting for pool capacity: with a saturated (or empty)
-///    pool the caller simply runs every index itself, serially, in order.
+///  * The caller participates as executor slot 0 and always runs index 0
+///    (it claims it before enqueueing helpers), so a ParallelFor can never
+///    deadlock waiting for pool capacity: with a saturated (or empty) pool
+///    the caller simply runs every index itself, serially, in order.
 ///  * `slot` identifiers are dense in [0, width): each concurrent executor
 ///    owns one slot for the whole call, which is how callers hand each
 ///    executor its own non-thread-safe scratch (per-slot MatchEngine-backed
@@ -80,7 +81,9 @@ class ThreadPool {
   struct ForState;
 
   void WorkerLoop();
-  static void RunSlot(ForState& state, size_t slot);
+  // Runs index `i` (already claimed by this executor), then claims and runs
+  // further indices until they run out or a body throws.
+  static void RunSlot(ForState& state, size_t slot, size_t i);
 
   mutable Mutex mu_;
   CondVar cv_;

@@ -65,9 +65,24 @@ bool Value::Satisfies(CompareOp op, const Value& constant) const {
   return false;
 }
 
+bool Value::operator==(const Value& other) const {
+  if (is_double() && other.is_double()) {
+    double a = as_double();
+    double b = other.as_double();
+    return a == b || (std::isnan(a) && std::isnan(b));
+  }
+  return data_ == other.data_;
+}
+
 bool Value::operator<(const Value& other) const {
   if (data_.index() != other.data_.index()) {
     return data_.index() < other.data_.index();
+  }
+  if (is_double()) {
+    double a = as_double();
+    double b = other.as_double();
+    if (std::isnan(a) || std::isnan(b)) return !std::isnan(a) && std::isnan(b);
+    return a < b;
   }
   return data_ < other.data_;
 }

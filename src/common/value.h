@@ -61,12 +61,15 @@ class Value {
   bool Satisfies(CompareOp op, const Value& constant) const;
 
   /// Exact same kind and content (string "5" != int 5, but int 5 == double 5.0
-  /// is still false here; use Compare for numeric equality).
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// is still false here; use Compare for numeric equality). Doubles compare
+  /// numerically (0.0 == -0.0), and every NaN equals every other NaN, so
+  /// equality is an equivalence usable for container keys.
+  bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   /// Arbitrary-but-total order usable as a container key (kind first, then
-  /// value). Distinct from Compare, which is the semantic order.
+  /// value; NaN after every other double). Its equivalence is operator==.
+  /// Distinct from Compare, which is the semantic order.
   bool operator<(const Value& other) const;
 
   std::string ToString() const;

@@ -128,13 +128,14 @@ std::optional<WhyNotQuestion> GenerateWhyNotQuestion(
     structural.mutable_node(u).literals.clear();
   }
   PathIndex pidx(structural, 8);
+  PathIndex::Probe structural_probe(pidx, g, structural, nullptr);
 
   constexpr size_t kPoolCap = 200;
   std::vector<NodeId> pool;
   NodeSpan same_label = g.NodesWithLabel(q.node(q.output()).label);
   for (NodeId v : same_label) {
     if (answer_set.Contains(v)) continue;
-    if (pidx.Passes(g, structural, v)) {
+    if (structural_probe.Passes(v)) {
       pool.push_back(v);
       if (pool.size() >= kPoolCap) break;
     }
@@ -154,10 +155,11 @@ std::optional<WhyNotQuestion> GenerateWhyNotQuestion(
   // miss by one or two constraints is the realistic case — a user notices
   // *near* hits are absent — and keeps the needed relaxations affordable.
   PathIndex full(q, 8);
+  PathIndex::Probe full_probe(full, g, q, nullptr);
   std::vector<std::pair<double, NodeId>> ranked;
   ranked.reserve(pool.size());
   for (NodeId v : pool) {
-    ranked.emplace_back(-full.PassFraction(g, q, v), v);
+    ranked.emplace_back(-full_probe.PassFraction(v), v);
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a < b; });

@@ -1,7 +1,9 @@
 #include "matcher/match_context.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <new>
 #include <utility>
 
@@ -11,57 +13,65 @@ namespace whyq {
 
 namespace {
 
-// Canonical, injective-enough encoding of one literal. Two literals with
-// equal keys filter identically (same attr, op, and constant encoding);
-// distinct Values that render to distinct keys at worst create a duplicate
-// cache entry, never a wrong one. Doubles use %.17g (round-trip exact).
-std::string LiteralKey(const Literal& l) {
-  std::string k = std::to_string(l.attr);
-  k.push_back('\x01');
-  k.push_back(static_cast<char>('0' + static_cast<int>(l.op)));
-  k.push_back('\x01');
-  const Value& v = l.constant;
-  if (v.is_int()) {
-    k.push_back('i');
-    k += std::to_string(v.as_int());
-  } else if (v.is_double()) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "d%.17g", v.as_double());
-    k += buf;
-  } else {
-    k.push_back('s');
-    k += v.as_string();
-  }
-  return k;
+// The order entries keep their literals in: attribute, operator, then the
+// constant's Value::operator< (kind first). Equivalence under it is
+// Literal::operator==.
+bool LiteralLess(const Literal& a, const Literal& b) {
+  if (a.attr != b.attr) return a.attr < b.attr;
+  if (a.op != b.op) return a.op < b.op;
+  return a.constant < b.constant;
 }
 
-// Canonical signature: label, then the length-prefixed sorted literal keys
-// (length prefixes make the concatenation unambiguous even when string
-// constants contain the separator bytes). Fills `keys`/`lits` sorted and
-// aligned.
-std::string BuildSignature(const QueryNode& qn,
-                           std::vector<std::string>* keys,
-                           std::vector<Literal>* lits) {
-  std::vector<std::pair<std::string, size_t>> order;
-  order.reserve(qn.literals.size());
-  for (size_t i = 0; i < qn.literals.size(); ++i) {
-    order.emplace_back(LiteralKey(qn.literals[i]), i);
+uint64_t Mix(uint64_t x) {  // splitmix64 finalizer
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Equal Values hash equally: 0.0 and -0.0 are one key, as are all NaNs.
+uint64_t ValueHash(const Value& v) {
+  if (v.is_int()) return Mix(static_cast<uint64_t>(v.as_int()));
+  if (v.is_double()) {
+    double d = v.as_double();
+    if (d == 0.0) d = 0.0;
+    if (std::isnan(d)) d = std::nan("");
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return Mix(bits ^ 0x1);
   }
-  std::sort(order.begin(), order.end());
-  std::string sig = std::to_string(qn.label);
-  sig.push_back('\n');
-  keys->clear();
-  lits->clear();
-  keys->reserve(order.size());
-  lits->reserve(order.size());
-  for (auto& [key, i] : order) {
-    sig += std::to_string(key.size());
-    sig.push_back(':');
-    sig += key;
-    keys->push_back(std::move(key));
-    lits->push_back(qn.literals[i]);
+  return Mix(std::hash<std::string>{}(v.as_string()) ^ 0x2);
+}
+
+// Order-independent: the label's hash plus the sum of the literal hashes.
+uint64_t ConstraintHash(const QueryNode& qn) {
+  uint64_t h = Mix(qn.label);
+  for (const Literal& l : qn.literals) {
+    h += Mix(ValueHash(l.constant) ^
+             (uint64_t{l.attr} << 8 | static_cast<uint64_t>(l.op)));
   }
-  return sig;
+  return h;
+}
+
+std::vector<Literal> SortedLiterals(const QueryNode& qn) {
+  std::vector<Literal> lits = qn.literals;
+  std::sort(lits.begin(), lits.end(), LiteralLess);
+  return lits;
+}
+
+// True iff `any` (in any order) and `sorted` are the same multiset.
+bool SameMultiset(const std::vector<Literal>& sorted,
+                  const std::vector<Literal>& any) {
+  if (sorted.size() != any.size()) return false;
+  for (const Literal& l : any) {
+    auto [lo, hi] =
+        std::equal_range(sorted.begin(), sorted.end(), l, LiteralLess);
+    if (static_cast<size_t>(hi - lo) !=
+        static_cast<size_t>(std::count(any.begin(), any.end(), l))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -82,21 +92,28 @@ const MatchContext::CandidateSet* MatchContext::Freeze(
   return new (slot) CandidateSet{list, nodes.size(), bits};
 }
 
-const MatchContext::CandidateSet& MatchContext::Lookup(const QueryNode& qn) {
-  std::vector<std::string> keys;
-  std::vector<Literal> lits;
-  std::string sig = BuildSignature(qn, &keys, &lits);
-  auto it = index_.find(sig);
-  if (it != index_.end()) {
-    ++stats_.hits;
-    return *entries_[it->second].cand;
+const MatchContext::Entry* MatchContext::Find(const QueryNode& qn,
+                                              uint64_t hash) const {
+  auto [it, end] = index_.equal_range(hash);
+  for (; it != end; ++it) {
+    const Entry& e = entries_[it->second];
+    if (e.label == qn.label && SameMultiset(e.lits, qn.literals)) return &e;
   }
-  return Insert(sig, qn.label, std::move(keys), std::move(lits));
+  return nullptr;
 }
 
-const MatchContext::CandidateSet& MatchContext::Insert(
-    const std::string& sig, SymbolId label,
-    std::vector<std::string> lit_keys, std::vector<Literal> lits) {
+const MatchContext::CandidateSet& MatchContext::Lookup(const QueryNode& qn) {
+  uint64_t hash = ConstraintHash(qn);
+  if (const Entry* e = Find(qn, hash)) {
+    ++stats_.hits;
+    return *e->cand;
+  }
+  return Insert(qn, hash);
+}
+
+const MatchContext::CandidateSet& MatchContext::Insert(const QueryNode& qn,
+                                                       uint64_t hash) {
+  std::vector<Literal> lits = SortedLiterals(qn);
   scratch_.clear();
 
   // Delta reuse: the largest cached strict-subset constraint on the same
@@ -105,30 +122,26 @@ const MatchContext::CandidateSet& MatchContext::Insert(
   // Lemma 1 monotonicity of refinement applied to the cache.
   const Entry* parent = nullptr;
   for (const Entry& e : entries_) {
-    if (e.label != label || e.lit_keys.size() >= lit_keys.size()) continue;
-    if (parent != nullptr &&
-        e.lit_keys.size() <= parent->lit_keys.size()) {
-      continue;
-    }
-    if (std::includes(lit_keys.begin(), lit_keys.end(), e.lit_keys.begin(),
-                      e.lit_keys.end())) {
+    if (e.label != qn.label || e.lits.size() >= lits.size()) continue;
+    if (parent != nullptr && e.lits.size() <= parent->lits.size()) continue;
+    if (std::includes(lits.begin(), lits.end(), e.lits.begin(),
+                      e.lits.end(), LiteralLess)) {
       parent = &e;
     }
   }
 
   if (parent != nullptr) {
     ++stats_.delta_builds;
-    // Multiset difference over the sorted key arrays: child keys without a
-    // matching parent key are the extra literals to filter with.
+    // Multiset difference over the sorted literals: child literals without
+    // a matching parent literal are the extras to filter with.
     std::vector<const Literal*> extras;
     size_t pi = 0;
-    for (size_t ci = 0; ci < lit_keys.size(); ++ci) {
-      if (pi < parent->lit_keys.size() &&
-          parent->lit_keys[pi] == lit_keys[ci]) {
+    for (const Literal& l : lits) {
+      if (pi < parent->lits.size() && parent->lits[pi] == l) {
         ++pi;
         continue;
       }
-      extras.push_back(&lits[ci]);
+      extras.push_back(&l);
     }
     for (NodeId v : *parent->cand) {
       bool ok = true;
@@ -142,22 +155,19 @@ const MatchContext::CandidateSet& MatchContext::Insert(
     }
   } else {
     ++stats_.misses;
-    QueryNode qn;
-    qn.label = label;
-    qn.literals = lits;
-    for (NodeId v : g_.NodesWithLabel(label)) {
+    for (NodeId v : g_.NodesWithLabel(qn.label)) {
       if (IsCandidate(g_, v, qn)) scratch_.push_back(v);
     }
   }
+  return AddEntry(qn.label, std::move(lits), hash, Freeze(scratch_));
+}
 
-  Entry e;
-  e.label = label;
-  e.lit_keys = std::move(lit_keys);
-  e.lits = std::move(lits);
-  e.cand = Freeze(scratch_);
-  index_[sig] = entries_.size();
-  entries_.push_back(std::move(e));
-  return *entries_.back().cand;
+const MatchContext::CandidateSet& MatchContext::AddEntry(
+    SymbolId label, std::vector<Literal> sorted_lits, uint64_t hash,
+    const CandidateSet* cand) {
+  index_.emplace(hash, entries_.size());
+  entries_.push_back(Entry{label, std::move(sorted_lits), cand});
+  return *cand;
 }
 
 void MatchContext::Prime(const Query& q) {
@@ -168,18 +178,10 @@ void MatchContext::Prime(const Query& q) {
 
 void MatchContext::Seed(const QueryNode& qn,
                         const std::vector<NodeId>& nodes) {
-  std::vector<std::string> keys;
-  std::vector<Literal> lits;
-  std::string sig = BuildSignature(qn, &keys, &lits);
-  if (index_.count(sig) > 0) return;
+  uint64_t hash = ConstraintHash(qn);
+  if (Find(qn, hash) != nullptr) return;
   ++stats_.misses;  // the full scan happened, just outside the context
-  Entry e;
-  e.label = qn.label;
-  e.lit_keys = std::move(keys);
-  e.lits = std::move(lits);
-  e.cand = Freeze(nodes);
-  index_[sig] = entries_.size();
-  entries_.push_back(std::move(e));
+  AddEntry(qn.label, SortedLiterals(qn), hash, Freeze(nodes));
 }
 
 }  // namespace whyq

@@ -2,7 +2,6 @@
 #define WHYQ_MATCHER_MATCH_CONTEXT_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,21 +18,24 @@ namespace whyq {
 /// One question verifies thousands of rewrites Q ⊕ O that differ from Q by
 /// a handful of operators, so most query nodes keep their (label, literals)
 /// constraint across the whole MBS sweep / greedy gain scan. The context
-/// keys each candidate set by a canonical signature of that constraint —
-/// label plus the *sorted* literal multiset, so literal order never splits
-/// entries — and materializes it once as an ascending NodeId list plus a
-/// bitmap over V. Matching then replaces per-attempt IsCandidate calls
-/// (attr binary search + literal predicates) with one O(1) bitmap probe,
-/// and root enumeration iterates the memoized list instead of the label
-/// bucket.
+/// keys each candidate set by that constraint itself — the label plus the
+/// literal multiset, typed: each literal compares by attribute, operator
+/// and constant (Literal::operator==, ordered by Value::operator<), so
+/// literal order never splits entries and only equal constants share one. Lookup hashes the multiset order-independently and compares it
+/// against the entry's sorted copy without building anything, so a hit
+/// allocates nothing. Each set is materialized once as an ascending NodeId
+/// list plus a bitmap over V. Matching then replaces per-attempt
+/// IsCandidate calls (attr binary search + literal predicates) with one
+/// O(1) bitmap probe, and root enumeration iterates the memoized list
+/// instead of the label bucket.
 ///
 /// Refinement deltas: RfL/AddL only shrink cand(u) (Lemma 1), so when a
-/// fresh signature's literals are a strict superset of a cached entry with
-/// the same label, the new set is built by filtering that parent's node
-/// list with only the extra literals — never by rescanning the label
-/// bucket. Entries are never evicted; a context lives for one request and
-/// the distinct signatures per request are bounded by the picky-operator
-/// universe.
+/// fresh constraint's literals are a strict superset of a cached entry with
+/// the same label (std::includes over the sorted literals), the new set is
+/// built by filtering that parent's node list with only the extra literals
+/// — never by rescanning the label bucket. Entries are never evicted; a
+/// context lives for one request and the distinct constraints per request
+/// are bounded by the picky-operator universe.
 ///
 /// Thread-safety: none. A MatchContext is mutable per-lookup state and must
 /// be confined to one thread/request, exactly like the Matcher and
@@ -77,7 +79,7 @@ class MatchContext {
 
   /// The memoized candidate set of `qn`, built on first use (bucket scan or
   /// delta filter — see class comment). The reference stays valid for the
-  /// context's lifetime.
+  /// context's lifetime. A hit allocates nothing.
   const CandidateSet& Lookup(const QueryNode& qn);
 
   /// Memoizes every node of `q` up front (e.g. right after parsing, while
@@ -87,7 +89,7 @@ class MatchContext {
   /// Installs an externally computed candidate list for `qn` (must be the
   /// exact ascending IsCandidate filter of the label bucket — e.g. the
   /// parallel Candidates() result). Counted as a miss: the scan happened,
-  /// just not here. No-op when the signature is already memoized.
+  /// just not here. No-op when the constraint is already memoized.
   void Seed(const QueryNode& qn, const std::vector<NodeId>& nodes);
 
   /// Adds to the pruned-attempts counter (called by the matcher when the
@@ -108,17 +110,24 @@ class MatchContext {
   const Arena& arena() const { return arena_; }
 
  private:
+  // One memoized constraint: the label and the literal multiset, sorted
+  // (attribute, operator, then Value::operator< on the constant).
   struct Entry {
     SymbolId label = kInvalidSymbol;
-    std::vector<std::string> lit_keys;  // sorted literal encodings
-    std::vector<Literal> lits;          // aligned with lit_keys
+    std::vector<Literal> lits;
     const CandidateSet* cand = nullptr;  // arena-resident
   };
 
-  // Builds (and memoizes) the set for a signature not seen before.
-  const CandidateSet& Insert(const std::string& sig, SymbolId label,
-                             std::vector<std::string> lit_keys,
-                             std::vector<Literal> lits);
+  // The entry memoizing `qn`'s constraint (whose hash is `hash`), or null.
+  const Entry* Find(const QueryNode& qn, uint64_t hash) const;
+
+  // Builds (and memoizes) the set of a constraint not seen before.
+  const CandidateSet& Insert(const QueryNode& qn, uint64_t hash);
+
+  // Memoizes `cand` as the set of the constraint (label, sorted_lits).
+  const CandidateSet& AddEntry(SymbolId label,
+                               std::vector<Literal> sorted_lits,
+                               uint64_t hash, const CandidateSet* cand);
 
   // Freezes `nodes` (ascending) into an arena-resident CandidateSet with
   // its membership bitmap.
@@ -129,7 +138,7 @@ class MatchContext {
   Arena arena_;       // owns every CandidateSet payload
   std::vector<NodeId> scratch_;  // build-time node list, reused per Insert
   std::vector<Entry> entries_;  // insertion order (delta tie-break)
-  std::unordered_map<std::string, size_t> index_;  // signature -> entry
+  std::unordered_multimap<uint64_t, size_t> index_;  // hash -> entry
   Stats stats_;
 };
 

@@ -93,56 +93,61 @@ PathIndex::PathIndex(const Query& q, size_t max_paths) {
   // to the candidate test on the output node.
 }
 
-bool PathIndex::WalkMatches(const Graph& g, const Query& rewritten,
-                            const std::vector<Step>& path, size_t pos,
-                            NodeId at, MatchContext* ctx) const {
-  if (pos == path.size()) return true;
-  const Step& s = path[pos];
-  if (s.to >= rewritten.node_count() || !StepEdgePresent(rewritten, s)) {
-    // The rewrite no longer constrains this tail through this path.
-    return true;
+PathIndex::Probe::Probe(const PathIndex& idx, const Graph& g,
+                        const Query& rewritten, MatchContext* ctx)
+    : idx_(idx), g_(g), rw_(rewritten), ctx_(ctx) {
+  if (ctx_ != nullptr) cand_.assign(rw_.node_count(), nullptr);
+  live_.reserve(idx_.paths_.size());
+  for (const std::vector<Step>& path : idx_.paths_) {
+    // A step whose query edge the rewrite removed (or whose node it does
+    // not have) ends the path: the tail is no longer connected through
+    // this path, so it constrains nothing.
+    size_t live = 0;
+    while (live < path.size() && path[live].to < rw_.node_count() &&
+           StepEdgePresent(rw_, path[live])) {
+      ++live;
+    }
+    live_.push_back(live);
   }
-  const QueryNode& target = rewritten.node(s.to);
-  // One candidate-set resolution per step, then O(1) probes per neighbor.
-  const MatchContext::CandidateSet* cand =
-      ctx != nullptr ? &ctx->Lookup(target) : nullptr;
+}
+
+bool PathIndex::Probe::IsCand(QNodeId u, NodeId v) {
+  if (ctx_ == nullptr) return IsCandidate(g_, v, rw_.node(u));
+  const MatchContext::CandidateSet*& cand = cand_[u];
+  if (cand == nullptr) cand = &ctx_->Lookup(rw_.node(u));
+  return cand->Test(v);
+}
+
+bool PathIndex::Probe::WalkMatches(const std::vector<Step>& path,
+                                   size_t live, size_t pos, NodeId at) {
+  if (pos == live) return true;
+  const Step& s = path[pos];
   // The label-partitioned slice visits exactly the step's edge label. The
   // walk's outcome is existential, so the (per-label ascending) visit order
   // cannot change the result.
-  NodeSpan span = s.forward ? g.LabeledOutNeighbors(at, s.edge_label)
-                            : g.LabeledInNeighbors(at, s.edge_label);
+  NodeSpan span = s.forward ? g_.LabeledOutNeighbors(at, s.edge_label)
+                            : g_.LabeledInNeighbors(at, s.edge_label);
   for (NodeId other : span) {
-    if (cand != nullptr ? !cand->Test(other)
-                        : !IsCandidate(g, other, target)) {
-      continue;
+    if (IsCand(s.to, other) && WalkMatches(path, live, pos + 1, other)) {
+      return true;
     }
-    if (WalkMatches(g, rewritten, path, pos + 1, other, ctx)) return true;
   }
   return false;
 }
 
-bool PathIndex::Passes(const Graph& g, const Query& rewritten, NodeId v,
-                       MatchContext* ctx) const {
-  const QueryNode& output = rewritten.node(rewritten.output());
-  bool out_ok = ctx != nullptr ? ctx->Lookup(output).Test(v)
-                               : IsCandidate(g, v, output);
-  if (!out_ok) return false;
-  for (const std::vector<Step>& path : paths_) {
-    if (!WalkMatches(g, rewritten, path, 0, v, ctx)) return false;
+bool PathIndex::Probe::Passes(NodeId v) {
+  if (!IsCand(rw_.output(), v)) return false;
+  for (size_t p = 0; p < idx_.paths_.size(); ++p) {
+    if (!WalkMatches(idx_.paths_[p], live_[p], 0, v)) return false;
   }
   return true;
 }
 
-double PathIndex::PassFraction(const Graph& g, const Query& rewritten,
-                               NodeId v, MatchContext* ctx) const {
-  size_t total = 1 + paths_.size();
-  size_t passed = 0;
-  const QueryNode& output = rewritten.node(rewritten.output());
-  bool out_ok = ctx != nullptr ? ctx->Lookup(output).Test(v)
-                               : IsCandidate(g, v, output);
-  if (out_ok) ++passed;
-  for (const std::vector<Step>& path : paths_) {
-    if (WalkMatches(g, rewritten, path, 0, v, ctx)) ++passed;
+double PathIndex::Probe::PassFraction(NodeId v) {
+  size_t total = 1 + idx_.paths_.size();
+  size_t passed = IsCand(rw_.output(), v) ? 1 : 0;
+  for (size_t p = 0; p < idx_.paths_.size(); ++p) {
+    if (WalkMatches(idx_.paths_[p], live_[p], 0, v)) ++passed;
   }
   return static_cast<double>(passed) / static_cast<double>(total);
 }

@@ -28,13 +28,15 @@ namespace whyq {
 /// terminate their path early — the tail is no longer connected through
 /// this path, so it constrains nothing.
 ///
-/// Thread-safety: immutable after construction, shared across workers.
-/// Passes()/PassFraction() are const, allocate only locals, and keep no
-/// per-call caches, so one index (e.g. from the service's prepared-question
-/// cache) may be probed by many workers concurrently. The optional
-/// MatchContext argument is the exception: a context is single-threaded
-/// request state, so concurrent probes must each pass their own (their
-/// executor slot's) context, or nullptr.
+/// Thread-safety: immutable after construction, shared across workers,
+/// so one index (e.g. from the service's prepared-question cache) may be
+/// probed by many workers concurrently. Probing goes through a Probe, the
+/// per-rewrite binding that lives on the caller's stack: it caches each
+/// query node's candidate set and each path's live prefix for one rewrite,
+/// and it holds the caller's MatchContext (single-threaded request state)
+/// when one is given. A Probe is therefore confined to one thread and one
+/// rewrite; concurrent probes each bind their own (their executor slot's)
+/// context, or nullptr.
 class PathIndex {
  public:
   struct Step {
@@ -55,21 +57,58 @@ class PathIndex {
   /// query-node ids against the query the index will be probed with.
   static PathIndex FromPaths(std::vector<std::vector<Step>> paths);
 
-  /// Path test of v against rewrite `rewritten` (see class comment). When
-  /// `ctx` is given, per-step node-candidacy tests probe the context's
-  /// memoized bitmaps (O(1) after the first build) instead of re-evaluating
-  /// literals; the boolean outcome is identical either way.
-  bool Passes(const Graph& g, const Query& rewritten, NodeId v,
-              MatchContext* ctx = nullptr) const;
+  /// The path tests of one rewrite Q' = `rewritten`, bound once and run
+  /// against any number of data nodes. With a context, each query node's
+  /// candidate set is fetched from it at most once per probe (at the
+  /// node's first test) and every test is an O(1) bitmap probe; without
+  /// one (nullptr), each test evaluates the literals. Each path's live
+  /// prefix (the steps whose query edge survives the rewrite) is found
+  /// once, at construction. Verdicts are identical with or without a
+  /// context. The index, graph, query and context must outlive the probe.
+  class Probe {
+   public:
+    Probe(const PathIndex& idx, const Graph& g, const Query& rewritten,
+          MatchContext* ctx);
 
-  /// Partial credit: the fraction of checks v passes under `rewritten` —
-  /// the output-node candidate test plus each indexed path, all weighted
-  /// equally. 1.0 iff Passes(). Greedy selection uses this to rank
-  /// operators that make progress toward a match (or a non-match) even when
-  /// no single operator flips the full test (zero-marginal-gain
-  /// bootstrapping; see DESIGN.md).
-  double PassFraction(const Graph& g, const Query& rewritten, NodeId v,
-                      MatchContext* ctx = nullptr) const;
+    /// Path test of v (see class comment).
+    bool Passes(NodeId v);
+
+    /// Partial credit: the fraction of checks v passes — the output-node
+    /// candidate test plus each indexed path, all weighted equally. 1.0
+    /// iff Passes(). Greedy selection uses this to rank operators that
+    /// make progress toward a match (or a non-match) even when no single
+    /// operator flips the full test (zero-marginal-gain bootstrapping; see
+    /// DESIGN.md).
+    double PassFraction(NodeId v);
+
+    const Graph& graph() const { return g_; }
+    const Query& query() const { return rw_; }
+
+   private:
+    bool IsCand(QNodeId u, NodeId v);
+    bool WalkMatches(const std::vector<Step>& path, size_t live, size_t pos,
+                     NodeId at);
+
+    const PathIndex& idx_;
+    const Graph& g_;
+    const Query& rw_;
+    MatchContext* ctx_;
+    // Per query node of `rw_`: its memoized set, fetched on first use
+    // (only with a context).
+    std::vector<const MatchContext::CandidateSet*> cand_;
+    std::vector<size_t> live_;  // per path: length of its live prefix
+  };
+
+  /// One-off path test of v against `rewritten` without a context — a
+  /// Probe bound for this single call. Loops over many nodes of one
+  /// rewrite bind a Probe once instead.
+  bool Passes(const Graph& g, const Query& rewritten, NodeId v) const {
+    return Probe(*this, g, rewritten, nullptr).Passes(v);
+  }
+  double PassFraction(const Graph& g, const Query& rewritten,
+                      NodeId v) const {
+    return Probe(*this, g, rewritten, nullptr).PassFraction(v);
+  }
 
   size_t path_count() const { return paths_.size(); }
   const std::vector<std::vector<Step>>& paths() const { return paths_; }
@@ -79,10 +118,6 @@ class PathIndex {
 
  private:
   PathIndex() = default;  // FromPaths
-
-  bool WalkMatches(const Graph& g, const Query& rewritten,
-                   const std::vector<Step>& path, size_t pos, NodeId at,
-                   MatchContext* ctx) const;
 
   std::vector<std::vector<Step>> paths_;
 };

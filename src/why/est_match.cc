@@ -2,16 +2,15 @@
 
 namespace whyq {
 
-CloseEstimate EstimateWhy(const Graph& g, const Query& rewritten,
-                          const PathIndex& pidx,
+CloseEstimate EstimateWhy(PathIndex::Probe& probe,
                           const NodeSet& excluded_union,
                           const std::vector<NodeId>& unexpected,
                           const std::vector<NodeId>& desired,
-                          size_t guard_m, MatchContext* ctx) {
+                          size_t guard_m) {
   CloseEstimate e;
   size_t excluded = 0;
   for (NodeId v : unexpected) {
-    if (excluded_union.Contains(v) || !pidx.Passes(g, rewritten, v, ctx)) {
+    if (excluded_union.Contains(v) || !probe.Passes(v)) {
       ++excluded;
     }
   }
@@ -31,16 +30,15 @@ CloseEstimate EstimateWhy(const Graph& g, const Query& rewritten,
   return e;
 }
 
-CloseEstimate EstimateWhyNot(const Graph& g, const Query& rewritten,
-                             const PathIndex& pidx,
+CloseEstimate EstimateWhyNot(PathIndex::Probe& probe,
                              const NodeSet& included_union,
                              const std::vector<NodeId>& missing,
                              const NodeSet& protected_set, size_t guard_m,
-                             size_t guard_scan_cap, MatchContext* ctx) {
+                             size_t guard_scan_cap) {
   CloseEstimate e;
   size_t included = 0;
   for (NodeId v : missing) {
-    if (included_union.Contains(v) || pidx.Passes(g, rewritten, v, ctx)) {
+    if (included_union.Contains(v) || probe.Passes(v)) {
       ++included;
     }
   }
@@ -49,11 +47,12 @@ CloseEstimate EstimateWhyNot(const Graph& g, const Query& rewritten,
         static_cast<double>(included) / static_cast<double>(missing.size());
   }
   size_t scanned = 0;
+  const Query& rewritten = probe.query();
   SymbolId out_label = rewritten.node(rewritten.output()).label;
-  for (NodeId v : g.NodesWithLabel(out_label)) {
+  for (NodeId v : probe.graph().NodesWithLabel(out_label)) {
     if (protected_set.Contains(v)) continue;
     if (++scanned > guard_scan_cap) break;
-    if (pidx.Passes(g, rewritten, v, ctx)) {
+    if (probe.Passes(v)) {
       ++e.guard;
       if (e.guard > guard_m) {
         e.guard_ok = false;

@@ -5,7 +5,6 @@
 
 #include "graph/graph.h"
 #include "graph/neighborhood.h"
-#include "matcher/match_context.h"
 #include "matcher/path_index.h"
 #include "query/query.h"
 
@@ -26,11 +25,12 @@ namespace whyq {
 /// with path tests, which over-approximate matching — the estimate can err
 /// in both directions, hence a heuristic (Section V-B).
 ///
-/// Both estimators are pure functions of const inputs — O(|V_N| resp.
-/// |V_C| + guard scan) path-index probes, each probe O(paths * path
-/// length) — and are safe to call concurrently from any number of threads
-/// over one shared PathIndex; the parallel greedy rounds in
-/// why/why_algorithms.cc rely on exactly that.
+/// Both estimators test nodes through a PathIndex::Probe bound to the
+/// rewrite Q ⊕ O — O(|V_N| resp. |V_C| + guard scan) path tests, each
+/// O(paths * path length) — and touch no other state, so concurrent calls
+/// over one shared PathIndex are safe as long as each binds its own probe
+/// (and, through it, its own executor slot's context); the parallel greedy
+/// rounds in why/why_algorithms.cc rely on exactly that.
 struct CloseEstimate {
   double closeness = 0.0;
   size_t guard = 0;
@@ -38,30 +38,22 @@ struct CloseEstimate {
 };
 
 /// Why-side estimate. `excluded_union` is the union of Aff(o) over the
-/// candidate set O; `rewritten` is Q ⊕ O for the path screening.
-///
-/// `ctx` (optional) is forwarded to the path-index probes, which then test
-/// node candidacy against the request's memoized bitmaps instead of
-/// re-evaluating literals per step. Pass the evaluator of the *calling
-/// executor slot* — contexts are single-threaded.
-CloseEstimate EstimateWhy(const Graph& g, const Query& rewritten,
-                          const PathIndex& pidx,
+/// candidate set O; `probe` is bound to Q ⊕ O for the path screening.
+CloseEstimate EstimateWhy(PathIndex::Probe& probe,
                           const NodeSet& excluded_union,
                           const std::vector<NodeId>& unexpected,
                           const std::vector<NodeId>& desired,
-                          size_t guard_m, MatchContext* ctx = nullptr);
+                          size_t guard_m);
 
 /// Why-not-side estimate. `included_union` is the union of per-operator new
 /// matches within V_C; the guard scans output-label candidates outside
 /// `protected_set` with path tests, early-stopping past guard_m and
 /// visiting at most `guard_scan_cap` candidates.
-CloseEstimate EstimateWhyNot(const Graph& g, const Query& rewritten,
-                             const PathIndex& pidx,
+CloseEstimate EstimateWhyNot(PathIndex::Probe& probe,
                              const NodeSet& included_union,
                              const std::vector<NodeId>& missing,
                              const NodeSet& protected_set, size_t guard_m,
-                             size_t guard_scan_cap,
-                             MatchContext* ctx = nullptr);
+                             size_t guard_scan_cap);
 
 }  // namespace whyq
 

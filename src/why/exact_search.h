@@ -30,6 +30,7 @@ struct ExactSearchOutcome {
   OperatorSet best_ops;
   EvalResult best_eval;
   size_t verified = 0;
+  size_t guard_checks = 0;  // GuardOk calls made by the admit predicate
   bool timed_out = false;
   MbsStats stats;
   // Candidate-memo counters summed over the slot evaluators (they are
@@ -81,7 +82,10 @@ ExactSearchOutcome ExactMbsSearch(
   // trade a slightly deeper lookahead for load balance across the slots.
   const size_t batch_size = width <= 1 ? 1 : width * 4;
 
+  // A function of the set cur ∪ {next} (the guard counts answers, which no
+  // operator order changes), so the enumerator may ask each set once.
   AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
+    ++out.guard_checks;
     OperatorSet ops;
     ops.reserve(cur.size() + 1);
     for (size_t i : cur) ops.push_back(usable[i]);

@@ -71,8 +71,9 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
   auto score = [&](const Query& rewritten) {
     double best = 0.0;
     double sum = 0.0;
+    PathIndex::Probe probe(pidx, g, rewritten, nullptr);
     for (NodeId v : proxy) {
-      double fr = pidx.PassFraction(g, rewritten, v);
+      double fr = probe.PassFraction(v);
       best = std::max(best, fr);
       sum += fr;
     }
@@ -172,8 +173,9 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   // Greedy: maximize estimated removals per unit cost (path screening).
   auto survivors = [&](const Query& rewritten) {
     size_t kept = 0;
+    PathIndex::Probe probe(pidx, g, rewritten, nullptr);
     for (NodeId v : answers) {
-      if (pidx.Passes(g, rewritten, v)) ++kept;
+      if (probe.Passes(v)) ++kept;
     }
     return kept;
   };
@@ -320,9 +322,11 @@ RewriteAnswer ExactWhyMultiOutput(
     pooled_eval(ops, &r);
     return r.guard_ok;
   };
-  MbsStats stats = EnumerateMaximalBoundedSets(
+  MbsStats stats = EnumerateMaximalBoundedSetsBatched(
       costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs,
-      [&](const std::vector<size_t>& idx) {
+      /*batch_size=*/1,
+      [&](const std::vector<std::vector<size_t>>& batch) {
+        const std::vector<size_t>& idx = batch.front();
         if (CancelRequested(cfg.cancel)) return false;  // abort enumeration
         ++out.sets_verified;
         OperatorSet ops;

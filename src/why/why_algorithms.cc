@@ -77,6 +77,7 @@ void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace) {
   if (exact) {
     trace->mbs_enumerated = a.sets_enumerated;
     trace->mbs_verified = a.sets_verified;
+    trace->guard_checks = a.guard_checks;
   } else {
     trace->greedy_rounds = a.sets_verified;
   }
@@ -121,6 +122,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   EvalResult best_eval = search.best_eval;
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
+  out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
   out.ctx = search.ctx;  // slot evaluators' share
 
@@ -288,40 +290,39 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
   std::vector<uint8_t> in_pool(cands.size(), 1);
   size_t pool = cands.size();
 
-  auto estimate = [&](const std::vector<size_t>& idx, const NodeSet& aff,
-                      const Query& rw, size_t slot) -> CloseEstimate {
+  // `probe` is bound to the rewrite being scored, with the scoring slot's
+  // context; the soft score below reuses it.
+  auto estimate = [&](const NodeSet& aff, PathIndex::Probe& probe,
+                      size_t slot) -> CloseEstimate {
     if (exact) {
-      (void)idx;
       (void)aff;
-      EvalResult r = eval_at(slot).Evaluate(rw);
+      EvalResult r = eval_at(slot).Evaluate(probe.query());
       CloseEstimate e;
       e.closeness = r.closeness;
       e.guard = r.guard;
       e.guard_ok = r.guard_ok;
       return e;
     }
-    return EstimateWhy(g, rw, pidx, aff, eval.unexpected(), desired,
-                       cfg.guard_m, eval_at(slot).context());
+    return EstimateWhy(probe, aff, eval.unexpected(), desired, cfg.guard_m);
   };
 
   // Soft (partial-credit) exclusion progress: a refinement can push an
   // unexpected entity toward failing the path tests without excluding it
   // outright; the soft score breaks zero-gain ties so such combinations
   // can bootstrap (see DESIGN.md).
-  // Runs on the scoring slots too, so the caller passes its slot's context.
-  auto soft_score = [&](const NodeSet& excluded_union, const Query& rw,
-                        MatchContext* ctx) {
+  // Runs on the scoring slots too, through the caller's probe.
+  auto soft_score = [&](const NodeSet& excluded_union,
+                        PathIndex::Probe& probe) {
     double s = 0.0;
     for (NodeId v : eval.unexpected()) {
-      s += excluded_union.Contains(v)
-               ? 1.0
-               : 1.0 - pidx.PassFraction(g, rw, v, ctx);
+      s += excluded_union.Contains(v) ? 1.0 : 1.0 - probe.PassFraction(v);
     }
     return eval.unexpected().empty()
                ? 0.0
                : s / static_cast<double>(eval.unexpected().size());
   };
-  double current_soft = soft_score(aff_union, q, eval.context());
+  PathIndex::Probe base_probe(pidx, g, q, eval.context());
+  double current_soft = soft_score(aff_union, base_probe);
 
   while (pool > 0 && current_cl < 1.0 - kEps) {
     if (CancelRequested(cfg.cancel)) {
@@ -354,11 +355,11 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
           OperatorSet trial_ops;
           for (size_t j : trial) trial_ops.push_back(cands[j].op);
           Query rw = ApplyOperators(q, trial_ops);
-          CloseEstimate est = estimate(trial, aff, rw, slot);
+          PathIndex::Probe probe(pidx, g, rw, eval_at(slot).context());
+          CloseEstimate est = estimate(aff, probe, slot);
           Score& s = scores[k];
           s.gain = est.closeness - current_cl;
-          s.soft_gain =
-              soft_score(aff, rw, eval_at(slot).context()) - current_soft;
+          s.soft_gain = soft_score(aff, probe) - current_soft;
           s.ratio = (s.gain + 1e-3 * s.soft_gain) / cands[i].cost;
         });
     long best = -1;
@@ -389,7 +390,8 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
     OperatorSet trial_ops;
     for (size_t j : trial) trial_ops.push_back(cands[j].op);
     Query rw = ApplyOperators(q, trial_ops);
-    CloseEstimate est = estimate(trial, aff, rw, 0);
+    PathIndex::Probe probe(pidx, g, rw, eval.context());
+    CloseEstimate est = estimate(aff, probe, 0);
     if (!est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
       if (in_pool[j]) {
@@ -401,7 +403,7 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
     aff_union = std::move(aff);
     spent += cands[b].cost;
     current_cl = est.closeness;
-    current_soft = soft_score(aff_union, rw, eval.context());
+    current_soft = soft_score(aff_union, probe);
   }
 
   // Drop bootstrap operators that never paid off (estimated closeness
@@ -420,7 +422,8 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
         for (NodeId v : cands[j].affected) aff.Insert(v);
       }
       Query rw = ApplyOperators(q, trial_ops);
-      CloseEstimate est = estimate(trial, aff, rw, 0);
+      PathIndex::Probe probe(pidx, g, rw, eval.context());
+      CloseEstimate est = estimate(aff, probe, 0);
       if (est.guard_ok && est.closeness >= current_cl - kEps) {
         selected = std::move(trial);
         current_cl = est.closeness;

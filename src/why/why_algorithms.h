@@ -37,6 +37,7 @@ struct RewriteAnswer {
   size_t picky_count = 0;             // |O_s|
   size_t sets_enumerated = 0;         // MBS emitted by the DFS (exact only)
   size_t sets_verified = 0;           // MBS verified / greedy steps taken
+  size_t guard_checks = 0;            // guard admission checks (exact only)
   bool exhaustive = false;            // exact enumeration was not truncated
   // Candidate-memo (MatchContext) counters summed over every evaluator the
   // question used — the main evaluator plus all parallel executor slots.
@@ -47,8 +48,8 @@ struct RewriteAnswer {
   std::string Explain(const Graph& g) const;
 };
 
-/// Adds the answer's work to `trace`: the MBS counts for ExactWhy /
-/// ExactWhyNot (`exact`), the greedy rounds (one verified set per round)
+/// Adds the answer's work to `trace`: the MBS and guard-check counts for
+/// ExactWhy / ExactWhyNot (`exact`), the greedy rounds (one verified set per round)
 /// otherwise, and the candidate-memo counters.
 void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace);
 

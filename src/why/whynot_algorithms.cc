@@ -90,6 +90,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
   EvalResult best_eval = search.best_eval;
   out.sets_enumerated = search.stats.emitted;
   out.sets_verified = search.verified;
+  out.guard_checks = search.guard_checks;
   out.exhaustive = !search.stats.truncated && !search.timed_out;
   out.ctx = search.ctx;  // slot evaluators' share
 
@@ -193,10 +194,9 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
         if (exact) {
           cand.covered = ev.NewMatches(single);
         } else {
+          PathIndex::Probe probe(pidx, g, single, ev.context());
           for (NodeId v : ev.missing()) {
-            if (pidx.Passes(g, single, v, ev.context())) {
-              cand.covered.push_back(v);
-            }
+            if (probe.Passes(v)) cand.covered.push_back(v);
           }
         }
         prepped[i] = 1;
@@ -220,32 +220,32 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   for (const auto& c : cands) cand_ops.push_back(c.op);
   std::vector<std::vector<size_t>> conflicts = BuildConflicts(cand_ops);
 
-  auto estimate = [&](const NodeSet& covered_union, const Query& rw,
+  // `probe` is bound to the rewrite being scored, with the scoring slot's
+  // context; the soft score below reuses it.
+  auto estimate = [&](const NodeSet& covered_union, PathIndex::Probe& probe,
                       size_t slot) -> CloseEstimate {
     if (exact) {
       (void)covered_union;
-      EvalResult r = eval_at(slot).Evaluate(rw);
+      EvalResult r = eval_at(slot).Evaluate(probe.query());
       CloseEstimate e;
       e.closeness = r.closeness;
       e.guard = r.guard;
       e.guard_ok = r.guard_ok;
       return e;
     }
-    return EstimateWhyNot(g, rw, pidx, covered_union, eval.missing(),
-                          protected_set, cfg.guard_m, cfg.est_guard_scan,
-                          eval_at(slot).context());
+    return EstimateWhyNot(probe, covered_union, eval.missing(),
+                          protected_set, cfg.guard_m, cfg.est_guard_scan);
   };
 
   // Soft (partial-credit) score: how far along each missing entity is
   // toward matching. Single relaxations frequently have zero hard marginal
   // gain (an entity needs several constraints lifted at once); the soft
   // score lets the greedy bootstrap such combinations (see DESIGN.md).
-  auto soft_score = [&](const NodeSet& covered_union, const Query& rw,
-                        MatchContext* ctx) {
+  auto soft_score = [&](const NodeSet& covered_union,
+                        PathIndex::Probe& probe) {
     double s = 0.0;
     for (NodeId v : eval.missing()) {
-      s += covered_union.Contains(v) ? 1.0
-                                     : pidx.PassFraction(g, rw, v, ctx);
+      s += covered_union.Contains(v) ? 1.0 : probe.PassFraction(v);
     }
     return eval.missing().empty()
                ? 0.0
@@ -256,7 +256,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   NodeSet covered(std::vector<NodeId>{}, g.node_count());
   double spent = 0.0;
   double current_cl = 0.0;
-  double current_soft = soft_score(covered, q, eval.context());
+  PathIndex::Probe base_probe(pidx, g, q, eval.context());
+  double current_soft = soft_score(covered, base_probe);
   std::vector<uint8_t> in_pool(cands.size(), 1);
   size_t pool = cands.size();
 
@@ -290,12 +291,12 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
           for (size_t j : selected) trial_ops.push_back(cands[j].op);
           trial_ops.push_back(cands[i].op);
           Query rw = ApplyOperators(q, trial_ops);
-          CloseEstimate est = estimate(cov, rw, slot);
+          PathIndex::Probe probe(pidx, g, rw, eval_at(slot).context());
+          CloseEstimate est = estimate(cov, probe, slot);
           Score& s = scores[k];
           s.gain = est.closeness - current_cl;
           // Hard gains dominate; soft gains break zero-gain ties.
-          s.soft_gain =
-              soft_score(cov, rw, eval_at(slot).context()) - current_soft;
+          s.soft_gain = soft_score(cov, probe) - current_soft;
           s.ratio = (s.gain + 1e-3 * s.soft_gain) / cands[i].cost;
         });
     long best = -1;
@@ -322,7 +323,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
     for (size_t j : selected) trial_ops.push_back(cands[j].op);
     trial_ops.push_back(cands[b].op);
     Query rw = ApplyOperators(q, trial_ops);
-    CloseEstimate est = estimate(cov, rw, 0);
+    PathIndex::Probe probe(pidx, g, rw, eval.context());
+    CloseEstimate est = estimate(cov, probe, 0);
     if (!est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
       if (in_pool[j]) {
@@ -334,7 +336,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
     covered = std::move(cov);
     spent += cands[b].cost;
     current_cl = est.closeness;
-    current_soft = soft_score(covered, rw, eval.context());
+    current_soft = soft_score(covered, probe);
   }
 
   if (selected.empty()) {
@@ -358,7 +360,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
         for (NodeId v : cands[j].covered) cov.Insert(v);
       }
       Query rw = ApplyOperators(q, trial_ops);
-      CloseEstimate est = estimate(cov, rw, 0);
+      PathIndex::Probe probe(pidx, g, rw, eval.context());
+      CloseEstimate est = estimate(cov, probe, 0);
       if (est.guard_ok && est.closeness >= current_cl - kEps) {
         selected = std::move(trial);
         current_cl = est.closeness;

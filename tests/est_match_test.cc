@@ -26,8 +26,8 @@ class EstMatchTest : public testing::Test {
 TEST_F(EstMatchTest, WhyUnionMembersCountAsExcluded) {
   NodeSet excluded = Empty();
   excluded.Insert(f_.a5);
-  CloseEstimate e = EstimateWhy(f_.graph, f_.query, pidx_, excluded,
-                                {f_.a5, f_.s5}, {f_.s6}, 2);
+  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  CloseEstimate e = EstimateWhy(probe, excluded, {f_.a5, f_.s5}, {f_.s6}, 2);
   // A5 via the union; S5 still passes the unmodified query's path tests.
   EXPECT_DOUBLE_EQ(e.closeness, 0.5);
   EXPECT_EQ(e.guard, 0u);
@@ -40,16 +40,16 @@ TEST_F(EstMatchTest, WhyPathScreeningDetectsLiteralExclusion) {
   Query refined = f_.query;
   refined.AddLiteral(refined.output(),
                      Literal{price_, CompareOp::kGt, Value(int64_t{300})});
-  CloseEstimate e = EstimateWhy(f_.graph, refined, pidx_, Empty(),
-                                {f_.a5, f_.s5}, {f_.s6}, 2);
+  PathIndex::Probe probe(pidx_, f_.graph, refined, nullptr);
+  CloseEstimate e = EstimateWhy(probe, Empty(), {f_.a5, f_.s5}, {f_.s6}, 2);
   EXPECT_DOUBLE_EQ(e.closeness, 1.0);
 }
 
 TEST_F(EstMatchTest, WhyGuardCountsDesiredInUnion) {
   NodeSet excluded = Empty();
   excluded.Insert(f_.s6);  // collateral damage recorded by some Aff(o)
-  CloseEstimate e = EstimateWhy(f_.graph, f_.query, pidx_, excluded,
-                                {f_.a5}, {f_.s5, f_.s6}, 0);
+  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  CloseEstimate e = EstimateWhy(probe, excluded, {f_.a5}, {f_.s5, f_.s6}, 0);
   EXPECT_FALSE(e.guard_ok);
   EXPECT_EQ(e.guard, 1u);
 }
@@ -65,9 +65,9 @@ TEST_F(EstMatchTest, WhyNotUnionAndScreening) {
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
   NodeSet protect(std::vector<NodeId>{f_.a5, f_.s5, f_.s6, f_.s8, f_.s9},
                   f_.graph.node_count());
-  CloseEstimate e =
-      EstimateWhyNot(f_.graph, relaxed, pidx_, NodeSet({}, 0),
-                     {f_.s8, f_.s9}, protect, 2, 100);
+  PathIndex::Probe probe(pidx_, f_.graph, relaxed, nullptr);
+  CloseEstimate e = EstimateWhyNot(probe, NodeSet({}, 0), {f_.s8, f_.s9},
+                                   protect, 2, 100);
   EXPECT_DOUBLE_EQ(e.closeness, 0.5);  // S8 estimated in, S9 not
   EXPECT_TRUE(e.guard_ok);             // everything else is protected
 }
@@ -83,14 +83,15 @@ TEST_F(EstMatchTest, WhyNotGuardDetectsFlood) {
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
   NodeSet protect(std::vector<NodeId>{f_.a5, f_.s5, f_.s6, f_.s9},
                   f_.graph.node_count());
-  CloseEstimate e = EstimateWhyNot(f_.graph, relaxed, pidx_, NodeSet({}, 0),
-                                   {f_.s9}, protect, 0, 100);
+  PathIndex::Probe probe(pidx_, f_.graph, relaxed, nullptr);
+  CloseEstimate e =
+      EstimateWhyNot(probe, NodeSet({}, 0), {f_.s9}, protect, 0, 100);
   EXPECT_FALSE(e.guard_ok);
 }
 
 TEST_F(EstMatchTest, EmptyQuestionsAreZero) {
-  CloseEstimate e =
-      EstimateWhy(f_.graph, f_.query, pidx_, Empty(), {}, {}, 2);
+  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  CloseEstimate e = EstimateWhy(probe, Empty(), {}, {}, 2);
   EXPECT_DOUBLE_EQ(e.closeness, 0.0);
   EXPECT_TRUE(e.guard_ok);
 }

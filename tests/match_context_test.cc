@@ -1,6 +1,6 @@
 // MatchContext coverage in three layers:
 //   1. unit tests of the memo itself (lookup = the IsCandidate filter,
-//      hit/miss/delta accounting, literal-order-insensitive signatures,
+//      hit/miss/delta accounting, literal-order-insensitive keys,
 //      Seed/Prime);
 //   2. an equivalence property: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically with and
@@ -14,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -130,7 +133,7 @@ TEST(MatchContextTest, SeedInstallsExternalResult) {
   const MatchContext::CandidateSet& c = ctx.Lookup(qn);
   EXPECT_EQ(ctx.stats().hits, 1u);  // served from the seeded entry
   EXPECT_EQ(ToVec(c), computed);
-  // Re-seeding an existing signature is a no-op.
+  // Re-seeding an existing constraint is a no-op.
   ctx.Seed(qn, {});
   EXPECT_EQ(ToVec(ctx.Lookup(qn)), computed);
 }
@@ -150,6 +153,144 @@ TEST(MatchContextTest, PrimeMemoizesEveryQueryNode) {
   EXPECT_EQ(ctx.stats().misses + ctx.stats().delta_builds,
             misses + ctx.stats().delta_builds);
   EXPECT_EQ(ctx.stats().hits, static_cast<uint64_t>(f.query.node_count()));
+}
+
+TEST(MatchContextTest, PermutedLiteralsShareOneEntry) {
+  Figure1 f = MakeFigure1();
+  QueryNode qn = f.query.node(f.query.output());
+  SymbolId price = *f.graph.attr_names().Find("Price");
+  qn.literals.push_back(Literal{price, CompareOp::kGe, Value(int64_t{100})});
+  qn.literals.push_back(Literal{price, CompareOp::kLe, Value(900.5)});
+  qn.literals.push_back(Literal{price, CompareOp::kGe, Value(int64_t{100})});
+  ASSERT_GE(qn.literals.size(), 4u);
+  std::vector<size_t> perm(qn.literals.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+
+  MatchContext ctx(f.graph);
+  const MatchContext::CandidateSet* first = nullptr;
+  uint64_t lookups = 0;
+  do {
+    QueryNode permuted;
+    permuted.label = qn.label;
+    for (size_t i : perm) permuted.literals.push_back(qn.literals[i]);
+    const MatchContext::CandidateSet& c = ctx.Lookup(permuted);
+    if (first == nullptr) first = &c;
+    EXPECT_EQ(&c, first);
+    ++lookups;
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  EXPECT_EQ(ctx.entry_count(), 1u);
+  EXPECT_EQ(ctx.stats().hits, lookups - 1);
+  EXPECT_EQ(ToVec(*first), DirectFilter(f.graph, qn));
+  // A different multiplicity of the same literal is a different key.
+  QueryNode fewer = qn;
+  fewer.literals.pop_back();
+  ctx.Lookup(fewer);
+  EXPECT_EQ(ctx.entry_count(), 2u);
+}
+
+// One node per row, label "T", string attributes `a` and `b`, and an
+// optional attribute `x`; plus one node of another label.
+struct TinyNode {
+  std::string a;
+  std::string b;
+  std::optional<Value> x;
+};
+
+Graph TinyGraph(const std::vector<TinyNode>& rows) {
+  GraphBuilder b;
+  for (const TinyNode& r : rows) {
+    NodeId v = b.AddNode("T");
+    b.SetAttr(v, "a", Value(r.a));
+    b.SetAttr(v, "b", Value(r.b));
+    if (r.x.has_value()) b.SetAttr(v, "x", *r.x);
+  }
+  b.AddNode("Other");
+  return b.Build();
+}
+
+TEST(MatchContextTest, SeparatorBytesInStringsStayDistinct) {
+  // Constants built from separator bytes and length-prefix shapes: a key
+  // that concatenated literal encodings could make distinct constraints
+  // collide.
+  const std::vector<std::string> strings = {
+      "", "\x01", "\n", "3:", "1:\x01", "a\x01", "a", "\x01" "a", "a\n3:b",
+      "3:a", "a\n", "\n3:"};
+  std::vector<TinyNode> rows;
+  for (const std::string& x : strings) {
+    for (const std::string& y : strings) rows.push_back({x, y, std::nullopt});
+  }
+  Graph g = TinyGraph(rows);
+  SymbolId label = *g.node_labels().Find("T");
+  SymbolId a = *g.attr_names().Find("a");
+  SymbolId b = *g.attr_names().Find("b");
+
+  std::vector<QueryNode> constraints;
+  for (const std::string& x : strings) {
+    QueryNode one;
+    one.label = label;
+    one.literals.push_back(Literal{a, CompareOp::kEq, Value(x)});
+    constraints.push_back(one);
+    for (const std::string& y : {std::string("\n"), std::string("3:")}) {
+      QueryNode two = one;
+      two.literals.push_back(Literal{b, CompareOp::kEq, Value(y)});
+      constraints.push_back(two);
+    }
+  }
+  MatchContext ctx(g);
+  for (int round = 0; round < 2; ++round) {
+    for (const QueryNode& qn : constraints) {
+      const MatchContext::CandidateSet& c = ctx.Lookup(qn);
+      ASSERT_EQ(ToVec(c), DirectFilter(g, qn));
+      EXPECT_EQ(c.size(), qn.literals.size() == 1 ? strings.size() : 1u);
+    }
+  }
+  EXPECT_EQ(ctx.entry_count(), constraints.size());
+  EXPECT_EQ(ctx.stats().hits, constraints.size());
+}
+
+TEST(MatchContextTest, SignedZeroAndIntDoubleLiteralsGiveCorrectSets) {
+  std::vector<TinyNode> rows = {
+      {"", "", Value(int64_t{5})}, {"", "", Value(5.0)},
+      {"", "", Value(5.5)},        {"", "", Value(int64_t{0})},
+      {"", "", Value(0.0)},        {"", "", Value(-0.0)},
+      {"", "", Value(-1.0)},       {"", "", Value("5")},
+      {"", "", std::nullopt},
+  };
+  Graph g = TinyGraph(rows);
+  SymbolId label = *g.node_labels().Find("T");
+  SymbolId x = *g.attr_names().Find("x");
+  const std::vector<Value> constants = {
+      Value(int64_t{5}), Value(5.0), Value(int64_t{0}), Value(0.0),
+      Value(-0.0), Value(std::nan("")), Value("5")};
+  const std::vector<CompareOp> ops = {CompareOp::kLt, CompareOp::kLe,
+                                      CompareOp::kEq, CompareOp::kGe,
+                                      CompareOp::kGt};
+  std::vector<QueryNode> constraints;
+  for (const Value& c : constants) {
+    for (CompareOp op : ops) {
+      QueryNode qn;
+      qn.label = label;
+      qn.literals.push_back(Literal{x, op, c});
+      constraints.push_back(qn);
+    }
+  }
+  // Two lookup orders, each in a fresh context: whichever of an equal pair
+  // (0.0 / -0.0) is built first, both read the right set.
+  for (bool reversed : {false, true}) {
+    std::vector<QueryNode> order = constraints;
+    if (reversed) std::reverse(order.begin(), order.end());
+    MatchContext ctx(g);
+    for (int round = 0; round < 2; ++round) {
+      for (const QueryNode& qn : order) {
+        EXPECT_EQ(ToVec(ctx.Lookup(qn)), DirectFilter(g, qn))
+            << qn.literals[0].constant.ToString() << " "
+            << CompareOpName(qn.literals[0].op);
+      }
+    }
+    // int 5 and double 5.0 are distinct keys; 0.0 and -0.0 are one; a NaN
+    // constant hits its own entry on the second round.
+    EXPECT_EQ(ctx.entry_count(), (constants.size() - 1) * ops.size());
+  }
 }
 
 // --- Equivalence property: context vs context-free, random rewrites. ----
@@ -201,7 +342,7 @@ TEST(MatchContextEquivalenceTest, RandomRewritesBothSemantics) {
     for (MatchSemantics sem :
          {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
       // One context reused across the whole rewrite sweep — the memo must
-      // stay correct as signatures accumulate, exactly like inside one
+      // stay correct as constraints accumulate, exactly like inside one
       // Why/Why-not question.
       MatchContext ctx(g);
       ExpectEquivalent(g, q, probes, sem, &ctx);

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "gen/figure1.h"
 #include "gen/profiles.h"
 #include "gen/query_gen.h"
+#include "matcher/candidates.h"
+#include "matcher/match_context.h"
 #include "matcher/matcher.h"
 #include "matcher/path_index.h"
+#include "rewrite/operators.h"
+#include "why/picky.h"
 
 namespace whyq {
 namespace {
@@ -96,6 +104,123 @@ TEST(PathIndexTest, PassingIsNecessaryForMatching) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Reference path test, written out from the class comment independently of
+// PathIndex::Probe: full adjacency scans filtered on the label, a fresh
+// IsCandidate per visited node, and the rewrite's edge list consulted at
+// every step.
+bool RefWalk(const Graph& g, const Query& rw,
+             const std::vector<PathIndex::Step>& path, size_t pos,
+             NodeId at) {
+  if (pos == path.size()) return true;
+  const PathIndex::Step& s = path[pos];
+  QNodeId src = s.forward ? s.from : s.to;
+  QNodeId dst = s.forward ? s.to : s.from;
+  bool present = false;
+  for (const QueryEdge& e : rw.edges()) {
+    present |= e.src == src && e.dst == dst && e.label == s.edge_label;
+  }
+  if (s.to >= rw.node_count() || !present) return true;
+  for (const HalfEdge& e : s.forward ? g.out_edges(at) : g.in_edges(at)) {
+    if (e.label != s.edge_label) continue;
+    if (IsCandidate(g, e.other, rw.node(s.to)) &&
+        RefWalk(g, rw, path, pos + 1, e.other)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// {output candidate test, path 0, path 1, ...} outcomes of v.
+std::vector<bool> RefChecks(const Graph& g, const Query& rw,
+                            const PathIndex& idx, NodeId v) {
+  std::vector<bool> checks{IsCandidate(g, v, rw.node(rw.output()))};
+  for (const auto& path : idx.paths()) {
+    checks.push_back(RefWalk(g, rw, path, 0, v));
+  }
+  return checks;
+}
+
+// Property: a probe's verdicts and pass fractions equal the reference path
+// test for every output-label node, with a request context (reused across
+// all rewrites of a query, as inside one question) and without one, over
+// random refinement/relaxation rewrites — edge removals included.
+TEST(PathIndexTest, ProbeMatchesReferencePathTest) {
+  Graph g = GenerateProfile(DatasetProfile::kIMDb, 1500, 17);
+  Rng rng(29);
+  size_t rewrites = 0;
+  size_t passing = 0;
+  for (int i = 0; i < 6; ++i) {
+    QueryGenConfig qcfg;
+    qcfg.edges = 2 + i % 3;
+    qcfg.literals_per_node = 1 + i % 2;
+    std::optional<GeneratedQuery> gq = GenerateQuery(g, qcfg, rng);
+    if (!gq.has_value()) continue;
+    const Query& q = gq->query;
+    PathIndex idx(q, 8);
+    AnswerConfig cfg;
+    std::vector<NodeId> some(
+        gq->answers.begin(),
+        gq->answers.begin() + std::min<size_t>(2, gq->answers.size()));
+    std::vector<EditOp> ops = GenPickyWhy(g, q, gq->answers, some, cfg);
+    NodeSpan bucket = g.NodesWithLabel(q.node(q.output()).label);
+    std::vector<NodeId> near(bucket.begin(),
+                             bucket.begin() + std::min<size_t>(
+                                                  3, bucket.size()));
+    std::vector<EditOp> relax = GenPickyWhyNot(g, q, near, cfg);
+    ops.insert(ops.end(), relax.begin(), relax.end());
+
+    MatchContext ctx(g);
+    for (int trial = 0; trial < 10; ++trial) {
+      OperatorSet set;
+      if (trial > 0 && !ops.empty()) {
+        for (size_t k : rng.SampleDistinct(ops.size(), 1 + rng.Index(3))) {
+          bool clash = false;
+          for (const EditOp& sel : set) clash |= OpsConflict(sel, ops[k]);
+          if (!clash) set.push_back(ops[k]);
+        }
+      }
+      Query rw = ApplyOperators(q, set);
+      ++rewrites;
+      PathIndex::Probe with_ctx(idx, g, rw, &ctx);
+      PathIndex::Probe without(idx, g, rw, nullptr);
+      for (NodeId v : g.NodesWithLabel(rw.node(rw.output()).label)) {
+        std::vector<bool> checks = RefChecks(g, rw, idx, v);
+        size_t passed = static_cast<size_t>(
+            std::count(checks.begin(), checks.end(), true));
+        bool all = passed == checks.size();
+        double fraction = static_cast<double>(passed) /
+                          static_cast<double>(checks.size());
+        passing += all;
+        ASSERT_EQ(with_ctx.Passes(v), all) << "node " << v;
+        ASSERT_EQ(without.Passes(v), all) << "node " << v;
+        ASSERT_EQ(with_ctx.PassFraction(v), fraction) << "node " << v;
+        ASSERT_EQ(without.PassFraction(v), fraction) << "node " << v;
+        ASSERT_EQ(idx.Passes(g, rw, v), all) << "node " << v;
+      }
+    }
+  }
+  EXPECT_GE(rewrites, 30u);
+  EXPECT_GT(passing, 0u);
+}
+
+// A probe resolves each query node's candidate set from the context at most
+// once, however many nodes it tests.
+TEST(PathIndexTest, ProbeLooksUpEachQueryNodeOnce) {
+  Figure1 f = MakeFigure1();
+  PathIndex idx(f.query, 8);
+  MatchContext ctx(f.graph);
+  PathIndex::Probe probe(idx, f.graph, f.query, &ctx);
+  for (int round = 0; round < 3; ++round) {
+    for (NodeId v = 0; v < f.graph.node_count(); ++v) {
+      probe.PassFraction(v);
+      probe.Passes(v);
+    }
+  }
+  const MatchContext::Stats& st = ctx.stats();
+  EXPECT_LE(st.hits + st.misses + st.delta_builds,
+            static_cast<uint64_t>(f.query.node_count()));
 }
 
 }  // namespace

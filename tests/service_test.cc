@@ -707,6 +707,7 @@ StatsSnapshot GoldenSnapshot() {
   s.work.matcher_candidates = 201;
   s.work.mbs_enumerated = 202;
   s.work.mbs_verified = 203;
+  s.work.guard_checks = 209;
   s.work.greedy_rounds = 204;
   s.work.ctx_hits = 205;
   s.work.ctx_misses = 206;
@@ -729,6 +730,7 @@ StatsSnapshot GoldenSnapshot() {
   e.trace.matcher_candidates = 301;
   e.trace.mbs_enumerated = 302;
   e.trace.mbs_verified = 303;
+  e.trace.guard_checks = 309;
   e.trace.greedy_rounds = 304;
   e.trace.ctx_hits = 305;
   e.trace.ctx_misses = 306;
@@ -763,7 +765,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"prepare\":3.5,\"candidates\":0.25,\"answer_match\":0.375,"
             "\"path_index\":0.125,\"search\":20.0625,\"latency\":27.75},"
             "\"work\":{\"matcher_candidates\":201,\"mbs_enumerated\":202,"
-            "\"mbs_verified\":203,\"greedy_rounds\":204,\"ctx_hits\":205,"
+            "\"mbs_verified\":203,\"guard_checks\":209,"
+            "\"greedy_rounds\":204,\"ctx_hits\":205,"
             "\"ctx_misses\":206,\"ctx_delta_builds\":207,"
             "\"ctx_pruned\":208},\"slow_queries\":{\"threshold_ms\":5.5,"
             "\"entries\":[{\"seq\":7,\"class\":\"why/exact\","
@@ -773,7 +776,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"answer_match\":0.1875,\"path_index\":0.3125,"
             "\"search\":4.5,\"latency\":9.25},"
             "\"work\":{\"matcher_candidates\":301,\"mbs_enumerated\":302,"
-            "\"mbs_verified\":303,\"greedy_rounds\":304,\"ctx_hits\":305,"
+            "\"mbs_verified\":303,\"guard_checks\":309,"
+            "\"greedy_rounds\":304,\"ctx_hits\":305,"
             "\"ctx_misses\":306,\"ctx_delta_builds\":307,"
             "\"ctx_pruned\":308}},{\"seq\":8,\"class\":\"why/exact\","
             "\"latency_ms\":9.25,\"truncated\":false,\"cache_hit\":true,"
@@ -781,7 +785,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"candidates\":0,\"answer_match\":0,\"path_index\":0,"
             "\"search\":0,\"latency\":9.25},"
             "\"work\":{\"matcher_candidates\":0,\"mbs_enumerated\":0,"
-            "\"mbs_verified\":0,\"greedy_rounds\":0,\"ctx_hits\":0,"
+            "\"mbs_verified\":0,\"guard_checks\":0,"
+            "\"greedy_rounds\":0,\"ctx_hits\":0,"
             "\"ctx_misses\":0,\"ctx_delta_builds\":0,"
             "\"ctx_pruned\":0}}]}}");
 }

@@ -192,7 +192,6 @@ namespace {
 // deadline must be able to interrupt mid-flight).
 const char* const kWorkTokens[] = {
     "Evaluate",
-    "EnumerateMaximalBoundedSets",
     "EnumerateMaximalBoundedSetsBatched",
     "MatchOutput",
     "TestAnswers",
