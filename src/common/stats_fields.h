@@ -46,8 +46,9 @@
   X(greedy_rounds, "greedy_rounds", "selection rounds (greedy algorithms)")
 
 /// MatchContext candidate-memo counters (CtxCounters); RequestTrace,
-/// WorkTotals and MatcherStats carry them as ctx_<member>. Zero under
-/// simulation semantics (no context there).
+/// WorkTotals and MatcherStats carry them as ctx_<member>, under either
+/// match semantics (the simulation fixpoint makes no bitmap prunes, so
+/// ctx_pruned counts isomorphism matching only).
 #define WHYQ_CTX_COUNTERS(X)                                                  \
   X(hits, "ctx_hits", "memoized candidate-set lookups served")                \
   X(misses, "ctx_misses", "sets built by scanning a label bucket")            \

@@ -45,10 +45,12 @@ class IsoMatchEngine : public MatchEngine {
 // Dual-simulation semantics. The maximum simulation is a whole-query
 // fixpoint, so single-node probes recompute it; a one-entry cache keyed by
 // the query's serialized form absorbs the evaluators' per-rewrite probing
-// patterns (many IsAnswer calls against the same rewrite).
+// patterns (many IsAnswer calls against the same rewrite), and TestAnswers
+// consults it once per batch. The borrowed MatchContext (optional) seeds
+// each fixpoint with memoized candidate sets.
 class SimMatchEngine : public MatchEngine {
  public:
-  explicit SimMatchEngine(const Graph& g) : g_(g) {}
+  SimMatchEngine(const Graph& g, MatchContext* ctx) : g_(g), ctx_(ctx) {}
 
   void SetCancelToken(const CancelToken* t) override { cancel_ = t; }
   std::vector<NodeId> MatchOutput(const Query& q) const override {
@@ -70,6 +72,16 @@ class SimMatchEngine : public MatchEngine {
     }
     return count;
   }
+  std::vector<uint8_t> TestAnswers(
+      const Query& q, const std::vector<NodeId>& nodes) const override {
+    const std::vector<NodeId>& answers = AnswersFor(q);
+    std::vector<uint8_t> out(nodes.size(), 0);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      bool hit = std::binary_search(answers.begin(), answers.end(), nodes[i]);
+      out[i] = hit ? 1 : 0;
+    }
+    return out;
+  }
 
  private:
   const std::vector<NodeId>& AnswersFor(const Query& q) const {
@@ -82,13 +94,14 @@ class SimMatchEngine : public MatchEngine {
         static const std::vector<NodeId> kEmpty;
         return kEmpty;
       }
-      cached_answers_ = SimulationAnswers(g_, q);  // sorted by construction
+      cached_answers_ = SimulationAnswers(g_, q, ctx_);  // ascending
       cached_key_ = std::move(key);
     }
     return cached_answers_;
   }
 
   const Graph& g_;
+  MatchContext* ctx_;
   const CancelToken* cancel_ = nullptr;
   mutable std::string cached_key_;
   mutable std::vector<NodeId> cached_answers_;
@@ -113,7 +126,7 @@ std::unique_ptr<MatchEngine> MakeMatchEngine(const Graph& g,
     case MatchSemantics::kIsomorphism:
       return std::make_unique<IsoMatchEngine>(g, ctx);
     case MatchSemantics::kSimulation:
-      return std::make_unique<SimMatchEngine>(g);
+      return std::make_unique<SimMatchEngine>(g, ctx);
   }
   return nullptr;
 }

@@ -66,11 +66,11 @@ class MatchEngine {
 
 /// Factory. The returned engine borrows `g` (must outlive the engine).
 /// `ctx` (optional, not owned, must outlive the engine) attaches a
-/// per-request MatchContext: the isomorphism engine then memoizes
-/// candidate sets across calls (byte-identical answers, see
-/// matcher/match_context.h); the simulation engine ignores it (its
-/// fixpoint has its own one-entry answer cache). Like the engine itself,
-/// the context is single-thread state.
+/// per-request MatchContext: both engines then memoize candidate sets
+/// across calls (byte-identical answers, see matcher/match_context.h) —
+/// the isomorphism engine for its plans and root lists, the simulation
+/// engine to seed each fixpoint (on top of its one-entry answer cache).
+/// Like the engine itself, the context is single-thread state.
 std::unique_ptr<MatchEngine> MakeMatchEngine(const Graph& g,
                                              MatchSemantics semantics,
                                              MatchContext* ctx = nullptr);

@@ -1,42 +1,53 @@
 #include "matcher/simulation.h"
 
 #include <algorithm>
+#include <cstdint>
 
-#include "graph/neighborhood.h"
 #include "matcher/candidates.h"
+#include "matcher/match_context.h"
 
 namespace whyq {
 
 namespace {
 
-// Membership bitmaps per query node, over g's node space.
-struct SimSets {
-  std::vector<std::vector<uint8_t>> in;  // [qnode][data node]
-  std::vector<std::vector<NodeId>> members;
-};
+// Membership bitmap over g's node space (word w covers ids [64w, 64w+63]).
+using Bitmap = std::vector<uint64_t>;
+
+bool Test(const Bitmap& b, NodeId v) {
+  return (b[v >> 6] >> (v & 63)) & uint64_t{1};
+}
 
 }  // namespace
 
 std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
-                                                const Query& q) {
-  std::vector<std::vector<NodeId>> out(q.node_count());
+                                                const Query& q,
+                                                MatchContext* ctx) {
+  std::vector<std::vector<NodeId>> lists(q.node_count());
   std::vector<QNodeId> component = q.OutputComponent();
-  if (component.empty()) return out;
+  if (component.empty()) return lists;
   std::vector<uint8_t> in_component(q.node_count(), 0);
   for (QNodeId u : component) in_component[u] = 1;
 
-  // Initialize with the candidate sets (bitmap + compact member lists).
-  std::vector<std::vector<uint8_t>> member(
-      q.node_count(), std::vector<uint8_t>(g.node_count(), 0));
-  std::vector<std::vector<NodeId>> lists(q.node_count());
+  // Initialize with the candidate sets (ascending member list + bitmap):
+  // copied from the context's memo when there is one, else scanned.
+  const size_t words = (g.node_count() + 63) / 64;
+  std::vector<Bitmap> member(q.node_count());
   for (QNodeId u : component) {
-    lists[u] = Candidates(g, q, u);
-    for (NodeId v : lists[u]) member[u][v] = 1;
+    if (ctx != nullptr) {
+      const MatchContext::CandidateSet& c = ctx->Lookup(q.node(u));
+      lists[u].assign(c.begin(), c.end());
+      member[u].assign(c.bits, c.bits + words);
+    } else {
+      lists[u] = Candidates(g, q, u);
+      member[u].assign(words, 0);
+      for (NodeId v : lists[u]) member[u][v >> 6] |= uint64_t{1} << (v & 63);
+    }
   }
 
   // Fixpoint pruning: drop v from S(u) when some incident query edge has
-  // no witness neighbor. Each sweep walks the compact member lists only;
-  // queries are tiny, so sweeping to stability is cheap in practice.
+  // no witness neighbor among v's neighbors via that edge label. Each sweep
+  // walks the compact member lists only, keeping them ascending; queries
+  // are tiny, so sweeping to stability is cheap in practice.
   bool changed = true;
   while (changed) {
     changed = false;
@@ -47,19 +58,14 @@ std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
         std::vector<NodeId>& list = lists[u];
         size_t keep = 0;
         for (NodeId v : list) {
-          if (!member[u][v]) continue;  // already pruned via another edge
-          bool witness = false;
-          EdgeSpan adj = forward ? g.out_edges(v) : g.in_edges(v);
-          for (const HalfEdge& he : adj) {
-            if (he.label == e.label && member[other_u][he.other]) {
-              witness = true;
-              break;
-            }
-          }
-          if (witness) {
+          NodeSpan nbrs = forward ? g.LabeledOutNeighbors(v, e.label)
+                                  : g.LabeledInNeighbors(v, e.label);
+          if (std::any_of(nbrs.begin(), nbrs.end(), [&](NodeId w) {
+                return Test(member[other_u], w);
+              })) {
             list[keep++] = v;
           } else {
-            member[u][v] = 0;
+            member[u][v >> 6] &= ~(uint64_t{1} << (v & 63));
             changed = true;
           }
         }
@@ -69,16 +75,12 @@ std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
       prune(e.dst, /*forward=*/false, e.src);
     }
   }
-
-  for (QNodeId u : component) {
-    out[u] = lists[u];
-    std::sort(out[u].begin(), out[u].end());
-  }
-  return out;
+  return lists;
 }
 
-std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q) {
-  return DualSimulation(g, q)[q.output()];
+std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q,
+                                      MatchContext* ctx) {
+  return DualSimulation(g, q, ctx)[q.output()];
 }
 
 }  // namespace whyq

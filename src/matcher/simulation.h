@@ -8,6 +8,8 @@
 
 namespace whyq {
 
+class MatchContext;
+
 /// Dual graph simulation — the polynomial-time approximate pattern-matching
 /// semantics ([4] Fan et al., PVLDB 2010) the paper names as an extension
 /// target ("Subgraph queries defined by approximate pattern matching").
@@ -25,14 +27,22 @@ namespace whyq {
 ///
 /// Only the output node's connected component constrains the result,
 /// mirroring the isomorphism matcher's handling of disconnected rewrites.
+///
+/// `ctx` (optional, not owned) is the caller's per-request candidate memo:
+/// with it, each S(u) starts from the memoized candidate set of u's
+/// constraint (a hit when an earlier rewrite of the same request shared
+/// it) instead of a literal scan of the label bucket. The relation is the
+/// same with or without a context; the context is single-thread state.
 
 /// The maximum dual-simulation relation: one (sorted) node set per query
 /// node; nodes outside the output component get empty sets.
 std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
-                                                const Query& q);
+                                                const Query& q,
+                                                MatchContext* ctx = nullptr);
 
 /// Sim(u_o): the output node's set under the maximum dual simulation.
-std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q);
+std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q,
+                                      MatchContext* ctx = nullptr);
 
 }  // namespace whyq
 

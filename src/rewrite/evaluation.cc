@@ -19,9 +19,7 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
                            MatchSemantics semantics,
                            const CancelToken* cancel)
     : g_(g),
-      ctx_(semantics == MatchSemantics::kIsomorphism
-               ? std::make_unique<MatchContext>(g)
-               : nullptr),
+      ctx_(std::make_unique<MatchContext>(g)),
       engine_(MakeMatchEngine(g, semantics, ctx_.get())),
       answers_(std::move(answers)),
       unexpected_set_(std::vector<NodeId>{}, g.node_count()),
@@ -86,9 +84,7 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
                                  MatchSemantics semantics,
                                  const CancelToken* cancel)
     : g_(g),
-      ctx_(semantics == MatchSemantics::kIsomorphism
-               ? std::make_unique<MatchContext>(g)
-               : nullptr),
+      ctx_(std::make_unique<MatchContext>(g)),
       engine_(MakeMatchEngine(g, semantics, ctx_.get())),
       answers_(std::move(answers)),
       protected_set_(answers_, g.node_count()),

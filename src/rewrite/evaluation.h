@@ -25,8 +25,8 @@ struct EvalResult {
 /// first embedding and early-terminating the guard count beyond m.
 ///
 /// Evaluators are per-request objects (they own a stateful MatchEngine and,
-/// under isomorphism semantics, a MatchContext that memoizes candidate
-/// sets across every rewrite the evaluator verifies — see
+/// under either semantics, a MatchContext that memoizes candidate sets
+/// across every rewrite the evaluator verifies or path-tests — see
 /// matcher/match_context.h); `cancel` (not owned, may be null) is forwarded
 /// into the engine so verification sweeps stop mid-search once a deadline
 /// passes.
@@ -55,13 +55,9 @@ class WhyEvaluator {
   const MatchEngine& engine() const { return *engine_; }
   const Graph& graph() const { return g_; }
 
-  /// The evaluator's candidate memo (null under simulation semantics).
+  /// The evaluator's candidate memo (never null, under either semantics).
   /// Single-thread state, like the evaluator itself.
   MatchContext* context() const { return ctx_.get(); }
-  /// Cache counters (zeros when context() is null).
-  MatchContext::Stats ContextStats() const {
-    return ctx_ ? ctx_->stats() : MatchContext::Stats();
-  }
 
   bool IsUnexpected(NodeId v) const { return unexpected_set_.Contains(v); }
 
@@ -106,12 +102,8 @@ class WhyNotEvaluator {
   const MatchEngine& engine() const { return *engine_; }
   const Graph& graph() const { return g_; }
 
-  /// The evaluator's candidate memo (null under simulation semantics).
+  /// The evaluator's candidate memo (never null, under either semantics).
   MatchContext* context() const { return ctx_.get(); }
-  /// Cache counters (zeros when context() is null).
-  MatchContext::Stats ContextStats() const {
-    return ctx_ ? ctx_->stats() : MatchContext::Stats();
-  }
 
  private:
   const Graph& g_;

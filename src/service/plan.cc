@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -244,9 +245,15 @@ bool WritePlanFile(const CompiledPlan& plan, const PlanStamp& stamp,
 }
 
 bool LoadPlanFile(const std::string& path, CompiledPlan* out,
-                  PlanStamp* stamp, std::string* error) {
+                  PlanStamp* stamp, std::string* error, bool* absent) {
+  if (absent != nullptr) *absent = false;
+  errno = 0;
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "plan: cannot open " + path);
+  if (!in) {
+    // The stream opens through the C library, which leaves open(2)'s errno.
+    if (absent != nullptr) *absent = errno == ENOENT;
+    return Fail(error, "plan: cannot open " + path);
+  }
   in.seekg(0, std::ios::end);
   const auto end = in.tellg();
   if (end < 0) return Fail(error, "plan: cannot stat " + path);
@@ -628,8 +635,19 @@ std::shared_ptr<const PreparedQuery> PlanStore::TryLoad(
     Enqueue([this, name] { DeleteFile(name, /*count_invalid=*/false); });
     return nullptr;
   };
-  if (!LoadPlanFile(dir_ + "/" + name, &plan, &stamp, &error)) {
-    return reject();
+  bool absent = false;
+  if (!LoadPlanFile(dir_ + "/" + name, &plan, &stamp, &error, &absent)) {
+    if (!absent) return reject();
+    // Gone, not bad: an eviction on the writer thread unlinked the file
+    // between the index lookup above and the open. That is a plain miss.
+    // The writer (the only thread that creates files) drops the index
+    // entry if the file is still missing there, e.g. deleted externally.
+    misses_.Add();
+    Enqueue([this, name] {
+      struct stat st{};
+      if (::stat((dir_ + "/" + name).c_str(), &st) != 0) IndexErase(name);
+    });
+    return nullptr;
   }
   // Stale-epoch defense: the fingerprint must echo the address the file was
   // found under, and a plan built against this very graph lineage must name

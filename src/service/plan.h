@@ -161,8 +161,11 @@ bool WritePlanFile(const CompiledPlan& plan, const PlanStamp& stamp,
 /// geometry, section table, checksum, meta/section cross-checks and
 /// structural invariants. Returns false with `*error` set on any failure —
 /// a file that fails here must be discarded, never partially trusted.
+/// `absent` (optional) is set to whether the failure is that no file exists
+/// at `path` (ENOENT at open): a file that is gone, not one that is bad.
 bool LoadPlanFile(const std::string& path, CompiledPlan* out,
-                  PlanStamp* stamp, std::string* error);
+                  PlanStamp* stamp, std::string* error,
+                  bool* absent = nullptr);
 
 /// Reads `src`, validates it, rewrites its stamp to `new_stamp` (with the
 /// payload checksum recomputed) and writes the result to `dst` (atomic).
@@ -222,6 +225,8 @@ class PlanStore {
   /// returns a ready PreparedQuery — or null (a miss). A file that fails
   /// validation or echoes back different key fields (hash-collision
   /// defense) is deleted and counted invalid; the probe is still a miss.
+  /// An indexed file that is gone at open (a racing eviction) is a miss
+  /// and not invalid.
   std::shared_ptr<const PreparedQuery> TryLoad(
       const Graph& g, uint64_t graph_fp, MatchSemantics semantics,
       size_t max_paths, const std::string& canonical_text)

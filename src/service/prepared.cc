@@ -73,23 +73,20 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
     stage.Reset();
   }
   // Request-scoped candidate memo for the answer match: the just-computed
-  // output-candidate set is seeded so the matcher never rescans the output
+  // output-candidate set is seeded so neither engine rescans the output
   // label bucket, and every non-output query node's set is memoized across
-  // the root loop. Lives only for this build (the prepared artifacts it
-  // feeds are immutable and cacheable; the context is not).
+  // the isomorphism matcher's root loop. Lives only for this build (the
+  // prepared artifacts it feeds are immutable and cacheable; the context
+  // is not).
   MatchContext ctx(g);
-  MatchContext* ctx_ptr = nullptr;
-  if (semantics == MatchSemantics::kIsomorphism) {
-    ctx.Seed(prepared->query.node(prepared->query.output()),
-             prepared->output_candidates);
-    ctx_ptr = &ctx;
-  }
-  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, semantics, ctx_ptr);
+  ctx.Seed(prepared->query.node(prepared->query.output()),
+           prepared->output_candidates);
+  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, semantics, &ctx);
   engine->SetCancelToken(cancel);
   prepared->answers = engine->MatchOutput(prepared->query);
   if (trace != nullptr) {
     trace->answer_match_ms = stage.ElapsedMillis();
-    if (ctx_ptr != nullptr) trace->AddCtx(ctx.stats());
+    trace->AddCtx(ctx.stats());
   }
   // A build whose answer match was clipped would poison every later hit;
   // the caller keeps it request-local instead of caching it.

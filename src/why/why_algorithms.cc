@@ -147,7 +147,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   if (best_cl < 0.0 || best_ops.empty()) {
     // No improving set: answer with the empty rewrite (Q itself).
     out.eval = eval.Evaluate(q);
-    out.ctx.Add(eval.ContextStats());
+    out.ctx.Add(eval.context()->stats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -160,7 +160,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.ContextStats());
+  out.ctx.Add(eval.context()->stats());
   return out;
 }
 
@@ -200,8 +200,8 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
   // Sum of every evaluator's candidate-memo counters, folded into the
   // answer at each exit.
   auto finish_ctx = [&]() {
-    out.ctx = eval.ContextStats();
-    for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
+    out.ctx = eval.context()->stats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->context()->stats());
   };
 
   std::vector<EditOp> picky =

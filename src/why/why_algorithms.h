@@ -41,7 +41,6 @@ struct RewriteAnswer {
   bool exhaustive = false;            // exact enumeration was not truncated
   // Candidate-memo (MatchContext) counters summed over every evaluator the
   // question used — the main evaluator plus all parallel executor slots.
-  // All zero under simulation semantics (no context there).
   MatchContext::Stats ctx;
 
   /// One-line explanation: the operators and the achieved closeness.

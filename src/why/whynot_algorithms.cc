@@ -112,7 +112,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
 
   if (best_cl < 0.0 || best_ops.empty()) {
     out.eval = eval.Evaluate(q);
-    out.ctx.Add(eval.ContextStats());
+    out.ctx.Add(eval.context()->stats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -125,7 +125,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.ContextStats());
+  out.ctx.Add(eval.context()->stats());
   return out;
 }
 
@@ -162,8 +162,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   // Sum the candidate-memo counters across every evaluator this question
   // touched; called once per exit path.
   auto finish_ctx = [&] {
-    out.ctx = eval.ContextStats();
-    for (const auto& se : slot_evals) out.ctx.Add(se->ContextStats());
+    out.ctx = eval.context()->stats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->context()->stats());
   };
 
   std::vector<EditOp> picky = GenPickyWhyNot(g, q, eval.missing(), cfg);

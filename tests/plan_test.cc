@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -530,6 +531,33 @@ TEST(PlanStoreTest, CorruptFileIsRejectedAndDeleted) {
   EXPECT_EQ(c.invalid, 1u);
   EXPECT_EQ(c.misses, 1u);
   EXPECT_FALSE(FileExists(file));
+}
+
+TEST(PlanStoreTest, IndexedFileThatIsGoneIsAMissNotInvalid) {
+  // The state a racing eviction leaves a load in: the name was indexed,
+  // the file is gone by the time it is opened.
+  Graph g = ReviewGraph();
+  Query q = MustParse(kReviewQuery, g);
+  std::string canonical = WriteQuery(q, g);
+  auto prepared = Prepare(g, q, MatchSemantics::kIsomorphism, 8);
+  uint64_t fp = GraphFingerprint(g);
+
+  PlanStore store(FreshDir("gone"));
+  store.SaveAsync(prepared, canonical, 8, StampOf(g));
+  store.Flush();
+  std::string body =
+      PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
+  std::string file = store.dir() + "/" + PlanFileName(PlanKeyHash(fp, body));
+  ASSERT_EQ(std::remove(file.c_str()), 0);
+
+  EXPECT_EQ(store.TryLoad(g, fp, MatchSemantics::kIsomorphism, 8, canonical),
+            nullptr);
+  store.Flush();
+  PlanStore::Counters c = store.counters();
+  EXPECT_EQ(c.invalid, 0u);
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(store.file_count(), 0u);  // the stale index entry is dropped
+  EXPECT_EQ(store.stored_bytes(), 0u);
 }
 
 TEST(PlanStoreTest, EvictionFollowsTheByteBudgetInRecencyOrder) {

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "gen/figure1.h"
 #include "gen/profiles.h"
 #include "gen/query_gen.h"
+#include "matcher/match_context.h"
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
+#include "rewrite/operators.h"
+#include "why/picky.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 
@@ -130,6 +135,78 @@ TEST(SimulationTest, LiteralsRespected) {
   const std::vector<NodeId>& out = sim[f.query.output()];
   EXPECT_FALSE(std::binary_search(out.begin(), out.end(), f.s8));
   EXPECT_FALSE(std::binary_search(out.begin(), out.end(), f.s9));
+}
+
+TEST(SimulationTest, ContextSeedingMatchesScan) {
+  // One context reused across random refinement and relaxation rewrites of
+  // generated queries, as inside one question: every relation equals the
+  // context-free one, node by node, while the memo serves hits and builds
+  // refined sets from cached parents.
+  Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, 17);
+  Rng rng(29);
+  QueryGenConfig qc;
+  qc.edges = 4;
+  qc.literals_per_node = 2;
+  qc.min_answers = 1;
+  MatchContext ctx(g);
+  size_t rewrites = 0;
+  for (int i = 0; i < 4; ++i) {
+    std::optional<GeneratedQuery> gq = GenerateQuery(g, qc, rng);
+    if (!gq.has_value()) continue;
+    const Query& q = gq->query;
+    std::vector<NodeId> entities(
+        gq->answers.begin(),
+        gq->answers.begin() + std::min<size_t>(2, gq->answers.size()));
+    AnswerConfig cfg;
+    std::vector<EditOp> ops = GenPickyWhy(g, q, gq->answers, entities, cfg);
+    std::vector<EditOp> relax = GenPickyWhyNot(g, q, entities, cfg);
+    ops.insert(ops.end(), relax.begin(), relax.end());
+    EXPECT_EQ(DualSimulation(g, q, &ctx), DualSimulation(g, q));
+    for (int trial = 0; trial < 12 && !ops.empty(); ++trial) {
+      OperatorSet set;
+      for (size_t idx : rng.SampleDistinct(ops.size(), 1 + rng.Index(3))) {
+        if (std::none_of(set.begin(), set.end(), [&](const EditOp& o) {
+              return OpsConflict(o, ops[idx]);
+            })) {
+          set.push_back(ops[idx]);
+        }
+      }
+      Query rw = ApplyOperators(q, set);
+      std::vector<std::vector<NodeId>> memo = DualSimulation(g, rw, &ctx);
+      std::vector<std::vector<NodeId>> scan = DualSimulation(g, rw);
+      ASSERT_EQ(memo.size(), scan.size());
+      for (QNodeId u = 0; u < rw.node_count(); ++u) {
+        EXPECT_EQ(memo[u], scan[u]) << "query " << i << " rewrite " << trial
+                                    << " node " << u;
+      }
+      EXPECT_EQ(SimulationAnswers(g, rw, &ctx), SimulationAnswers(g, rw));
+      ++rewrites;
+    }
+  }
+  EXPECT_GT(rewrites, 0u);
+  EXPECT_GT(ctx.stats().hits, 0u);
+  EXPECT_GT(ctx.stats().delta_builds, 0u);
+}
+
+TEST(SimulationTest, GreedyAlgorithmsUseTheCandidateMemo) {
+  // Under simulation semantics ApproxWhy and FastWhyNot path-test and
+  // verify through their evaluators' candidate memos, like isomorphism.
+  Figure1 f = MakeFigure1();
+  AnswerConfig cfg;
+  cfg.budget = 5.0;
+  cfg.guard_m = 2;
+  cfg.semantics = MatchSemantics::kSimulation;
+  std::vector<NodeId> answers = SimulationAnswers(f.graph, f.query);
+  auto lookups = [](const MatchContext::Stats& s) {
+    return s.hits + s.misses + s.delta_builds;
+  };
+  RewriteAnswer why =
+      ApproxWhy(f.graph, f.query, answers, WhyQuestion{{f.a5, f.s5}}, cfg);
+  EXPECT_GT(lookups(why.ctx), 0u);
+  WhyNotQuestion w;
+  w.missing = {f.s8, f.s9};
+  RewriteAnswer whynot = FastWhyNot(f.graph, f.query, answers, w, cfg);
+  EXPECT_GT(lookups(whynot.ctx), 0u);
 }
 
 TEST(MatchEngineTest, FactoryAndNames) {
