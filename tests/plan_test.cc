@@ -275,6 +275,76 @@ TEST(PlanFormatTest, KeyHashSeparatesGraphsAndBodies) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+
+// xxd's hex columns for bytes [0, n): 16 bytes per line, in pairs.
+std::string HexRows(const std::string& bytes, size_t n) {
+  std::string out;
+  char buf[3];
+  for (size_t i = 0; i < n && i < bytes.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%02x",
+                  static_cast<unsigned char>(bytes[i]));
+    out += buf;
+    if (i % 16 == 15) {
+      out += '\n';
+    } else if (i % 2 == 1) {
+      out += ' ';
+    }
+  }
+  return out;
+}
+
+// The worked example of docs/PLAN_FORMAT.md, as `whyq_cli why` stores it
+// from a fresh process: identity 1, generation 0. The header carries the
+// payload checksum, so header + the zero-padding test below pin the file.
+TEST(PlanGoldenTest, Figure1HeaderMatchesTheFormatDoc) {
+  WrittenPlan w = WriteFigure1Plan("golden");
+  w.stamp.identity = 1;
+  w.stamp.generation = 0;
+  std::string error;
+  ASSERT_TRUE(WritePlanFile(w.plan, w.stamp, w.path, &error)) << error;
+  std::string bytes = ReadAll(w.path);
+  EXPECT_EQ(bytes.size(), 1024u);
+  EXPECT_EQ(HexRows(bytes, 64),
+            "5748 5951 504c 4e31 0100 0000 0403 0201\n"
+            "4000 0000 0900 0000 0004 0000 0000 0000\n"
+            "8d9d e929 65fb adc7 0100 0000 0000 0000\n"
+            "0000 0000 0000 0000 6dfe 3ad7 3bcc b0eb\n");
+  PlanHeader hdr;
+  std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+  EXPECT_EQ(hdr.payload_hash, 0xebb0cc3bd73afe6dull);
+  const std::string body = PreparedQueryKeyBody(
+      w.plan.semantics, w.plan.max_paths, w.plan.query_text);
+  EXPECT_EQ(PlanFileName(PlanKeyHash(w.stamp.fingerprint, body)),
+            "c22b2dbf805ed122.plan");
+}
+
+TEST(PlanGoldenTest, EveryByteOutsideAPayloadIsZero) {
+  WrittenPlan w = WriteFigure1Plan("zeros");
+  std::vector<bool> payload(w.bytes.size(), false);
+  const size_t table_end =
+      sizeof(PlanHeader) + kPlanSectionCount * sizeof(PlanSection);
+  ASSERT_LE(table_end, w.bytes.size());
+  for (size_t at = 0; at < table_end; ++at) payload[at] = true;
+  for (uint32_t i = 0; i < kPlanSectionCount; ++i) {
+    PlanSection s;
+    std::memcpy(&s, w.bytes.data() + sizeof(PlanHeader) + i * sizeof(s),
+                sizeof(s));
+    EXPECT_EQ(s.reserved, 0u) << "section " << i;
+    ASSERT_LE(s.offset + s.bytes, w.bytes.size()) << "section " << i;
+    for (uint64_t at = s.offset; at < s.offset + s.bytes; ++at) {
+      payload[at] = true;
+    }
+  }
+  for (size_t at = 0; at < w.bytes.size(); ++at) {
+    if (!payload[at]) {
+      EXPECT_EQ(w.bytes[at], '\0') << "byte " << at;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rejection matrix
 // ---------------------------------------------------------------------------
 

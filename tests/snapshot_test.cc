@@ -16,6 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -165,6 +167,67 @@ TEST(SnapshotRoundTripTest, WriteIsDeterministic) {
   std::string a = WriteSnapshotOrDie(f.graph, "det_a.snap");
   std::string b = WriteSnapshotOrDie(f.graph, "det_b.snap");
   EXPECT_EQ(ReadAll(a), ReadAll(b));
+}
+
+// --- Golden bytes. --------------------------------------------------------
+
+// xxd's hex columns for bytes [0, n): 16 bytes per line, in pairs.
+std::string HexRows(const std::string& bytes, size_t n) {
+  std::string out;
+  char buf[3];
+  for (size_t i = 0; i < n && i < bytes.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%02x",
+                  static_cast<unsigned char>(bytes[i]));
+    out += buf;
+    if (i % 16 == 15) {
+      out += '\n';
+    } else if (i % 2 == 1) {
+      out += ' ';
+    }
+  }
+  return out;
+}
+
+// The worked example of docs/SNAPSHOT_FORMAT.md: the header carries the
+// payload checksum, so header + the zero-padding test below pin the file.
+TEST(SnapshotGoldenTest, Figure1HeaderMatchesTheFormatDoc) {
+  Figure1 f = MakeFigure1();
+  std::string image = ReadAll(WriteSnapshotOrDie(f.graph, "golden.snap"));
+  EXPECT_EQ(image.size(), 3712u);
+  EXPECT_EQ(HexRows(image, 64),
+            "5748 5951 534e 5031 0100 0000 0403 0201\n"
+            "4000 0000 1400 0000 800e 0000 0000 0000\n"
+            "0c00 0000 0000 0000 1400 0000 0000 0000\n"
+            "8d9d e929 65fb adc7 7ed6 d219 4efc 14b8\n");
+  SnapHeader hdr;
+  std::memcpy(&hdr, image.data(), sizeof(hdr));
+  EXPECT_EQ(hdr.payload_hash, 0xb814fc4e19d2d67eull);
+  EXPECT_EQ(hdr.fingerprint, 0xc7adfb6529e99d8dull);
+}
+
+TEST(SnapshotGoldenTest, EveryByteOutsideAPayloadIsZero) {
+  Figure1 f = MakeFigure1();
+  std::string image = ReadAll(WriteSnapshotOrDie(f.graph, "zeros.snap"));
+  std::vector<bool> payload(image.size(), false);
+  const size_t table_end =
+      sizeof(SnapHeader) + kSnapshotSectionCount * sizeof(SnapSection);
+  ASSERT_LE(table_end, image.size());
+  for (size_t at = 0; at < table_end; ++at) payload[at] = true;
+  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+    SnapSection s;
+    std::memcpy(&s, image.data() + sizeof(SnapHeader) + i * sizeof(s),
+                sizeof(s));
+    EXPECT_EQ(s.reserved, 0u) << "section " << i;
+    ASSERT_LE(s.offset + s.bytes, image.size()) << "section " << i;
+    for (uint64_t at = s.offset; at < s.offset + s.bytes; ++at) {
+      payload[at] = true;
+    }
+  }
+  for (size_t at = 0; at < image.size(); ++at) {
+    if (!payload[at]) {
+      EXPECT_EQ(image[at], '\0') << "byte " << at;
+    }
+  }
 }
 
 // --- Counter-pinned equivalence. ----------------------------------------
