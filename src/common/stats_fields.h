@@ -82,7 +82,7 @@
   X(hits, "plan_store_hits", "TryLoad served a validated plan")               \
   X(misses, "plan_store_misses", "TryLoad found nothing usable")              \
   X(writes, "plan_store_writes",                                              \
-    "written to a temp file and renamed into place (saves + restamps)")       \
+    "fsynced temp file renamed into place (saves + restamps)")                \
   X(evictions, "plan_store_evictions",                                        \
     "files dropped by the LRU byte budget")                                   \
   X(invalid, "plan_store_invalid",                                            \

@@ -1,13 +1,8 @@
 #include "graph/snapshot.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
@@ -17,79 +12,8 @@ namespace whyq {
 
 namespace {
 
-// Streaming FNV-1a (parameters in snapshot.h).
-struct Fnv {
-  uint64_t h = kFnvOffsetBasis;
-
-  void Bytes(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void Str(std::string_view s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-};
-
-// The payload checksum: 64-bit little-endian words striped round-robin
-// across kSnapshotChecksumLanes independent FNV-1a accumulators (see
-// snapshot.h for the contract). Each Region() call folds its buffer
-// independently, zero-padding the final partial word, so Write and Load
-// agree as long as they cover the same regions in the same order.
-struct StripedFnv {
-  uint64_t lane[kSnapshotChecksumLanes] = {};
-  size_t next = 0;
-
-  StripedFnv() {
-    for (auto& l : lane) l = kFnvOffsetBasis;
-  }
-
-  void Region(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    size_t whole = n & ~(sizeof(uint64_t) - 1);
-    for (size_t i = 0; i < whole; i += sizeof(uint64_t)) {
-      uint64_t w;
-      std::memcpy(&w, p + i, sizeof(w));
-      lane[next] = (lane[next] ^ w) * kFnvPrime;
-      next = (next + 1) % kSnapshotChecksumLanes;
-    }
-    if (whole != n) {
-      uint64_t w = 0;
-      std::memcpy(&w, p + whole, n - whole);
-      lane[next] = (lane[next] ^ w) * kFnvPrime;
-      next = (next + 1) % kSnapshotChecksumLanes;
-    }
-  }
-
-  uint64_t Digest() const {
-    uint64_t h = kFnvOffsetBasis;
-    for (uint64_t l : lane) {
-      const auto* p = reinterpret_cast<const unsigned char*>(&l);
-      for (size_t i = 0; i < sizeof(l); ++i) h = (h ^ p[i]) * kFnvPrime;
-    }
-    return h;
-  }
-};
-
-size_t AlignUp(size_t n) {
-  return (n + kSnapshotSectionAlign - 1) & ~size_t{kSnapshotSectionAlign - 1};
-}
-
-// One section staged for writing: id plus a borrowed byte range.
-struct Staged {
-  uint32_t id = 0;
-  const void* data = nullptr;
-  size_t bytes = 0;
-};
-
-bool Fail(std::string* error, std::string msg) {
-  if (error != nullptr) *error = std::move(msg);
-  return false;
-}
+constexpr ImageFormat kSnapshotImage{"snapshot", kSnapshotMagic,
+                                     kSnapshotVersion, kSnapshotSectionCount};
 
 void HashValue(Fnv& f, const Value& v) {
   if (v.is_int()) {
@@ -134,57 +58,29 @@ class StringPool {
   std::unordered_map<std::string, uint32_t> index_;
 };
 
-// The loader's view of one validated section.
-struct Region {
-  const unsigned char* data = nullptr;
-  size_t bytes = 0;
-
-  template <typename T>
-  const T* Rows() const {
-    return reinterpret_cast<const T*>(data);
-  }
-  template <typename T>
-  size_t RowCount() const {
-    return bytes / sizeof(T);
-  }
-  template <typename T>
-  bool RowAligned() const {
-    return bytes % sizeof(T) == 0;
-  }
-};
-
-bool MonotonicRange(const Region& r, size_t expect_count, uint64_t last) {
-  if (!r.RowAligned<uint64_t>()) return false;
-  if (r.RowCount<uint64_t>() != expect_count) return false;
-  const uint64_t* rows = r.Rows<uint64_t>();
-  if (expect_count == 0 || rows[0] != 0) return false;
-  for (size_t i = 1; i < expect_count; ++i) {
-    if (rows[i] < rows[i - 1]) return false;
-  }
-  return rows[expect_count - 1] == last;
-}
-
-bool LoadDictionary(const Region& dict, const Region& pool, Dictionary* out,
-                    std::string* error, const char* what) {
+bool LoadDictionary(const ImageRegion& dict, const ImageRegion& pool,
+                    Dictionary* out, std::string* error, const char* what) {
   if (!dict.RowAligned<SnapStringRef>()) {
-    return Fail(error, std::string("snapshot: ragged dictionary section: ") +
-                           what);
+    return ImageFail(error,
+                     std::string("snapshot: ragged dictionary section: ") +
+                         what);
   }
   size_t count = dict.RowCount<SnapStringRef>();
   const SnapStringRef* refs = dict.Rows<SnapStringRef>();
   for (size_t i = 0; i < count; ++i) {
     uint64_t end = uint64_t{refs[i].offset} + refs[i].bytes;
     if (end > pool.bytes) {
-      return Fail(error,
-                  std::string("snapshot: dictionary name out of pool: ") +
-                      what);
+      return ImageFail(error,
+                       std::string("snapshot: dictionary name out of pool: ") +
+                           what);
     }
     std::string_view name(
         reinterpret_cast<const char*>(pool.data) + refs[i].offset,
         refs[i].bytes);
     if (out->Intern(name) != i) {
-      return Fail(error, std::string("snapshot: duplicate dictionary name: ") +
-                             what);
+      return ImageFail(error,
+                       std::string("snapshot: duplicate dictionary name: ") +
+                           what);
     }
   }
   return true;
@@ -242,7 +138,8 @@ bool GraphSnapshot::Write(const Graph& g, const std::string& path,
       uint32_t off = 0;
       uint32_t len = 0;
       if (!pool.Add(e.value.as_string(), &off, &len)) {
-        return Fail(error, "snapshot: string pool exceeds 32-bit offsets");
+        return ImageFail(error,
+                         "snapshot: string pool exceeds 32-bit offsets");
       }
       row.payload = (uint64_t{off} << 32) | len;
     }
@@ -264,126 +161,51 @@ bool GraphSnapshot::Write(const Graph& g, const std::string& path,
   if (!stage_dict(g.node_labels(), node_dict) ||
       !stage_dict(g.edge_labels(), edge_dict) ||
       !stage_dict(g.attr_names(), attr_dict)) {
-    return Fail(error, "snapshot: string pool exceeds 32-bit offsets");
+    return ImageFail(error, "snapshot: string pool exceeds 32-bit offsets");
   }
 
-  auto col = [](uint32_t id, const auto& c) {
-    using Row = std::remove_reference_t<decltype(c[0])>;
-    return Staged{id, c.data(), c.size() * sizeof(Row)};
-  };
   // A default-constructed (never Built) empty graph has zero-length range
   // columns, while Build() leaves the canonical single zero row. Stage the
   // latter in both cases so the two serialize to the same loadable image.
   static constexpr uint64_t kZeroRow[1] = {0};
-  auto range_col = [&col](uint32_t id, const Column<uint64_t>& c) {
-    return c.empty() ? Staged{id, kZeroRow, sizeof(uint64_t)} : col(id, c);
+  auto range = [](const Column<uint64_t>& c) {
+    return c.empty() ? ImageRegion(kZeroRow, sizeof(kZeroRow))
+                     : ImageRegion::Of(c);
   };
-  const Staged sections[kSnapshotSectionCount] = {
-      col(kSecNodeLabels, g.node_label_),
-      col(kSecOutEdges, g.out_pool_),
-      col(kSecInEdges, g.in_pool_),
-      range_col(kSecOutEdgeRange, g.out_range_),
-      range_col(kSecInEdgeRange, g.in_range_),
-      col(kSecOutNbrs, g.out_nbrs_),
-      col(kSecInNbrs, g.in_nbrs_),
-      col(kSecOutSlices, g.out_slices_),
-      col(kSecInSlices, g.in_slices_),
-      range_col(kSecOutSliceRange, g.out_slice_range_),
-      range_col(kSecInSliceRange, g.in_slice_range_),
-      col(kSecBucketNodes, g.bucket_nodes_),
-      range_col(kSecBucketRange, g.bucket_range_),
-      col(kSecAttrRanges, g.attr_ranges_),
-      col(kSecAttrEntries, attr_entries),
-      range_col(kSecAttrEntryRange, g.attr_range_),
-      Staged{kSecStringPool, pool.bytes().data(), pool.bytes().size()},
-      col(kSecNodeLabelDict, node_dict),
-      col(kSecEdgeLabelDict, edge_dict),
-      col(kSecAttrNameDict, attr_dict),
-  };
-
-  // Lay out the image: header, section table, aligned payloads.
-  SnapHeader hdr{};
-  std::memcpy(hdr.magic, kSnapshotMagic, sizeof(hdr.magic));
-  hdr.version = kSnapshotVersion;
-  hdr.endian_check = kSnapshotEndianCheck;
-  hdr.header_bytes = sizeof(SnapHeader);
-  hdr.section_count = kSnapshotSectionCount;
-  hdr.node_count = g.node_count();
-  hdr.edge_count = g.edge_count();
-  hdr.fingerprint = GraphFingerprint(g);
-
-  SnapSection table[kSnapshotSectionCount] = {};
-  size_t off = AlignUp(sizeof(SnapHeader) + sizeof(table));
-  for (size_t i = 0; i < kSnapshotSectionCount; ++i) {
-    table[i].id = sections[i].id;
-    table[i].offset = off;
-    table[i].bytes = sections[i].bytes;
-    off = AlignUp(off + sections[i].bytes);
-  }
-  hdr.file_bytes = off;
-  // The checksum covers the header prefix (everything before payload_hash
-  // itself), the section table, and every payload in id order — tampering
-  // with any header field, the fingerprint included, is rejected the same
-  // way as payload corruption.
-  StripedFnv payload;
-  payload.Region(&hdr, sizeof(SnapHeader) - sizeof(hdr.payload_hash));
-  payload.Region(table, sizeof(table));
-  for (size_t i = 0; i < kSnapshotSectionCount; ++i) {
-    payload.Region(sections[i].data, sections[i].bytes);
-  }
-  hdr.payload_hash = payload.Digest();
-
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "snapshot: cannot open " + tmp);
-  const char zeros[kSnapshotSectionAlign] = {};
-  size_t written = 0;
-  auto put = [&out, &written](const void* data, size_t n) {
-    out.write(static_cast<const char*>(data), static_cast<long>(n));
-    written += n;
-  };
-  auto pad_to = [&](size_t target) {
-    while (written < target) {
-      size_t n = std::min(target - written, sizeof(zeros));
-      put(zeros, n);
-    }
-  };
-  put(&hdr, sizeof(hdr));
-  put(table, sizeof(table));
-  for (size_t i = 0; i < kSnapshotSectionCount; ++i) {
-    pad_to(table[i].offset);
-    put(sections[i].data, sections[i].bytes);
-  }
-  pad_to(hdr.file_bytes);
-  out.flush();
-  if (!out) return Fail(error, "snapshot: short write to " + tmp);
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Fail(error, "snapshot: cannot rename into " + path);
-  }
-  return true;
+  ImageRegion sec[kSnapshotSectionCount];
+  sec[kSecNodeLabels] = ImageRegion::Of(g.node_label_);
+  sec[kSecOutEdges] = ImageRegion::Of(g.out_pool_);
+  sec[kSecInEdges] = ImageRegion::Of(g.in_pool_);
+  sec[kSecOutEdgeRange] = range(g.out_range_);
+  sec[kSecInEdgeRange] = range(g.in_range_);
+  sec[kSecOutNbrs] = ImageRegion::Of(g.out_nbrs_);
+  sec[kSecInNbrs] = ImageRegion::Of(g.in_nbrs_);
+  sec[kSecOutSlices] = ImageRegion::Of(g.out_slices_);
+  sec[kSecInSlices] = ImageRegion::Of(g.in_slices_);
+  sec[kSecOutSliceRange] = range(g.out_slice_range_);
+  sec[kSecInSliceRange] = range(g.in_slice_range_);
+  sec[kSecBucketNodes] = ImageRegion::Of(g.bucket_nodes_);
+  sec[kSecBucketRange] = range(g.bucket_range_);
+  sec[kSecAttrRanges] = ImageRegion::Of(g.attr_ranges_);
+  sec[kSecAttrEntries] = ImageRegion::Of(attr_entries);
+  sec[kSecAttrEntryRange] = range(g.attr_range_);
+  sec[kSecStringPool] = ImageRegion::Of(pool.bytes());
+  sec[kSecNodeLabelDict] = ImageRegion::Of(node_dict);
+  sec[kSecEdgeLabelDict] = ImageRegion::Of(edge_dict);
+  sec[kSecAttrNameDict] = ImageRegion::Of(attr_dict);
+  const uint64_t words[kImageFormatWords] = {g.node_count(), g.edge_count(),
+                                             GraphFingerprint(g)};
+  return WriteImage(kSnapshotImage, words, sec, path, nullptr, error);
 }
 
 bool GraphSnapshot::ReadInfo(const std::string& path, Info* out,
                              std::string* error) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "snapshot: cannot open " + path);
+  if (!in) return ImageFail(error, "snapshot: cannot open " + path);
   SnapHeader hdr{};
   in.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!in) return Fail(error, "snapshot: truncated header in " + path);
-  if (std::memcmp(hdr.magic, kSnapshotMagic, sizeof(hdr.magic)) != 0) {
-    return Fail(error, "snapshot: bad magic in " + path);
-  }
-  if (hdr.endian_check != kSnapshotEndianCheck) {
-    return Fail(error, "snapshot: foreign byte order in " + path);
-  }
-  if (hdr.version != kSnapshotVersion ||
-      hdr.header_bytes != sizeof(SnapHeader) ||
-      hdr.section_count != kSnapshotSectionCount) {
-    return Fail(error, "snapshot: unsupported version " +
-                           std::to_string(hdr.version) + " in " + path);
-  }
+  if (!in) return ImageFail(error, "snapshot: truncated header in " + path);
+  if (!CheckImageHeader(kSnapshotImage, &hdr, path, error)) return false;
   out->version = hdr.version;
   out->file_bytes = hdr.file_bytes;
   out->node_count = hdr.node_count;
@@ -393,7 +215,9 @@ bool GraphSnapshot::ReadInfo(const std::string& path, Info* out,
   out->sections.assign(hdr.section_count, SnapSection{});
   in.read(reinterpret_cast<char*>(out->sections.data()),
           static_cast<long>(hdr.section_count * sizeof(SnapSection)));
-  if (!in) return Fail(error, "snapshot: truncated section table in " + path);
+  if (!in) {
+    return ImageFail(error, "snapshot: truncated section table in " + path);
+  }
   return true;
 }
 
@@ -404,92 +228,35 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
     return std::unique_ptr<GraphSnapshot>();
   };
 
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return fail("snapshot: cannot open " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return fail("snapshot: cannot stat " + path);
-  }
-  size_t size = static_cast<size_t>(st.st_size);
-  if (size < sizeof(SnapHeader)) {
-    ::close(fd);
-    return fail("snapshot: file too small: " + path);
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
+  size_t size = 0;
+  UniqueFd fd = OpenImage(kSnapshotImage, path, &size, nullptr, error);
+  if (!fd.valid()) return nullptr;
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.get(), 0);
   if (map == MAP_FAILED) return fail("snapshot: mmap failed for " + path);
-
   std::unique_ptr<GraphSnapshot> snap(new GraphSnapshot());
   snap->map_ = map;
   snap->map_bytes_ = size;
-  const auto* base = static_cast<const unsigned char*>(map);
-
-  const auto* hdr = reinterpret_cast<const SnapHeader*>(base);
-  if (std::memcmp(hdr->magic, kSnapshotMagic, sizeof(hdr->magic)) != 0) {
-    return fail("snapshot: bad magic in " + path);
+  ImageRegion sec[kSnapshotSectionCount];
+  if (!ValidateImage(kSnapshotImage, map, size, path, sec, error)) {
+    return nullptr;
   }
-  if (hdr->endian_check != kSnapshotEndianCheck) {
-    return fail("snapshot: foreign byte order in " + path);
-  }
-  if (hdr->version != kSnapshotVersion ||
-      hdr->header_bytes != sizeof(SnapHeader) ||
-      hdr->section_count != kSnapshotSectionCount) {
-    return fail("snapshot: unsupported version " +
-                std::to_string(hdr->version) + " in " + path);
-  }
-  if (hdr->file_bytes != size) {
-    return fail("snapshot: truncated image (header says " +
-                std::to_string(hdr->file_bytes) + " bytes, file has " +
-                std::to_string(size) + "): " + path);
-  }
-
-  // Section table: one entry per id, ascending, aligned, in bounds.
-  const auto* table =
-      reinterpret_cast<const SnapSection*>(base + sizeof(SnapHeader));
-  if (sizeof(SnapHeader) + kSnapshotSectionCount * sizeof(SnapSection) >
-      size) {
-    return fail("snapshot: truncated section table: " + path);
-  }
-  Region sec[kSnapshotSectionCount];
-  StripedFnv payload;
-  payload.Region(hdr, sizeof(SnapHeader) - sizeof(hdr->payload_hash));
-  payload.Region(table, kSnapshotSectionCount * sizeof(SnapSection));
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
-    const SnapSection& s = table[i];
-    if (s.id != i) return fail("snapshot: section table out of order");
-    if (s.offset % kSnapshotSectionAlign != 0) {
-      return fail("snapshot: misaligned section " + std::to_string(i));
-    }
-    if (s.offset > size || s.bytes > size - s.offset) {
-      return fail("snapshot: section " + std::to_string(i) +
-                  " out of bounds");
-    }
-    sec[i] = Region{base + s.offset, s.bytes};
-    payload.Region(sec[i].data, sec[i].bytes);
-  }
-  if (payload.Digest() != hdr->payload_hash) {
-    return fail("snapshot: payload checksum mismatch (corrupt image): " +
-                path);
-  }
+  SnapHeader hdr;
+  std::memcpy(&hdr, map, sizeof(hdr));
 
   // Structural validation, then borrow the columns.
-  const size_t n = hdr->node_count;
-  const size_t e = hdr->edge_count;
+  const size_t n = hdr.node_count;
+  const size_t e = hdr.edge_count;
   Graph& g = snap->graph_;
 
-  if (!sec[kSecNodeLabels].RowAligned<SymbolId>() ||
-      sec[kSecNodeLabels].RowCount<SymbolId>() != n) {
+  if (!sec[kSecNodeLabels].Holds<SymbolId>(n)) {
     return fail("snapshot: node label column size mismatch");
   }
-  if (!sec[kSecOutEdges].RowAligned<HalfEdge>() ||
-      sec[kSecOutEdges].RowCount<HalfEdge>() != e ||
-      !sec[kSecInEdges].RowAligned<HalfEdge>() ||
-      sec[kSecInEdges].RowCount<HalfEdge>() != e) {
+  if (!sec[kSecOutEdges].Holds<HalfEdge>(e) ||
+      !sec[kSecInEdges].Holds<HalfEdge>(e)) {
     return fail("snapshot: adjacency column size mismatch");
   }
-  if (!MonotonicRange(sec[kSecOutEdgeRange], n + 1, e) ||
-      !MonotonicRange(sec[kSecInEdgeRange], n + 1, e)) {
+  if (!sec[kSecOutEdgeRange].IsOffsetColumn(n + 1, e) ||
+      !sec[kSecInEdgeRange].IsOffsetColumn(n + 1, e)) {
     return fail("snapshot: adjacency offsets not monotonic");
   }
   size_t out_nbrs = sec[kSecOutNbrs].RowCount<NodeId>();
@@ -503,11 +270,11 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
   }
   size_t out_slices = sec[kSecOutSlices].RowCount<Graph::LabelSlice>();
   size_t in_slices = sec[kSecInSlices].RowCount<Graph::LabelSlice>();
-  if (!MonotonicRange(sec[kSecOutSliceRange], n + 1, out_slices) ||
-      !MonotonicRange(sec[kSecInSliceRange], n + 1, in_slices)) {
+  if (!sec[kSecOutSliceRange].IsOffsetColumn(n + 1, out_slices) ||
+      !sec[kSecInSliceRange].IsOffsetColumn(n + 1, in_slices)) {
     return fail("snapshot: label slice offsets not monotonic");
   }
-  auto slices_ok = [](const Region& r, size_t nbr_count) {
+  auto slices_ok = [](const ImageRegion& r, size_t nbr_count) {
     const auto* rows = r.Rows<Graph::LabelSlice>();
     size_t count = r.RowCount<Graph::LabelSlice>();
     for (size_t i = 0; i < count; ++i) {
@@ -521,13 +288,12 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
       !slices_ok(sec[kSecInSlices], in_nbrs)) {
     return fail("snapshot: label slice out of bounds");
   }
-  if (!sec[kSecBucketNodes].RowAligned<NodeId>() ||
-      sec[kSecBucketNodes].RowCount<NodeId>() != n) {
+  if (!sec[kSecBucketNodes].Holds<NodeId>(n)) {
     return fail("snapshot: label bucket column size mismatch");
   }
   size_t bucket_offsets = sec[kSecBucketRange].RowCount<uint64_t>();
   if (bucket_offsets == 0 ||
-      !MonotonicRange(sec[kSecBucketRange], bucket_offsets, n)) {
+      !sec[kSecBucketRange].IsOffsetColumn(bucket_offsets, n)) {
     return fail("snapshot: label bucket offsets not monotonic");
   }
   if (!sec[kSecAttrRanges].RowAligned<AttrRange>()) {
@@ -537,12 +303,12 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
     return fail("snapshot: ragged attribute column");
   }
   size_t attr_rows = sec[kSecAttrEntries].RowCount<SnapAttrEntry>();
-  if (!MonotonicRange(sec[kSecAttrEntryRange], n + 1, attr_rows)) {
+  if (!sec[kSecAttrEntryRange].IsOffsetColumn(n + 1, attr_rows)) {
     return fail("snapshot: attribute offsets not monotonic");
   }
 
   // Materialize attribute values (strings decode from the pool).
-  const Region& spool = sec[kSecStringPool];
+  const ImageRegion& spool = sec[kSecStringPool];
   const auto* attr_src = sec[kSecAttrEntries].Rows<SnapAttrEntry>();
   std::vector<AttrEntry> attr_pool;
   attr_pool.reserve(attr_rows);
@@ -608,10 +374,10 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
   // mapping, so ApplyUpdate must refuse them (UpdateStatus::kFrozen) rather
   // than fault. Identity is the content fingerprint — two loads of the same
   // image are the same logical graph and may share cached prepared queries.
-  g.identity_ = hdr->fingerprint;
+  g.identity_ = hdr.fingerprint;
   g.generation_ = 0;
   g.frozen_ = true;
-  snap->fingerprint_ = hdr->fingerprint;
+  snap->fingerprint_ = hdr.fingerprint;
   return snap;
 }
 

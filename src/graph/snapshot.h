@@ -6,15 +6,16 @@
 #include <string>
 #include <vector>
 
+#include "common/image.h"
 #include "graph/graph.h"
 
 // Frozen graph snapshot: Graph::Build() output serialized into one
-// relocatable, mmap-able image. The full byte-level contract lives in
-// docs/SNAPSHOT_FORMAT.md; this header is the single source of truth for
-// every constant of the format (whyq-lint rule "snapshot-limits" forbids
-// numeric limits anywhere else in the snapshot layer), and the struct
-// declarations below are what the documentation's field tables are checked
-// against (tools/check_docs.sh).
+// relocatable, mmap-able image in the common/image.h container. The
+// byte-level contract lives in docs/SNAPSHOT_FORMAT.md; this header is the
+// single source of truth for every constant of the format (whyq-lint rule
+// "snapshot-limits" forbids numeric limits anywhere else in the snapshot
+// layer), and the struct declarations below are what the documentation's
+// field tables are checked against (tools/check_docs.sh).
 
 namespace whyq {
 
@@ -25,48 +26,19 @@ namespace whyq {
 inline constexpr char kSnapshotMagic[8] = {'W', 'H', 'Y', 'Q',
                                            'S', 'N', 'P', '1'};
 inline constexpr uint32_t kSnapshotVersion = 1;
-// Written as the native-endian value 0x01020304; a loader on an
-// opposite-endian host reads 0x04030201 and rejects the image.
-inline constexpr uint32_t kSnapshotEndianCheck = 0x01020304;
-// Every section payload starts on a 64-byte boundary (cache line; also a
-// multiple of every row alignment used by the format). Padding bytes are
-// written as zero, so images are deterministic byte-for-byte.
-inline constexpr uint32_t kSnapshotSectionAlign = 64;
+// Payload alignment: the container's (common/image.h).
+inline constexpr uint32_t kSnapshotSectionAlign = kImageSectionAlign;
 // Number of sections in a version-1 image (one per SnapSectionId).
 inline constexpr uint32_t kSnapshotSectionCount = 20;
-// FNV-1a 64-bit parameters, used both for the payload checksum and the
-// logical graph fingerprint.
-inline constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-// The payload checksum folds 64-bit little-endian words, striped
-// round-robin across this many independent FNV-1a lanes (word i goes to
-// lane i mod kSnapshotChecksumLanes). Striping breaks the multiply
-// dependency chain so validating a cold image costs a fraction of a
-// byte-serial pass — the cold-start budget depends on it. Each covered
-// region (header prefix, section table, then every section payload in id
-// order) is folded independently, zero-padding its final partial word;
-// the final digest byte-hashes the lane accumulators in lane order.
-inline constexpr uint32_t kSnapshotChecksumLanes = 4;
 
-/// Fixed 64-byte file header (at offset 0).
+/// The container header with the snapshot's three format words.
 struct SnapHeader {
-  char magic[8];          // kSnapshotMagic
-  uint32_t version;       // kSnapshotVersion
-  uint32_t endian_check;  // kSnapshotEndianCheck, native byte order
-  uint32_t header_bytes;  // sizeof(SnapHeader)
-  uint32_t section_count; // kSnapshotSectionCount
-  uint64_t file_bytes;    // total image size, including padding
-  uint64_t node_count;    // |V|
-  uint64_t edge_count;    // |E| (after duplicate collapse)
-  uint64_t fingerprint;   // logical graph fingerprint (GraphFingerprint)
-  uint64_t payload_hash;  // striped word-FNV over header prefix + table +
-                          // payloads (see kSnapshotChecksumLanes)
+  WHYQ_IMAGE_HEADER(node_count,   // |V|
+                    edge_count,   // |E| (after duplicate collapse)
+                    fingerprint)  // logical graph fingerprint
 };
-static_assert(sizeof(SnapHeader) == kSnapshotSectionAlign,
-              "header must stay one aligned block");
 
-/// Section ids, in file order. The section table (directly after the
-/// header) has exactly one entry per id, ascending.
+/// Section ids, in file order (the ids of the container's section table).
 enum SnapSectionId : uint32_t {
   kSecNodeLabels = 0,     // SymbolId x node_count
   kSecOutEdges = 1,       // HalfEdge x edge_count
@@ -91,12 +63,7 @@ enum SnapSectionId : uint32_t {
 };
 
 /// One entry of the section table.
-struct SnapSection {
-  uint32_t id;        // SnapSectionId
-  uint32_t reserved;  // written as zero
-  uint64_t offset;    // from file start; kSnapshotSectionAlign-aligned
-  uint64_t bytes;     // payload size (padding to the next section excluded)
-};
+using SnapSection = ImageSection;
 
 /// One interned attribute entry (section kSecAttrEntries). The in-memory
 /// AttrEntry holds a Value variant; on disk the value is a tagged 8-byte
@@ -152,8 +119,9 @@ class GraphSnapshot {
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
 
-  /// Serializes `g` into `path` (atomic: written to a temp file, then
-  /// renamed). Returns false with `*error` set on I/O failure.
+  /// Serializes `g` into `path` (PublishFile, durable: an fsynced temp
+  /// file renamed into place). Returns false with `*error` set on I/O
+  /// failure.
   static bool Write(const Graph& g, const std::string& path,
                     std::string* error);
 

@@ -4,10 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
+#include "common/image.h"
 #include "service/plan.h"
 
 namespace whyq::server {
@@ -364,18 +363,13 @@ void WhyqServer::DumpStatsIfDue(bool force) {
   if (cfg_.stats_json_path.empty()) return;
   if (!force && stats_timer_.ElapsedMillis() < cfg_.stats_period_ms) return;
   stats_timer_.Reset();
-  // Atomic publication: readers either see the previous dump or this one,
-  // never a torn file.
-  std::string tmp = cfg_.stats_json_path + ".tmp";
-  std::ofstream js(tmp);
-  if (!js) return;  // nothing was created
-  js << StatsJson() << "\n";
-  js.close();
-  // A failed write or rename (e.g. the path names a directory) must not
-  // leave the temp file behind; the next dump simply tries again.
-  if (!js || std::rename(tmp.c_str(), cfg_.stats_json_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-  }
+  // Readers see the previous dump or this one, never a torn file. A failed
+  // dump leaves no temp file; the next one simply tries again. Not
+  // fsynced: the epoll thread rewrites it every period.
+  const std::string json = StatsJson() + "\n";
+  const ImageRegion chunk = ImageRegion::Of(json);
+  (void)PublishFile(cfg_.stats_json_path, {&chunk, 1}, /*durable=*/false,
+                    "stats", nullptr, nullptr);
 }
 
 int WhyqServer::Run(const volatile std::sig_atomic_t* stop_flag) {

@@ -6,10 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "query/query_parser.h"
@@ -18,99 +16,10 @@ namespace whyq {
 
 namespace {
 
-// Streaming FNV-1a (parameters in graph/snapshot.h).
-struct Fnv {
-  uint64_t h = kFnvOffsetBasis;
+constexpr ImageFormat kPlanImage{"plan", kPlanMagic, kPlanVersion,
+                                 kPlanSectionCount};
 
-  void Bytes(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void Str(std::string_view s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-};
-
-// The payload checksum: the snapshot's striped word-FNV contract (see
-// kPlanChecksumLanes in plan.h) — 64-bit little-endian words striped
-// round-robin across independent FNV-1a accumulators, each Region() folded
-// independently with its final partial word zero-padded.
-struct StripedFnv {
-  uint64_t lane[kPlanChecksumLanes] = {};
-  size_t next = 0;
-
-  StripedFnv() {
-    for (auto& l : lane) l = kFnvOffsetBasis;
-  }
-
-  void Region(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    size_t whole = n & ~(sizeof(uint64_t) - 1);
-    for (size_t i = 0; i < whole; i += sizeof(uint64_t)) {
-      uint64_t w;
-      std::memcpy(&w, p + i, sizeof(w));
-      lane[next] = (lane[next] ^ w) * kFnvPrime;
-      next = (next + 1) % kPlanChecksumLanes;
-    }
-    if (whole != n) {
-      uint64_t w = 0;
-      std::memcpy(&w, p + whole, n - whole);
-      lane[next] = (lane[next] ^ w) * kFnvPrime;
-      next = (next + 1) % kPlanChecksumLanes;
-    }
-  }
-
-  uint64_t Digest() const {
-    uint64_t h = kFnvOffsetBasis;
-    for (uint64_t l : lane) {
-      const auto* p = reinterpret_cast<const unsigned char*>(&l);
-      for (size_t i = 0; i < sizeof(l); ++i) h = (h ^ p[i]) * kFnvPrime;
-    }
-    return h;
-  }
-};
-
-size_t AlignUp(size_t n) {
-  return (n + kPlanSectionAlign - 1) & ~size_t{kPlanSectionAlign - 1};
-}
-
-// One section staged for writing: id plus a borrowed byte range.
-struct Staged {
-  uint32_t id = 0;
-  const void* data = nullptr;
-  size_t bytes = 0;
-};
-
-bool Fail(std::string* error, std::string msg) {
-  if (error != nullptr) *error = std::move(msg);
-  return false;
-}
-
-// The loader's view of one validated section.
-struct Region {
-  const unsigned char* data = nullptr;
-  size_t bytes = 0;
-
-  template <typename T>
-  const T* Rows() const {
-    return reinterpret_cast<const T*>(data);
-  }
-  template <typename T>
-  size_t RowCount() const {
-    return bytes / sizeof(T);
-  }
-  template <typename T>
-  bool RowAligned() const {
-    return bytes % sizeof(T) == 0;
-  }
-};
-
-bool StrictlyIncreasing(const Region& r) {
+bool StrictlyIncreasing(const ImageRegion& r) {
   if (!r.RowAligned<SymbolId>()) return false;
   const SymbolId* rows = r.Rows<SymbolId>();
   size_t count = r.RowCount<SymbolId>();
@@ -120,7 +29,7 @@ bool StrictlyIncreasing(const Region& r) {
   return true;
 }
 
-std::vector<SymbolId> SymbolRows(const Region& r) {
+std::vector<SymbolId> SymbolRows(const ImageRegion& r) {
   return std::vector<SymbolId>(r.Rows<SymbolId>(),
                                r.Rows<SymbolId>() + r.RowCount<SymbolId>());
 }
@@ -141,7 +50,8 @@ CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,
 }
 
 bool WritePlanFile(const CompiledPlan& plan, const PlanStamp& stamp,
-                   const std::string& path, std::string* error) {
+                   const std::string& path, std::string* error,
+                   uint64_t* file_bytes) {
   // Flatten the PathIndex into a CSR offset array + step rows.
   std::vector<uint64_t> path_range;
   std::vector<PlanStep> steps;
@@ -164,210 +74,81 @@ bool WritePlanFile(const CompiledPlan& plan, const PlanStamp& stamp,
   meta.path_count = plan.paths.size();
   meta.step_count = steps.size();
 
-  auto col = [](uint32_t id, const auto& c) {
-    using Row = std::remove_reference_t<decltype(c[0])>;
-    return Staged{id, c.data(), c.size() * sizeof(Row)};
-  };
-  const Staged sections[kPlanSectionCount] = {
-      Staged{kPlanSecMeta, &meta, sizeof(meta)},
-      Staged{kPlanSecQueryText, plan.query_text.data(),
-             plan.query_text.size()},
-      col(kPlanSecAnswers, plan.answers),
-      col(kPlanSecCandidates, plan.output_candidates),
-      col(kPlanSecPathRange, path_range),
-      col(kPlanSecSteps, steps),
-      col(kPlanSecFpNodeLabels, plan.footprint.node_labels),
-      col(kPlanSecFpEdgeLabels, plan.footprint.edge_labels),
-      col(kPlanSecFpAttrs, plan.footprint.attrs),
-  };
-
-  PlanHeader hdr{};
-  std::memcpy(hdr.magic, kPlanMagic, sizeof(hdr.magic));
-  hdr.version = kPlanVersion;
-  hdr.endian_check = kPlanEndianCheck;
-  hdr.header_bytes = sizeof(PlanHeader);
-  hdr.section_count = kPlanSectionCount;
-  hdr.graph_fingerprint = stamp.fingerprint;
-  hdr.graph_identity = stamp.identity;
-  hdr.graph_generation = stamp.generation;
-
-  PlanSection table[kPlanSectionCount] = {};
-  size_t off = AlignUp(sizeof(PlanHeader) + sizeof(table));
-  for (size_t i = 0; i < kPlanSectionCount; ++i) {
-    table[i].id = sections[i].id;
-    table[i].offset = off;
-    table[i].bytes = sections[i].bytes;
-    off = AlignUp(off + sections[i].bytes);
-  }
-  hdr.file_bytes = off;
-  // The checksum covers the header prefix (everything before payload_hash
-  // itself — the stamp included), the section table, and every payload in
-  // id order, so tampering with the stamp is rejected like payload
-  // corruption; a restamp must recompute it (RestampPlanFile does).
-  StripedFnv payload;
-  payload.Region(&hdr, sizeof(PlanHeader) - sizeof(hdr.payload_hash));
-  payload.Region(table, sizeof(table));
-  for (size_t i = 0; i < kPlanSectionCount; ++i) {
-    payload.Region(sections[i].data, sections[i].bytes);
-  }
-  hdr.payload_hash = payload.Digest();
-
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "plan: cannot open " + tmp);
-  const char zeros[kPlanSectionAlign] = {};
-  size_t written = 0;
-  auto put = [&out, &written](const void* data, size_t n) {
-    out.write(static_cast<const char*>(data), static_cast<long>(n));
-    written += n;
-  };
-  auto pad_to = [&](size_t target) {
-    while (written < target) {
-      size_t n = std::min(target - written, sizeof(zeros));
-      put(zeros, n);
-    }
-  };
-  put(&hdr, sizeof(hdr));
-  put(table, sizeof(table));
-  for (size_t i = 0; i < kPlanSectionCount; ++i) {
-    pad_to(table[i].offset);
-    put(sections[i].data, sections[i].bytes);
-  }
-  pad_to(hdr.file_bytes);
-  out.flush();
-  if (!out) return Fail(error, "plan: short write to " + tmp);
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Fail(error, "plan: cannot rename into " + path);
-  }
-  return true;
+  ImageRegion sec[kPlanSectionCount];
+  sec[kPlanSecMeta] = ImageRegion(&meta, sizeof(meta));
+  sec[kPlanSecQueryText] = ImageRegion::Of(plan.query_text);
+  sec[kPlanSecAnswers] = ImageRegion::Of(plan.answers);
+  sec[kPlanSecCandidates] = ImageRegion::Of(plan.output_candidates);
+  sec[kPlanSecPathRange] = ImageRegion::Of(path_range);
+  sec[kPlanSecSteps] = ImageRegion::Of(steps);
+  sec[kPlanSecFpNodeLabels] = ImageRegion::Of(plan.footprint.node_labels);
+  sec[kPlanSecFpEdgeLabels] = ImageRegion::Of(plan.footprint.edge_labels);
+  sec[kPlanSecFpAttrs] = ImageRegion::Of(plan.footprint.attrs);
+  const uint64_t words[kImageFormatWords] = {stamp.fingerprint, stamp.identity,
+                                             stamp.generation};
+  return WriteImage(kPlanImage, words, sec, path, file_bytes, error);
 }
 
 bool LoadPlanFile(const std::string& path, CompiledPlan* out,
                   PlanStamp* stamp, std::string* error, bool* absent) {
-  if (absent != nullptr) *absent = false;
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    // The stream opens through the C library, which leaves open(2)'s errno.
-    if (absent != nullptr) *absent = errno == ENOENT;
-    return Fail(error, "plan: cannot open " + path);
-  }
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  if (end < 0) return Fail(error, "plan: cannot stat " + path);
-  const size_t size = static_cast<size_t>(end);
-  if (size < sizeof(PlanHeader)) {
-    return Fail(error, "plan: file too small: " + path);
-  }
+  size_t size = 0;
+  UniqueFd fd = OpenImage(kPlanImage, path, &size, absent, error);
+  if (!fd.valid()) return false;
   if (size > kPlanMaxFileBytes) {
-    return Fail(error, "plan: file exceeds kPlanMaxFileBytes: " + path);
+    return ImageFail(error, "plan: file exceeds kPlanMaxFileBytes: " + path);
   }
   // Read into a uint64_t buffer so every row type's alignment holds.
   std::vector<uint64_t> buf((size + sizeof(uint64_t) - 1) / sizeof(uint64_t),
                             0);
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(buf.data()), static_cast<long>(size));
-  if (!in) return Fail(error, "plan: short read from " + path);
-  const auto* base = reinterpret_cast<const unsigned char*>(buf.data());
-
-  const auto* hdr = reinterpret_cast<const PlanHeader*>(base);
-  if (std::memcmp(hdr->magic, kPlanMagic, sizeof(hdr->magic)) != 0) {
-    return Fail(error, "plan: bad magic in " + path);
+  if (::read(fd.get(), buf.data(), size) != static_cast<ssize_t>(size)) {
+    return ImageFail(error, "plan: short read from " + path);
   }
-  if (hdr->endian_check != kPlanEndianCheck) {
-    return Fail(error, "plan: foreign byte order in " + path);
+  ImageRegion sec[kPlanSectionCount];
+  if (!ValidateImage(kPlanImage, buf.data(), size, path, sec, error)) {
+    return false;
   }
-  if (hdr->version != kPlanVersion ||
-      hdr->header_bytes != sizeof(PlanHeader) ||
-      hdr->section_count != kPlanSectionCount) {
-    return Fail(error, "plan: unsupported version " +
-                           std::to_string(hdr->version) + " in " + path);
-  }
-  if (hdr->file_bytes != size) {
-    return Fail(error, "plan: truncated file (header says " +
-                           std::to_string(hdr->file_bytes) +
-                           " bytes, file has " + std::to_string(size) +
-                           "): " + path);
-  }
-
-  // Section table: one entry per id, ascending, aligned, in bounds.
-  const auto* table =
-      reinterpret_cast<const PlanSection*>(base + sizeof(PlanHeader));
-  if (sizeof(PlanHeader) + kPlanSectionCount * sizeof(PlanSection) > size) {
-    return Fail(error, "plan: truncated section table: " + path);
-  }
-  Region sec[kPlanSectionCount];
-  StripedFnv payload;
-  payload.Region(hdr, sizeof(PlanHeader) - sizeof(hdr->payload_hash));
-  payload.Region(table, kPlanSectionCount * sizeof(PlanSection));
-  for (uint32_t i = 0; i < kPlanSectionCount; ++i) {
-    const PlanSection& s = table[i];
-    if (s.id != i) return Fail(error, "plan: section table out of order");
-    if (s.offset % kPlanSectionAlign != 0) {
-      return Fail(error, "plan: misaligned section " + std::to_string(i));
-    }
-    if (s.offset > size || s.bytes > size - s.offset) {
-      return Fail(error, "plan: section " + std::to_string(i) +
-                             " out of bounds");
-    }
-    sec[i] = Region{base + s.offset, s.bytes};
-    payload.Region(sec[i].data, sec[i].bytes);
-  }
-  if (payload.Digest() != hdr->payload_hash) {
-    return Fail(error, "plan: payload checksum mismatch (corrupt file): " +
-                           path);
-  }
+  PlanHeader hdr;
+  std::memcpy(&hdr, buf.data(), sizeof(hdr));
 
   // Meta row, then cross-check every count against the section table.
   if (sec[kPlanSecMeta].bytes != sizeof(PlanMeta)) {
-    return Fail(error, "plan: meta section size mismatch");
+    return ImageFail(error, "plan: meta section size mismatch");
   }
   PlanMeta meta{};
   std::memcpy(&meta, sec[kPlanSecMeta].data, sizeof(meta));
   if (meta.semantics > static_cast<uint32_t>(MatchSemantics::kSimulation)) {
-    return Fail(error, "plan: unknown semantics " +
-                           std::to_string(meta.semantics));
+    return ImageFail(error, "plan: unknown semantics " +
+                                std::to_string(meta.semantics));
   }
   if (meta.query_bytes != sec[kPlanSecQueryText].bytes) {
-    return Fail(error, "plan: query text size mismatch");
+    return ImageFail(error, "plan: query text size mismatch");
   }
-  if (!sec[kPlanSecAnswers].RowAligned<NodeId>() ||
-      sec[kPlanSecAnswers].RowCount<NodeId>() != meta.answer_count) {
-    return Fail(error, "plan: answer column size mismatch");
+  if (!sec[kPlanSecAnswers].Holds<NodeId>(meta.answer_count)) {
+    return ImageFail(error, "plan: answer column size mismatch");
   }
-  if (!sec[kPlanSecCandidates].RowAligned<NodeId>() ||
-      sec[kPlanSecCandidates].RowCount<NodeId>() != meta.candidate_count) {
-    return Fail(error, "plan: candidate column size mismatch");
+  if (!sec[kPlanSecCandidates].Holds<NodeId>(meta.candidate_count)) {
+    return ImageFail(error, "plan: candidate column size mismatch");
   }
-  if (!sec[kPlanSecPathRange].RowAligned<uint64_t>() ||
-      sec[kPlanSecPathRange].RowCount<uint64_t>() != meta.path_count + 1) {
-    return Fail(error, "plan: path offset column size mismatch");
+  if (!sec[kPlanSecSteps].Holds<PlanStep>(meta.step_count)) {
+    return ImageFail(error, "plan: step column size mismatch");
   }
-  if (!sec[kPlanSecSteps].RowAligned<PlanStep>() ||
-      sec[kPlanSecSteps].RowCount<PlanStep>() != meta.step_count) {
-    return Fail(error, "plan: step column size mismatch");
+  const ImageRegion& ranges = sec[kPlanSecPathRange];
+  if (!ranges.IsOffsetColumn(meta.path_count + 1, meta.step_count)) {
+    return ImageFail(error,
+                     "plan: path offsets are not path_count + 1 monotonic "
+                     "offsets from 0 to step_count");
   }
-  const uint64_t* range = sec[kPlanSecPathRange].Rows<uint64_t>();
-  if (range[0] != 0 || range[meta.path_count] != meta.step_count) {
-    return Fail(error, "plan: path offsets do not bracket the steps");
-  }
-  for (size_t i = 1; i <= meta.path_count; ++i) {
-    if (range[i] < range[i - 1]) {
-      return Fail(error, "plan: path offsets not monotonic");
-    }
-  }
+  const uint64_t* range = ranges.Rows<uint64_t>();
   const PlanStep* steps = sec[kPlanSecSteps].Rows<PlanStep>();
   for (size_t i = 0; i < meta.step_count; ++i) {
     if (steps[i].forward > 1) {
-      return Fail(error, "plan: step direction flag out of range");
+      return ImageFail(error, "plan: step direction flag out of range");
     }
   }
   if (!StrictlyIncreasing(sec[kPlanSecFpNodeLabels]) ||
       !StrictlyIncreasing(sec[kPlanSecFpEdgeLabels]) ||
       !StrictlyIncreasing(sec[kPlanSecFpAttrs])) {
-    return Fail(error, "plan: footprint sections not sorted unique");
+    return ImageFail(error, "plan: footprint sections not sorted unique");
   }
 
   out->query_text.assign(
@@ -399,22 +180,23 @@ bool LoadPlanFile(const std::string& path, CompiledPlan* out,
   out->footprint.edge_labels = SymbolRows(sec[kPlanSecFpEdgeLabels]);
   out->footprint.attrs = SymbolRows(sec[kPlanSecFpAttrs]);
   if (stamp != nullptr) {
-    stamp->fingerprint = hdr->graph_fingerprint;
-    stamp->identity = hdr->graph_identity;
-    stamp->generation = hdr->graph_generation;
+    stamp->fingerprint = hdr.graph_fingerprint;
+    stamp->identity = hdr.graph_identity;
+    stamp->generation = hdr.graph_generation;
   }
   return true;
 }
 
 bool RestampPlanFile(const std::string& src, const std::string& dst,
-                     const PlanStamp& new_stamp, std::string* error) {
+                     const PlanStamp& new_stamp, std::string* error,
+                     uint64_t* file_bytes) {
   // Full decode + re-encode: the source is validated end to end (a corrupt
   // plan is never carried to a new epoch), and the deterministic writer
   // reproduces the identical payload bytes under the new stamp.
   CompiledPlan plan;
   PlanStamp old_stamp;
   if (!LoadPlanFile(src, &plan, &old_stamp, error)) return false;
-  return WritePlanFile(plan, new_stamp, dst, error);
+  return WritePlanFile(plan, new_stamp, dst, error, file_bytes);
 }
 
 std::shared_ptr<const PreparedQuery> PreparedFromPlan(const CompiledPlan& plan,
@@ -686,12 +468,10 @@ void PlanStore::SaveAsync(std::shared_ptr<const PreparedQuery> prepared,
     }
     CompiledPlan plan = PlanFromPrepared(*prepared, query_text, max_paths);
     std::string error;
-    const std::string path = dir_ + "/" + name;
-    if (!WritePlanFile(plan, stamp, path, &error)) return;
-    struct stat st{};
-    uint64_t bytes =
-        ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                       : 0;
+    uint64_t bytes = 0;
+    if (!WritePlanFile(plan, stamp, dir_ + "/" + name, &error, &bytes)) {
+      return;
+    }
     IndexInsert(name, bytes);
     writes_.Add();
     EvictOverBudget();
@@ -778,12 +558,9 @@ void PlanStore::OnUpdate(uint64_t old_fp, PlanStamp new_stamp,
       }
       if (!indexed) continue;
       std::string error;
+      uint64_t bytes = 0;
       if (RestampPlanFile(dir_ + "/" + old_name, dir_ + "/" + new_name,
-                          new_stamp, &error)) {
-        struct stat st{};
-        uint64_t bytes = ::stat((dir_ + "/" + new_name).c_str(), &st) == 0
-                             ? static_cast<uint64_t>(st.st_size)
-                             : 0;
+                          new_stamp, &error, &bytes)) {
         IndexInsert(new_name, bytes);
         writes_.Add();
         if (new_name != old_name) {

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/image.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "graph/snapshot.h"
@@ -37,21 +38,10 @@ namespace whyq {
 /// output, and the rebuild it caches is always available).
 inline constexpr char kPlanMagic[8] = {'W', 'H', 'Y', 'Q', 'P', 'L', 'N', '1'};
 inline constexpr uint32_t kPlanVersion = 1;
-// Written as the native-endian value 0x01020304; a loader on an
-// opposite-endian host reads 0x04030201 and rejects the file.
-inline constexpr uint32_t kPlanEndianCheck = 0x01020304;
-// Every section payload starts on a 64-byte boundary, padding written as
-// zero — the same plan contents always produce a byte-identical file.
-inline constexpr uint32_t kPlanSectionAlign = 64;
+// Payload alignment: the container's (common/image.h).
+inline constexpr uint32_t kPlanSectionAlign = kImageSectionAlign;
 // Number of sections in a version-1 plan (one per PlanSectionId).
 inline constexpr uint32_t kPlanSectionCount = 9;
-// The payload checksum folds 64-bit little-endian words striped round-robin
-// across this many independent FNV-1a lanes (the snapshot's striped-FNV
-// contract, see kSnapshotChecksumLanes): each covered region — header
-// prefix, section table, then every section payload in id order — is
-// folded independently with its final partial word zero-padded, and the
-// digest byte-hashes the lane accumulators in lane order.
-inline constexpr uint32_t kPlanChecksumLanes = 4;
 // A plan file larger than this is rejected unread — no legitimate prepared
 // artifact comes close, and the cap bounds what a hostile header can make
 // the loader allocate.
@@ -62,25 +52,14 @@ inline constexpr uint64_t kPlanStoreDefaultBudget = 256ull << 20;
 // Default cap on the number of plans a boot-time warm pass will load.
 inline constexpr size_t kPlanWarmLoadDefault = 256;
 
-/// Fixed 64-byte file header (at offset 0).
+/// The container header with the plan's three format words: the stamp.
 struct PlanHeader {
-  char magic[8];           // kPlanMagic
-  uint32_t version;        // kPlanVersion
-  uint32_t endian_check;   // kPlanEndianCheck, native byte order
-  uint32_t header_bytes;   // sizeof(PlanHeader)
-  uint32_t section_count;  // kPlanSectionCount
-  uint64_t file_bytes;     // total file size, including padding
-  uint64_t graph_fingerprint;  // GraphFingerprint of the source graph
-  uint64_t graph_identity;     // Graph::identity() at build time
-  uint64_t graph_generation;   // Graph::generation() at build time
-  uint64_t payload_hash;   // striped word-FNV over header prefix + table +
-                           // payloads (see kPlanChecksumLanes)
+  WHYQ_IMAGE_HEADER(graph_fingerprint,  // GraphFingerprint of the source
+                    graph_identity,     // Graph::identity() at build time
+                    graph_generation)   // Graph::generation() at build time
 };
-static_assert(sizeof(PlanHeader) == kPlanSectionAlign,
-              "header must stay one aligned block");
 
-/// Section ids, in file order. The section table (directly after the
-/// header) has exactly one entry per id, ascending.
+/// Section ids, in file order (the ids of the container's section table).
 enum PlanSectionId : uint32_t {
   kPlanSecMeta = 0,          // one PlanMeta row
   kPlanSecQueryText = 1,     // canonical WriteQuery text, raw bytes
@@ -94,12 +73,7 @@ enum PlanSectionId : uint32_t {
 };
 
 /// One entry of the section table.
-struct PlanSection {
-  uint32_t id;        // PlanSectionId
-  uint32_t reserved;  // written as zero
-  uint64_t offset;    // from file start; kPlanSectionAlign-aligned
-  uint64_t bytes;     // payload size (padding to the next section excluded)
-};
+using PlanSection = ImageSection;
 
 /// Fixed-size metadata row (section kPlanSecMeta). The counts must agree
 /// with the section table's byte sizes — the loader cross-checks both.
@@ -152,10 +126,12 @@ struct CompiledPlan {
 CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,
                               std::string query_text, uint64_t max_paths);
 
-/// Serializes `plan` + `stamp` into `path` (atomic: temp file + rename).
-/// Returns false with `*error` set on I/O failure.
+/// Serializes `plan` + `stamp` into `path` (PublishFile, durable: an
+/// fsynced temp file renamed into place). Returns false with `*error` set
+/// on I/O failure; `*file_bytes` (optional) receives the file size.
 bool WritePlanFile(const CompiledPlan& plan, const PlanStamp& stamp,
-                   const std::string& path, std::string* error);
+                   const std::string& path, std::string* error,
+                   uint64_t* file_bytes = nullptr);
 
 /// Reads and fully validates a plan file: magic/version/endian, header
 /// geometry, section table, checksum, meta/section cross-checks and
@@ -168,11 +144,13 @@ bool LoadPlanFile(const std::string& path, CompiledPlan* out,
                   bool* absent = nullptr);
 
 /// Reads `src`, validates it, rewrites its stamp to `new_stamp` (with the
-/// payload checksum recomputed) and writes the result to `dst` (atomic).
-/// Used when ApplyDelta proves a plan's artifacts survive an update
-/// verbatim: the file is carried to the new epoch without re-preparation.
+/// payload checksum recomputed) and writes the result to `dst` like
+/// WritePlanFile. Used when ApplyDelta proves a plan's artifacts survive an
+/// update verbatim: the file is carried to the new epoch without
+/// re-preparation.
 bool RestampPlanFile(const std::string& src, const std::string& dst,
-                     const PlanStamp& new_stamp, std::string* error);
+                     const PlanStamp& new_stamp, std::string* error,
+                     uint64_t* file_bytes = nullptr);
 
 /// Rebuilds a ready-to-serve PreparedQuery from a loaded plan, validating
 /// every id against `g` (query round-trip, answer/candidate node ids, step

@@ -484,7 +484,7 @@ TEST(LintPlanLimitsTest, HeaderAndOtherServiceFilesAreExempt) {
 TEST(LintLimitsEdgeTest, HexAndBinaryLiteralsAreExemptEverywhere) {
   std::string good = ReadFixture("limits_edge_good.cc");
   for (const char* path : {"src/server/fixture.cc", "src/graph/snapshot.cc",
-                           "src/service/plan.cc"}) {
+                           "src/service/plan.cc", "src/common/image.cc"}) {
     std::vector<Violation> v = LintFile(path, good);
     EXPECT_TRUE(v.empty()) << path << ": " << v.front().message;
   }
@@ -498,7 +498,8 @@ TEST(LintLimitsEdgeTest, SuffixedAndSeparatedDecimalsAreCaughtEverywhere) {
   };
   for (const Case& c : {Case{"src/server/fixture.cc", "server-limits"},
                         Case{"src/graph/snapshot.cc", "snapshot-limits"},
-                        Case{"src/service/plan.cc", "plan-limits"}}) {
+                        Case{"src/service/plan.cc", "plan-limits"},
+                        Case{"src/common/image.cc", "image-limits"}}) {
     std::vector<Violation> v = LintFile(c.path, bad);
     ExpectAllRule(v, c.rule);
     EXPECT_EQ(Lines(v), (std::vector<int>{9, 10, 11})) << c.path;

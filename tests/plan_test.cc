@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/image.h"
 #include "gen/figure1.h"
 #include "graph/graph.h"
 #include "graph/snapshot.h"
@@ -442,6 +444,38 @@ TEST(PlanRejectTest, HeaderFieldTamperingIsNamedPrecisely) {
   }
 }
 
+// The checksum is no MAC: a hostile file can carry a valid one, so counts
+// that wrap must still be rejected before any row is read.
+TEST(PlanRejectTest, WrappingPathCountWithValidChecksumIsRejected) {
+  WrittenPlan w = WriteFigure1Plan("wrap");
+  const ImageFormat format{"plan", kPlanMagic, kPlanVersion,
+                           kPlanSectionCount};
+  ImageRegion sec[kPlanSectionCount];
+  std::string error;
+  ASSERT_TRUE(ValidateImage(format, w.bytes.data(), w.bytes.size(), w.path,
+                            sec, &error))
+      << error;
+  // path_count + 1 wraps to 0 rows. The offsets and every later section
+  // are empty, so the first offset would lie past the end of the file.
+  PlanMeta meta;
+  std::memcpy(&meta, sec[kPlanSecMeta].data, sizeof(meta));
+  meta.path_count = UINT64_MAX;
+  meta.step_count = 0;
+  sec[kPlanSecMeta] = ImageRegion(&meta, sizeof(meta));
+  for (uint32_t id = kPlanSecPathRange; id < kPlanSectionCount; ++id) {
+    sec[id] = ImageRegion();
+  }
+  const uint64_t words[kImageFormatWords] = {
+      w.stamp.fingerprint, w.stamp.identity, w.stamp.generation};
+  const std::string victim = TempPath("wrap_victim.plan");
+  ASSERT_TRUE(WriteImage(format, words, sec, victim, nullptr, &error))
+      << error;
+  CompiledPlan out;
+  PlanStamp stamp;
+  EXPECT_FALSE(LoadPlanFile(victim, &out, &stamp, &error));
+  EXPECT_NE(error.find("plan: path offsets"), std::string::npos) << error;
+}
+
 // ---------------------------------------------------------------------------
 // PlanStore lifecycle
 // ---------------------------------------------------------------------------
@@ -820,6 +854,40 @@ TEST(PlanStoreTest, OnUpdateDeletesDroppedAndRestampsCarriedPlans) {
   EXPECT_EQ(
       store.TryLoad(g, old_fp, MatchSemantics::kIsomorphism, 8, vendor_text),
       nullptr);
+}
+
+// The index charges each file the byte count its write reported; that
+// must be the file's size on disk, through saves and restamps alike.
+TEST(PlanStoreTest, IndexedBytesAreTheFileSizes) {
+  Graph g = ReviewGraph();
+  Graph next;
+  UpdateResult r;
+  ASSERT_TRUE(g.ApplyUpdate(DisjointBatch(g), &next, &r)) << r.error;
+  const std::string dir = FreshDir("indexed_bytes");
+  auto on_disk = [&dir] {
+    uint64_t total = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      total += e.file_size();
+    }
+    return total;
+  };
+  PlanStore store(dir);
+  std::string body;
+  for (const char* text : {kReviewQuery, kVendorQuery}) {
+    Query q = MustParse(text, g);
+    std::string canonical = WriteQuery(q, g);
+    store.SaveAsync(Prepare(g, q, MatchSemantics::kIsomorphism, 8), canonical,
+                    8, StampOf(g));
+    body = PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
+  }
+  store.Flush();
+  ASSERT_EQ(store.file_count(), 2u);
+  EXPECT_EQ(store.stored_bytes(), on_disk());
+
+  store.OnUpdate(GraphFingerprint(g), StampOf(next), {}, {body});
+  store.Flush();
+  EXPECT_EQ(store.counters().writes, 3u);
+  EXPECT_EQ(store.stored_bytes(), on_disk());
 }
 
 // Runs TryLoad probes from several threads against writer-thread save and

@@ -349,6 +349,34 @@ TEST_F(SnapshotRejectTest, TruncatedImage) {
                  "too small");
 }
 
+TEST_F(SnapshotRejectTest, EveryTruncationFailsToLoad) {
+  std::string victim = TempPath("truncate_victim.snap");
+  for (size_t len = 0; len < image_.size(); ++len) {
+    WriteAll(victim, image_.substr(0, len));
+    std::string err;
+    EXPECT_EQ(GraphSnapshot::Load(victim, &err), nullptr)
+        << "prefix of " << len << " bytes loaded";
+  }
+}
+
+TEST_F(SnapshotRejectTest, EveryByteFlipFailsOrKeepsTheFingerprint) {
+  // A flip either fails validation or lands in inter-section padding,
+  // which the checksum does not cover; then the loaded graph must be the
+  // original one. A flip that loads a different graph would be a
+  // checksum coverage hole.
+  const uint64_t fp = GraphFingerprint(MakeFigure1().graph);
+  std::string victim = TempPath("flip_victim.snap");
+  for (size_t i = 0; i < image_.size(); ++i) {
+    std::string mutated = image_;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
+    WriteAll(victim, mutated);
+    std::string err;
+    std::unique_ptr<GraphSnapshot> snap = GraphSnapshot::Load(victim, &err);
+    if (snap == nullptr) continue;
+    EXPECT_EQ(GraphFingerprint(snap->graph()), fp) << "flip at byte " << i;
+  }
+}
+
 TEST_F(SnapshotRejectTest, CorruptPayloadByte) {
   // Flip the first byte of the first section's payload (trailing padding
   // is NOT covered by the checksum, so the mutation must land inside a

@@ -7,18 +7,19 @@
 #      usage comment at the top of that file AND in README.md;
 #   3. every --flag the CLI parses appears in README.md (and vice versa:
 #      every --flag README claims must be parsed by the CLI);
-#   4. docs/SNAPSHOT_FORMAT.md stays honest: every `Struct.field` row of
-#      its field-index appendix and every kSnapshot* constant it cites
-#      must literally exist in src/graph/snapshot.h (the header is the
-#      format's single source of truth — renames must update the spec);
+#   4. the on-disk format docs stay honest: every `Struct.field` row of
+#      a field-index appendix and every k-constant of the format's prefix
+#      it cites must literally exist in the header that declares it —
+#      docs/IMAGE_FORMAT.md against src/common/image.h (kImage*, kFnv*),
+#      docs/SNAPSHOT_FORMAT.md against src/graph/snapshot.h (kSnapshot*),
+#      docs/PLAN_FORMAT.md against src/service/plan.h (kPlan*); the header
+#      is each format's single source of truth, so renames must update
+#      the spec;
 #   5. the update-batch text format stays honest: every op mnemonic the
 #      parser in src/graph/graph_io.cc accepts must be documented in the
 #      graph_io.h grammar comment AND in README.md, and vice versa — a
 #      mnemonic README documents must be parsed;
-#   6. docs/PLAN_FORMAT.md stays honest: every `Struct.field` row of its
-#      field-index appendix and every kPlan* constant it cites must
-#      literally exist in src/service/plan.h (same contract as 4);
-#   7. every whyq-lint rule name emitted by tools/lint/lint.cc is
+#   6. every whyq-lint rule name emitted by tools/lint/lint.cc is
 #      documented in docs/ARCHITECTURE.md — a new rule must land with its
 #      rationale, or the docs job fails.
 # Pure grep/sed — no dependencies beyond POSIX sh.
@@ -83,10 +84,13 @@ for flag in $readme_flags; do
     err "README.md documents '$flag' but $cli does not parse it"
 done
 
-# --- 4. SNAPSHOT_FORMAT.md <-> snapshot.h ---------------------------------
-spec=docs/SNAPSHOT_FORMAT.md
-hdr=src/graph/snapshot.h
-if [ -f "$spec" ] && [ -f "$hdr" ]; then
+# --- 4. format docs <-> format headers -------------------------------------
+check_spec() {  # spec header constant-regex
+  spec=$1 hdr=$2
+  if [ ! -f "$spec" ] || [ ! -f "$hdr" ]; then
+    err "missing $spec or $hdr"
+    return
+  fi
   fields=$(sed -n '/^## Appendix: field index/,$p' "$spec" |
            grep -o '`[A-Za-z]*\.[a-z_]*`' | tr -d '\140' | sort -u)
   [ -n "$fields" ] ||
@@ -99,13 +103,13 @@ if [ -f "$spec" ] && [ -f "$hdr" ]; then
     grep -qw "$field" "$hdr" ||
       err "$spec: field '$f' — '$field' does not appear in $hdr"
   done
-  for c in $(grep -o 'kSnapshot[A-Za-z]*' "$spec" | sort -u); do
-    grep -qw "$c" "$hdr" ||
-      err "$spec: constant '$c' does not exist in $hdr"
+  for c in $(grep -oE "$3" "$spec" | sort -u); do
+    grep -qw "$c" "$hdr" || err "$spec: constant '$c' does not exist in $hdr"
   done
-else
-  err "missing $spec or $hdr"
-fi
+}
+check_spec docs/IMAGE_FORMAT.md src/common/image.h 'k(Image|Fnv)[A-Za-z]*'
+check_spec docs/SNAPSHOT_FORMAT.md src/graph/snapshot.h 'kSnapshot[A-Za-z]*'
+check_spec docs/PLAN_FORMAT.md src/service/plan.h 'kPlan[A-Za-z]*'
 
 # --- 5. update-batch mnemonics <-> docs -----------------------------------
 io_cc=src/graph/graph_io.cc
@@ -125,31 +129,7 @@ for op in $(grep -o '^[A-Z][A-Z] ' README.md | tr -d ' ' | sort -u); do
     err "README.md documents update op '$op' but $io_cc does not parse it"
 done
 
-# --- 6. PLAN_FORMAT.md <-> plan.h -----------------------------------------
-pspec=docs/PLAN_FORMAT.md
-phdr=src/service/plan.h
-if [ -f "$pspec" ] && [ -f "$phdr" ]; then
-  pfields=$(sed -n '/^## Appendix: field index/,$p' "$pspec" |
-            grep -o '`[A-Za-z]*\.[a-z_]*`' | tr -d '\140' | sort -u)
-  [ -n "$pfields" ] ||
-    err "$pspec: no Struct.field entries found in the field-index appendix"
-  for f in $pfields; do
-    struct=${f%%.*}
-    field=${f#*.}
-    grep -q "struct $struct" "$phdr" ||
-      err "$pspec: struct '$struct' does not exist in $phdr"
-    grep -qw "$field" "$phdr" ||
-      err "$pspec: field '$f' — '$field' does not appear in $phdr"
-  done
-  for c in $(grep -o 'kPlan[A-Za-z]*' "$pspec" | sort -u); do
-    grep -qw "$c" "$phdr" ||
-      err "$pspec: constant '$c' does not exist in $phdr"
-  done
-else
-  err "missing $pspec or $phdr"
-fi
-
-# --- 7. whyq-lint rules <-> ARCHITECTURE.md -------------------------------
+# --- 6. whyq-lint rules <-> ARCHITECTURE.md -------------------------------
 lint_h=tools/lint/lint.h
 lint_cc=tools/lint/lint.cc
 arch=docs/ARCHITECTURE.md
@@ -170,6 +150,6 @@ for r in $(grep -o '"[a-z][a-z]*-[a-z-]*"' "$lint_cc" | tr -d '"' | sort -u); do
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "check_docs: OK (links, subcommands, flags, snapshot spec, update ops, plan spec, lint rules in sync)"
+  echo "check_docs: OK (links, subcommands, flags, format specs, update ops, lint rules in sync)"
 fi
 exit "$fail"

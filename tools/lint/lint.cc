@@ -327,10 +327,29 @@ void CheckOutputChannel(const std::string& path, const std::string& stripped,
 /// capacity knobs.
 constexpr unsigned long long kLimitLiteralThreshold = 64;
 
-/// Flags every decimal integer literal >= kLimitLiteralThreshold under
-/// `rule`; `where` completes the message ("integer literal N <where>").
+/// One pigeonhole: every decimal integer literal >= kLimitLiteralThreshold
+/// in a file under `prefix` belongs in `header`, the one file of the layer
+/// exempt from the rule.
+struct LimitsRule {
+  const char* prefix;
+  const char* header;
+  const char* rule;
+  const char* message;  // what `header` holds
+};
+
+const LimitsRule kLimitsRules[] = {
+    {"src/server/", "src/server/limits.h", "server-limits",
+     "every hard limit of the daemon, with a provenance comment"},
+    {"src/graph/snapshot.", "src/graph/snapshot.h", "snapshot-limits",
+     "every snapshot format constant (docs/SNAPSHOT_FORMAT.md)"},
+    {"src/service/plan.", "src/service/plan.h", "plan-limits",
+     "every plan format constant and store default (docs/PLAN_FORMAT.md)"},
+    {"src/common/image.", "src/common/image.h", "image-limits",
+     "every image container constant (docs/IMAGE_FORMAT.md)"},
+};
+
 void CheckLimitLiterals(const std::string& path, const std::string& stripped,
-                        const char* rule, const std::string& where,
+                        const LimitsRule& limits,
                         std::vector<Violation>* out) {
   auto digit = [](char c) {
     return std::isdigit(static_cast<unsigned char>(c)) != 0;
@@ -380,28 +399,13 @@ void CheckLimitLiterals(const std::string& path, const std::string& stripped,
     while (j < stripped.size() && IsIdentChar(stripped[j])) ++j;
     i = j;
     if (value >= kLimitLiteralThreshold) {
-      out->push_back({path, LineOfOffset(stripped, literal_at), rule,
-                      "integer literal " + digits + " " + where});
+      out->push_back({path, LineOfOffset(stripped, literal_at), limits.rule,
+                      "integer literal " + digits + " outside " +
+                          limits.header + ", which holds " + limits.message +
+                          " (hex bit-mask literals are exempt)"});
     }
   }
 }
-
-const char kServerLimitsWhere[] =
-    "in src/server/ outside limits.h — every hard limit of the daemon "
-    "lives in src/server/limits.h with a provenance comment (hex "
-    "bit-mask literals are exempt)";
-
-const char kSnapshotLimitsWhere[] =
-    "in the snapshot layer outside snapshot.h — every constant of the "
-    "on-disk format (alignment, section count, hash parameters) lives "
-    "in src/graph/snapshot.h, the header docs/SNAPSHOT_FORMAT.md is "
-    "checked against (hex bit-mask literals are exempt)";
-
-const char kPlanLimitsWhere[] =
-    "in the plan layer outside plan.h — every constant of the on-disk "
-    "compiled-plan format (alignment, section count, size caps, store "
-    "budget) lives in src/service/plan.h, the header docs/PLAN_FORMAT.md "
-    "is checked against (hex bit-mask literals are exempt)";
 
 // ---------------------------------------------------------------------------
 // Rule: graph-mutation
@@ -1042,17 +1046,10 @@ std::vector<Violation> LintFile(const std::string& path,
   if (in_src && !graph_core) {
     CheckGraphMutation(path, stripped, &out);
   }
-  if (StartsWith(path, "src/server/") && path != "src/server/limits.h") {
-    CheckLimitLiterals(path, stripped, "server-limits", kServerLimitsWhere,
-                       &out);
-  }
-  if (StartsWith(path, "src/graph/snapshot.") &&
-      path != "src/graph/snapshot.h") {
-    CheckLimitLiterals(path, stripped, "snapshot-limits",
-                       kSnapshotLimitsWhere, &out);
-  }
-  if (StartsWith(path, "src/service/plan.") && path != "src/service/plan.h") {
-    CheckLimitLiterals(path, stripped, "plan-limits", kPlanLimitsWhere, &out);
+  for (const LimitsRule& limits : kLimitsRules) {
+    if (StartsWith(path, limits.prefix) && path != limits.header) {
+      CheckLimitLiterals(path, stripped, limits, &out);
+    }
   }
   if (is_header && (in_src || StartsWith(path, "tools/"))) {
     CheckHeaderGuard(path, stripped, &out);

@@ -30,22 +30,16 @@
 //                    WHYQ_<PATH>_H_ include guard (the companion
 //                    one-TU-per-header compile check proves
 //                    self-containment at build time).
-//   server-limits    no decimal integer literal >= 64 under src/server/
-//                    outside limits.h — every hard limit of the daemon
-//                    (byte caps, connection caps, timeouts) lives in the
-//                    centralized limits header with a provenance comment.
+//   server-limits    one table-driven pigeonhole rule (kLimitsRules): no
+//   snapshot-limits  decimal integer literal >= 64 in a layer outside the
+//   plan-limits      one header that holds its limits. src/server/ ->
+//   image-limits     limits.h (every hard limit of the daemon, with a
+//                    provenance comment); src/graph/snapshot.* ->
+//                    snapshot.h, src/service/plan.* -> plan.h and
+//                    src/common/image.* -> image.h (the on-disk format
+//                    constants their docs/*_FORMAT.md is checked against).
 //                    Hex/binary literals are exempt (bit masks and UTF-8
 //                    thresholds, not capacity knobs).
-//   snapshot-limits  the same pigeonhole for the on-disk snapshot format:
-//                    no decimal integer literal >= 64 in the snapshot
-//                    layer outside src/graph/snapshot.h — alignment,
-//                    section counts, and hash parameters live in the one
-//                    header docs/SNAPSHOT_FORMAT.md is checked against.
-//   plan-limits      the same pigeonhole for the on-disk compiled-plan
-//                    format: no decimal integer literal >= 64 in the plan
-//                    layer outside src/service/plan.h — alignment, section
-//                    counts, size caps, and the store byte budget live in
-//                    the one header docs/PLAN_FORMAT.md is checked against.
 //   epoch-pin        (flow-sensitive) a borrowed graph view — the result
 //                    of LabeledOutNeighbors / LabeledInNeighbors /
 //                    NodesWithLabel / LabeledSlice — must not be stored

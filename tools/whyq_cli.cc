@@ -105,6 +105,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/image.h"
 #include "gen/figure1.h"
 #include "graph/snapshot.h"
 #include "server/server.h"
@@ -825,10 +826,13 @@ int CmdServeBatch(const Options& o) {
   StatsSnapshot snap = service.Stats();
   std::printf("\n%s\n", snap.ToString().c_str());
   if (!o.stats_json.empty()) {
-    std::ofstream js(o.stats_json);
-    if (!js) return Fail("cannot write " + o.stats_json);
-    js << snap.ToJson() << "\n";
-    if (!js) return Fail("cannot write " + o.stats_json);
+    const std::string json = snap.ToJson() + "\n";
+    const ImageRegion chunk = ImageRegion::Of(json);
+    std::string error;
+    if (!PublishFile(o.stats_json, {&chunk, 1}, /*durable=*/false, "stats",
+                     nullptr, &error)) {
+      return Fail(error);
+    }
     std::printf("stats json written to %s\n", o.stats_json.c_str());
   }
   return rc;
