@@ -1,6 +1,7 @@
 #include "common/image.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -60,6 +61,29 @@ size_t AlignUp(size_t n) {
 
 bool Fail(std::string* error, const char* what, const std::string& msg) {
   return ImageFail(error, std::string(what) + ": " + msg);
+}
+
+// Opens `tmp` and locks it exclusively, so publishers of one path (threads,
+// or processes sharing a directory) take turns; opens afresh when the file
+// it waited on was renamed away meanwhile. Invalid on error.
+UniqueFd LockedTemp(const std::string& tmp) {
+  for (;;) {
+    UniqueFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC,
+                       DEFFILEMODE));
+    if (!fd.valid()) return fd;
+    int rc;
+    do {
+      rc = ::flock(fd.get(), LOCK_EX);
+    } while (rc != 0 && errno == EINTR);
+    struct stat held{};
+    struct stat named{};
+    if (rc != 0 || ::fstat(fd.get(), &held) != 0) return UniqueFd();
+    if (::stat(tmp.c_str(), &named) != 0) {
+      if (errno != ENOENT) return UniqueFd();
+    } else if (named.st_dev == held.st_dev && named.st_ino == held.st_ino) {
+      return fd;
+    }
+  }
 }
 
 }  // namespace
@@ -186,13 +210,13 @@ bool PublishFile(const std::string& path, std::span<const ImageRegion> chunks,
                  bool durable, const char* what, uint64_t* bytes,
                  std::string* error) {
   const std::string tmp = path + ".tmp";
+  UniqueFd fd = LockedTemp(tmp);
+  if (!fd.valid()) return Fail(error, what, "cannot open " + tmp);
   auto fail = [&](const std::string& msg) {
     ::unlink(tmp.c_str());
     return Fail(error, what, msg);
   };
-  UniqueFd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                     DEFFILEMODE));
-  if (!fd.valid()) return fail("cannot open " + tmp);
+  if (::ftruncate(fd.get(), 0) != 0) return fail("cannot truncate " + tmp);
   uint64_t written = 0;
   for (const ImageRegion& c : chunks) {
     for (size_t done = 0; done < c.bytes;) {
@@ -204,7 +228,8 @@ bool PublishFile(const std::string& path, std::span<const ImageRegion> chunks,
     written += c.bytes;
   }
   if (durable && ::fsync(fd.get()) != 0) return fail("cannot sync " + tmp);
-  if (::close(fd.Release()) != 0) return fail("cannot close " + tmp);
+  // Renamed while still locked, so a waiting publisher finds the name
+  // gone and opens a fresh file.
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return fail("cannot rename into " + path);
   }

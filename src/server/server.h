@@ -28,8 +28,8 @@ struct ServerConfig {
   double drain_deadline_ms = kDrainDeadlineMs;
 
   /// Periodic stats dump: every stats_period_ms the full stats JSON is
-  /// written to stats_json_path via tmp+rename (readers never observe a
-  /// partial file). Empty path disables the dump.
+  /// written to stats_json_path by PublishFile, not fsynced (readers never
+  /// observe a partial file). Empty path disables the dump.
   std::string stats_json_path;
   double stats_period_ms = kStatsPeriodMs;
 

@@ -22,13 +22,14 @@
 // Persistent compiled query plans: everything PrepareQuery produces for one
 // (query, semantics, max_paths) triple — the canonical query text, the
 // answer set Q(u_o, G), the output-candidate set, the sampled PathIndex and
-// the SymbolFootprint — serialized into one relocatable on-disk artifact,
-// stamped with the source graph's fingerprint and identity@generation. The
-// full byte-level contract lives in docs/PLAN_FORMAT.md; this header is the
-// single source of truth for every constant of the format (whyq-lint rule
-// "plan-limits" forbids numeric limits anywhere else in the plan layer),
-// and the struct declarations below are what the documentation's field
-// tables are checked against (tools/check_docs.sh).
+// the SymbolFootprint — serialized into one relocatable common/image.h
+// image, stamped with the source graph's fingerprint and
+// identity@generation. The full byte-level contract lives in
+// docs/PLAN_FORMAT.md; this header is the single source of truth for every
+// constant of the format (whyq-lint rule "plan-limits" forbids numeric
+// limits anywhere else in the plan layer), and the struct declarations
+// below are what the documentation's field tables are checked against
+// (tools/check_docs.sh).
 
 namespace whyq {
 

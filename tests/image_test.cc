@@ -11,12 +11,15 @@
 #include <signal.h>
 #include <sys/resource.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/image.h"
 #include "gen/figure1.h"
@@ -66,6 +69,9 @@ class FileSizeLimit {
   bool ok_ = false;
 };
 
+// The file-size cap of the short-write tests; every artifact is larger.
+constexpr rlim_t kCapBytes = 100;
+
 // One writer under test: publishes its artifact at `path`, returning
 // whether it reports success (the stats dump reports nothing: true).
 struct Writer {
@@ -114,7 +120,7 @@ TEST(ImagePublishTest, EveryWriterPublishesAWholeFile) {
     fs::remove_all(path);
     std::string error;
     ASSERT_TRUE(w.write(path, &error)) << w.name << ": " << error;
-    EXPECT_GT(fs::file_size(path), 100u) << w.name;
+    EXPECT_GT(fs::file_size(path), kCapBytes) << w.name;
     EXPECT_FALSE(fs::exists(path + ".tmp")) << w.name;
   }
 }
@@ -128,7 +134,7 @@ TEST(ImagePublishTest, ShortWriteFailsAndKeepsTheOldFile) {
     std::string error;
     bool wrote = false;
     {
-      FileSizeLimit limit(100);
+      FileSizeLimit limit(kCapBytes);
       ASSERT_TRUE(limit.ok()) << w.name;
       wrote = w.write(path, &error);
     }
@@ -158,6 +164,29 @@ TEST(ImagePublishTest, FailedRenameFailsAndKeepsTheOldTarget) {
     EXPECT_FALSE(fs::exists(path + ".tmp")) << w.name;
     EXPECT_TRUE(fs::is_directory(path)) << w.name;
   }
+}
+
+// Publishers of one path take turns on the locked temp file: every write
+// succeeds and the survivor is a whole image.
+TEST(ImagePublishTest, ConcurrentPublishersOfOnePathTakeTurns) {
+  const Figure1 f = MakeFigure1();
+  const std::string path = TempPath("concurrent");
+  fs::remove_all(path);
+  std::atomic<int> failed{0};
+  std::vector<std::thread> publishers;
+  for (int t = 0; t < 4; ++t) {
+    publishers.emplace_back([&] {
+      for (int i = 0; i < 25; ++i) {
+        std::string error;
+        if (!GraphSnapshot::Write(f.graph, path, &error)) failed++;
+      }
+    });
+  }
+  for (std::thread& t : publishers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  std::string error;
+  EXPECT_NE(GraphSnapshot::Load(path, &error), nullptr) << error;
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 // The stats dumps' own call: not synced, same failure contract.
