@@ -164,10 +164,10 @@ BENCHMARK(BM_PathIndexTest);
 // Q ⊕ O of a single Why question's query — exactly what ExactWhy's
 // evaluator does per maximal bounded set: a capped guard count plus a
 // batched answer test per rewrite. Refinement operators (AddE/AddL/RfL)
-// exercise the delta path: each rewrite's literal set only tightens the
-// base query's, so the context filters the memoized parent bitmap instead
-// of rescanning the label bucket. The ContextFree/Context pair isolates
-// what that plus O(1) bitmap probes buy.
+// edit one literal each, so the context ANDs the memoized bitmaps of the
+// untouched literals with at most one new literal bitmap instead of
+// re-evaluating every literal over the label bucket. The
+// ContextFree/Context pair isolates what that plus O(1) bitmap probes buy.
 
 struct MbsFixture {
   Graph g;
@@ -283,6 +283,54 @@ void BM_MbsVerificationContext(benchmark::State& state) {
   state.counters["ctx_pruned"] = static_cast<double>(s.ctx_pruned);
 }
 BENCHMARK(BM_MbsVerificationContext);
+
+// RxL variants of the fixture query's nodes: each loosens one literal's
+// constant, so none is a refinement of anything memoized.
+std::vector<QueryNode> RelaxedVariants(const MbsFixture& f) {
+  std::vector<NodeId> missing;
+  NodeSpan bucket = f.g.NodesWithLabel(f.query.node(f.query.output()).label);
+  for (size_t i = 0; i < bucket.size() && missing.size() < 4; ++i) {
+    if (std::find(f.answers.begin(), f.answers.end(), bucket[i]) ==
+        f.answers.end()) {
+      missing.push_back(bucket[i]);
+    }
+  }
+  std::vector<QueryNode> out;
+  for (const EditOp& op : GenPickyWhyNot(f.g, f.query, missing, {})) {
+    if (op.kind != OpKind::kRxL) continue;
+    out.push_back(ApplyOperators(f.query, {op}).node(op.u));
+  }
+  return out;
+}
+
+// A warmed context (every node of the query memoized) looking up the RxL
+// variants: each is a candidate-memo miss, the shape of a why-not guard
+// check or relaxed verification.
+void BM_ContextRelaxedMiss(benchmark::State& state) {
+  const MbsFixture& f = SharedMbsFixture();
+  static const std::vector<QueryNode>* variants =
+      new std::vector<QueryNode>(RelaxedVariants(f));
+  if (!f.ok || variants->empty()) {
+    state.SkipWithError("no fixture");
+    return;
+  }
+  MatchContext::Stats s;
+  for (auto _ : state) {
+    state.PauseTiming();
+    MatchContext ctx(f.g);
+    ctx.Prime(f.query);
+    ctx.ResetStats();
+    state.ResumeTiming();
+    for (const QueryNode& qn : *variants) {
+      benchmark::DoNotOptimize(ctx.Lookup(qn).size());
+    }
+    s = ctx.stats();
+  }
+  state.counters["variants"] = static_cast<double>(variants->size());
+  state.counters["ctx_misses"] = static_cast<double>(s.misses);
+  state.counters["ctx_delta_builds"] = static_cast<double>(s.delta_builds);
+}
+BENCHMARK(BM_ContextRelaxedMiss);
 
 // --- Cold start: frozen snapshot mmap vs GraphBuilder rebuild -----------
 // The snapshot promise (docs/SNAPSHOT_FORMAT.md) is that re-opening a

@@ -84,7 +84,7 @@ std::string RequestTrace::ToString() const {
      << " greedy-rounds=" << greedy_rounds << "\n";
   os << "ctx: hits=" << ctx_hits << " misses=" << ctx_misses
      << " delta-builds=" << ctx_delta_builds << " pruned=" << ctx_pruned
-     << "\n";
+     << " literal-scans=" << ctx_literal_scans << "\n";
   return os.str();
 }
 

@@ -20,6 +20,14 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+// Sends small writes at once instead of holding them until the peer ACKs
+// the previous segment, which a delayed ACK puts off by up to 40 ms: each
+// side of the wire protocol writes one short line and then waits.
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void UniqueFd::Reset(int fd) {
@@ -61,6 +69,12 @@ UniqueFd ListenTcp(uint16_t port, int backlog, std::string* error) {
   return fd;
 }
 
+UniqueFd AcceptTcp(int listen_fd) {
+  UniqueFd fd(::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK));
+  if (fd.valid()) SetNoDelay(fd.get());
+  return fd;
+}
+
 uint16_t LocalPort(int fd) {
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
@@ -85,6 +99,7 @@ UniqueFd ConnectTcp(uint16_t port, std::string* error) {
     if (error != nullptr) *error = Errno("connect");
     return {};
   }
+  SetNoDelay(fd.get());
   return fd;
 }
 

@@ -49,10 +49,16 @@ bool SetNonBlocking(int fd);
 /// with LocalPort(). Returns an invalid fd and sets `error` on failure.
 UniqueFd ListenTcp(uint16_t port, int backlog, std::string* error);
 
+/// Accepts one pending connection on the listener `listen_fd`, readied for
+/// an event loop: non-blocking, with TCP_NODELAY. Returns an invalid fd
+/// when nothing is pending (or accept fails).
+UniqueFd AcceptTcp(int listen_fd);
+
 /// The locally bound port of a socket (0 on error).
 uint16_t LocalPort(int fd);
 
-/// Blocking TCP connect to 127.0.0.1:`port` (test/bench client side).
+/// Blocking TCP connect to 127.0.0.1:`port` (test/bench client side), with
+/// TCP_NODELAY.
 UniqueFd ConnectTcp(uint16_t port, std::string* error);
 
 /// Self-pipe wakeup channel: worker threads Notify() to make the event

@@ -51,10 +51,12 @@
 /// ctx_pruned counts isomorphism matching only).
 #define WHYQ_CTX_COUNTERS(X)                                                  \
   X(hits, "ctx_hits", "memoized candidate-set lookups served")                \
-  X(misses, "ctx_misses", "sets built by scanning a label bucket")            \
+  X(misses, "ctx_misses", "sets whose build scanned a label bucket")          \
   X(delta_builds, "ctx_delta_builds",                                         \
-    "sets built by filtering a cached parent")                                \
-  X(pruned, "ctx_pruned", "match attempts skipped via bitmaps")
+    "sets built from memoized literal bitmaps alone")                         \
+  X(pruned, "ctx_pruned", "match attempts skipped via bitmaps")               \
+  X(literal_scans, "ctx_literal_scans",                                       \
+    "literal bitmaps built, one label-bucket scan each")
 
 /// Service counters (StatsSnapshot, JSON "counters"). received, rejected,
 /// shutdown and bad_requests are lock-free Counters in ServiceStats; the

@@ -35,34 +35,15 @@ std::optional<int> Value::Compare(const Value& other) const {
     int c = as_string().compare(other.as_string());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
-  // Integer-integer compares exactly; anything involving a double compares
-  // on the double axis.
   if (is_int() && other.is_int()) {
-    int64_t a = as_int();
-    int64_t b = other.as_int();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return CompareNumeric(as_int(), other.as_int());
   }
-  double a = numeric();
-  double b = other.numeric();
-  return a < b ? -1 : (a > b ? 1 : 0);
+  return CompareNumeric(numeric(), other.numeric());
 }
 
 bool Value::Satisfies(CompareOp op, const Value& constant) const {
   std::optional<int> cmp = Compare(constant);
-  if (!cmp.has_value()) return false;
-  switch (op) {
-    case CompareOp::kLt:
-      return *cmp < 0;
-    case CompareOp::kLe:
-      return *cmp <= 0;
-    case CompareOp::kEq:
-      return *cmp == 0;
-    case CompareOp::kGe:
-      return *cmp >= 0;
-    case CompareOp::kGt:
-      return *cmp > 0;
-  }
-  return false;
+  return cmp.has_value() && CompareHolds(op, *cmp);
 }
 
 bool Value::operator==(const Value& other) const {

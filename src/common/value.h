@@ -25,6 +25,30 @@ bool IsUpperBound(CompareOp op);
 /// True for `>` and `>=`: the literal imposes a lower bar on the attribute.
 bool IsLowerBound(CompareOp op);
 
+/// The numeric order behind Value::Compare, as a three-way result. An
+/// int-int pair compares exactly; a pair involving a double compares on the
+/// double axis (the int promoted), where a NaN is neither below nor above
+/// anything and so compares as 0.
+inline int CompareNumeric(int64_t a, int64_t b) { return (a > b) - (a < b); }
+inline int CompareNumeric(double a, double b) { return (a > b) - (a < b); }
+
+/// True iff a three-way comparison result `cmp` satisfies `op`.
+inline bool CompareHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+  }
+  return false;
+}
+
 /// A typed attribute value. Multi-attributed graphs carry heterogeneous
 /// attribute tuples per node; a value is an integer, a double, or a string.
 /// Numeric kinds compare with each other; strings compare lexicographically

@@ -12,13 +12,14 @@ namespace {
 // label+literal checks; measured crossover is a few thousand nodes.
 constexpr size_t kParallelBucketCutoff = 4096;
 
-}  // namespace
-
+// True iff v carries the literal's attribute and the comparison holds.
 bool SatisfiesLiteral(const Graph& g, NodeId v, const Literal& l) {
   const Value* val = g.GetAttr(v, l.attr);
   if (val == nullptr) return false;
   return val->Satisfies(l.op, l.constant);
 }
+
+}  // namespace
 
 bool IsCandidate(const Graph& g, NodeId v, const QueryNode& qn) {
   if (g.label(v) != qn.label) return false;

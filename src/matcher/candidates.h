@@ -12,10 +12,6 @@ namespace whyq {
 /// same label, and for every literal u.A op c, v carries A and v.A op c.
 bool IsCandidate(const Graph& g, NodeId v, const QueryNode& qn);
 
-/// True iff v satisfies one specific literal (carries the attribute and the
-/// comparison holds).
-bool SatisfiesLiteral(const Graph& g, NodeId v, const Literal& l);
-
 /// All candidates of query node u in g (via the label index).
 std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u);
 

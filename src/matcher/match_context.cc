@@ -7,8 +7,6 @@
 #include <new>
 #include <utility>
 
-#include "matcher/candidates.h"
-
 namespace whyq {
 
 namespace {
@@ -43,13 +41,15 @@ uint64_t ValueHash(const Value& v) {
   return Mix(std::hash<std::string>{}(v.as_string()) ^ 0x2);
 }
 
+uint64_t LiteralHash(const Literal& l) {
+  return Mix(ValueHash(l.constant) ^
+             (uint64_t{l.attr} << 8 | static_cast<uint64_t>(l.op)));
+}
+
 // Order-independent: the label's hash plus the sum of the literal hashes.
 uint64_t ConstraintHash(const QueryNode& qn) {
   uint64_t h = Mix(qn.label);
-  for (const Literal& l : qn.literals) {
-    h += Mix(ValueHash(l.constant) ^
-             (uint64_t{l.attr} << 8 | static_cast<uint64_t>(l.op)));
-  }
+  for (const Literal& l : qn.literals) h += LiteralHash(l);
   return h;
 }
 
@@ -74,22 +74,92 @@ bool SameMultiset(const std::vector<Literal>& sorted,
   return true;
 }
 
+// Sets bit v - 64 * lo of `bits` for every bucket node v that carries
+// `attr` with a value `holds` accepts.
+template <typename Pred>
+void ScanBucket(const Graph& g, NodeSpan bucket, SymbolId attr, size_t lo,
+                uint64_t* bits, Pred holds) {
+  for (NodeId v : bucket) {
+    const Value* x = g.GetAttr(v, attr);
+    if (x != nullptr && holds(*x)) {
+      bits[(v >> 6) - lo] |= uint64_t{1} << (v & 63);
+    }
+  }
+}
+
+// The bucket nodes satisfying `l`, with IsCandidate's per-literal verdicts
+// (Value::Satisfies on the node's value). A numeric constant resolves its
+// kind once, so each node costs a typed CompareNumeric instead of a
+// Value::Compare.
+void ScanLiteral(const Graph& g, NodeSpan bucket, const Literal& l,
+                 size_t lo, uint64_t* bits) {
+  const CompareOp op = l.op;
+  if (l.constant.is_int()) {
+    const int64_t c = l.constant.as_int();
+    const double cd = static_cast<double>(c);
+    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
+      if (x.is_int()) return CompareHolds(op, CompareNumeric(x.as_int(), c));
+      return x.is_double() &&
+             CompareHolds(op, CompareNumeric(x.as_double(), cd));
+    });
+  } else if (l.constant.is_double()) {
+    const double c = l.constant.as_double();
+    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
+      if (x.is_double()) {
+        return CompareHolds(op, CompareNumeric(x.as_double(), c));
+      }
+      return x.is_int() &&
+             CompareHolds(op, CompareNumeric(x.numeric(), c));
+    });
+  } else {
+    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
+      return x.Satisfies(op, l.constant);
+    });
+  }
+}
+
 }  // namespace
 
 MatchContext::MatchContext(const Graph& g)
     : g_(g), words_((g.node_count() + 63) / 64) {}
 
-const MatchContext::CandidateSet* MatchContext::Freeze(
-    const std::vector<NodeId>& nodes) {
-  NodeId* list = arena_.AllocateArray<NodeId>(nodes.size());
-  std::copy(nodes.begin(), nodes.end(), list);
+const MatchContext::CandidateSet* MatchContext::Freeze(const uint64_t* bits,
+                                                       size_t lo,
+                                                       size_t span) {
+  scratch_.clear();
+  for (size_t w = lo; w < lo + span; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      scratch_.push_back(static_cast<NodeId>(w * 64 + __builtin_ctzll(word)));
+    }
+  }
+  NodeId* list = arena_.AllocateArray<NodeId>(scratch_.size());
+  std::copy(scratch_.begin(), scratch_.end(), list);
+  void* slot = arena_.Allocate(sizeof(CandidateSet), alignof(CandidateSet));
+  return new (slot) CandidateSet{list, scratch_.size(), bits};
+}
+
+uint64_t* MatchContext::ZeroedBitmap() {
   uint64_t* bits = arena_.AllocateArray<uint64_t>(words_);
   std::fill_n(bits, words_, 0);
-  for (NodeId v : nodes) {
-    bits[v >> 6] |= uint64_t{1} << (v & 63);
+  return bits;
+}
+
+const uint64_t* MatchContext::LiteralBitmap(SymbolId label, const Literal& l,
+                                            NodeSpan bucket, size_t lo,
+                                            size_t span) {
+  uint64_t hash = Mix(label) + LiteralHash(l);
+  auto [it, end] = literal_index_.equal_range(hash);
+  for (; it != end; ++it) {
+    const LiteralEntry& e = literals_[it->second];
+    if (e.label == label && e.lit == l) return e.bits;
   }
-  void* slot = arena_.Allocate(sizeof(CandidateSet), alignof(CandidateSet));
-  return new (slot) CandidateSet{list, nodes.size(), bits};
+  ++stats_.literal_scans;
+  uint64_t* bits = arena_.AllocateArray<uint64_t>(span);
+  std::fill_n(bits, span, 0);
+  ScanLiteral(g_, bucket, l, lo, bits);
+  literal_index_.emplace(hash, literals_.size());
+  literals_.push_back(LiteralEntry{label, l, bits});
+  return bits;
 }
 
 const MatchContext::Entry* MatchContext::Find(const QueryNode& qn,
@@ -114,52 +184,32 @@ const MatchContext::CandidateSet& MatchContext::Lookup(const QueryNode& qn) {
 const MatchContext::CandidateSet& MatchContext::Insert(const QueryNode& qn,
                                                        uint64_t hash) {
   std::vector<Literal> lits = SortedLiterals(qn);
-  scratch_.clear();
-
-  // Delta reuse: the largest cached strict-subset constraint on the same
-  // label (ties: earliest insertion). Its node list already survived the
-  // shared literals, so only the extras need re-checking — this is the
-  // Lemma 1 monotonicity of refinement applied to the cache.
-  const Entry* parent = nullptr;
-  for (const Entry& e : entries_) {
-    if (e.label != qn.label || e.lits.size() >= lits.size()) continue;
-    if (parent != nullptr && e.lits.size() <= parent->lits.size()) continue;
-    if (std::includes(lits.begin(), lits.end(), e.lits.begin(),
-                      e.lits.end(), LiteralLess)) {
-      parent = &e;
-    }
-  }
-
-  if (parent != nullptr) {
-    ++stats_.delta_builds;
-    // Multiset difference over the sorted literals: child literals without
-    // a matching parent literal are the extras to filter with.
-    std::vector<const Literal*> extras;
-    size_t pi = 0;
-    for (const Literal& l : lits) {
-      if (pi < parent->lits.size() && parent->lits[pi] == l) {
-        ++pi;
-        continue;
-      }
-      extras.push_back(&l);
-    }
-    for (NodeId v : *parent->cand) {
-      bool ok = true;
-      for (const Literal* l : extras) {
-        if (!SatisfiesLiteral(g_, v, *l)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) scratch_.push_back(v);
-    }
+  // Every set lies in the label bucket's word span, so only those words
+  // are scanned, ANDed and read back; the rest of the bitmap stays zero.
+  NodeSpan bucket = g_.NodesWithLabel(qn.label);
+  const size_t lo = bucket.empty() ? 0 : bucket[0] >> 6;
+  const size_t span =
+      bucket.empty() ? 0 : (bucket[bucket.size() - 1] >> 6) - lo + 1;
+  uint64_t* bits = ZeroedBitmap();
+  uint64_t* out = bits + lo;
+  const uint64_t scans = stats_.literal_scans;
+  if (lits.empty()) {
+    for (NodeId v : bucket) bits[v >> 6] |= uint64_t{1} << (v & 63);
   } else {
-    ++stats_.misses;
-    for (NodeId v : g_.NodesWithLabel(qn.label)) {
-      if (IsCandidate(g_, v, qn)) scratch_.push_back(v);
+    std::copy_n(LiteralBitmap(qn.label, lits[0], bucket, lo, span), span,
+                out);
+    for (size_t i = 1; i < lits.size(); ++i) {
+      if (lits[i] == lits[i - 1]) continue;  // a repeat changes nothing
+      const uint64_t* b = LiteralBitmap(qn.label, lits[i], bucket, lo, span);
+      for (size_t w = 0; w < span; ++w) out[w] &= b[w];
     }
   }
-  return AddEntry(qn.label, std::move(lits), hash, Freeze(scratch_));
+  if (lits.empty() || stats_.literal_scans != scans) {
+    ++stats_.misses;
+  } else {
+    ++stats_.delta_builds;
+  }
+  return AddEntry(qn.label, std::move(lits), hash, Freeze(bits, lo, span));
 }
 
 const MatchContext::CandidateSet& MatchContext::AddEntry(
@@ -181,7 +231,9 @@ void MatchContext::Seed(const QueryNode& qn,
   uint64_t hash = ConstraintHash(qn);
   if (Find(qn, hash) != nullptr) return;
   ++stats_.misses;  // the full scan happened, just outside the context
-  AddEntry(qn.label, SortedLiterals(qn), hash, Freeze(nodes));
+  uint64_t* bits = ZeroedBitmap();
+  for (NodeId v : nodes) bits[v >> 6] |= uint64_t{1} << (v & 63);
+  AddEntry(qn.label, SortedLiterals(qn), hash, Freeze(bits, 0, words_));
 }
 
 }  // namespace whyq

@@ -21,21 +21,26 @@ namespace whyq {
 /// keys each candidate set by that constraint itself — the label plus the
 /// literal multiset, typed: each literal compares by attribute, operator
 /// and constant (Literal::operator==, ordered by Value::operator<), so
-/// literal order never splits entries and only equal constants share one. Lookup hashes the multiset order-independently and compares it
-/// against the entry's sorted copy without building anything, so a hit
-/// allocates nothing. Each set is materialized once as an ascending NodeId
-/// list plus a bitmap over V. Matching then replaces per-attempt
-/// IsCandidate calls (attr binary search + literal predicates) with one
-/// O(1) bitmap probe, and root enumeration iterates the memoized list
-/// instead of the label bucket.
+/// literal order never splits entries and only equal constants share one.
+/// Lookup hashes the multiset order-independently and compares it against
+/// the entry's sorted copy without building anything, so a hit allocates
+/// nothing. Each set is materialized once as an ascending NodeId list plus
+/// a bitmap over V. Matching then replaces per-attempt IsCandidate calls
+/// (attr binary search + literal predicates) with one O(1) bitmap probe,
+/// and root enumeration iterates the memoized list instead of the label
+/// bucket.
 ///
-/// Refinement deltas: RfL/AddL only shrink cand(u) (Lemma 1), so when a
-/// fresh constraint's literals are a strict superset of a cached entry with
-/// the same label (std::includes over the sorted literals), the new set is
-/// built by filtering that parent's node list with only the extra literals
-/// — never by rescanning the label bucket. Entries are never evicted; a
-/// context lives for one request and the distinct constraints per request
-/// are bounded by the picky-operator universe.
+/// Literal memo: a constraint not seen before is built as the word AND of
+/// one bitmap per literal (label, attr, op, constant). Each literal bitmap
+/// is memoized too, built once by one scan of the label bucket that
+/// resolves the constant's kind up front (a typed CompareNumeric loop for
+/// numeric constants), and covers only the bucket's word span. The rewrites
+/// of one question edit a few literals each (RxL/RmL/RfL/AddL), so most new
+/// constraints are ANDs of bitmaps already held and scan nothing; the AND
+/// itself becomes the set's bitmap and its list is read off with ctz.
+/// Entries are never evicted; a context lives for one request and the
+/// distinct constraints per request are bounded by the picky-operator
+/// universe.
 ///
 /// Thread-safety: none. A MatchContext is mutable per-lookup state and must
 /// be confined to one thread/request, exactly like the Matcher and
@@ -77,8 +82,8 @@ class MatchContext {
   MatchContext(const MatchContext&) = delete;
   MatchContext& operator=(const MatchContext&) = delete;
 
-  /// The memoized candidate set of `qn`, built on first use (bucket scan or
-  /// delta filter — see class comment). The reference stays valid for the
+  /// The memoized candidate set of `qn`, built on first use from its
+  /// literal bitmaps (see class comment). The reference stays valid for the
   /// context's lifetime. A hit allocates nothing.
   const CandidateSet& Lookup(const QueryNode& qn);
 
@@ -121,24 +126,44 @@ class MatchContext {
   // The entry memoizing `qn`'s constraint (whose hash is `hash`), or null.
   const Entry* Find(const QueryNode& qn, uint64_t hash) const;
 
+  // One memoized literal of one label: the bucket nodes satisfying it, as
+  // the words [lo, lo + span) of a bitmap over V, where the label bucket
+  // spans exactly those words.
+  struct LiteralEntry {
+    SymbolId label = kInvalidSymbol;
+    Literal lit;
+    const uint64_t* bits = nullptr;  // arena-resident, span words
+  };
+
   // Builds (and memoizes) the set of a constraint not seen before.
   const CandidateSet& Insert(const QueryNode& qn, uint64_t hash);
+
+  // The memoized bitmap of literal `l` on `label` (whose bucket is `bucket`,
+  // spanning words [lo, lo + span)), scanning the bucket on first use.
+  const uint64_t* LiteralBitmap(SymbolId label, const Literal& l,
+                                NodeSpan bucket, size_t lo, size_t span);
 
   // Memoizes `cand` as the set of the constraint (label, sorted_lits).
   const CandidateSet& AddEntry(SymbolId label,
                                std::vector<Literal> sorted_lits,
                                uint64_t hash, const CandidateSet* cand);
 
-  // Freezes `nodes` (ascending) into an arena-resident CandidateSet with
-  // its membership bitmap.
-  const CandidateSet* Freeze(const std::vector<NodeId>& nodes);
+  // An arena-resident bitmap over V, all zero.
+  uint64_t* ZeroedBitmap();
+
+  // Freezes the bitmap `bits` over V, whose set bits all lie in words
+  // [lo, lo + span), into an arena-resident CandidateSet: the bitmap itself
+  // plus the ascending node list read off it.
+  const CandidateSet* Freeze(const uint64_t* bits, size_t lo, size_t span);
 
   const Graph& g_;
   size_t words_ = 0;  // bitmap words per set: ceil(|V| / 64)
   Arena arena_;       // owns every CandidateSet payload
-  std::vector<NodeId> scratch_;  // build-time node list, reused per Insert
-  std::vector<Entry> entries_;  // insertion order (delta tie-break)
+  std::vector<NodeId> scratch_;  // build-time node list, reused per Freeze
+  std::vector<Entry> entries_;
   std::unordered_multimap<uint64_t, size_t> index_;  // hash -> entry
+  std::vector<LiteralEntry> literals_;
+  std::unordered_multimap<uint64_t, size_t> literal_index_;  // hash -> literal
   Stats stats_;
 };
 

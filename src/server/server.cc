@@ -109,19 +109,18 @@ std::string WhyqServer::StatsJson() const {
 
 void WhyqServer::AcceptNew() {
   for (;;) {
-    int raw = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (raw < 0) return;  // EAGAIN: the backlog is drained
-    UniqueFd fd(raw);
+    UniqueFd fd = AcceptTcp(listen_fd_.get());
+    if (!fd.valid()) return;  // EAGAIN: the backlog is drained
     if (conns_.size() >= cfg_.max_connections) {
       // Refuse with a one-line diagnostic instead of silently resetting.
-      // Best-effort blocking write on a fresh socket; then close.
+      // Best-effort write (a fresh socket's empty send buffer takes the
+      // line); then close.
       std::string line =
           EncodeErrorLine("null", "rejected", "connection limit reached");
       (void)::send(fd.get(), line.data(), line.size(), MSG_NOSIGNAL);
       refused_.Add();
       continue;
     }
-    if (!SetNonBlocking(fd.get())) continue;
     uint64_t id = next_conn_++;
     auto conn = std::make_unique<Conn>();
     poller_.Add(fd.get(), /*want_read=*/true, /*want_write=*/false, id);
@@ -422,7 +421,11 @@ int WhyqServer::Drain() {
   draining_ = true;
   // Stop accepting; stop reading (buffered-but-unparsed lines were never
   // admitted — discarding them is the documented drain contract). Keep the
-  // write side of every connection alive for in-flight responses.
+  // write side of every connection alive for in-flight responses. Clients
+  // still in the accept backlog are taken in first: closing the listener
+  // over them makes the kernel reset them, while as connections with
+  // nothing pending they are closed below like any other, with a FIN.
+  AcceptNew();
   poller_.Del(listen_fd_.get());
   listen_fd_.Reset();
   for (auto& [id, conn] : conns_) {

@@ -178,7 +178,8 @@ std::string StatsSnapshot::ToString() const {
     os << "ctx totals: hits=" << work.ctx_hits
        << " misses=" << work.ctx_misses
        << " delta-builds=" << work.ctx_delta_builds
-       << " pruned=" << work.ctx_pruned;
+       << " pruned=" << work.ctx_pruned
+       << " literal-scans=" << work.ctx_literal_scans;
     uint64_t lookups = work.ctx_hits + work.ctx_misses + work.ctx_delta_builds;
     if (lookups > 0) {
       os << " (" << TextTable::Num(100.0 * static_cast<double>(work.ctx_hits) /

@@ -1,7 +1,7 @@
 // MatchContext coverage in three layers:
 //   1. unit tests of the memo itself (lookup = the IsCandidate filter,
-//      hit/miss/delta accounting, literal-order-insensitive keys,
-//      Seed/Prime);
+//      also as a property over mixed-kind values; hit/miss/delta and
+//      literal-scan accounting, literal-order-insensitive keys, Seed/Prime);
 //   2. an equivalence property: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically with and
 //      without a context, under both semantics;
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,25 +101,55 @@ TEST(MatchContextTest, LiteralOrderDoesNotSplitEntries) {
   EXPECT_EQ(ctx.stats().hits, 1u);
 }
 
+// Every literal bitmap an uncached constraint needs is memoized already:
+// the set is their AND, built without a bucket scan.
 TEST(MatchContextTest, SupersetLiteralsBuildByDelta) {
   Figure1 f = MakeFigure1();
   const QueryNode& base = f.query.node(f.query.output());
   ASSERT_FALSE(base.literals.empty());
-  QueryNode refined = base;
   SymbolId price = *f.graph.attr_names().Find("Price");
-  Literal tighter;
-  tighter.attr = price;
-  tighter.op = CompareOp::kGe;
-  tighter.constant = Value(int64_t{550});
+  Literal tighter{price, CompareOp::kGe, Value(int64_t{550})};
+  QueryNode tight_only;
+  tight_only.label = base.label;
+  tight_only.literals.push_back(tighter);
+  QueryNode refined = base;
   refined.literals.push_back(tighter);
 
   MatchContext ctx(f.graph);
-  ctx.Lookup(base);  // miss: bucket scan
+  ctx.Lookup(base);        // scans every literal of base
+  ctx.Lookup(tight_only);  // scans the one new literal
+  const uint64_t scans = ctx.stats().literal_scans;
+  EXPECT_EQ(scans, base.literals.size() + 1);
   const MatchContext::CandidateSet& r = ctx.Lookup(refined);
-  EXPECT_EQ(ctx.stats().misses, 1u);
+  EXPECT_EQ(ctx.stats().misses, 2u);
   EXPECT_EQ(ctx.stats().delta_builds, 1u);
-  // The delta filter must agree with the direct filter exactly.
+  EXPECT_EQ(ctx.stats().literal_scans, scans);
+  // The AND must agree with the direct filter exactly.
   EXPECT_EQ(ToVec(r), DirectFilter(f.graph, refined));
+}
+
+// A relaxation that drops a literal (RmL) or loosens one (RxL) needs at
+// most one new literal bitmap, not a rescan of every literal.
+TEST(MatchContextTest, RelaxedLiteralsReuseLiteralBitmaps) {
+  Figure1 f = MakeFigure1();
+  QueryNode full = f.query.node(f.query.output());
+  SymbolId price = *f.graph.attr_names().Find("Price");
+  full.literals.push_back(Literal{price, CompareOp::kGe, Value(int64_t{550})});
+  const uint64_t distinct = full.literals.size();
+
+  MatchContext ctx(f.graph);
+  ctx.Lookup(full);
+  EXPECT_EQ(ctx.stats().literal_scans, distinct);
+  QueryNode dropped = full;  // RmL
+  dropped.literals.pop_back();
+  EXPECT_EQ(ToVec(ctx.Lookup(dropped)), DirectFilter(f.graph, dropped));
+  EXPECT_EQ(ctx.stats().delta_builds, 1u);
+  EXPECT_EQ(ctx.stats().literal_scans, distinct);
+  QueryNode loosened = full;  // RxL
+  loosened.literals.back().constant = Value(int64_t{100});
+  EXPECT_EQ(ToVec(ctx.Lookup(loosened)), DirectFilter(f.graph, loosened));
+  EXPECT_EQ(ctx.stats().misses, 2u);
+  EXPECT_EQ(ctx.stats().literal_scans, distinct + 1);
 }
 
 TEST(MatchContextTest, SeedInstallsExternalResult) {
@@ -290,6 +321,97 @@ TEST(MatchContextTest, SignedZeroAndIntDoubleLiteralsGiveCorrectSets) {
     // int 5 and double 5.0 are distinct keys; 0.0 and -0.0 are one; a NaN
     // constant hits its own entry on the second round.
     EXPECT_EQ(ctx.entry_count(), (constants.size() - 1) * ops.size());
+  }
+}
+
+// --- Equivalence property: Lookup vs the IsCandidate bucket filter. -----
+
+// The values both attributes and constants draw from: ints and doubles
+// (int64 above 2^53 against doubles that round onto it), signed zeros, NaN
+// and infinities, and strings that look numeric.
+std::vector<Value> MixedValuePool() {
+  const int64_t two53 = int64_t{1} << 53;
+  return {Value(int64_t{0}),      Value(int64_t{5}),
+          Value(int64_t{-3}),     Value(two53),
+          Value(two53 + 1),       Value(INT64_MAX),
+          Value(INT64_MIN),       Value(5.0),
+          Value(5.5),             Value(-3.0),
+          Value(0.0),             Value(-0.0),
+          Value(std::nan("")),    Value(static_cast<double>(two53)),
+          Value(9.3e18),          Value(HUGE_VAL),
+          Value(-HUGE_VAL),       Value("5"),
+          Value("a"),             Value("")};
+}
+
+// Graph with "T" nodes interleaved with "U" nodes, so the T bucket starts
+// and ends mid-word and has gaps that straddle word boundaries. Attributes
+// x and y are drawn from the pool or left out; z never appears on T.
+Graph MixedValueGraph(uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Value> pool = MixedValuePool();
+  GraphBuilder b;
+  const size_t n = 150 + rng.Index(200);
+  for (size_t i = 0; i < n; ++i) {
+    bool in_bucket = i >= 37 && i + 29 < n && !rng.Chance(0.3);
+    NodeId v = b.AddNode(in_bucket ? "T" : "U");
+    for (const char* attr : {"x", "y"}) {
+      if (rng.Chance(0.2)) continue;  // missing attribute
+      b.SetAttr(v, attr, pool[rng.Index(pool.size())]);
+    }
+    if (!in_bucket && rng.Chance(0.5)) b.SetAttr(v, "z", Value(1.0));
+  }
+  return b.Build();
+}
+
+TEST(MatchContextPropertyTest, LookupEqualsBucketFilterOnMixedValues) {
+  const std::vector<Value> pool = MixedValuePool();
+  const std::vector<CompareOp> ops = {CompareOp::kLt, CompareOp::kLe,
+                                      CompareOp::kEq, CompareOp::kGe,
+                                      CompareOp::kGt};
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    Graph g = MixedValueGraph(seed);
+    SymbolId label = *g.node_labels().Find("T");
+    std::vector<SymbolId> attrs = {*g.attr_names().Find("x"),
+                                   *g.attr_names().Find("y"),
+                                   *g.attr_names().Find("z")};
+    // A small literal pool, so random multisets repeat literals and share
+    // literal bitmaps across constraints.
+    Rng rng(seed * 7 + 1);
+    std::vector<Literal> lits;
+    for (int i = 0; i < 24; ++i) {
+      lits.push_back(Literal{attrs[rng.Index(attrs.size())],
+                             ops[rng.Index(ops.size())],
+                             pool[rng.Index(pool.size())]});
+    }
+    MatchContext ctx(g);
+    uint64_t lookups = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      QueryNode qn;
+      qn.label = label;
+      size_t k = rng.Index(4);
+      for (size_t i = 0; i < k; ++i) {
+        qn.literals.push_back(lits[rng.Index(lits.size())]);
+      }
+      if (k > 0 && rng.Chance(0.2)) qn.literals.push_back(qn.literals[0]);
+      const MatchContext::CandidateSet& c = ctx.Lookup(qn);
+      ++lookups;
+      std::vector<NodeId> expect = DirectFilter(g, qn);
+      ASSERT_EQ(ToVec(c), expect) << "seed " << seed << " trial " << trial;
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        ASSERT_EQ(c.Test(v), IsCandidate(g, v, qn))
+            << "seed " << seed << " trial " << trial << " node " << v;
+      }
+      // Bits past |V| in the last word stay clear.
+      size_t words = (g.node_count() + 63) / 64;
+      for (size_t v = g.node_count(); v < words * 64; ++v) {
+        ASSERT_FALSE((c.Word(words - 1) >> (v & 63)) & 1u);
+      }
+    }
+    const MatchContext::Stats& st = ctx.stats();
+    EXPECT_EQ(st.hits + st.misses + st.delta_builds, lookups);
+    EXPECT_GT(st.hits, 0u);
+    EXPECT_GT(st.delta_builds, 0u);
+    EXPECT_LE(st.literal_scans, lits.size());
   }
 }
 

@@ -157,6 +157,7 @@ RequestTrace GoldenTrace() {
   t.ctx_misses = 16;
   t.ctx_delta_builds = 17;
   t.ctx_pruned = 18;
+  t.ctx_literal_scans = 19;
   return t;
 }
 
@@ -167,7 +168,8 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "search=10.12ms\n"
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
             "greedy-rounds=14\n"
-            "ctx: hits=15 misses=16 delta-builds=17 pruned=18\n");
+            "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
+            "literal-scans=19\n");
   RequestTrace hit = GoldenTrace();
   hit.candidates_ms = 0;
   hit.answer_match_ms = 0;
@@ -177,7 +179,8 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "search=10.12ms\n"
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
             "greedy-rounds=14\n"
-            "ctx: hits=15 misses=16 delta-builds=17 pruned=18\n");
+            "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
+            "literal-scans=19\n");
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 // Loopback end-to-end tests for the whyq_server daemon: a real WhyqServer
 // on an ephemeral port driven from blocking client sockets. Covers the ask
 // path (id echo), pipelining, protocol errors, admission control under a
-// wedged worker, graceful drain, the idle reaper and the connection cap.
+// wedged worker, graceful drain (also of clients still in the accept
+// backlog), the idle reaper, the connection cap and TCP_NODELAY.
 // Runs under TSan in CI — the loop thread, worker threads and the test
 // thread all interleave here.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -454,6 +460,57 @@ TEST_F(ServerTest, DrainEndsInEofNotResetDespiteUnreadInput) {
   EXPECT_EQ(v.Find("id")->as_number(), 1.0);
   EXPECT_FALSE(client.ReadLine(&line)) << "unexpected extra line: " << line;
   EXPECT_TRUE(client.ReadEof()) << "drain ended in RST, not FIN";
+}
+
+// A client that connected and wrote before the loop ever ran is still in
+// the listener's accept backlog when the drain starts. Closing the
+// listener over it would reset it; the drain accepts it and closes it
+// like any other connection, with a FIN.
+TEST_F(ServerTest, DrainClosesBackloggedClientsWithEof) {
+  server_ = std::make_unique<WhyqServer>(
+      std::vector<std::pair<std::string, std::shared_ptr<const Graph>>>{
+          {"fig1", graph_}},
+      ServerConfig());
+  std::string error;
+  ASSERT_TRUE(server_->Start(&error)) << error;
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.Send(WhyLine("1")));
+  // Let loopback deliver the handshake and the line to the listener.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  volatile std::sig_atomic_t stop = 1;
+  EXPECT_EQ(server_->Run(&stop), 0);
+  errno = 0;
+  EXPECT_TRUE(client.ReadEof()) << "drain ended in " << std::strerror(errno)
+                                << ", not EOF";
+  ServerSnapshot snap = server_->Snapshot();
+  EXPECT_EQ(snap.accepted, 1u);
+  EXPECT_EQ(snap.closed, 1u);
+  EXPECT_EQ(snap.requests, 0u);  // never read: it was not admitted
+}
+
+// Both ends of a loopback connection carry TCP_NODELAY: the client end
+// from ConnectTcp, the server end from AcceptTcp (the daemon's accept).
+TEST(NetTest, LoopbackSocketsSetTcpNoDelay) {
+  std::string error;
+  UniqueFd listener = ListenTcp(0, 4, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  UniqueFd client = ConnectTcp(LocalPort(listener.get()), &error);
+  ASSERT_TRUE(client.valid()) << error;
+  UniqueFd server;
+  for (int i = 0; i < 1000 && !server.valid(); ++i) {
+    server = AcceptTcp(listener.get());
+    if (!server.valid()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(server.valid());
+  for (int fd : {client.get(), server.get()}) {
+    int flag = 0;
+    socklen_t len = sizeof(flag);
+    ASSERT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &flag, &len), 0);
+    EXPECT_NE(flag, 0) << "fd " << fd;
+  }
 }
 
 TEST_F(ServerTest, IdleConnectionsAreReaped) {

@@ -713,6 +713,7 @@ StatsSnapshot GoldenSnapshot() {
   s.work.ctx_misses = 206;
   s.work.ctx_delta_builds = 207;
   s.work.ctx_pruned = 208;
+  s.work.ctx_literal_scans = 210;
   s.slow_threshold_ms = 5.5;
   SlowQueryEntry e;
   e.seq = 7;
@@ -736,6 +737,7 @@ StatsSnapshot GoldenSnapshot() {
   e.trace.ctx_misses = 306;
   e.trace.ctx_delta_builds = 307;
   e.trace.ctx_pruned = 308;
+  e.trace.ctx_literal_scans = 310;
   s.slow.push_back(e);
   e.seq = 8;
   e.truncated = false;
@@ -768,7 +770,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":203,\"guard_checks\":209,"
             "\"greedy_rounds\":204,\"ctx_hits\":205,"
             "\"ctx_misses\":206,\"ctx_delta_builds\":207,"
-            "\"ctx_pruned\":208},\"slow_queries\":{\"threshold_ms\":5.5,"
+            "\"ctx_pruned\":208,\"ctx_literal_scans\":210},"
+            "\"slow_queries\":{\"threshold_ms\":5.5,"
             "\"entries\":[{\"seq\":7,\"class\":\"why/exact\","
             "\"latency_ms\":9.25,\"truncated\":true,\"cache_hit\":false,"
             "\"stages_ms\":{\"queue\":0.75,\"parse\":1.25,"
@@ -779,7 +782,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":303,\"guard_checks\":309,"
             "\"greedy_rounds\":304,\"ctx_hits\":305,"
             "\"ctx_misses\":306,\"ctx_delta_builds\":307,"
-            "\"ctx_pruned\":308}},{\"seq\":8,\"class\":\"why/exact\","
+            "\"ctx_pruned\":308,\"ctx_literal_scans\":310}},"
+            "{\"seq\":8,\"class\":\"why/exact\","
             "\"latency_ms\":9.25,\"truncated\":false,\"cache_hit\":true,"
             "\"stages_ms\":{\"queue\":0,\"parse\":0,\"prepare\":0,"
             "\"candidates\":0,\"answer_match\":0,\"path_index\":0,"
@@ -788,7 +792,7 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":0,\"guard_checks\":0,"
             "\"greedy_rounds\":0,\"ctx_hits\":0,"
             "\"ctx_misses\":0,\"ctx_delta_builds\":0,"
-            "\"ctx_pruned\":0}}]}}");
+            "\"ctx_pruned\":0,\"ctx_literal_scans\":0}}]}}");
 }
 
 TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
@@ -810,7 +814,7 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "work totals: candidates=201 mbs-enumerated=202 "
             "mbs-verified=203 greedy-rounds=204\n"
             "ctx totals: hits=205 misses=206 delta-builds=207 pruned=208 "
-            "(33.2% hit rate)\n"
+            "literal-scans=210 (33.2% hit rate)\n"
             "slow queries (>= 5.5ms): 2 retained\n"
             "  #7 why/exact 9.25ms truncated\n"
             "    stages: queue=0.75ms parse=1.25ms prepare=2.12ms "
@@ -818,13 +822,15 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "search=4.50ms\n"
             "    work: candidates=301 mbs-enumerated=302 "
             "mbs-verified=303 greedy-rounds=304\n"
-            "    ctx: hits=305 misses=306 delta-builds=307 pruned=308\n"
+            "    ctx: hits=305 misses=306 delta-builds=307 pruned=308 "
+            "literal-scans=310\n"
             "  #8 why/exact 9.25ms cached\n"
             "    stages: queue=0.00ms parse=0.00ms prepare=0.00ms "
             "search=0.00ms\n"
             "    work: candidates=0 mbs-enumerated=0 mbs-verified=0 "
             "greedy-rounds=0\n"
-            "    ctx: hits=0 misses=0 delta-builds=0 pruned=0\n");
+            "    ctx: hits=0 misses=0 delta-builds=0 pruned=0 "
+            "literal-scans=0\n");
 }
 
 }  // namespace

@@ -101,7 +101,8 @@ check(hist_total == c["completed"],
       f"histogram counts {hist_total} != completed {c['completed']}")
 
 w = d["work"]
-for key in ("ctx_hits", "ctx_misses", "ctx_delta_builds", "ctx_pruned"):
+for key in ("ctx_hits", "ctx_misses", "ctx_delta_builds", "ctx_pruned",
+            "ctx_literal_scans"):
     check(key in w, f"work totals missing {key}")
 # Every cache-missing iso request builds at least one candidate set (the
 # prepare stage seeds the output node's set as a miss).
