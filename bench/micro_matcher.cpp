@@ -151,10 +151,12 @@ void BM_PathIndexTest(benchmark::State& state) {
     return;
   }
   PathIndex idx(f.gq.query, 8);
+  MatchContext ctx(f.g);
+  PathIndex::Probe probe(idx, ctx, f.gq.query);
   size_t i = 0;
   for (auto _ : state) {
     NodeId v = f.gq.answers[i++ % f.gq.answers.size()];
-    benchmark::DoNotOptimize(idx.Passes(f.g, f.gq.query, v));
+    benchmark::DoNotOptimize(probe.Passes(v));
   }
 }
 BENCHMARK(BM_PathIndexTest);
@@ -166,8 +168,7 @@ BENCHMARK(BM_PathIndexTest);
 // batched answer test per rewrite. Refinement operators (AddE/AddL/RfL)
 // edit one literal each, so the context ANDs the memoized bitmaps of the
 // untouched literals with at most one new literal bitmap instead of
-// re-evaluating every literal over the label bucket. The
-// ContextFree/Context pair isolates what that plus O(1) bitmap probes buy.
+// re-evaluating every literal over the label bucket.
 
 struct MbsFixture {
   Graph g;
@@ -231,9 +232,8 @@ const MbsFixture& SharedMbsFixture() {
 }
 
 // One full verification sweep; returns the matcher counters.
-MatcherStats VerifySweep(const MbsFixture& f, MatchContext* ctx) {
-  Matcher m(f.g);
-  m.set_context(ctx);
+MatcherStats VerifySweep(const MbsFixture& f, MatchContext& ctx) {
+  Matcher m(ctx);
   NodeSet exclude(f.answers, f.g.node_count());
   for (const Query& rw : f.rewrites) {
     benchmark::DoNotOptimize(m.CountAnswersNotIn(rw, exclude, 2));
@@ -241,22 +241,6 @@ MatcherStats VerifySweep(const MbsFixture& f, MatchContext* ctx) {
   }
   return m.stats();
 }
-
-void BM_MbsVerificationContextFree(benchmark::State& state) {
-  const MbsFixture& f = SharedMbsFixture();
-  if (!f.ok) {
-    state.SkipWithError("no fixture");
-    return;
-  }
-  MatcherStats s;
-  for (auto _ : state) {
-    s = VerifySweep(f, nullptr);
-  }
-  state.counters["rewrites"] = static_cast<double>(f.rewrites.size());
-  state.counters["embeddings_tried"] = static_cast<double>(s.embeddings_tried);
-  state.counters["iso_tests"] = static_cast<double>(s.iso_tests);
-}
-BENCHMARK(BM_MbsVerificationContextFree);
 
 void BM_MbsVerificationContext(benchmark::State& state) {
   const MbsFixture& f = SharedMbsFixture();
@@ -269,7 +253,7 @@ void BM_MbsVerificationContext(benchmark::State& state) {
     // Request-scoped: one fresh context per sweep, shared by every rewrite
     // in it — the lifetime the service/evaluators give it.
     MatchContext ctx(f.g);
-    s = VerifySweep(f, &ctx);
+    s = VerifySweep(f, ctx);
   }
   state.counters["rewrites"] = static_cast<double>(f.rewrites.size());
   state.counters["embeddings_tried"] = static_cast<double>(s.embeddings_tried);

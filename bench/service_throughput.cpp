@@ -92,8 +92,7 @@ double RunBatch(WhyqService* service,
   return timer.ElapsedMillis();
 }
 
-void PartScaling(const Flags& flags,
-                 const std::shared_ptr<const Graph>& graph,
+void PartScaling(const std::shared_ptr<const Graph>& graph,
                  const std::vector<ServiceRequest>& reqs) {
   TextTable t({"workers", "batch_ms", "req_per_s", "speedup_vs_1", "hits",
                "why_p95_ms", "whynot_p95_ms"});
@@ -131,8 +130,7 @@ void PartScaling(const Flags& flags,
 // the PathIndex build — so the probe is a question whose search phase is
 // trivial (why-so-many already at its target): cold requests pay the full
 // answer match, warm requests reuse the prepared artifacts.
-void PartCache(const Flags& flags,
-               const std::shared_ptr<const Graph>& graph,
+void PartCache(const std::shared_ptr<const Graph>& graph,
                const Workload& w) {
   ServiceRequest req;
   req.kind = RequestKind::kWhySoMany;
@@ -173,8 +171,7 @@ void PartCache(const Flags& flags,
 // per-question work is embarrassingly independent) while wide intra
 // helps tail latency of single heavy questions — the table makes the
 // throughput side of that trade-off concrete.
-void PartCoreBudget(const Flags& flags,
-                    const std::shared_ptr<const Graph>& graph,
+void PartCoreBudget(const std::shared_ptr<const Graph>& graph,
                     const std::vector<ServiceRequest>& reqs) {
   TextTable t({"workers", "intra_threads", "batch_ms", "req_per_s",
                "speedup_vs_8x1"});
@@ -277,8 +274,7 @@ ClientTotals RunClient(uint16_t port, const std::vector<std::string>& lines,
   return totals;
 }
 
-void PartSocket(const Flags& flags,
-                const std::shared_ptr<const Graph>& graph,
+void PartSocket(const std::shared_ptr<const Graph>& graph,
                 const std::vector<ServiceRequest>& reqs) {
   std::vector<std::string> lines;
   lines.reserve(reqs.size());
@@ -382,8 +378,7 @@ UpdateBatch MakeUpdateBatch(const Graph& g, size_t ops) {
   return b;
 }
 
-void PartUpdates(const Flags& flags,
-                 const std::shared_ptr<const Graph>& graph,
+void PartUpdates(const std::shared_ptr<const Graph>& graph,
                  const Workload& w) {
   // --- e1: incremental ApplyUpdate vs. the full-rebuild reference --------
   // Same batch, same base epoch, mean over kReps applications. The
@@ -515,8 +510,7 @@ void PartUpdates(const Flags& flags,
 // "process" left behind; with warm-load the very first request is already
 // a prepared-cache hit, so time-to-first-hit collapses from a cold build
 // to steady-state latency.
-void PartPlanStore(const Flags& flags,
-                   const std::shared_ptr<const Graph>& graph,
+void PartPlanStore(const std::shared_ptr<const Graph>& graph,
                    const Workload& w) {
   const uint64_t fp = GraphFingerprint(*graph);
   const AnswerConfig base_cfg = DefaultAnswerConfig();
@@ -656,12 +650,12 @@ int Main(int argc, char** argv) {
   std::printf("workload: %zu items x 2 kinds x 4 rounds = %zu requests\n\n",
               w.items.size(), reqs.size());
 
-  if (RunPart(flags, "a")) PartScaling(flags, graph, reqs);
-  if (RunPart(flags, "b")) PartCache(flags, graph, w);
-  if (RunPart(flags, "c")) PartCoreBudget(flags, graph, reqs);
-  if (RunPart(flags, "d")) PartSocket(flags, graph, reqs);
-  if (RunPart(flags, "e")) PartUpdates(flags, graph, w);
-  if (RunPart(flags, "f")) PartPlanStore(flags, graph, w);
+  if (RunPart(flags, "a")) PartScaling(graph, reqs);
+  if (RunPart(flags, "b")) PartCache(graph, w);
+  if (RunPart(flags, "c")) PartCoreBudget(graph, reqs);
+  if (RunPart(flags, "d")) PartSocket(graph, reqs);
+  if (RunPart(flags, "e")) PartUpdates(graph, w);
+  if (RunPart(flags, "f")) PartPlanStore(graph, w);
   return 0;
 }
 

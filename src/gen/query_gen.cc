@@ -55,7 +55,6 @@ std::optional<GeneratedQuery> GenerateQuery(const Graph& g,
                                             const QueryGenConfig& cfg,
                                             Rng& rng) {
   if (g.node_count() == 0) return std::nullopt;
-  Matcher matcher(g);
 
   for (size_t attempt = 0; attempt < cfg.max_attempts; ++attempt) {
     // 1. Carve a connected template out of G by random expansion.
@@ -186,8 +185,10 @@ std::optional<GeneratedQuery> GenerateQuery(const Graph& g,
     });
     q.SetOutput(order[0]);
 
-    // 5. Accept only when the answer cardinality is in range.
-    std::vector<NodeId> answers = matcher.MatchOutput(q);
+    // 5. Accept only when the answer cardinality is in range. The attempts
+    // match unrelated queries, so each gets a fresh context (a memo is
+    // never evicted).
+    std::vector<NodeId> answers = Matcher(g).MatchOutput(q);
     if (answers.size() < cfg.min_answers ||
         answers.size() > cfg.max_answers) {
       continue;

@@ -81,13 +81,15 @@ std::optional<WhyNotQuestion> GenerateWhyNotQuestion(
   // price / color), and it guarantees the question is answerable by a
   // bounded relaxation. Among candidate literals, prefer the one whose
   // removal floods in the fewest new entities, so guard conditions remain
-  // satisfiable.
+  // satisfiable. One context serves these matches and both path probes
+  // below.
+  MatchContext ctx(g);
   {
     std::vector<std::pair<QNodeId, Literal>> literals;
     for (QNodeId u : q.OutputComponent()) {
       for (const Literal& l : q.node(u).literals) literals.emplace_back(u, l);
     }
-    Matcher matcher(g);
+    Matcher matcher(ctx);
     std::vector<NodeId> best_pool;
     if (!literals.empty()) {
       // Scan every literal (queries are tiny) and keep the one whose
@@ -128,7 +130,7 @@ std::optional<WhyNotQuestion> GenerateWhyNotQuestion(
     structural.mutable_node(u).literals.clear();
   }
   PathIndex pidx(structural, 8);
-  PathIndex::Probe structural_probe(pidx, g, structural, nullptr);
+  PathIndex::Probe structural_probe(pidx, ctx, structural);
 
   constexpr size_t kPoolCap = 200;
   std::vector<NodeId> pool;
@@ -155,7 +157,7 @@ std::optional<WhyNotQuestion> GenerateWhyNotQuestion(
   // miss by one or two constraints is the realistic case — a user notices
   // *near* hits are absent — and keeps the needed relaxations affordable.
   PathIndex full(q, 8);
-  PathIndex::Probe full_probe(full, g, q, nullptr);
+  PathIndex::Probe full_probe(full, ctx, q);
   std::vector<std::pair<double, NodeId>> ranked;
   ranked.reserve(pool.size());
   for (NodeId v : pool) {

@@ -27,6 +27,8 @@ std::vector<std::string> Tokenize(const std::string& line) {
 std::optional<Value> ParseTypedValue(const std::string& token) {
   if (token.size() < 2 || token[1] != ':') return std::nullopt;
   std::string body = token.substr(2);
+  // Each Value is built inside the optional: moving a Value temporary into
+  // it trips gcc 12's -Wmaybe-uninitialized under -fsanitize=address.
   switch (token[0]) {
     case 'i': {
       int64_t v = 0;
@@ -35,7 +37,7 @@ std::optional<Value> ParseTypedValue(const std::string& token) {
       if (ec != std::errc() || ptr != body.data() + body.size()) {
         return std::nullopt;
       }
-      return Value(v);
+      return std::make_optional<Value>(v);
     }
     case 'd': {
       char* end = nullptr;
@@ -43,10 +45,10 @@ std::optional<Value> ParseTypedValue(const std::string& token) {
       if (end != body.c_str() + body.size() || body.empty()) {
         return std::nullopt;
       }
-      return Value(v);
+      return std::make_optional<Value>(v);
     }
     case 's':
-      return Value(std::move(body));
+      return std::make_optional<Value>(std::move(body));
     default:
       return std::nullopt;
   }

@@ -64,13 +64,4 @@ std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u,
   return out;
 }
 
-size_t CountCandidates(const Graph& g, const Query& q, QNodeId u) {
-  size_t n = 0;
-  const QueryNode& qn = q.node(u);
-  for (NodeId v : g.NodesWithLabel(qn.label)) {
-    if (IsCandidate(g, v, qn)) ++n;
-  }
-  return n;
-}
-
 }  // namespace whyq

@@ -24,9 +24,6 @@ std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u);
 std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u,
                                size_t threads);
 
-/// Candidate count without materializing the list.
-size_t CountCandidates(const Graph& g, const Query& q, QNodeId u);
-
 }  // namespace whyq
 
 #endif  // WHYQ_MATCHER_CANDIDATES_H_

@@ -25,10 +25,11 @@ namespace whyq {
 /// Lookup hashes the multiset order-independently and compares it against
 /// the entry's sorted copy without building anything, so a hit allocates
 /// nothing. Each set is materialized once as an ascending NodeId list plus
-/// a bitmap over V. Matching then replaces per-attempt IsCandidate calls
-/// (attr binary search + literal predicates) with one O(1) bitmap probe,
-/// and root enumeration iterates the memoized list instead of the label
-/// bucket.
+/// a bitmap over V. Every matching primitive (Matcher, MatchEngine,
+/// DualSimulation, PathIndex::Probe) runs over a context: a candidacy test
+/// is one O(1) bitmap probe, not an attr binary search plus literal
+/// predicates, and root enumeration iterates the memoized list instead of
+/// the label bucket.
 ///
 /// Literal memo: a constraint not seen before is built as the word AND of
 /// one bitmap per literal (label, attr, op, constant). Each literal bitmap
@@ -97,9 +98,9 @@ class MatchContext {
   /// just not here. No-op when the constraint is already memoized.
   void Seed(const QueryNode& qn, const std::vector<NodeId>& nodes);
 
-  /// Adds to the pruned-attempts counter (called by the matcher when the
-  /// bitmap or the memoized root list skips work the context-free path
-  /// would have attempted).
+  /// Adds to the pruned-attempts counter: the matcher counts each
+  /// label-bucket root and each anchor-slice neighbor that the memoized
+  /// list or the bitmap skips.
   void CountPruned(uint64_t n) { stats_.pruned += n; }
 
   const Stats& stats() const { return stats_; }

@@ -12,10 +12,7 @@ namespace {
 
 class IsoMatchEngine : public MatchEngine {
  public:
-  explicit IsoMatchEngine(const Graph& g, MatchContext* ctx = nullptr)
-      : matcher_(g) {
-    matcher_.set_context(ctx);
-  }
+  explicit IsoMatchEngine(MatchContext& ctx) : matcher_(ctx) {}
 
   void SetCancelToken(const CancelToken* t) override {
     matcher_.set_cancel_token(t);
@@ -46,11 +43,11 @@ class IsoMatchEngine : public MatchEngine {
 // fixpoint, so single-node probes recompute it; a one-entry cache keyed by
 // the query's serialized form absorbs the evaluators' per-rewrite probing
 // patterns (many IsAnswer calls against the same rewrite), and TestAnswers
-// consults it once per batch. The borrowed MatchContext (optional) seeds
-// each fixpoint with memoized candidate sets.
+// consults it once per batch. The borrowed MatchContext seeds each
+// fixpoint with memoized candidate sets.
 class SimMatchEngine : public MatchEngine {
  public:
-  SimMatchEngine(const Graph& g, MatchContext* ctx) : g_(g), ctx_(ctx) {}
+  explicit SimMatchEngine(MatchContext& ctx) : ctx_(ctx) {}
 
   void SetCancelToken(const CancelToken* t) override { cancel_ = t; }
   std::vector<NodeId> MatchOutput(const Query& q) const override {
@@ -85,7 +82,7 @@ class SimMatchEngine : public MatchEngine {
 
  private:
   const std::vector<NodeId>& AnswersFor(const Query& q) const {
-    std::string key = WriteQuery(q, g_);
+    std::string key = WriteQuery(q, ctx_.graph());
     if (key != cached_key_) {
       // Simulation is a polynomial whole-query fixpoint; cancellation is
       // honored at this coarse granularity (skip fresh computations once
@@ -94,14 +91,13 @@ class SimMatchEngine : public MatchEngine {
         static const std::vector<NodeId> kEmpty;
         return kEmpty;
       }
-      cached_answers_ = SimulationAnswers(g_, q, ctx_);  // ascending
+      cached_answers_ = SimulationAnswers(ctx_, q);  // ascending
       cached_key_ = std::move(key);
     }
     return cached_answers_;
   }
 
-  const Graph& g_;
-  MatchContext* ctx_;
+  MatchContext& ctx_;
   const CancelToken* cancel_ = nullptr;
   mutable std::string cached_key_;
   mutable std::vector<NodeId> cached_answers_;
@@ -119,14 +115,13 @@ const char* MatchSemanticsName(MatchSemantics s) {
   return "?";
 }
 
-std::unique_ptr<MatchEngine> MakeMatchEngine(const Graph& g,
-                                             MatchSemantics semantics,
-                                             MatchContext* ctx) {
+std::unique_ptr<MatchEngine> MakeMatchEngine(MatchContext& ctx,
+                                             MatchSemantics semantics) {
   switch (semantics) {
     case MatchSemantics::kIsomorphism:
-      return std::make_unique<IsoMatchEngine>(g, ctx);
+      return std::make_unique<IsoMatchEngine>(ctx);
     case MatchSemantics::kSimulation:
-      return std::make_unique<SimMatchEngine>(g, ctx);
+      return std::make_unique<SimMatchEngine>(ctx);
   }
   return nullptr;
 }

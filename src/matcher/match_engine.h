@@ -52,28 +52,19 @@ class MatchEngine {
   virtual size_t CountAnswersNotIn(const Query& q, const NodeSet& exclude,
                                    size_t limit) const = 0;
 
-  /// Batch IsAnswer (one flag per node); engines override this with a
-  /// plan-reusing implementation where it pays off.
+  /// Batch IsAnswer: one flag per node, answered from one plan (or one
+  /// fixpoint) for the whole batch.
   virtual std::vector<uint8_t> TestAnswers(
-      const Query& q, const std::vector<NodeId>& nodes) const {
-    std::vector<uint8_t> out(nodes.size(), 0);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = IsAnswer(q, nodes[i]) ? 1 : 0;
-    }
-    return out;
-  }
+      const Query& q, const std::vector<NodeId>& nodes) const = 0;
 };
 
-/// Factory. The returned engine borrows `g` (must outlive the engine).
-/// `ctx` (optional, not owned, must outlive the engine) attaches a
-/// per-request MatchContext: both engines then memoize candidate sets
-/// across calls (byte-identical answers, see matcher/match_context.h) —
-/// the isomorphism engine for its plans and root lists, the simulation
-/// engine to seed each fixpoint (on top of its one-entry answer cache).
-/// Like the engine itself, the context is single-thread state.
-std::unique_ptr<MatchEngine> MakeMatchEngine(const Graph& g,
-                                             MatchSemantics semantics,
-                                             MatchContext* ctx = nullptr);
+/// Factory. The returned engine borrows `ctx` (not owned; must outlive the
+/// engine) and matches over its graph: the memoized candidate sets serve
+/// every call — the isomorphism engine's plans and root lists, and the
+/// simulation engine's fixpoint seeds (on top of its one-entry answer
+/// cache). Like the engine itself, the context is single-thread state.
+std::unique_ptr<MatchEngine> MakeMatchEngine(MatchContext& ctx,
+                                             MatchSemantics semantics);
 
 }  // namespace whyq
 

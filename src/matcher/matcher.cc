@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "matcher/candidates.h"
 
 namespace whyq {
 
@@ -21,6 +20,13 @@ inline uint64_t PopCount64(uint64_t w) {
 }
 
 }  // namespace
+
+Matcher::Matcher(const Graph& g)
+    : owned_ctx_(std::make_unique<MatchContext>(g)),
+      ctx_(*owned_ctx_),
+      g_(g) {}
+
+Matcher::Matcher(MatchContext& ctx) : ctx_(ctx), g_(ctx.graph()) {}
 
 std::vector<Matcher::PlanStep> Matcher::BuildPlan(const Query& q,
                                                   QNodeId root) const {
@@ -101,13 +107,10 @@ std::vector<Matcher::PlanStep> Matcher::BuildPlan(const Query& q,
       step.checks.push_back(PlanStep::Check{other, e.label, forward});
     }
   }
-  // With a context, resolve each step's memoized candidate set once per
-  // plan; the recursive search then probes bitmaps instead of running
-  // IsCandidate per attempt. Lookup addresses are stable.
-  if (ctx_ != nullptr) {
-    for (PlanStep& step : plan) {
-      step.cand = &ctx_->Lookup(q.node(step.u));
-    }
+  // Resolve each step's memoized candidate set once per plan; the
+  // recursive search then probes its bitmap. Lookup addresses are stable.
+  for (PlanStep& step : plan) {
+    step.cand = &ctx_.Lookup(q.node(step.u));
   }
   return plan;
 }
@@ -115,26 +118,23 @@ std::vector<Matcher::PlanStep> Matcher::BuildPlan(const Query& q,
 NodeSpan Matcher::RootCandidates(const Query& q,
                                  const std::vector<PlanStep>& plan) const {
   NodeSpan bucket = g_.NodesWithLabel(q.node(plan[0].u).label);
-  if (ctx_ == nullptr) return bucket;
-  // Enumerate the memoized candidate list directly — same nodes, same
-  // ascending order the bucket scan would have kept, minus the ones
-  // IsCandidate would have rejected (accounted as pruned).
+  // The memoized candidate list: the label bucket in ascending order minus
+  // the nodes failing a literal (accounted as pruned).
   const MatchContext::CandidateSet& cand = *plan[0].cand;
-  ctx_->CountPruned(bucket.size() - cand.size());
+  ctx_.CountPruned(bucket.size() - cand.size());
   return cand.list();
 }
 
-bool Matcher::Extend(const Query& q, const std::vector<PlanStep>& plan,
-                     size_t pos, std::vector<NodeId>& assignment) const {
+bool Matcher::Extend(const std::vector<PlanStep>& plan, size_t pos,
+                     std::vector<NodeId>& assignment) const {
   if (pos == plan.size()) return true;
   const PlanStep& step = plan[pos];
-  const QueryNode& qn = q.node(step.u);
 
+  // v has passed the candidate bitmap; checks injectivity and the backward
+  // edges, then recurses.
   auto try_node = [&](NodeId v) -> bool {
     ++stats_.embeddings_tried;
     if (CancelledNow()) return false;  // unwind; caller reports truncation
-    // With a context the caller already probed the candidate bitmap.
-    if (ctx_ == nullptr && !IsCandidate(g_, v, qn)) return false;
     // Injectivity.
     for (size_t i = 0; i < pos; ++i) {
       if (assignment[i] == v) return false;
@@ -147,7 +147,7 @@ bool Matcher::Extend(const Query& q, const std::vector<PlanStep>& plan,
       if (!ok) return false;
     }
     assignment[pos] = v;
-    if (Extend(q, plan, pos + 1, assignment)) return true;
+    if (Extend(plan, pos + 1, assignment)) return true;
     assignment[pos] = kInvalidNode;
     return false;
   };
@@ -159,73 +159,62 @@ bool Matcher::Extend(const Query& q, const std::vector<PlanStep>& plan,
   NodeSpan span = step.anchor_forward
                       ? g_.LabeledOutNeighbors(anchor, step.anchor_label)
                       : g_.LabeledInNeighbors(anchor, step.anchor_label);
-  if (ctx_ != nullptr) {
-    const MatchContext::CandidateSet& cand = *step.cand;
-    // Word-parallel AND over the candidate bitmap: the slice is sorted, so
-    // consecutive neighbors sharing a 64-bit block collapse into one
-    // presence mask, one bitmap load, and one AND — instead of a load and
-    // branch per neighbor. A lone neighbor in its block (the common shape
-    // for sparse adjacency) takes a plain single-bit probe with no mask
-    // bookkeeping. Survivors are enumerated ascending via
-    // count-trailing-zeros, and the rejected bits (mask ANDNOT bitmap) are
-    // accounted in bulk; totals match the per-neighbor path exactly: only
-    // rejects preceding a successful extension are counted.
-    uint64_t pruned = 0;
-    const NodeId* it = span.begin();
-    const NodeId* last = span.end();
-    while (it != last) {
-      NodeId v0 = *it;
-      uint64_t w = uint64_t{v0} >> 6;
-      uint64_t bit = uint64_t{1} << (v0 & 63);
-      uint64_t word = cand.Word(w);
+  const MatchContext::CandidateSet& cand = *step.cand;
+  // Word-parallel AND over the candidate bitmap: the slice is sorted, so
+  // consecutive neighbors sharing a 64-bit block collapse into one
+  // presence mask, one bitmap load, and one AND — instead of a load and
+  // branch per neighbor. A lone neighbor in its block (the common shape
+  // for sparse adjacency) takes a plain single-bit probe with no mask
+  // bookkeeping. Survivors are enumerated ascending via
+  // count-trailing-zeros, and the rejected bits (mask ANDNOT bitmap) are
+  // accounted in bulk: only rejects preceding a successful extension are
+  // counted.
+  uint64_t pruned = 0;
+  const NodeId* it = span.begin();
+  const NodeId* last = span.end();
+  while (it != last) {
+    NodeId v0 = *it;
+    uint64_t w = uint64_t{v0} >> 6;
+    uint64_t bit = uint64_t{1} << (v0 & 63);
+    uint64_t word = cand.Word(w);
+    ++it;
+    if (it == last || (*it >> 6) != w) {
+      if ((word & bit) == 0) {
+        ++pruned;
+      } else if (try_node(v0)) {
+        ctx_.CountPruned(pruned);
+        return true;
+      }
+      continue;
+    }
+    uint64_t mask = bit;
+    do {
+      mask |= uint64_t{1} << (*it & 63);
       ++it;
-      if (it == last || (*it >> 6) != w) {
-        if ((word & bit) == 0) {
-          ++pruned;
-        } else if (try_node(v0)) {
-          ctx_->CountPruned(pruned);
-          return true;
-        }
-        continue;
+    } while (it != last && (*it >> 6) == w);
+    uint64_t hits = mask & word;
+    uint64_t rejects = mask ^ hits;
+    while (hits != 0) {
+      int b = __builtin_ctzll(hits);
+      hits &= hits - 1;
+      NodeId v = static_cast<NodeId>((w << 6) | static_cast<uint64_t>(b));
+      if (try_node(v)) {
+        uint64_t below = (uint64_t{1} << b) - 1;
+        pruned += PopCount64(rejects & below);
+        ctx_.CountPruned(pruned);
+        return true;
       }
-      uint64_t mask = bit;
-      do {
-        mask |= uint64_t{1} << (*it & 63);
-        ++it;
-      } while (it != last && (*it >> 6) == w);
-      uint64_t hits = mask & word;
-      uint64_t rejects = mask ^ hits;
-      while (hits != 0) {
-        int b = __builtin_ctzll(hits);
-        hits &= hits - 1;
-        NodeId v = static_cast<NodeId>((w << 6) | static_cast<uint64_t>(b));
-        if (try_node(v)) {
-          uint64_t below = (uint64_t{1} << b) - 1;
-          pruned += PopCount64(rejects & below);
-          ctx_->CountPruned(pruned);
-          return true;
-        }
-      }
-      pruned += PopCount64(rejects);
     }
-    ctx_->CountPruned(pruned);
-  } else {
-    for (NodeId v : span) {
-      if (try_node(v)) return true;
-    }
+    pruned += PopCount64(rejects);
   }
+  ctx_.CountPruned(pruned);
   return false;
 }
 
-bool Matcher::SearchFrom(const Query& q, const std::vector<PlanStep>& plan,
-                         NodeId v, bool root_prechecked) const {
+bool Matcher::SearchFrom(const std::vector<PlanStep>& plan, NodeId v) const {
   ++stats_.iso_tests;
   const PlanStep& root = plan[0];
-  if (!root_prechecked) {
-    bool root_ok = ctx_ != nullptr ? root.cand->Test(v)
-                                   : IsCandidate(g_, v, q.node(root.u));
-    if (!root_ok) return false;
-  }
+  if (!root.cand->Test(v)) return false;
   for (const PlanStep::Check& c : root.checks) {
     // Only self-loop checks can appear on the root.
     NodeId w = v;
@@ -238,7 +227,7 @@ bool Matcher::SearchFrom(const Query& q, const std::vector<PlanStep>& plan,
     assignment_dirty_ = false;
   }
   assignment_[0] = v;
-  if (Extend(q, plan, 1, assignment_)) {
+  if (Extend(plan, 1, assignment_)) {
     assignment_dirty_ = true;  // the found embedding stays in the slots
     return true;
   }
@@ -254,14 +243,14 @@ std::vector<NodeId> Matcher::MatchOutput(const Query& q) const {
       cancel_hit_ = true;
       break;  // best-so-far answer prefix
     }
-    if (SearchFrom(q, plan, v, ctx_ != nullptr)) answers.push_back(v);
+    if (SearchFrom(plan, v)) answers.push_back(v);
   }
   return answers;
 }
 
 bool Matcher::IsAnswer(const Query& q, NodeId v) const {
   std::vector<PlanStep> plan = BuildPlan(q, q.output());
-  return SearchFrom(q, plan, v);
+  return SearchFrom(plan, v);
 }
 
 std::vector<uint8_t> Matcher::TestAnswers(
@@ -273,7 +262,7 @@ std::vector<uint8_t> Matcher::TestAnswers(
       cancel_hit_ = true;
       break;  // remaining nodes stay 0 (conservative: "not an answer")
     }
-    out[i] = SearchFrom(q, plan, nodes[i]) ? 1 : 0;
+    out[i] = SearchFrom(plan, nodes[i]) ? 1 : 0;
   }
   return out;
 }
@@ -285,7 +274,7 @@ bool Matcher::HasAnyMatch(const Query& q) const {
       cancel_hit_ = true;
       return false;  // unknown; caller sees truncation via cancelled()
     }
-    if (SearchFrom(q, plan, v, ctx_ != nullptr)) return true;
+    if (SearchFrom(plan, v)) return true;
   }
   return false;
 }
@@ -300,7 +289,7 @@ size_t Matcher::CountAnswersNotIn(const Query& q, const NodeSet& exclude,
       break;  // undercount; guard checks treat the partial count as-is
     }
     if (exclude.Contains(v)) continue;
-    if (SearchFrom(q, plan, v, ctx_ != nullptr)) {
+    if (SearchFrom(plan, v)) {
       ++count;
       if (count > limit) return count;
     }
@@ -320,7 +309,7 @@ std::vector<std::vector<NodeId>> Matcher::MatchAllOutputs(
         cancel_hit_ = true;
         break;  // truncate this output; later outputs break immediately
       }
-      if (SearchFrom(q, plan, v, ctx_ != nullptr)) answers.push_back(v);
+      if (SearchFrom(plan, v)) answers.push_back(v);
     }
     out.push_back(std::move(answers));
   }
@@ -329,10 +318,8 @@ std::vector<std::vector<NodeId>> Matcher::MatchAllOutputs(
 
 MatcherStats Matcher::stats() const {
   MatcherStats s = stats_;
-  if (ctx_ != nullptr) {
-    s.AddCtx(ctx_->stats());  // stats_ itself never counts ctx_*
-    s.ctx_arena_bytes = ctx_->arena().bytes_allocated();
-  }
+  s.AddCtx(ctx_.stats());  // stats_ itself never counts ctx_*
+  s.ctx_arena_bytes = ctx_.arena().bytes_allocated();
   return s;
 }
 

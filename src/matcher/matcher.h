@@ -2,6 +2,7 @@
 #define WHYQ_MATCHER_MATCHER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/cancel.h"
@@ -13,8 +14,7 @@
 namespace whyq {
 
 /// Cumulative matcher counters, exposed for the efficiency experiments.
-/// The ctx_* fields mirror the attached MatchContext's cache counters
-/// (zero when the matcher runs context-free).
+/// The ctx_* fields mirror the matcher's MatchContext's cache counters.
 struct MatcherStats {
   uint64_t embeddings_tried = 0;  // backtracking extensions attempted
   uint64_t iso_tests = 0;         // IsAnswer-style verifications performed
@@ -39,16 +39,24 @@ struct MatcherStats {
 /// connected component of the output node only — the paper's Match does the
 /// same and proves Q'_{u_o}(u_o,G) = Q'(u_o,G).
 ///
-/// The engine is stateless with respect to queries; one Matcher may be
-/// reused across many (rewritten) queries against the same graph.
+/// Every search runs over a MatchContext (matcher/match_context.h): plans
+/// resolve each query node's memoized candidate set once, roots enumerate
+/// its ascending list, and each extension attempt is an O(1) bitmap probe.
+/// The matcher either borrows the caller's context, so the memo spans every
+/// rewrite of one question, or owns a fresh one. One Matcher may be reused
+/// across many (rewritten) queries against the same graph.
 ///
 /// Thread-safety: a Matcher instance carries per-instance mutable state
-/// (stats, cancellation latch) and must be confined to one thread/request.
-/// The shared, immutable Graph it borrows may back any number of Matchers
-/// concurrently.
+/// (stats, cancellation latch, its context) and must be confined to one
+/// thread/request. The shared, immutable Graph behind it may back any
+/// number of Matchers concurrently.
 class Matcher {
  public:
-  explicit Matcher(const Graph& g) : g_(g) {}
+  /// Owns a fresh context over `g` — for one-off matches.
+  explicit Matcher(const Graph& g);
+  /// Borrows `ctx` (not owned; must outlive the matcher, and like the
+  /// matcher is single-thread state) and matches over its graph.
+  explicit Matcher(MatchContext& ctx);
 
   /// Arms cooperative cancellation (token not owned; may be null to
   /// disarm). Polled every few hundred extension attempts and once per
@@ -64,15 +72,8 @@ class Matcher {
   /// the caller's signal that results are partial.
   bool cancelled() const { return cancel_hit_; }
 
-  /// Attaches a per-request candidate memo (not owned; null detaches).
-  /// With a context, candidate generation and per-attempt IsCandidate
-  /// checks become memoized-list iterations and O(1) bitmap probes; the
-  /// answers of every public API are byte-identical either way (same
-  /// candidates, same ascending order — the context only skips nodes
-  /// IsCandidate would have rejected). The context must outlive its use
-  /// and, like the Matcher, is single-thread state.
-  void set_context(MatchContext* ctx) { ctx_ = ctx; }
-  MatchContext* context() const { return ctx_; }
+  /// The candidate memo every search runs over (borrowed or owned).
+  MatchContext& context() const { return ctx_; }
 
   /// Computes the full answer Q(u_o, G).
   std::vector<NodeId> MatchOutput(const Query& q) const;
@@ -104,8 +105,8 @@ class Matcher {
   /// per output node), with cancelled() reporting the truncation.
   std::vector<std::vector<NodeId>> MatchAllOutputs(const Query& q) const;
 
-  /// Snapshot of the work counters. ctx_* fields reflect the attached
-  /// context's whole lifetime (a context may serve several matchers);
+  /// Snapshot of the work counters. ctx_* fields reflect the context's
+  /// whole lifetime (a context may serve several matchers);
   /// ResetStats clears only the matcher-local counters.
   MatcherStats stats() const;
   void ResetStats() { stats_ = MatcherStats(); }
@@ -129,8 +130,8 @@ class Matcher {
       bool forward;  // true: u -> other; false: other -> u
     };
     std::vector<Check> checks;
-    // Memoized candidate set of `u` (null when running context-free).
-    // Stable address for the context's lifetime.
+    // Memoized candidate set of `u`; stable address for the context's
+    // lifetime.
     const MatchContext::CandidateSet* cand = nullptr;
   };
 
@@ -138,13 +139,10 @@ class Matcher {
   std::vector<PlanStep> BuildPlan(const Query& q, QNodeId root) const;
 
   // Backtracking search with h(root) = v fixed. Returns true if an
-  // embedding exists. `root_prechecked` skips the root candidacy test for
-  // callers that enumerate v out of the memoized candidate list itself
-  // (every such v passes by construction).
-  bool SearchFrom(const Query& q, const std::vector<PlanStep>& plan,
-                  NodeId v, bool root_prechecked = false) const;
+  // embedding exists.
+  bool SearchFrom(const std::vector<PlanStep>& plan, NodeId v) const;
 
-  bool Extend(const Query& q, const std::vector<PlanStep>& plan, size_t pos,
+  bool Extend(const std::vector<PlanStep>& plan, size_t pos,
               std::vector<NodeId>& assignment) const;
 
   // Periodic cancellation poll (every 256 extension attempts). Once true it
@@ -158,11 +156,13 @@ class Matcher {
     return cancel_hit_;
   }
 
-  // Root candidates of a plan: the memoized list with a context (prune
-  // accounting included), the label bucket without.
+  // Root candidates of a plan: the memoized list, with the label-bucket
+  // nodes it skips accounted as pruned.
   NodeSpan RootCandidates(const Query& q,
                           const std::vector<PlanStep>& plan) const;
 
+  std::unique_ptr<MatchContext> owned_ctx_;  // set by Matcher(const Graph&)
+  MatchContext& ctx_;  // *owned_ctx_ or the borrowed context
   const Graph& g_;
   mutable MatcherStats stats_;
   // Assignment scratch reused across SearchFrom calls (capacity persists,
@@ -177,7 +177,6 @@ class Matcher {
   mutable bool assignment_dirty_ = true;
   const CancelToken* cancel_ = nullptr;
   mutable bool cancel_hit_ = false;
-  MatchContext* ctx_ = nullptr;  // borrowed per-request memo (may be null)
 };
 
 }  // namespace whyq

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "matcher/candidates.h"
-
 namespace whyq {
 
 namespace {
@@ -93,10 +91,13 @@ PathIndex::PathIndex(const Query& q, size_t max_paths) {
   // to the candidate test on the output node.
 }
 
-PathIndex::Probe::Probe(const PathIndex& idx, const Graph& g,
-                        const Query& rewritten, MatchContext* ctx)
-    : idx_(idx), g_(g), rw_(rewritten), ctx_(ctx) {
-  if (ctx_ != nullptr) cand_.assign(rw_.node_count(), nullptr);
+PathIndex::Probe::Probe(const PathIndex& idx, MatchContext& ctx,
+                        const Query& rewritten)
+    : idx_(idx),
+      ctx_(ctx),
+      g_(ctx.graph()),
+      rw_(rewritten),
+      cand_(rewritten.node_count(), nullptr) {
   live_.reserve(idx_.paths_.size());
   for (const std::vector<Step>& path : idx_.paths_) {
     // A step whose query edge the rewrite removed (or whose node it does
@@ -112,9 +113,8 @@ PathIndex::Probe::Probe(const PathIndex& idx, const Graph& g,
 }
 
 bool PathIndex::Probe::IsCand(QNodeId u, NodeId v) {
-  if (ctx_ == nullptr) return IsCandidate(g_, v, rw_.node(u));
   const MatchContext::CandidateSet*& cand = cand_[u];
-  if (cand == nullptr) cand = &ctx_->Lookup(rw_.node(u));
+  if (cand == nullptr) cand = &ctx_.Lookup(rw_.node(u));
   return cand->Test(v);
 }
 

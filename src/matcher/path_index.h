@@ -33,10 +33,9 @@ namespace whyq {
 /// probed by many workers concurrently. Probing goes through a Probe, the
 /// per-rewrite binding that lives on the caller's stack: it caches each
 /// query node's candidate set and each path's live prefix for one rewrite,
-/// and it holds the caller's MatchContext (single-threaded request state)
-/// when one is given. A Probe is therefore confined to one thread and one
-/// rewrite; concurrent probes each bind their own (their executor slot's)
-/// context, or nullptr.
+/// and it holds the caller's MatchContext (single-threaded request state).
+/// A Probe is therefore confined to one thread and one rewrite; concurrent
+/// probes each bind their own (their executor slot's) context.
 class PathIndex {
  public:
   struct Step {
@@ -57,18 +56,16 @@ class PathIndex {
   /// query-node ids against the query the index will be probed with.
   static PathIndex FromPaths(std::vector<std::vector<Step>> paths);
 
-  /// The path tests of one rewrite Q' = `rewritten`, bound once and run
-  /// against any number of data nodes. With a context, each query node's
-  /// candidate set is fetched from it at most once per probe (at the
-  /// node's first test) and every test is an O(1) bitmap probe; without
-  /// one (nullptr), each test evaluates the literals. Each path's live
-  /// prefix (the steps whose query edge survives the rewrite) is found
-  /// once, at construction. Verdicts are identical with or without a
-  /// context. The index, graph, query and context must outlive the probe.
+  /// The path tests of one rewrite Q' = `rewritten` over the graph of
+  /// `ctx`, bound once and run against any number of data nodes. Each
+  /// query node's candidate set is fetched from the context at most once
+  /// per probe (at the node's first test), and every test is an O(1)
+  /// bitmap probe. Each path's live prefix (the steps whose query edge
+  /// survives the rewrite) is found once, at construction. The index,
+  /// query and context must outlive the probe.
   class Probe {
    public:
-    Probe(const PathIndex& idx, const Graph& g, const Query& rewritten,
-          MatchContext* ctx);
+    Probe(const PathIndex& idx, MatchContext& ctx, const Query& rewritten);
 
     /// Path test of v (see class comment).
     bool Passes(NodeId v);
@@ -90,25 +87,13 @@ class PathIndex {
                      NodeId at);
 
     const PathIndex& idx_;
+    MatchContext& ctx_;
     const Graph& g_;
     const Query& rw_;
-    MatchContext* ctx_;
-    // Per query node of `rw_`: its memoized set, fetched on first use
-    // (only with a context).
+    // Per query node of `rw_`: its memoized set, fetched on first use.
     std::vector<const MatchContext::CandidateSet*> cand_;
     std::vector<size_t> live_;  // per path: length of its live prefix
   };
-
-  /// One-off path test of v against `rewritten` without a context — a
-  /// Probe bound for this single call. Loops over many nodes of one
-  /// rewrite bind a Probe once instead.
-  bool Passes(const Graph& g, const Query& rewritten, NodeId v) const {
-    return Probe(*this, g, rewritten, nullptr).Passes(v);
-  }
-  double PassFraction(const Graph& g, const Query& rewritten,
-                      NodeId v) const {
-    return Probe(*this, g, rewritten, nullptr).PassFraction(v);
-  }
 
   size_t path_count() const { return paths_.size(); }
   const std::vector<std::vector<Step>>& paths() const { return paths_; }

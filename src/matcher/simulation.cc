@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "matcher/candidates.h"
 #include "matcher/match_context.h"
 
 namespace whyq {
@@ -19,29 +18,23 @@ bool Test(const Bitmap& b, NodeId v) {
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
-                                                const Query& q,
-                                                MatchContext* ctx) {
+std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
+                                                const Query& q) {
+  const Graph& g = ctx.graph();
   std::vector<std::vector<NodeId>> lists(q.node_count());
   std::vector<QNodeId> component = q.OutputComponent();
   if (component.empty()) return lists;
   std::vector<uint8_t> in_component(q.node_count(), 0);
   for (QNodeId u : component) in_component[u] = 1;
 
-  // Initialize with the candidate sets (ascending member list + bitmap):
-  // copied from the context's memo when there is one, else scanned.
+  // Initialize with the memoized candidate sets (ascending member list +
+  // bitmap).
   const size_t words = (g.node_count() + 63) / 64;
   std::vector<Bitmap> member(q.node_count());
   for (QNodeId u : component) {
-    if (ctx != nullptr) {
-      const MatchContext::CandidateSet& c = ctx->Lookup(q.node(u));
-      lists[u].assign(c.begin(), c.end());
-      member[u].assign(c.bits, c.bits + words);
-    } else {
-      lists[u] = Candidates(g, q, u);
-      member[u].assign(words, 0);
-      for (NodeId v : lists[u]) member[u][v >> 6] |= uint64_t{1} << (v & 63);
-    }
+    const MatchContext::CandidateSet& c = ctx.Lookup(q.node(u));
+    lists[u].assign(c.begin(), c.end());
+    member[u].assign(c.bits, c.bits + words);
   }
 
   // Fixpoint pruning: drop v from S(u) when some incident query edge has
@@ -78,9 +71,13 @@ std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
   return lists;
 }
 
-std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q,
-                                      MatchContext* ctx) {
-  return DualSimulation(g, q, ctx)[q.output()];
+std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q) {
+  return DualSimulation(ctx, q)[q.output()];
+}
+
+std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q) {
+  MatchContext ctx(g);
+  return SimulationAnswers(ctx, q);
 }
 
 }  // namespace whyq

@@ -28,21 +28,21 @@ class MatchContext;
 /// Only the output node's connected component constrains the result,
 /// mirroring the isomorphism matcher's handling of disconnected rewrites.
 ///
-/// `ctx` (optional, not owned) is the caller's per-request candidate memo:
-/// with it, each S(u) starts from the memoized candidate set of u's
+/// The simulation runs over the graph of `ctx`, the caller's candidate
+/// memo: each S(u) starts from the memoized candidate set of u's
 /// constraint (a hit when an earlier rewrite of the same request shared
-/// it) instead of a literal scan of the label bucket. The relation is the
-/// same with or without a context; the context is single-thread state.
+/// it). The context is single-thread state.
 
 /// The maximum dual-simulation relation: one (sorted) node set per query
 /// node; nodes outside the output component get empty sets.
-std::vector<std::vector<NodeId>> DualSimulation(const Graph& g,
-                                                const Query& q,
-                                                MatchContext* ctx = nullptr);
+std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
+                                                const Query& q);
 
 /// Sim(u_o): the output node's set under the maximum dual simulation.
-std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q,
-                                      MatchContext* ctx = nullptr);
+std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q);
+
+/// One-off Sim(u_o) over a fresh context on `g`.
+std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q);
 
 }  // namespace whyq
 

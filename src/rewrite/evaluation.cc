@@ -20,7 +20,7 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
                            const CancelToken* cancel)
     : g_(g),
       ctx_(std::make_unique<MatchContext>(g)),
-      engine_(MakeMatchEngine(g, semantics, ctx_.get())),
+      engine_(MakeMatchEngine(*ctx_, semantics)),
       answers_(std::move(answers)),
       unexpected_set_(std::vector<NodeId>{}, g.node_count()),
       guard_m_(guard_m) {
@@ -85,7 +85,7 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
                                  const CancelToken* cancel)
     : g_(g),
       ctx_(std::make_unique<MatchContext>(g)),
-      engine_(MakeMatchEngine(g, semantics, ctx_.get())),
+      engine_(MakeMatchEngine(*ctx_, semantics)),
       answers_(std::move(answers)),
       protected_set_(answers_, g.node_count()),
       guard_m_(guard_m) {

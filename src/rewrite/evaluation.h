@@ -55,9 +55,9 @@ class WhyEvaluator {
   const MatchEngine& engine() const { return *engine_; }
   const Graph& graph() const { return g_; }
 
-  /// The evaluator's candidate memo (never null, under either semantics).
-  /// Single-thread state, like the evaluator itself.
-  MatchContext* context() const { return ctx_.get(); }
+  /// The evaluator's candidate memo, under either semantics. Single-thread
+  /// state, like the evaluator itself.
+  MatchContext& context() const { return *ctx_; }
 
   bool IsUnexpected(NodeId v) const { return unexpected_set_.Contains(v); }
 
@@ -102,8 +102,8 @@ class WhyNotEvaluator {
   const MatchEngine& engine() const { return *engine_; }
   const Graph& graph() const { return g_; }
 
-  /// The evaluator's candidate memo (never null, under either semantics).
-  MatchContext* context() const { return ctx_.get(); }
+  /// The evaluator's candidate memo, under either semantics.
+  MatchContext& context() const { return *ctx_; }
 
  private:
   const Graph& g_;

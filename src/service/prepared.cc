@@ -81,7 +81,7 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
   MatchContext ctx(g);
   ctx.Seed(prepared->query.node(prepared->query.output()),
            prepared->output_candidates);
-  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, semantics, &ctx);
+  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(ctx, semantics);
   engine->SetCancelToken(cancel);
   prepared->answers = engine->MatchOutput(prepared->query);
   if (trace != nullptr) {

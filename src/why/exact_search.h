@@ -139,7 +139,7 @@ ExactSearchOutcome ExactMbsSearch(
         }
         return false;
       });
-  for (const auto& se : slot_evals) out.ctx.Add(se->context()->stats());
+  for (const auto& se : slot_evals) out.ctx.Add(se->context().stats());
   return out;
 }
 

@@ -71,7 +71,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
   auto score = [&](const Query& rewritten) {
     double best = 0.0;
     double sum = 0.0;
-    PathIndex::Probe probe(pidx, g, rewritten, nullptr);
+    PathIndex::Probe probe(pidx, matcher.context(), rewritten);
     for (NodeId v : proxy) {
       double fr = probe.PassFraction(v);
       best = std::max(best, fr);
@@ -173,7 +173,7 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   // Greedy: maximize estimated removals per unit cost (path screening).
   auto survivors = [&](const Query& rewritten) {
     size_t kept = 0;
-    PathIndex::Probe probe(pidx, g, rewritten, nullptr);
+    PathIndex::Probe probe(pidx, matcher.context(), rewritten);
     for (NodeId v : answers) {
       if (probe.Passes(v)) ++kept;
     }

@@ -147,7 +147,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   if (best_cl < 0.0 || best_ops.empty()) {
     // No improving set: answer with the empty rewrite (Q itself).
     out.eval = eval.Evaluate(q);
-    out.ctx.Add(eval.context()->stats());
+    out.ctx.Add(eval.context().stats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -160,7 +160,7 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.context()->stats());
+  out.ctx.Add(eval.context().stats());
   return out;
 }
 
@@ -200,8 +200,8 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
   // Sum of every evaluator's candidate-memo counters, folded into the
   // answer at each exit.
   auto finish_ctx = [&]() {
-    out.ctx = eval.context()->stats();
-    for (const auto& se : slot_evals) out.ctx.Add(se->context()->stats());
+    out.ctx = eval.context().stats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->context().stats());
   };
 
   std::vector<EditOp> picky =
@@ -321,7 +321,7 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
                ? 0.0
                : s / static_cast<double>(eval.unexpected().size());
   };
-  PathIndex::Probe base_probe(pidx, g, q, eval.context());
+  PathIndex::Probe base_probe(pidx, eval.context(), q);
   double current_soft = soft_score(aff_union, base_probe);
 
   while (pool > 0 && current_cl < 1.0 - kEps) {
@@ -355,7 +355,7 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
           OperatorSet trial_ops;
           for (size_t j : trial) trial_ops.push_back(cands[j].op);
           Query rw = ApplyOperators(q, trial_ops);
-          PathIndex::Probe probe(pidx, g, rw, eval_at(slot).context());
+          PathIndex::Probe probe(pidx, eval_at(slot).context(), rw);
           CloseEstimate est = estimate(aff, probe, slot);
           Score& s = scores[k];
           s.gain = est.closeness - current_cl;
@@ -390,7 +390,7 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
     OperatorSet trial_ops;
     for (size_t j : trial) trial_ops.push_back(cands[j].op);
     Query rw = ApplyOperators(q, trial_ops);
-    PathIndex::Probe probe(pidx, g, rw, eval.context());
+    PathIndex::Probe probe(pidx, eval.context(), rw);
     CloseEstimate est = estimate(aff, probe, 0);
     if (!est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
@@ -422,7 +422,7 @@ RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
         for (NodeId v : cands[j].affected) aff.Insert(v);
       }
       Query rw = ApplyOperators(q, trial_ops);
-      PathIndex::Probe probe(pidx, g, rw, eval.context());
+      PathIndex::Probe probe(pidx, eval.context(), rw);
       CloseEstimate est = estimate(aff, probe, 0);
       if (est.guard_ok && est.closeness >= current_cl - kEps) {
         selected = std::move(trial);

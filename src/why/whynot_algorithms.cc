@@ -112,7 +112,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
 
   if (best_cl < 0.0 || best_ops.empty()) {
     out.eval = eval.Evaluate(q);
-    out.ctx.Add(eval.context()->stats());
+    out.ctx.Add(eval.context().stats());
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -125,7 +125,7 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.context()->stats());
+  out.ctx.Add(eval.context().stats());
   return out;
 }
 
@@ -162,8 +162,8 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   // Sum the candidate-memo counters across every evaluator this question
   // touched; called once per exit path.
   auto finish_ctx = [&] {
-    out.ctx = eval.context()->stats();
-    for (const auto& se : slot_evals) out.ctx.Add(se->context()->stats());
+    out.ctx = eval.context().stats();
+    for (const auto& se : slot_evals) out.ctx.Add(se->context().stats());
   };
 
   std::vector<EditOp> picky = GenPickyWhyNot(g, q, eval.missing(), cfg);
@@ -194,7 +194,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
         if (exact) {
           cand.covered = ev.NewMatches(single);
         } else {
-          PathIndex::Probe probe(pidx, g, single, ev.context());
+          PathIndex::Probe probe(pidx, ev.context(), single);
           for (NodeId v : ev.missing()) {
             if (probe.Passes(v)) cand.covered.push_back(v);
           }
@@ -256,7 +256,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
   NodeSet covered(std::vector<NodeId>{}, g.node_count());
   double spent = 0.0;
   double current_cl = 0.0;
-  PathIndex::Probe base_probe(pidx, g, q, eval.context());
+  PathIndex::Probe base_probe(pidx, eval.context(), q);
   double current_soft = soft_score(covered, base_probe);
   std::vector<uint8_t> in_pool(cands.size(), 1);
   size_t pool = cands.size();
@@ -291,7 +291,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
           for (size_t j : selected) trial_ops.push_back(cands[j].op);
           trial_ops.push_back(cands[i].op);
           Query rw = ApplyOperators(q, trial_ops);
-          PathIndex::Probe probe(pidx, g, rw, eval_at(slot).context());
+          PathIndex::Probe probe(pidx, eval_at(slot).context(), rw);
           CloseEstimate est = estimate(cov, probe, slot);
           Score& s = scores[k];
           s.gain = est.closeness - current_cl;
@@ -323,7 +323,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
     for (size_t j : selected) trial_ops.push_back(cands[j].op);
     trial_ops.push_back(cands[b].op);
     Query rw = ApplyOperators(q, trial_ops);
-    PathIndex::Probe probe(pidx, g, rw, eval.context());
+    PathIndex::Probe probe(pidx, eval.context(), rw);
     CloseEstimate est = estimate(cov, probe, 0);
     if (!est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
@@ -360,7 +360,7 @@ RewriteAnswer GreedyWhyNot(const Graph& g, const Query& q,
         for (NodeId v : cands[j].covered) cov.Insert(v);
       }
       Query rw = ApplyOperators(q, trial_ops);
-      PathIndex::Probe probe(pidx, g, rw, eval.context());
+      PathIndex::Probe probe(pidx, eval.context(), rw);
       CloseEstimate est = estimate(cov, probe, 0);
       if (est.guard_ok && est.closeness >= current_cl - kEps) {
         selected = std::move(trial);

@@ -62,8 +62,8 @@ TEST_P(AlgoSweepTest, ContractsHold) {
   cfg.max_picky_ops = 96;
   cfg.exact_time_limit_ms = 1500;
 
-  std::unique_ptr<MatchEngine> engine =
-      MakeMatchEngine(g, param.semantics);
+  MatchContext ctx(g);
+  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(ctx, param.semantics);
 
   for (const Workload::Item& item : w.items) {
     // Under simulation semantics the answer set differs; recompute.

@@ -21,12 +21,13 @@ class EstMatchTest : public testing::Test {
   Figure1 f_;
   PathIndex pidx_;
   SymbolId price_;
+  MatchContext ctx_{f_.graph};
 };
 
 TEST_F(EstMatchTest, WhyUnionMembersCountAsExcluded) {
   NodeSet excluded = Empty();
   excluded.Insert(f_.a5);
-  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, f_.query);
   CloseEstimate e = EstimateWhy(probe, excluded, {f_.a5, f_.s5}, {f_.s6}, 2);
   // A5 via the union; S5 still passes the unmodified query's path tests.
   EXPECT_DOUBLE_EQ(e.closeness, 0.5);
@@ -40,7 +41,7 @@ TEST_F(EstMatchTest, WhyPathScreeningDetectsLiteralExclusion) {
   Query refined = f_.query;
   refined.AddLiteral(refined.output(),
                      Literal{price_, CompareOp::kGt, Value(int64_t{300})});
-  PathIndex::Probe probe(pidx_, f_.graph, refined, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, refined);
   CloseEstimate e = EstimateWhy(probe, Empty(), {f_.a5, f_.s5}, {f_.s6}, 2);
   EXPECT_DOUBLE_EQ(e.closeness, 1.0);
 }
@@ -48,7 +49,7 @@ TEST_F(EstMatchTest, WhyPathScreeningDetectsLiteralExclusion) {
 TEST_F(EstMatchTest, WhyGuardCountsDesiredInUnion) {
   NodeSet excluded = Empty();
   excluded.Insert(f_.s6);  // collateral damage recorded by some Aff(o)
-  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, f_.query);
   CloseEstimate e = EstimateWhy(probe, excluded, {f_.a5}, {f_.s5, f_.s6}, 0);
   EXPECT_FALSE(e.guard_ok);
   EXPECT_EQ(e.guard, 1u);
@@ -65,7 +66,7 @@ TEST_F(EstMatchTest, WhyNotUnionAndScreening) {
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
   NodeSet protect(std::vector<NodeId>{f_.a5, f_.s5, f_.s6, f_.s8, f_.s9},
                   f_.graph.node_count());
-  PathIndex::Probe probe(pidx_, f_.graph, relaxed, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, relaxed);
   CloseEstimate e = EstimateWhyNot(probe, NodeSet({}, 0), {f_.s8, f_.s9},
                                    protect, 2, 100);
   EXPECT_DOUBLE_EQ(e.closeness, 0.5);  // S8 estimated in, S9 not
@@ -83,14 +84,14 @@ TEST_F(EstMatchTest, WhyNotGuardDetectsFlood) {
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
   NodeSet protect(std::vector<NodeId>{f_.a5, f_.s5, f_.s6, f_.s9},
                   f_.graph.node_count());
-  PathIndex::Probe probe(pidx_, f_.graph, relaxed, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, relaxed);
   CloseEstimate e =
       EstimateWhyNot(probe, NodeSet({}, 0), {f_.s9}, protect, 0, 100);
   EXPECT_FALSE(e.guard_ok);
 }
 
 TEST_F(EstMatchTest, EmptyQuestionsAreZero) {
-  PathIndex::Probe probe(pidx_, f_.graph, f_.query, nullptr);
+  PathIndex::Probe probe(pidx_, ctx_, f_.query);
   CloseEstimate e = EstimateWhy(probe, Empty(), {}, {}, 2);
   EXPECT_DOUBLE_EQ(e.closeness, 0.0);
   EXPECT_TRUE(e.guard_ok);

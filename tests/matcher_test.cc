@@ -5,6 +5,8 @@
 #include "gen/figure1.h"
 #include "graph/neighborhood.h"
 #include "matcher/candidates.h"
+#include "matcher/match_context.h"
+#include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 
 namespace whyq {
@@ -32,8 +34,8 @@ TEST(CandidatesTest, MissingAttributeFailsLiteral) {
   Graph g = b.Build();
   QueryNode qn;
   qn.label = *g.node_labels().Find("A");
-  qn.literals.push_back(
-      Literal{*g.attr_names().Find("p"), CompareOp::kGe, Value(int64_t{0})});
+  qn.literals.emplace_back(*g.attr_names().Find("p"), CompareOp::kGe,
+                           Value(int64_t{0}));
   EXPECT_TRUE(IsCandidate(g, 0, qn));
   EXPECT_FALSE(IsCandidate(g, 1, qn));
 }
@@ -42,7 +44,7 @@ TEST(CandidatesTest, CandidateListAndCount) {
   Figure1 f = MakeFigure1();
   std::vector<NodeId> c = Candidates(f.graph, f.query, f.query.output());
   EXPECT_EQ(Sorted(c), Sorted({f.a5, f.s5, f.s6}));
-  EXPECT_EQ(CountCandidates(f.graph, f.query, f.query.output()), 3u);
+  EXPECT_EQ(Candidates(f.graph, f.query, f.query.output()).size(), 3u);
 }
 
 TEST(MatcherTest, Figure1Answer) {
@@ -274,6 +276,24 @@ TEST(MatcherTest, StatsAccumulate) {
   EXPECT_GT(m.stats().embeddings_tried, 0u);
   m.ResetStats();
   EXPECT_EQ(m.stats().iso_tests, 0u);
+}
+
+// Every match runs over a MatchContext: a one-off Matcher owns one, and
+// both engines look their candidate sets up in the context they borrow.
+TEST(MatcherTest, EveryMatchRunsOverAContext) {
+  Figure1 f = MakeFigure1();
+  Matcher m(f.graph);
+  m.MatchOutput(f.query);
+  MatcherStats s = m.stats();
+  EXPECT_GT(s.ctx_hits + s.ctx_misses + s.ctx_delta_builds, 0u);
+  for (MatchSemantics sem :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    MatchContext ctx(f.graph);
+    MakeMatchEngine(ctx, sem)->MatchOutput(f.query);
+    const MatchContext::Stats& c = ctx.stats();
+    EXPECT_GT(c.hits + c.misses + c.delta_builds, 0u)
+        << MatchSemanticsName(sem);
+  }
 }
 
 }  // namespace

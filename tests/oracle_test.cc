@@ -1,7 +1,10 @@
 // Oracle suites: the production matcher and the dual-simulation fixpoint
 // are checked against brute-force reference implementations on randomly
 // generated small instances — the strongest correctness evidence short of
-// proofs, per seed-parameterized sweeps.
+// proofs, per seed-parameterized sweeps. The references test candidacy
+// with IsCandidate alone; the production side runs over one MatchContext
+// reused across each query and its literal rewrites, as inside one
+// question.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 
 #include "common/rng.h"
 #include "matcher/candidates.h"
+#include "matcher/match_context.h"
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
 
@@ -105,19 +109,122 @@ std::set<NodeId> BruteForceAnswers(const Graph& g, const Query& q) {
   return out;
 }
 
+// Brute-force reference for the maximum dual simulation: start from every
+// IsCandidate node of the output component's query nodes and drop, until
+// nothing changes, each node lacking a witness neighbor (full adjacency
+// scan) for some incident query edge.
+std::vector<std::vector<NodeId>> BruteForceSimulation(const Graph& g,
+                                                      const Query& q) {
+  std::vector<uint8_t> in_comp(q.node_count(), 0);
+  in_comp[q.output()] = 1;
+  for (size_t round = 0; round < q.node_count(); ++round) {
+    for (const QueryEdge& e : q.edges()) {
+      if (in_comp[e.src] || in_comp[e.dst]) {
+        in_comp[e.src] = in_comp[e.dst] = 1;
+      }
+    }
+  }
+  std::vector<std::vector<uint8_t>> in(q.node_count(),
+                                       std::vector<uint8_t>(g.node_count()));
+  for (QNodeId u = 0; u < q.node_count(); ++u) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      in[u][v] = in_comp[u] && IsCandidate(g, v, q.node(u));
+    }
+  }
+  auto witnessed = [&](const auto& adj, SymbolId label, QNodeId other) {
+    for (const HalfEdge& he : adj) {
+      if (he.label == label && in[other][he.other]) return true;
+    }
+    return false;
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const QueryEdge& e : q.edges()) {
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        if (in[e.src][v] && !witnessed(g.out_edges(v), e.label, e.dst)) {
+          in[e.src][v] = 0;
+          changed = true;
+        }
+        if (in[e.dst][v] && !witnessed(g.in_edges(v), e.label, e.src)) {
+          in[e.dst][v] = 0;
+          changed = true;
+        }
+      }
+    }
+  }
+  std::vector<std::vector<NodeId>> out(q.node_count());
+  for (QNodeId u = 0; u < q.node_count(); ++u) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (in[u][v]) out[u].push_back(v);
+    }
+  }
+  return out;
+}
+
+// `q` with 1-2 random literal edits on its nodes: add a literal on x or y
+// (a refinement), drop one (a relaxation), or move one's constant (either).
+Query EditLiterals(const Graph& g, const Query& q, Rng& rng) {
+  Query out = q;
+  std::vector<SymbolId> attrs;
+  for (const char* name : {"x", "y"}) {
+    if (std::optional<SymbolId> a = g.attr_names().Find(name)) {
+      attrs.push_back(*a);
+    }
+  }
+  size_t edits = 1 + rng.Index(2);
+  for (size_t i = 0; i < edits; ++i) {
+    QNodeId u = static_cast<QNodeId>(rng.Index(out.node_count()));
+    const std::vector<Literal>& lits = out.node(u).literals;
+    size_t kind = rng.Index(3);
+    if (kind == 0 || lits.empty()) {
+      out.AddLiteral(u, Literal{attrs[rng.Index(attrs.size())],
+                                rng.Chance(0.5) ? CompareOp::kLe
+                                                : CompareOp::kGe,
+                                Value(rng.Uniform(0, 4))});
+    } else if (kind == 1) {
+      Literal gone = lits[rng.Index(lits.size())];
+      out.RemoveLiteral(u, gone);
+    } else {
+      Literal before = lits[rng.Index(lits.size())];
+      Literal after = before;
+      after.constant = Value(rng.Uniform(0, 4));
+      out.ReplaceLiteral(u, before, after);
+    }
+  }
+  return out;
+}
+
 class MatcherOracleTest : public testing::TestWithParam<int> {};
 
+// The query and six literal rewrites of it, matched over one shared
+// context: every MatchOutput, TestAnswers, IsAnswer and DualSimulation
+// result equals the brute-force reference.
 TEST_P(MatcherOracleTest, AgreesWithBruteForce) {
   Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 131 + 1);
-  Matcher m(inst.g);
-  std::vector<NodeId> got = m.MatchOutput(inst.q);
-  std::set<NodeId> got_set(got.begin(), got.end());
-  std::set<NodeId> want = BruteForceAnswers(inst.g, inst.q);
-  EXPECT_EQ(got_set, want) << inst.q.ToString(inst.g);
-  // IsAnswer agrees pointwise.
-  for (NodeId v = 0; v < inst.g.node_count(); ++v) {
-    EXPECT_EQ(m.IsAnswer(inst.q, v), want.count(v) > 0) << "node " << v;
+  const Graph& g = inst.g;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 977 + 3);
+  std::vector<Query> sweep{inst.q};
+  for (int i = 0; i < 6; ++i) sweep.push_back(EditLiterals(g, inst.q, rng));
+  std::vector<NodeId> all(g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) all[v] = v;
+
+  MatchContext ctx(g);
+  Matcher m(ctx);
+  for (const Query& q : sweep) {
+    std::set<NodeId> want = BruteForceAnswers(g, q);
+    std::vector<NodeId> got = m.MatchOutput(q);
+    EXPECT_EQ(std::set<NodeId>(got.begin(), got.end()), want)
+        << q.ToString(g);
+    std::vector<uint8_t> tested = m.TestAnswers(q, all);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(tested[v] == 1, want.count(v) > 0) << "node " << v;
+      EXPECT_EQ(m.IsAnswer(q, v), want.count(v) > 0) << "node " << v;
+    }
+    EXPECT_EQ(DualSimulation(ctx, q), BruteForceSimulation(g, q))
+        << q.ToString(g);
   }
+  // The sweep shares constraints, so the context served some of them.
+  EXPECT_GT(ctx.stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherOracleTest, testing::Range(0, 40));
@@ -132,7 +239,8 @@ TEST_P(SimulationOracleTest, MaximalClosedRelation) {
   Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 733 + 5);
   const Graph& g = inst.g;
   const Query& q = inst.q;
-  std::vector<std::vector<NodeId>> sim = DualSimulation(g, q);
+  MatchContext ctx(g);
+  std::vector<std::vector<NodeId>> sim = DualSimulation(ctx, q);
   auto member = [&](QNodeId u, NodeId v) {
     return std::binary_search(sim[u].begin(), sim[u].end(), v);
   };

@@ -194,20 +194,20 @@ TEST(ParallelDeterminismTest, ServiceIntraThreadsKeepsResponsesIdentical) {
 // Concurrent per-worker MatchContexts over one shared Graph: each thread
 // owns its own context (the documented confinement contract) while all of
 // them read the same label-partitioned adjacency concurrently. Every
-// thread's answers must equal the serial context-free baseline; run under
-// the CI thread-sanitizer job, this also proves the Graph's slice arrays
-// are genuinely immutable shared state.
-TEST(ParallelDeterminismTest, PerWorkerContextsMatchContextFree) {
+// thread's answers, over a context reused across rounds, must equal the
+// serial baseline over a fresh context per call; run under the CI
+// thread-sanitizer job, this also proves the Graph's slice arrays are
+// genuinely immutable shared state.
+TEST(ParallelDeterminismTest, PerWorkerContextsMatchFreshContext) {
   const Graph& g = SweepGraph();
   Workload w = SweepWorkload(g);
   ASSERT_FALSE(w.items.empty());
   const Query& q = w.items[0].gq.query;
 
-  Matcher baseline_m(g);
-  std::vector<NodeId> baseline = baseline_m.MatchOutput(q);
+  std::vector<NodeId> baseline = Matcher(g).MatchOutput(q);
   std::vector<NodeId> probes = baseline;
   for (NodeId v = 0; v < 16 && v < g.node_count(); ++v) probes.push_back(v);
-  std::vector<uint8_t> baseline_tested = baseline_m.TestAnswers(q, probes);
+  std::vector<uint8_t> baseline_tested = Matcher(g).TestAnswers(q, probes);
 
   constexpr int kThreads = 4;
   std::vector<int> ok(kThreads, 0);
@@ -215,8 +215,7 @@ TEST(ParallelDeterminismTest, PerWorkerContextsMatchContextFree) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       MatchContext ctx(g);  // thread-confined memo
-      Matcher m(g);
-      m.set_context(&ctx);
+      Matcher m(ctx);
       bool good = true;
       for (int round = 0; round < 3; ++round) {
         good = good && m.MatchOutput(q) == baseline;

@@ -17,6 +17,19 @@
 namespace whyq {
 namespace {
 
+// One-off path test (and pass fraction) of v against `rw`, over a fresh
+// context.
+bool Passes(const PathIndex& idx, const Graph& g, const Query& rw, NodeId v) {
+  MatchContext ctx(g);
+  return PathIndex::Probe(idx, ctx, rw).Passes(v);
+}
+
+double PassFraction(const PathIndex& idx, const Graph& g, const Query& rw,
+                    NodeId v) {
+  MatchContext ctx(g);
+  return PathIndex::Probe(idx, ctx, rw).PassFraction(v);
+}
+
 TEST(PathIndexTest, EnumeratesMaximalPaths) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 16);
@@ -39,15 +52,15 @@ TEST(PathIndexTest, SingleNodeQueryHasNoPaths) {
   PathIndex idx(q, 8);
   EXPECT_EQ(idx.path_count(), 0u);
   // Passes degenerates to the candidate test.
-  EXPECT_TRUE(idx.Passes(f.graph, q, f.s6));
-  EXPECT_FALSE(idx.Passes(f.graph, q, 0));  // a Brand node
+  EXPECT_TRUE(Passes(idx, f.graph, q, f.s6));
+  EXPECT_FALSE(Passes(idx, f.graph, q, 0));  // a Brand node
 }
 
 TEST(PathIndexTest, AnswersAlwaysPass) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
   for (NodeId v : {f.a5, f.s5, f.s6}) {
-    EXPECT_TRUE(idx.Passes(f.graph, f.query, v));
+    EXPECT_TRUE(Passes(idx, f.graph, f.query, v));
   }
 }
 
@@ -55,8 +68,8 @@ TEST(PathIndexTest, NonAnswersWithBrokenPathsFail) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
   // S8 fails the output literal (price), S9 additionally lacks pink.
-  EXPECT_FALSE(idx.Passes(f.graph, f.query, f.s8));
-  EXPECT_FALSE(idx.Passes(f.graph, f.query, f.s9));
+  EXPECT_FALSE(Passes(idx, f.graph, f.query, f.s8));
+  EXPECT_FALSE(Passes(idx, f.graph, f.query, f.s9));
 }
 
 TEST(PathIndexTest, RemovedEdgeNoLongerConstrains) {
@@ -69,19 +82,19 @@ TEST(PathIndexTest, RemovedEdgeNoLongerConstrains) {
   Literal before{price, CompareOp::kLe, Value(int64_t{650})};
   Literal after{price, CompareOp::kLe, Value(int64_t{800})};
   ASSERT_TRUE(relaxed.ReplaceLiteral(relaxed.output(), before, after));
-  EXPECT_FALSE(idx.Passes(f.graph, relaxed, f.s8));  // deal literal blocks
+  EXPECT_FALSE(Passes(idx, f.graph, relaxed, f.s8));  // deal literal blocks
   SymbolId deal = *f.graph.edge_labels().Find("deal");
   ASSERT_TRUE(relaxed.RemoveEdge(0, 2, deal));
-  EXPECT_TRUE(idx.Passes(f.graph, relaxed, f.s8));
+  EXPECT_TRUE(Passes(idx, f.graph, relaxed, f.s8));
 }
 
 TEST(PathIndexTest, PassFractionPartialCredit) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
-  double frac_s8 = idx.PassFraction(f.graph, f.query, f.s8);
+  double frac_s8 = PassFraction(idx, f.graph, f.query, f.s8);
   EXPECT_GT(frac_s8, 0.0);  // brand + color paths pass
   EXPECT_LT(frac_s8, 1.0);  // candidate test + deal path fail
-  EXPECT_DOUBLE_EQ(idx.PassFraction(f.graph, f.query, f.s6), 1.0);
+  EXPECT_DOUBLE_EQ(PassFraction(idx, f.graph, f.query, f.s6), 1.0);
 }
 
 // Property: the path test is a *necessary* condition for answering —
@@ -99,7 +112,7 @@ TEST(PathIndexTest, PassingIsNecessaryForMatching) {
     if (!gq.has_value()) continue;
     PathIndex idx(gq->query, 8);
     for (NodeId v : gq->answers) {
-      EXPECT_TRUE(idx.Passes(g, gq->query, v));
+      EXPECT_TRUE(Passes(idx, g, gq->query, v));
       ++checked;
     }
   }
@@ -143,9 +156,10 @@ std::vector<bool> RefChecks(const Graph& g, const Query& rw,
 }
 
 // Property: a probe's verdicts and pass fractions equal the reference path
-// test for every output-label node, with a request context (reused across
-// all rewrites of a query, as inside one question) and without one, over
-// random refinement/relaxation rewrites — edge removals included.
+// test for every output-label node, over a request context reused across
+// all rewrites of a query (as inside one question) and over a fresh
+// context per rewrite, for random refinement/relaxation rewrites — edge
+// removals included.
 TEST(PathIndexTest, ProbeMatchesReferencePathTest) {
   Graph g = GenerateProfile(DatasetProfile::kIMDb, 1500, 17);
   Rng rng(29);
@@ -183,8 +197,9 @@ TEST(PathIndexTest, ProbeMatchesReferencePathTest) {
       }
       Query rw = ApplyOperators(q, set);
       ++rewrites;
-      PathIndex::Probe with_ctx(idx, g, rw, &ctx);
-      PathIndex::Probe without(idx, g, rw, nullptr);
+      PathIndex::Probe reused(idx, ctx, rw);
+      MatchContext fresh_ctx(g);
+      PathIndex::Probe fresh(idx, fresh_ctx, rw);
       for (NodeId v : g.NodesWithLabel(rw.node(rw.output()).label)) {
         std::vector<bool> checks = RefChecks(g, rw, idx, v);
         size_t passed = static_cast<size_t>(
@@ -193,11 +208,10 @@ TEST(PathIndexTest, ProbeMatchesReferencePathTest) {
         double fraction = static_cast<double>(passed) /
                           static_cast<double>(checks.size());
         passing += all;
-        ASSERT_EQ(with_ctx.Passes(v), all) << "node " << v;
-        ASSERT_EQ(without.Passes(v), all) << "node " << v;
-        ASSERT_EQ(with_ctx.PassFraction(v), fraction) << "node " << v;
-        ASSERT_EQ(without.PassFraction(v), fraction) << "node " << v;
-        ASSERT_EQ(idx.Passes(g, rw, v), all) << "node " << v;
+        ASSERT_EQ(reused.Passes(v), all) << "node " << v;
+        ASSERT_EQ(fresh.Passes(v), all) << "node " << v;
+        ASSERT_EQ(reused.PassFraction(v), fraction) << "node " << v;
+        ASSERT_EQ(fresh.PassFraction(v), fraction) << "node " << v;
       }
     }
   }
@@ -211,7 +225,7 @@ TEST(PathIndexTest, ProbeLooksUpEachQueryNodeOnce) {
   Figure1 f = MakeFigure1();
   PathIndex idx(f.query, 8);
   MatchContext ctx(f.graph);
-  PathIndex::Probe probe(idx, f.graph, f.query, &ctx);
+  PathIndex::Probe probe(idx, ctx, f.query);
   for (int round = 0; round < 3; ++round) {
     for (NodeId v = 0; v < f.graph.node_count(); ++v) {
       probe.PassFraction(v);

@@ -130,18 +130,26 @@ TEST(SimulationTest, CycleMatchesUnrolling) {
 
 TEST(SimulationTest, LiteralsRespected) {
   Figure1 f = MakeFigure1();
-  std::vector<std::vector<NodeId>> sim = DualSimulation(f.graph, f.query);
+  MatchContext ctx(f.graph);
+  std::vector<std::vector<NodeId>> sim = DualSimulation(ctx, f.query);
   // Phones over the price bound never simulate the output node.
   const std::vector<NodeId>& out = sim[f.query.output()];
   EXPECT_FALSE(std::binary_search(out.begin(), out.end(), f.s8));
   EXPECT_FALSE(std::binary_search(out.begin(), out.end(), f.s9));
 }
 
-TEST(SimulationTest, ContextSeedingMatchesScan) {
+// Each relation over a fresh context, built for this one call.
+std::vector<std::vector<NodeId>> FreshSimulation(const Graph& g,
+                                                 const Query& q) {
+  MatchContext fresh(g);
+  return DualSimulation(fresh, q);
+}
+
+TEST(SimulationTest, ReusedContextMatchesFreshContext) {
   // One context reused across random refinement and relaxation rewrites of
   // generated queries, as inside one question: every relation equals the
-  // context-free one, node by node, while the memo serves hits and builds
-  // refined sets from cached parents.
+  // one over a fresh context, node by node, while the reused memo serves
+  // hits and builds sets from memoized literal bitmaps.
   Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, 17);
   Rng rng(29);
   QueryGenConfig qc;
@@ -161,7 +169,7 @@ TEST(SimulationTest, ContextSeedingMatchesScan) {
     std::vector<EditOp> ops = GenPickyWhy(g, q, gq->answers, entities, cfg);
     std::vector<EditOp> relax = GenPickyWhyNot(g, q, entities, cfg);
     ops.insert(ops.end(), relax.begin(), relax.end());
-    EXPECT_EQ(DualSimulation(g, q, &ctx), DualSimulation(g, q));
+    EXPECT_EQ(DualSimulation(ctx, q), FreshSimulation(g, q));
     for (int trial = 0; trial < 12 && !ops.empty(); ++trial) {
       OperatorSet set;
       for (size_t idx : rng.SampleDistinct(ops.size(), 1 + rng.Index(3))) {
@@ -172,14 +180,14 @@ TEST(SimulationTest, ContextSeedingMatchesScan) {
         }
       }
       Query rw = ApplyOperators(q, set);
-      std::vector<std::vector<NodeId>> memo = DualSimulation(g, rw, &ctx);
-      std::vector<std::vector<NodeId>> scan = DualSimulation(g, rw);
-      ASSERT_EQ(memo.size(), scan.size());
+      std::vector<std::vector<NodeId>> reused = DualSimulation(ctx, rw);
+      std::vector<std::vector<NodeId>> fresh = FreshSimulation(g, rw);
+      ASSERT_EQ(reused.size(), fresh.size());
       for (QNodeId u = 0; u < rw.node_count(); ++u) {
-        EXPECT_EQ(memo[u], scan[u]) << "query " << i << " rewrite " << trial
-                                    << " node " << u;
+        EXPECT_EQ(reused[u], fresh[u]) << "query " << i << " rewrite "
+                                       << trial << " node " << u;
       }
-      EXPECT_EQ(SimulationAnswers(g, rw, &ctx), SimulationAnswers(g, rw));
+      EXPECT_EQ(SimulationAnswers(ctx, rw), SimulationAnswers(g, rw));
       ++rewrites;
     }
   }
@@ -213,7 +221,8 @@ TEST(MatchEngineTest, FactoryAndNames) {
   Figure1 f = MakeFigure1();
   for (MatchSemantics s :
        {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
-    std::unique_ptr<MatchEngine> e = MakeMatchEngine(f.graph, s);
+    MatchContext ctx(f.graph);
+    std::unique_ptr<MatchEngine> e = MakeMatchEngine(ctx, s);
     ASSERT_NE(e, nullptr);
     std::vector<NodeId> ans = e->MatchOutput(f.query);
     EXPECT_EQ(ans.size(), 3u);
@@ -231,8 +240,9 @@ TEST(MatchEngineTest, WhyUnderSimulationSemantics) {
   // The full Why pipeline under simulation semantics on Fig. 1: same
   // optimal rewrite story as under isomorphism.
   Figure1 f = MakeFigure1();
+  MatchContext ctx(f.graph);
   std::unique_ptr<MatchEngine> e =
-      MakeMatchEngine(f.graph, MatchSemantics::kSimulation);
+      MakeMatchEngine(ctx, MatchSemantics::kSimulation);
   std::vector<NodeId> answers = e->MatchOutput(f.query);
   AnswerConfig cfg;
   cfg.budget = 4.0;
@@ -250,8 +260,9 @@ TEST(MatchEngineTest, WhyUnderSimulationSemantics) {
 
 TEST(MatchEngineTest, WhyNotUnderSimulationSemantics) {
   Figure1 f = MakeFigure1();
+  MatchContext ctx(f.graph);
   std::unique_ptr<MatchEngine> e =
-      MakeMatchEngine(f.graph, MatchSemantics::kSimulation);
+      MakeMatchEngine(ctx, MatchSemantics::kSimulation);
   std::vector<NodeId> answers = e->MatchOutput(f.query);
   AnswerConfig cfg;
   cfg.budget = 5.0;

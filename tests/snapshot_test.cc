@@ -238,15 +238,18 @@ struct MatchRun {
   MatcherStats stats;
 };
 
+// MatchOutput then TestAnswers, over one context reused by both calls or
+// over a fresh context per call; the stats are those of the matcher that
+// ran TestAnswers.
 MatchRun RunIso(const Graph& g, const Query& q, const std::vector<NodeId>& probes,
-           bool with_context) {
-  Matcher m(g);
-  MatchContext ctx(g);
-  if (with_context) m.set_context(&ctx);
+           bool reuse_context) {
+  Matcher first(g);
+  Matcher fresh(g);
+  Matcher& second = reuse_context ? first : fresh;
   MatchRun r;
-  r.answers = m.MatchOutput(q);
-  r.tested = m.TestAnswers(q, probes);
-  r.stats = m.stats();
+  r.answers = first.MatchOutput(q);
+  r.tested = second.TestAnswers(q, probes);
+  r.stats = second.stats();
   return r;
 }
 
@@ -284,11 +287,11 @@ TEST(SnapshotEquivalenceTest, MatcherCountersArePinnedBothSemantics) {
     probes.push_back(static_cast<NodeId>(rng.Index(built.node_count())));
   }
 
-  // Matcher counters pinned exactly, memoized and not.
-  for (bool with_context : {false, true}) {
-    MatchRun heap = RunIso(built, q, probes, with_context);
-    MatchRun mmapd = RunIso(mapped, q, probes, with_context);
-    EXPECT_EQ(heap.answers, mmapd.answers) << "context " << with_context;
+  // Matcher counters pinned exactly, with a reused or a fresh context.
+  for (bool reuse_context : {false, true}) {
+    MatchRun heap = RunIso(built, q, probes, reuse_context);
+    MatchRun mmapd = RunIso(mapped, q, probes, reuse_context);
+    EXPECT_EQ(heap.answers, mmapd.answers) << "reuse " << reuse_context;
     EXPECT_EQ(heap.tested, mmapd.tested);
     ExpectSameCounters(heap.stats, mmapd.stats);
   }
@@ -296,8 +299,10 @@ TEST(SnapshotEquivalenceTest, MatcherCountersArePinnedBothSemantics) {
   // Engine-level answers pinned under both semantics.
   for (MatchSemantics sem :
        {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
-    std::unique_ptr<MatchEngine> on_heap = MakeMatchEngine(built, sem);
-    std::unique_ptr<MatchEngine> on_map = MakeMatchEngine(mapped, sem);
+    MatchContext heap_ctx(built);
+    MatchContext map_ctx(mapped);
+    std::unique_ptr<MatchEngine> on_heap = MakeMatchEngine(heap_ctx, sem);
+    std::unique_ptr<MatchEngine> on_map = MakeMatchEngine(map_ctx, sem);
     EXPECT_EQ(on_heap->MatchOutput(q), on_map->MatchOutput(q));
     EXPECT_EQ(on_heap->TestAnswers(q, probes), on_map->TestAnswers(q, probes));
   }

@@ -409,8 +409,10 @@ TEST(UpdateEquivalenceTest, AnswersAgreeUnderBothSemantics) {
     std::optional<Query> qr = ParseQuery(text, reb, nullptr);
     ASSERT_TRUE(qi.has_value());
     ASSERT_TRUE(qr.has_value());
-    std::vector<NodeId> ai = MakeMatchEngine(inc, s)->MatchOutput(*qi);
-    std::vector<NodeId> ar = MakeMatchEngine(reb, s)->MatchOutput(*qr);
+    MatchContext ci(inc);
+    MatchContext cr(reb);
+    std::vector<NodeId> ai = MakeMatchEngine(ci, s)->MatchOutput(*qi);
+    std::vector<NodeId> ar = MakeMatchEngine(cr, s)->MatchOutput(*qr);
     EXPECT_EQ(ai, ar) << MatchSemanticsName(s);
   }
 }

@@ -217,52 +217,52 @@ bool ParseEntityList(const std::string& v, std::vector<NodeId>* out,
 bool ParseArgs(int argc, char** argv, Options* o, std::string* error) {
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
+    // "--flag=value": v is the value after the first '=', if any, and
+    // value_of(flag) is v when `a` sets that flag, else null.
+    size_t eq = a.find('=');
+    const char* v = eq == std::string::npos ? nullptr : a.c_str() + eq + 1;
     auto value_of = [&](const char* flag) -> const char* {
-      size_t n = std::strlen(flag);
-      if (a.compare(0, n, flag) == 0 && a.size() > n && a[n] == '=') {
-        return a.c_str() + n + 1;
-      }
-      return nullptr;
+      return v != nullptr && a.compare(0, eq, flag) == 0 ? v : nullptr;
     };
     bool ok = true;
-    if (const char* v = value_of("--out")) {
+    if (value_of("--out")) {
       o->out = v;
-    } else if (const char* v = value_of("--profile")) {
+    } else if (value_of("--profile")) {
       o->profile = v;
-    } else if (const char* v = value_of("--bsbm")) {
+    } else if (value_of("--bsbm")) {
       ok = ParseSize(v, &o->bsbm);
-    } else if (const char* v = value_of("--nodes")) {
+    } else if (value_of("--nodes")) {
       ok = ParseSize(v, &o->nodes);
-    } else if (const char* v = value_of("--seed")) {
+    } else if (value_of("--seed")) {
       ok = ParseUint64(v, &o->seed);
-    } else if (const char* v = value_of("--attrs")) {
+    } else if (value_of("--attrs")) {
       ok = ParseDouble(v, &o->attrs);
-    } else if (const char* v = value_of("--limit")) {
+    } else if (value_of("--limit")) {
       ok = ParseSize(v, &o->limit);
-    } else if (const char* v = value_of("--target")) {
+    } else if (value_of("--target")) {
       ok = ParseSize(v, &o->target);
-    } else if (const char* v = value_of("--budget")) {
+    } else if (value_of("--budget")) {
       ok = ParseDouble(v, &o->budget);
-    } else if (const char* v = value_of("--guard")) {
+    } else if (value_of("--guard")) {
       ok = ParseSize(v, &o->guard);
-    } else if (const char* v = value_of("--workers")) {
+    } else if (value_of("--workers")) {
       ok = ParseSize(v, &o->workers) && o->workers > 0;
-    } else if (const char* v = value_of("--queue")) {
+    } else if (value_of("--queue")) {
       ok = ParseSize(v, &o->queue) && o->queue > 0;
-    } else if (const char* v = value_of("--cache")) {
+    } else if (value_of("--cache")) {
       ok = ParseSize(v, &o->cache);
-    } else if (const char* v = value_of("--deadline-ms")) {
+    } else if (value_of("--deadline-ms")) {
       ok = ParseDouble(v, &o->deadline_ms);
-    } else if (const char* v = value_of("--threads")) {
+    } else if (value_of("--threads")) {
       ok = ParseSize(v, &o->threads) && o->threads > 0;
-    } else if (const char* v = value_of("--algo")) {
+    } else if (value_of("--algo")) {
       o->algo = v;
       if (o->algo != "auto" && o->algo != "exact" && o->algo != "iso" &&
           o->algo != "approx" && o->algo != "fast") {
         *error = "unknown algo (use exact|approx|fast|iso)";
         return false;
       }
-    } else if (const char* v = value_of("--semantics")) {
+    } else if (value_of("--semantics")) {
       if (std::string(v) == "sim") {
         o->semantics = MatchSemantics::kSimulation;
       } else if (std::string(v) == "iso") {
@@ -271,23 +271,23 @@ bool ParseArgs(int argc, char** argv, Options* o, std::string* error) {
         *error = "unknown semantics (use iso|sim)";
         return false;
       }
-    } else if (const char* v = value_of("--entities")) {
+    } else if (value_of("--entities")) {
       if (!ParseEntityList(v, &o->entities, error)) return false;
-    } else if (const char* v = value_of("--stats-json")) {
+    } else if (value_of("--stats-json")) {
       o->stats_json = v;
-    } else if (const char* v = value_of("--plan-store")) {
+    } else if (value_of("--plan-store")) {
       o->plan_store = v;
-    } else if (const char* v = value_of("--slow-ms")) {
+    } else if (value_of("--slow-ms")) {
       ok = ParseDouble(v, &o->slow_ms);
-    } else if (const char* v = value_of("--port")) {
+    } else if (value_of("--port")) {
       ok = ParseSize(v, &o->port) && o->port <= UINT16_MAX;
-    } else if (const char* v = value_of("--max-conns")) {
+    } else if (value_of("--max-conns")) {
       ok = ParseSize(v, &o->max_conns) && o->max_conns > 0;
-    } else if (const char* v = value_of("--idle-ms")) {
+    } else if (value_of("--idle-ms")) {
       ok = ParseDouble(v, &o->idle_ms);
-    } else if (const char* v = value_of("--drain-ms")) {
+    } else if (value_of("--drain-ms")) {
       ok = ParseDouble(v, &o->drain_ms) && o->drain_ms > 0;
-    } else if (const char* v = value_of("--stats-period-ms")) {
+    } else if (value_of("--stats-period-ms")) {
       ok = ParseDouble(v, &o->stats_period_ms) && o->stats_period_ms > 0;
     } else if (a == "--trace") {
       o->trace = true;
@@ -496,8 +496,9 @@ int CmdQuery(const Options& o) {
   const Graph& g = lg->get();
   std::optional<Query> q = LoadQuery(o.positional[1], g);
   if (!q.has_value()) return 1;
-  std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, o.semantics);
-  std::vector<NodeId> answers = engine->MatchOutput(*q);
+  MatchContext ctx(g);
+  std::vector<NodeId> answers =
+      MakeMatchEngine(ctx, o.semantics)->MatchOutput(*q);
   std::printf("%zu answers (%s semantics)\n", answers.size(),
               MatchSemanticsName(o.semantics));
   for (size_t i = 0; i < answers.size() && i < o.limit; ++i) {
@@ -538,8 +539,8 @@ int CmdWhy(const Options& o, bool why_not) {
     answers = sp->prepared->answers;
     cfg.path_index = &sp->prepared->path_index;
   } else {
-    std::unique_ptr<MatchEngine> engine = MakeMatchEngine(g, o.semantics);
-    answers = engine->MatchOutput(*q);
+    MatchContext ctx(g);
+    answers = MakeMatchEngine(ctx, o.semantics)->MatchOutput(*q);
   }
   trace.answer_match_ms = stage.ElapsedMillis();
   trace.prepare_ms = trace.answer_match_ms;
@@ -624,8 +625,7 @@ int CmdWhySoMany(const Options& o) {
     answers = sp->prepared->answers;
     cfg.path_index = &sp->prepared->path_index;
   } else {
-    Matcher matcher(g);
-    answers = matcher.MatchOutput(*q);
+    answers = Matcher(g).MatchOutput(*q);
   }
   trace.answer_match_ms = stage.ElapsedMillis();
   trace.prepare_ms = trace.answer_match_ms;
