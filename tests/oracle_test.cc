@@ -4,7 +4,8 @@
 // proofs, per seed-parameterized sweeps. The references test candidacy
 // with IsCandidate alone; the production side runs over one MatchContext
 // reused across each query and its literal rewrites, as inside one
-// question.
+// question. The exactness oracle checks the six answering algorithms end
+// to end against every bounded operator subset of the same instances.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,13 @@
 #include "matcher/match_context.h"
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
+#include "query/query_parser.h"
+#include "rewrite/cost_model.h"
+#include "rewrite/evaluation.h"
+#include "rewrite/operators.h"
+#include "why/picky.h"
+#include "why/why_algorithms.h"
+#include "why/whynot_algorithms.h"
 
 namespace whyq {
 namespace {
@@ -282,6 +290,151 @@ TEST_P(SimulationOracleTest, MaximalClosedRelation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulationOracleTest, testing::Range(0, 40));
+
+// End-to-end exactness oracle. For a Why and a Why-not question on each
+// tiny instance, every conflict-free, budget-bounded subset of the usable
+// picky set is evaluated by an evaluator of its own. Refinement shrinks and
+// relaxation grows the answer under both semantics (LemmaOneTest), so the
+// guard-admissible sets are closed under subsets and an exhaustive exact
+// run must reach the best closeness of any guard-ok subset. Every
+// algorithm, exact or greedy, must return a conflict-free set within
+// budget whose reported evaluation is that of its rewrite.
+
+constexpr double kOracleEps = 1e-9;
+
+// Budget and guard vary with the seed, so some optima are below 1.
+AnswerConfig OracleConfig(int seed, MatchSemantics semantics) {
+  AnswerConfig cfg;
+  cfg.budget = 1.5 + 0.5 * (seed % 3);
+  cfg.guard_m = static_cast<size_t>(seed % 2);
+  cfg.semantics = semantics;
+  cfg.max_picky_ops = 10;
+  cfg.max_mbs = size_t{1} << 20;  // far above the 2^10 subsets: never hit
+  return cfg;
+}
+
+template <typename Question>
+using Algorithm = RewriteAnswer (*)(const Graph&, const Query&,
+                                    const std::vector<NodeId>&,
+                                    const Question&, const AnswerConfig&);
+
+// Checks `algorithms` (the exact one first) on one question at threads 1
+// and 4 against the brute force over `picky`. Returns how many exhaustive
+// exact runs were compared with the brute-force optimum.
+template <typename Evaluator, typename Question>
+size_t CheckAgainstBruteForce(const Graph& g, const Query& q,
+                              const std::vector<NodeId>& answers,
+                              const Question& w, const AnswerConfig& base,
+                              const std::vector<EditOp>& picky,
+                              std::vector<Algorithm<Question>> algorithms) {
+  CostModel cost(q, g, base.weighted_cost);
+  std::vector<EditOp> usable;
+  for (const EditOp& op : picky) {
+    if (cost.Cost(op) <= base.budget + kOracleEps) usable.push_back(op);
+  }
+  std::vector<std::vector<size_t>> conflicts = BuildConflicts(usable);
+  double best = -1.0;
+  for (uint32_t mask = 0; mask < (uint32_t{1} << usable.size()); ++mask) {
+    OperatorSet ops;
+    bool conflict_free = true;
+    for (size_t i = 0; i < usable.size(); ++i) {
+      if (!((mask >> i) & 1)) continue;
+      for (size_t j : conflicts[i]) conflict_free &= !((mask >> j) & 1);
+      ops.push_back(usable[i]);
+    }
+    if (!conflict_free || cost.Cost(ops) > base.budget + kOracleEps) continue;
+    Evaluator fresh(g, answers, w, base.guard_m, base.semantics);
+    EvalResult r = fresh.Evaluate(ApplyOperators(q, ops));
+    if (r.guard_ok) best = std::max(best, r.closeness);
+  }
+
+  size_t compared = 0;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    AnswerConfig cfg = base;
+    cfg.threads = threads;
+    for (size_t k = 0; k < algorithms.size(); ++k) {
+      RewriteAnswer a = algorithms[k](g, q, answers, w, cfg);
+      std::string what = "algorithm " + std::to_string(k) + " threads " +
+                         std::to_string(threads) + " ops { " +
+                         DescribeOperators(a.ops, g) + " }";
+      for (size_t i = 0; i < a.ops.size(); ++i) {
+        for (size_t j = i + 1; j < a.ops.size(); ++j) {
+          EXPECT_FALSE(OpsConflict(a.ops[i], a.ops[j])) << what;
+        }
+      }
+      EXPECT_LE(cost.Cost(a.ops), cfg.budget + kOracleEps) << what;
+      EXPECT_EQ(WriteQuery(a.rewritten, g),
+                WriteQuery(ApplyOperators(q, a.ops), g))
+          << what;
+      Evaluator fresh(g, answers, w, cfg.guard_m, cfg.semantics);
+      EvalResult r = fresh.Evaluate(a.rewritten);
+      EXPECT_EQ(a.eval.closeness, r.closeness) << what;
+      EXPECT_EQ(a.eval.guard, r.guard) << what;
+      EXPECT_EQ(a.eval.guard_ok, r.guard_ok) << what;
+      if (a.found) {
+        EXPECT_TRUE(a.eval.guard_ok) << what;
+      }
+      if (k == 0) {
+        EXPECT_EQ(a.picky_count, usable.size()) << what;
+        if (a.exhaustive) {
+          EXPECT_NEAR(a.eval.closeness, std::max(best, 0.0), kOracleEps)
+              << what;
+          ++compared;
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+class ExactnessOracleTest : public testing::TestWithParam<int> {};
+
+TEST_P(ExactnessOracleTest, ExactReachesBruteForceOptimum) {
+  Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 389 + 11);
+  const Graph& g = inst.g;
+  const Query& q = inst.q;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 613 + 7);
+  size_t compared = 0;
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    SCOPED_TRACE(semantics == MatchSemantics::kSimulation ? "simulation"
+                                                          : "isomorphism");
+    AnswerConfig cfg = OracleConfig(GetParam(), semantics);
+    std::vector<NodeId> answers = semantics == MatchSemantics::kSimulation
+                                      ? SimulationAnswers(g, q)
+                                      : Matcher(g).MatchOutput(q);
+    if (!answers.empty()) {
+      WhyQuestion why;
+      for (NodeId v : answers) {
+        if (why.unexpected.empty() || rng.Chance(0.5)) {
+          why.unexpected.push_back(v);
+        }
+      }
+      WhyEvaluator eval(g, answers, why, cfg.guard_m, semantics);
+      compared += CheckAgainstBruteForce<WhyEvaluator>(
+          g, q, answers, why, cfg,
+          GenPickyWhy(g, q, answers, eval.unexpected(), cfg),
+          {&ExactWhy, &ApproxWhy, &IsoWhy});
+    }
+    WhyNotQuestion whynot;
+    for (NodeId v : g.NodesWithLabel(q.node(q.output()).label)) {
+      if (whynot.missing.size() < 4 &&
+          std::find(answers.begin(), answers.end(), v) == answers.end()) {
+        whynot.missing.push_back(v);
+      }
+    }
+    if (!whynot.missing.empty()) {
+      WhyNotEvaluator eval(g, answers, whynot, cfg.guard_m, semantics);
+      compared += CheckAgainstBruteForce<WhyNotEvaluator>(
+          g, q, answers, whynot, cfg,
+          GenPickyWhyNot(g, q, eval.missing(), cfg),
+          {&ExactWhyNot, &FastWhyNot, &IsoWhyNot});
+    }
+  }
+  RecordProperty("exhaustive_runs_compared", static_cast<int>(compared));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactnessOracleTest, testing::Range(0, 40));
 
 }  // namespace
 }  // namespace whyq
