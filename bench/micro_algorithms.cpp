@@ -146,7 +146,7 @@ BENCHMARK(BM_WhyNotAlgorithm<IsoWhyNot>)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Intra-question thread scaling (AnswerConfig::threads): the same question
 // at 1/2/4/8 executor slots. Answers are bit-identical across widths (see
-// why/exact_search.h), so the only thing these curves measure is wall
+// why/why_algorithms.cc), so the only thing these curves measure is wall
 // clock. Run on a BSBM e-commerce graph — the acceptance fixture for the
 // parallel MBS verification — sized so ExactWhy has a real enumeration to
 // chew on. NOTE: on a single-core container the curve is flat or slightly

@@ -14,7 +14,8 @@ namespace whyq {
 // Everything in this header is a value type or a pure function of const
 // inputs (ApplyOperators copies q; nothing mutates shared state), so all
 // of it is safe to use concurrently — the parallel batch verification in
-// why/exact_search.h applies operators from many pool slots at once.
+// the exact search (why/why_algorithms.cc) applies operators from many pool
+// slots at once.
 // Complexity: OpsConflict is O(1); BuildConflicts O(|ops|^2);
 // ApplyOperators O(|Q| + |O|).
 

@@ -227,6 +227,93 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   return out;
 }
 
+namespace {
+
+// The setup both multi-output algorithms share: Q projected onto each
+// output, an exact evaluator (in the caller's semantics) per projection,
+// and the usable picky union.
+struct MultiOutput {
+  MultiOutput(const Graph& g, const Query& q,
+              const std::vector<std::vector<NodeId>>& answers_per_output,
+              const std::vector<std::vector<NodeId>>& unexpected_per_output,
+              const AnswerConfig& config)
+      : cfg(config) {
+    std::vector<CostModel> cost_models;
+    for (size_t i = 0; i < q.outputs().size(); ++i) {
+      Query qi = q;
+      qi.SetOutput(q.outputs()[i]);
+      projections.push_back(qi);
+      WhyQuestion wi{unexpected_per_output[i]};
+      evals.emplace_back(g, answers_per_output[i], wi, cfg.guard_m,
+                         cfg.semantics, cfg.cancel);
+      cost_models.emplace_back(qi, g, cfg.weighted_cost);
+      total_unexpected += evals.back().unexpected().size();
+    }
+    if (total_unexpected == 0) return;
+    // An operator costs what it costs w.r.t. its *nearest* output (the max
+    // of the per-output costs, since centrality grows as distance shrinks).
+    for (size_t i = 0; i < projections.size(); ++i) {
+      for (EditOp& op : GenPickyWhy(g, projections[i], answers_per_output[i],
+                                    evals[i].unexpected(), cfg)) {
+        if (std::find(usable.begin(), usable.end(), op) != usable.end()) {
+          continue;
+        }
+        double c = 0.0;
+        for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
+        if (c <= cfg.budget + kEps) {
+          usable.push_back(std::move(op));
+          costs.push_back(c);
+        }
+      }
+    }
+  }
+
+  // Calls visit(output, v, unexpected) for every original answer v of an
+  // output that Q ⊕ ops no longer matches. A cancelled request stops after
+  // the outputs verified so far.
+  template <typename Visit>
+  void ForEachAffected(const OperatorSet& ops, Visit visit) const {
+    for (size_t i = 0; i < evals.size() && !CancelRequested(cfg.cancel);
+         ++i) {
+      Query rewritten = ApplyOperators(projections[i], ops);
+      const std::vector<NodeId> affected = evals[i].AffectedAnswers(rewritten);
+      for (NodeId v : affected) visit(i, v, evals[i].IsUnexpected(v));
+    }
+  }
+
+  // The pooled exact evaluation of Q ⊕ ops: excluded unexpected entities
+  // over all outputs / total unexpected, with the collateral exclusions
+  // pooled the same way as the guard.
+  EvalResult Evaluate(const OperatorSet& ops) const {
+    size_t excluded = 0;
+    size_t guard = 0;
+    ForEachAffected(ops, [&](size_t, NodeId, bool unexpected) {
+      if (unexpected) {
+        ++excluded;
+      } else {
+        ++guard;
+      }
+    });
+    EvalResult r;
+    r.closeness = static_cast<double>(excluded) /
+                  static_cast<double>(total_unexpected);
+    r.guard = guard;
+    r.guard_ok = guard <= cfg.guard_m;
+    return r;
+  }
+
+  const AnswerConfig& cfg;
+  std::vector<Query> projections;
+  std::vector<WhyEvaluator> evals;
+  size_t total_unexpected = 0;
+  // The deduplicated union of the per-output picky sets within budget, in
+  // generation order, and their costs.
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+};
+
+}  // namespace
+
 RewriteAnswer ExactWhyMultiOutput(
     const Graph& g, const Query& q,
     const std::vector<std::vector<NodeId>>& answers_per_output,
@@ -234,81 +321,9 @@ RewriteAnswer ExactWhyMultiOutput(
     const AnswerConfig& cfg) {
   RewriteAnswer out;
   out.rewritten = q;
-  const std::vector<QNodeId>& outputs = q.outputs();
-  size_t n_out = outputs.size();
-
-  // Per-output projections of Q, evaluators, and cost models.
-  std::vector<Query> projections;
-  std::vector<WhyEvaluator> evals;
-  std::vector<CostModel> cost_models;
-  size_t total_unexpected = 0;
-  for (size_t i = 0; i < n_out; ++i) {
-    Query qi = q;
-    qi.SetOutput(outputs[i]);
-    projections.push_back(qi);
-    WhyQuestion wi{unexpected_per_output[i]};
-    evals.emplace_back(g, answers_per_output[i], wi, cfg.guard_m);
-    cost_models.emplace_back(qi, g, cfg.weighted_cost);
-    total_unexpected += evals.back().unexpected().size();
-  }
-  if (total_unexpected == 0) return out;
-
-  // Picky union over per-output generations; cost of an operator is taken
-  // w.r.t. its *nearest* output (the max of the per-output costs, since
-  // centrality grows as distance shrinks).
-  std::vector<EditOp> picky;
-  for (size_t i = 0; i < n_out; ++i) {
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, projections[i], answers_per_output[i],
-                    evals[i].unexpected(), cfg);
-    for (EditOp& op : ops) picky.push_back(std::move(op));
-  }
-  auto op_cost = [&](const EditOp& op) {
-    double c = 0.0;
-    for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
-    return c;
-  };
-  std::vector<EditOp> usable;
-  std::vector<double> costs;
-  for (EditOp& op : picky) {
-    bool dup = false;
-    for (const EditOp& seen : usable) {
-      if (seen == op) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    double c = op_cost(op);
-    if (c <= cfg.budget + kEps) {
-      usable.push_back(std::move(op));
-      costs.push_back(c);
-    }
-  }
-  out.picky_count = usable.size();
-
-  auto pooled_eval = [&](const OperatorSet& ops, EvalResult* result) {
-    size_t excluded = 0;
-    size_t guard = 0;
-    // One exact evaluation per output; a cancelled request stops here with
-    // partial counts (the enumeration callback below aborts right after).
-    for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-      Query rewritten = ApplyOperators(projections[i], ops);
-      const std::vector<NodeId> affected =
-          evals[i].AffectedAnswers(rewritten);
-      for (NodeId v : affected) {
-        if (evals[i].IsUnexpected(v)) {
-          ++excluded;
-        } else {
-          ++guard;
-        }
-      }
-    }
-    result->closeness = static_cast<double>(excluded) /
-                        static_cast<double>(total_unexpected);
-    result->guard = guard;
-    result->guard_ok = guard <= cfg.guard_m;
-  };
+  MultiOutput mo(g, q, answers_per_output, unexpected_per_output, cfg);
+  if (mo.total_unexpected == 0) return out;
+  out.picky_count = mo.usable.size();
 
   double best_cl = -1.0;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -316,26 +331,25 @@ RewriteAnswer ExactWhyMultiOutput(
   EvalResult best_eval;
   AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
     OperatorSet ops;
-    for (size_t i : cur) ops.push_back(usable[i]);
-    ops.push_back(usable[next]);
-    EvalResult r;
-    pooled_eval(ops, &r);
-    return r.guard_ok;
+    for (size_t i : cur) ops.push_back(mo.usable[i]);
+    ops.push_back(mo.usable[next]);
+    return mo.Evaluate(ops).guard_ok;
   };
   MbsStats stats = EnumerateMaximalBoundedSetsBatched(
-      costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs,
+      mo.costs, BuildConflicts(mo.usable), cfg.budget, cfg.max_mbs,
       /*batch_size=*/1,
       [&](const std::vector<std::vector<size_t>>& batch) {
         const std::vector<size_t>& idx = batch.front();
         if (CancelRequested(cfg.cancel)) return false;  // abort enumeration
         ++out.sets_verified;
         OperatorSet ops;
-        for (size_t i : idx) ops.push_back(usable[i]);
-        EvalResult r;
-        pooled_eval(ops, &r);
-        if (!r.guard_ok) return true;
         double c = 0.0;
-        for (const EditOp& op : ops) c += op_cost(op);
+        for (size_t i : idx) {
+          ops.push_back(mo.usable[i]);
+          c += mo.costs[i];
+        }
+        EvalResult r = mo.Evaluate(ops);
+        if (!r.guard_ok) return true;
         if (r.closeness > best_cl + kEps ||
             (r.closeness > best_cl - kEps && c < best_cost)) {
           best_cl = r.closeness;
@@ -348,7 +362,7 @@ RewriteAnswer ExactWhyMultiOutput(
       admit);
   out.exhaustive = !stats.truncated && !CancelRequested(cfg.cancel);
   if (best_cl <= 0.0 || best_ops.empty()) {
-    pooled_eval({}, &out.eval);
+    out.eval = mo.Evaluate({});
     return out;
   }
   out.found = true;
@@ -368,85 +382,36 @@ RewriteAnswer ApproxWhyMultiOutput(
   RewriteAnswer out;
   out.exhaustive = true;
   out.rewritten = q;
-  const std::vector<QNodeId>& outputs = q.outputs();
-  size_t n_out = outputs.size();
-
-  std::vector<Query> projections;
-  std::vector<WhyEvaluator> evals;
-  std::vector<CostModel> cost_models;
-  size_t total_unexpected = 0;
-  for (size_t i = 0; i < n_out; ++i) {
-    Query qi = q;
-    qi.SetOutput(outputs[i]);
-    projections.push_back(qi);
-    WhyQuestion wi{unexpected_per_output[i]};
-    evals.emplace_back(g, answers_per_output[i], wi, cfg.guard_m);
-    cost_models.emplace_back(qi, g, cfg.weighted_cost);
-    total_unexpected += evals.back().unexpected().size();
-  }
-  if (total_unexpected == 0) return out;
-
-  std::vector<EditOp> picky;
-  for (size_t i = 0; i < n_out; ++i) {
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, projections[i], answers_per_output[i],
-                    evals[i].unexpected(), cfg);
-    for (EditOp& op : ops) picky.push_back(std::move(op));
-  }
-  auto op_cost = [&](const EditOp& op) {
-    double c = 0.0;
-    for (const CostModel& m : cost_models) c = std::max(c, m.Cost(op));
-    return c;
-  };
+  MultiOutput mo(g, q, answers_per_output, unexpected_per_output, cfg);
+  if (mo.total_unexpected == 0) return out;
 
   // Per-operator pooled effect sets, verified exactly once per output.
-  struct Cand {
-    EditOp op;
-    double cost = 0.0;
+  struct Effect {
     // (output index, node) pairs excluded by the single operator.
     std::vector<std::pair<size_t, NodeId>> excluded;
     size_t guard = 0;
   };
-  std::vector<Cand> cands;
-  for (EditOp& op : picky) {
-    // Each candidate costs n_out exact verifications; stop generating
-    // (and select from what exists) once the deadline expires.
+  std::vector<Effect> effects;
+  for (const EditOp& op : mo.usable) {
+    // Each operator costs one exact verification per output; stop (and
+    // select from what exists) once the deadline expires.
     if (CancelRequested(cfg.cancel)) {
       out.exhaustive = false;
       break;
     }
-    bool dup = false;
-    for (const Cand& seen : cands) {
-      if (seen.op == op) {
-        dup = true;
-        break;
+    Effect& e = effects.emplace_back();
+    mo.ForEachAffected({op}, [&](size_t i, NodeId v, bool unexpected) {
+      if (unexpected) {
+        e.excluded.emplace_back(i, v);
+      } else {
+        ++e.guard;
       }
-    }
-    if (dup) continue;
-    double c = op_cost(op);
-    if (c > cfg.budget + kEps) continue;
-    Cand cand;
-    cand.op = std::move(op);
-    cand.cost = c;
-    for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-      Query single = ApplyOperators(projections[i], {cand.op});
-      const std::vector<NodeId> affected = evals[i].AffectedAnswers(single);
-      for (NodeId v : affected) {
-        if (evals[i].IsUnexpected(v)) {
-          cand.excluded.emplace_back(i, v);
-        } else {
-          ++cand.guard;
-        }
-      }
-    }
-    cands.push_back(std::move(cand));
+    });
   }
+  std::vector<EditOp>& cands = mo.usable;
+  cands.resize(effects.size());
   out.picky_count = cands.size();
-
-  std::vector<EditOp> cand_ops;
-  cand_ops.reserve(cands.size());
-  for (const Cand& c : cands) cand_ops.push_back(c.op);
-  std::vector<std::vector<size_t>> conflicts = BuildConflicts(cand_ops);
+  std::vector<std::vector<size_t>> conflicts = BuildConflicts(cands);
 
   // Budgeted max-coverage greedy over the pooled exclusion sets.
   std::set<std::pair<size_t, NodeId>> covered;
@@ -461,13 +426,13 @@ RewriteAnswer ApproxWhyMultiOutput(
     double best_ratio = 0.0;
     for (size_t i = 0; i < cands.size(); ++i) {
       if (!in_pool[i]) continue;
-      if (spent + cands[i].cost > cfg.budget + kEps) continue;
-      if (guard_used + cands[i].guard > cfg.guard_m) continue;
+      if (spent + mo.costs[i] > cfg.budget + kEps) continue;
+      if (guard_used + effects[i].guard > cfg.guard_m) continue;
       size_t gain = 0;
-      for (const auto& key : cands[i].excluded) {
+      for (const auto& key : effects[i].excluded) {
         gain += covered.count(key) ? 0 : 1;
       }
-      double ratio = static_cast<double>(gain) / cands[i].cost;
+      double ratio = static_cast<double>(gain) / mo.costs[i];
       if (gain > 0 && ratio > best_ratio + kEps) {
         best_ratio = ratio;
         best = static_cast<long>(i);
@@ -484,43 +449,24 @@ RewriteAnswer ApproxWhyMultiOutput(
       }
     }
     selected.push_back(b);
-    spent += cands[b].cost;
-    guard_used += cands[b].guard;
-    for (const auto& key : cands[b].excluded) covered.insert(key);
+    spent += mo.costs[b];
+    guard_used += effects[b].guard;
+    for (const auto& key : effects[b].excluded) covered.insert(key);
   }
 
   if (selected.empty()) return out;
-  OperatorSet ops;
-  for (size_t j : selected) ops.push_back(cands[j].op);
-  out.ops = std::move(ops);
+  for (size_t j : selected) out.ops.push_back(cands[j]);
   out.rewritten = ApplyOperators(q, out.ops);
   out.cost = spent;
   // Exact pooled evaluation for reporting; a cancelled request reports
   // from the outputs verified so far.
-  size_t excluded = 0;
-  size_t guard = 0;
-  for (size_t i = 0; i < n_out && !CancelRequested(cfg.cancel); ++i) {
-    Query rewritten = ApplyOperators(projections[i], out.ops);
-    const std::vector<NodeId> affected = evals[i].AffectedAnswers(rewritten);
-    for (NodeId v : affected) {
-      if (evals[i].IsUnexpected(v)) {
-        ++excluded;
-      } else {
-        ++guard;
-      }
-    }
-  }
-  out.eval.closeness =
-      static_cast<double>(excluded) / static_cast<double>(total_unexpected);
-  out.eval.guard = guard;
-  out.eval.guard_ok = guard <= cfg.guard_m;
+  out.eval = mo.Evaluate(out.ops);
   if (CancelRequested(cfg.cancel)) out.exhaustive = false;
   out.estimated_closeness =
       static_cast<double>(covered.size()) /
-      static_cast<double>(total_unexpected);
+      static_cast<double>(mo.total_unexpected);
   out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
   return out;
 }
-
 
 }  // namespace whyq

@@ -79,8 +79,8 @@ struct AnswerConfig {
   /// ServiceConfig::intra_threads); 1 = explicitly serial; N > 1 = verify
   /// MBS candidates / score greedy gains on up to N executors of
   /// ThreadPool::Shared() (capped at its worker count + 1). Parallel runs
-  /// produce byte-identical answers to threads == 1 — see
-  /// why/exact_search.h for the determinism contract.
+  /// produce byte-identical answers to threads == 1 — see the exact driver
+  /// in why/why_algorithms.cc for the determinism contract.
   size_t threads = 0;
 
   /// Cooperative cancellation/deadline (not owned; may be null). Polled in

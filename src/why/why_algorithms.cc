@@ -1,7 +1,6 @@
 #include "why/why_algorithms.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -13,9 +12,9 @@
 #include "matcher/path_index.h"
 #include "rewrite/cost_model.h"
 #include "why/est_match.h"
-#include "why/exact_search.h"
 #include "why/mbs.h"
 #include "why/picky.h"
+#include "why/whynot_algorithms.h"
 
 namespace whyq {
 
@@ -23,13 +22,185 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Shared exact post-processing: greedily drop operators while the exact
-// closeness does not decrease and the guard stays valid ("minimal MBS").
-// Every dropped-operator trial is a full exact evaluation, so the loop
-// polls `cancel` per trial: an expiring deadline keeps the current
-// (valid, just not yet minimal) rewrite.
+// What the greedy prep learns about one picky operator o.
+struct Prep {
+  // Why: the exact Aff(o). Why-not: the new matches in V_C (exact for
+  // IsoWhyNot, by path test for FastWhyNot). The greedy unions them over
+  // the selected set.
+  std::vector<NodeId> effect;
+  double single_cl = 0.0;   // Why: exact closeness of {o}, for O_1
+  size_t single_guard = 0;  // Why: exact guard of {o}
+};
+
+// Both question kinds run the one exact driver and the one greedy skeleton
+// below; a kind holds only what differs. Why refines Q until V_N leaves the
+// answer, Why-not relaxes it until V_C enters.
+struct WhyKind {
+  using Question = WhyQuestion;
+  using Evaluator = WhyEvaluator;
+  // The greedy answers O_1, the best single operator, when it beats O_2.
+  static constexpr bool kBestSingle = true;
+
+  static std::vector<EditOp> Picky(const Graph& g, const Query& q,
+                                   const std::vector<NodeId>& answers,
+                                   const Evaluator& eval,
+                                   const AnswerConfig& cfg) {
+    return GenPickyWhy(g, q, answers, eval.unexpected(), cfg);
+  }
+  // Seeds a truncated exact run.
+  static RewriteAnswer Fallback(const Graph& g, const Query& q,
+                                const std::vector<NodeId>& answers,
+                                const Question& w, const AnswerConfig& cfg) {
+    return ApproxWhy(g, q, answers, w, cfg);
+  }
+  // The entities the closeness counts.
+  static const std::vector<NodeId>& Targets(const Evaluator& eval) {
+    return eval.unexpected();
+  }
+  // Partial credit of a target not yet excluded: a refinement can push it
+  // toward failing the path tests without excluding it outright.
+  static double SoftTerm(double pass_fraction) { return 1.0 - pass_fraction; }
+
+  // The exact Aff(o) even for IsoWhy, since O_1 is scored from it.
+  static void Prepare(const Evaluator& ev, const PathIndex&,
+                      const Query& single, bool, Prep& p) {
+    p.effect = ev.AffectedAnswers(single);
+    size_t excl = 0;
+    for (NodeId v : p.effect) {
+      if (ev.IsUnexpected(v)) {
+        ++excl;
+      } else {
+        ++p.single_guard;
+      }
+    }
+    if (!ev.unexpected().empty()) {
+      p.single_cl = static_cast<double>(excl) /
+                    static_cast<double>(ev.unexpected().size());
+    }
+  }
+
+  WhyKind(const Evaluator& eval, const std::vector<NodeId>& answers,
+          const AnswerConfig& cfg)
+      : eval_(eval), guard_m_(cfg.guard_m) {
+    for (NodeId v : answers) {
+      if (!eval.IsUnexpected(v)) desired_.push_back(v);
+    }
+  }
+  CloseEstimate Estimate(PathIndex::Probe& probe,
+                         const NodeSet& effect) const {
+    return EstimateWhy(probe, effect, eval_.unexpected(), desired_, guard_m_);
+  }
+
+  const Evaluator& eval_;
+  std::vector<NodeId> desired_;  // Q(u_o,G) \ V_N
+  size_t guard_m_;
+};
+
+struct WhyNotKind {
+  using Question = WhyNotQuestion;
+  using Evaluator = WhyNotEvaluator;
+  static constexpr bool kBestSingle = false;
+
+  static std::vector<EditOp> Picky(const Graph& g, const Query& q,
+                                   const std::vector<NodeId>&,
+                                   const Evaluator& eval,
+                                   const AnswerConfig& cfg) {
+    return GenPickyWhyNot(g, q, eval.missing(), cfg);
+  }
+  static RewriteAnswer Fallback(const Graph& g, const Query& q,
+                                const std::vector<NodeId>& answers,
+                                const Question& w, const AnswerConfig& cfg) {
+    return FastWhyNot(g, q, answers, w, cfg);
+  }
+  static const std::vector<NodeId>& Targets(const Evaluator& eval) {
+    return eval.missing();
+  }
+  // Single relaxations often gain nothing hard (an entity needs several
+  // constraints lifted at once); credit how far along the entity is.
+  static double SoftTerm(double pass_fraction) { return pass_fraction; }
+
+  static void Prepare(const Evaluator& ev, const PathIndex& pidx,
+                      const Query& single, bool exact, Prep& p) {
+    if (exact) {
+      p.effect = ev.NewMatches(single);
+      return;
+    }
+    PathIndex::Probe probe(pidx, ev.context(), single);
+    for (NodeId v : ev.missing()) {
+      if (probe.Passes(v)) p.effect.push_back(v);
+    }
+  }
+
+  WhyNotKind(const Evaluator& eval, const std::vector<NodeId>&,
+             const AnswerConfig& cfg)
+      : eval_(eval), cfg_(cfg) {}
+  CloseEstimate Estimate(PathIndex::Probe& probe,
+                         const NodeSet& effect) const {
+    return EstimateWhyNot(probe, effect, eval_.missing(),
+                          eval_.protected_set(), cfg_.guard_m,
+                          cfg_.est_guard_scan);
+  }
+
+  const Evaluator& eval_;
+  const AnswerConfig& cfg_;
+};
+
+// The executor slots of one question's parallel loops. Evaluators own a
+// stateful MatchEngine, so slot 0 uses the caller's evaluator and each
+// further slot a clone of its own.
+template <typename Kind>
+class SlotEvaluators {
+ public:
+  using Evaluator = typename Kind::Evaluator;
+
+  SlotEvaluators(const Evaluator& eval, const Graph& g,
+                 const std::vector<NodeId>& answers,
+                 const typename Kind::Question& w, const AnswerConfig& cfg)
+      : eval_(eval), width_(ResolveParallelWidth(cfg.threads)) {
+    for (size_t s = 1; s < width_; ++s) {
+      clones_.push_back(std::make_unique<Evaluator>(
+          g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel));
+    }
+  }
+
+  size_t width() const { return width_; }
+  const Evaluator& operator[](size_t slot) const {
+    return slot == 0 ? eval_ : *clones_[slot - 1];
+  }
+  // The clones' candidate-memo counters (slot 0's are the caller's).
+  MatchContext::Stats CloneStats() const {
+    MatchContext::Stats s;
+    for (const auto& c : clones_) s.Add(c->context().stats());
+    return s;
+  }
+
+ private:
+  const Evaluator& eval_;
+  size_t width_;
+  std::vector<std::unique_ptr<Evaluator>> clones_;
+};
+
+// Operators that alone exceed the budget can never be in a bounded set.
+// Keeps the others in generation order, which fixes the candidate indexing.
+void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
+                  double budget, std::vector<EditOp>* usable,
+                  std::vector<double>* costs) {
+  for (EditOp& op : picky) {
+    double c = cost.Cost(op);
+    if (c <= budget + kEps) {
+      usable->push_back(std::move(op));
+      costs->push_back(c);
+    }
+  }
+}
+
+// Exact post-processing: greedily drop operators while the exact closeness
+// does not decrease and the guard stays valid ("minimal MBS"). Every
+// dropped-operator trial is a full exact evaluation, so the loop polls
+// `cancel` per trial: an expiring deadline keeps the current (valid, just
+// not yet minimal) rewrite.
 template <typename Evaluator>
-void MinimizeCost(const Graph&, const Query& q, const Evaluator& eval,
+void MinimizeCost(const Query& q, const Evaluator& eval,
                   const CostModel& cost, const CancelToken* cancel,
                   OperatorSet& ops, EvalResult& result, Query& rewritten) {
   bool changed = true;
@@ -57,6 +228,395 @@ void MinimizeCost(const Graph&, const Query& q, const Evaluator& eval,
       }
     }
   }
+}
+
+// ExactWhy / ExactWhyNot (Fig. 3, Section V-A): enumerate the maximal
+// bounded sets over the usable picky operators, verify each with the exact
+// Evaluate, keep the (closeness, cost)-lexicographic best, stop early at
+// closeness 1, and honor deadline/time-limit truncation. Admissibility:
+// the guard is monotone under refinement (and under relaxation), so
+// enumerating the maximal elements of {cost <= B, conflict-free,
+// guard <= m} is exact.
+//
+// Intra-question parallelism (cfg.threads > 1): emitted sets are verified
+// in batches on ThreadPool::Shared(), one evaluator per executor slot, and
+// each batch is then *reduced in emission order* with the exact serial
+// tie-break (higher closeness, then lower cost, then earlier emission). The
+// selected set, its evaluation and sets_verified are therefore identical to
+// the cfg.threads == 1 run; only wall-clock-dependent truncation (deadline
+// / exact_time_limit_ms) can differ. The guard admission runs on the
+// enumeration thread with the caller's evaluator, never concurrently with
+// a batch.
+template <typename Kind>
+RewriteAnswer Exact(const Graph& g, const Query& q,
+                    const std::vector<NodeId>& answers,
+                    const typename Kind::Question& w,
+                    const AnswerConfig& cfg) {
+  RewriteAnswer out;
+  out.rewritten = q;
+  typename Kind::Evaluator eval(g, answers, w, cfg.guard_m, cfg.semantics,
+                                cfg.cancel);
+  CostModel cost(q, g, cfg.weighted_cost);
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+  BudgetScreen(Kind::Picky(g, q, answers, eval, cfg), cost, cfg.budget,
+               &usable, &costs);
+  out.picky_count = usable.size();
+
+  double best_cl = -1.0;
+  double best_cost = std::numeric_limits<double>::infinity();
+  OperatorSet best_ops;
+  EvalResult best_eval;
+  {
+    Timer exact_timer;
+    bool timed_out = false;
+    auto past_deadline = [&]() {
+      return CancelRequested(cfg.cancel) ||
+             (cfg.exact_time_limit_ms > 0 &&
+              exact_timer.ElapsedMillis() > cfg.exact_time_limit_ms);
+    };
+    SlotEvaluators<Kind> slots(eval, g, answers, w, cfg);
+    // Serial runs flush after every emission (evaluate immediately, stop
+    // immediately at closeness 1); parallel runs trade a slightly deeper
+    // lookahead for load balance across the slots.
+    const size_t batch_size = slots.width() <= 1 ? 1 : slots.width() * 4;
+
+    // A function of the set cur ∪ {next} (the guard counts answers, which
+    // no operator order changes), so the enumerator may ask each set once.
+    AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
+      ++out.guard_checks;
+      OperatorSet ops;
+      ops.reserve(cur.size() + 1);
+      for (size_t i : cur) ops.push_back(usable[i]);
+      ops.push_back(usable[next]);
+      return eval.GuardOk(ApplyOperators(q, ops));
+    };
+
+    struct Item {
+      OperatorSet ops;
+      EvalResult r;
+    };
+    MbsStats stats = EnumerateMaximalBoundedSetsBatched(
+        costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs, batch_size,
+        [&](const std::vector<std::vector<size_t>>& batch) {
+          std::vector<Item> items(batch.size());
+          ThreadPool::Shared().ParallelFor(
+              batch.size(), slots.width(), [&](size_t i, size_t slot) {
+                Item& it = items[i];
+                it.ops.reserve(batch[i].size());
+                for (size_t j : batch[i]) it.ops.push_back(usable[j]);
+                it.r = slots[slot].Evaluate(ApplyOperators(q, it.ops));
+              });
+          // Deterministic reduction in emission order; items past an early
+          // stop are discarded unseen, exactly as the serial enumeration
+          // would never have evaluated them.
+          for (Item& it : items) {
+            ++out.sets_verified;
+            if (it.r.guard_ok) {
+              double c = cost.Cost(it.ops);
+              if (it.r.closeness > best_cl + kEps ||
+                  (it.r.closeness > best_cl - kEps && c < best_cost)) {
+                best_cl = it.r.closeness;
+                best_cost = c;
+                best_ops = std::move(it.ops);
+                best_eval = it.r;
+              }
+            }
+            if (past_deadline()) {
+              timed_out = true;
+              return false;
+            }
+            if (best_cl >= 1.0 - kEps) return false;  // early termination
+          }
+          return true;
+        },
+        admit,
+        [&]() {
+          if (past_deadline()) {
+            timed_out = true;
+            return true;
+          }
+          return false;
+        });
+    out.sets_enumerated = stats.emitted;
+    out.exhaustive = !stats.truncated && !timed_out;
+    out.ctx = slots.CloneStats();
+  }
+
+  // Fallback when the capped enumeration missed a solution the greedy can
+  // still reach: the greedy set is a valid bounded set, so adopting it
+  // keeps the exact answer at least as close as the greedy one. Skipped
+  // when the request itself is cancelled/past deadline — return
+  // best-so-far now.
+  if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
+    RewriteAnswer seed = Kind::Fallback(g, q, answers, w, cfg);
+    out.ctx.Add(seed.ctx);  // the seeding work happened regardless
+    if (seed.found && seed.eval.guard_ok &&
+        seed.cost <= cfg.budget + kEps &&
+        (seed.eval.closeness > best_cl + kEps ||
+         (seed.eval.closeness > best_cl - kEps && seed.cost < best_cost))) {
+      best_cl = seed.eval.closeness;
+      best_cost = seed.cost;
+      best_ops = std::move(seed.ops);
+      best_eval = seed.eval;
+    }
+  }
+
+  if (best_cl < 0.0 || best_ops.empty()) {
+    // No improving set: answer with the empty rewrite (Q itself).
+    out.eval = eval.Evaluate(q);
+    out.ctx.Add(eval.context().stats());
+    return out;
+  }
+  out.found = best_eval.closeness > 0.0;
+  out.ops = std::move(best_ops);
+  out.rewritten = ApplyOperators(q, out.ops);
+  out.eval = best_eval;
+  if (cfg.minimize_cost && !CancelRequested(cfg.cancel)) {
+    MinimizeCost(q, eval, cost, cfg.cancel, out.ops, out.eval,
+                 out.rewritten);
+  }
+  out.cost = cost.Cost(out.ops);
+  out.estimated_closeness = out.eval.closeness;
+  out.ctx.Add(eval.context().stats());
+  return out;
+}
+
+// ApproxWhy / FastWhyNot (Fig. 4, Section V-B) and their exact-gain
+// baselines IsoWhy / IsoWhyNot (`exact`): budgeted greedy selection by
+// marginal gain per unit cost. Each usable picky operator is prepped once
+// (Kind::Prepare); each round scores every pool candidate by the estimated
+// (or, when `exact`, verified) closeness of the selection plus it.
+template <typename Kind>
+RewriteAnswer Greedy(const Graph& g, const Query& q,
+                     const std::vector<NodeId>& answers,
+                     const typename Kind::Question& w,
+                     const AnswerConfig& cfg, bool exact) {
+  RewriteAnswer out;
+  out.exhaustive = true;  // greedy: nothing to truncate (unless cancelled)
+  out.rewritten = q;
+  typename Kind::Evaluator eval(g, answers, w, cfg.guard_m, cfg.semantics,
+                                cfg.cancel);
+  CostModel cost(q, g, cfg.weighted_cost);
+  std::optional<PathIndex> own_pidx;
+  if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
+  const PathIndex& pidx = cfg.path_index ? *cfg.path_index : *own_pidx;
+  const Kind kind(eval, answers, cfg);
+  const std::vector<NodeId>& targets = Kind::Targets(eval);
+
+  SlotEvaluators<Kind> slots(eval, g, answers, w, cfg);
+  // Sum of every evaluator's candidate-memo counters, folded into the
+  // answer at each exit.
+  auto finish_ctx = [&]() {
+    out.ctx = eval.context().stats();
+    out.ctx.Add(slots.CloneStats());
+  };
+
+  std::vector<EditOp> usable;
+  std::vector<double> costs;
+  BudgetScreen(Kind::Picky(g, q, answers, eval, cfg), cost, cfg.budget,
+               &usable, &costs);
+  // The per-candidate prep — the expensive part — runs on the pool, one
+  // evaluator per executor slot.
+  std::vector<Prep> prep(usable.size());
+  std::vector<uint8_t> prepped(usable.size(), 0);
+  ThreadPool::Shared().ParallelFor(
+      usable.size(), slots.width(), [&](size_t i, size_t slot) {
+        if (CancelRequested(cfg.cancel)) return;  // prefix-kept below
+        Query single = ApplyOperators(q, {usable[i]});
+        Kind::Prepare(slots[slot], pidx, single, exact, prep[i]);
+        prepped[i] = 1;
+      });
+  // Cancellation mid-prep: keep the longest fully-scored prefix — exactly
+  // the candidates a serial run would have kept before breaking out.
+  size_t scored_prefix = 0;
+  while (scored_prefix < usable.size() && prepped[scored_prefix]) {
+    ++scored_prefix;
+  }
+  if (scored_prefix < usable.size()) {
+    out.exhaustive = false;
+    usable.resize(scored_prefix);
+    costs.resize(scored_prefix);
+    prep.resize(scored_prefix);
+  }
+  out.picky_count = usable.size();
+
+  // Conflict adjacency: operators editing the same literal/edge cannot
+  // be co-selected.
+  std::vector<std::vector<size_t>> conflicts = BuildConflicts(usable);
+
+  // O_1 (Why only): the best single operator (verified exactly).
+  long best_single = -1;
+  for (size_t i = 0; i < usable.size(); ++i) {
+    if (!Kind::kBestSingle || prep[i].single_guard > cfg.guard_m) continue;
+    if (best_single < 0 ||
+        prep[i].single_cl >
+            prep[static_cast<size_t>(best_single)].single_cl + kEps ||
+        (prep[i].single_cl >=
+             prep[static_cast<size_t>(best_single)].single_cl - kEps &&
+         costs[i] < costs[static_cast<size_t>(best_single)])) {
+      best_single = static_cast<long>(i);
+    }
+  }
+
+  // `probe` is bound to the rewrite being scored, with the scoring slot's
+  // context; the soft score below reuses it.
+  auto estimate = [&](const NodeSet& effect, PathIndex::Probe& probe,
+                      size_t slot) -> CloseEstimate {
+    if (!exact) return kind.Estimate(probe, effect);
+    EvalResult r = slots[slot].Evaluate(probe.query());
+    return CloseEstimate{r.closeness, r.guard, r.guard_ok};
+  };
+  // Soft (partial-credit) progress over the targets (Kind::SoftTerm); it
+  // breaks zero-gain ties so combinations of individually useless
+  // operators can bootstrap (see DESIGN.md). Runs on the scoring slots
+  // too, through the caller's probe.
+  auto soft_score = [&](const NodeSet& effect, PathIndex::Probe& probe) {
+    double s = 0.0;
+    for (NodeId v : targets) {
+      s += effect.Contains(v) ? 1.0 : Kind::SoftTerm(probe.PassFraction(v));
+    }
+    return targets.empty() ? 0.0
+                           : s / static_cast<double>(targets.size());
+  };
+
+  // O_2: greedy selection by (estimated) marginal gain per unit cost.
+  std::vector<size_t> selected;
+  NodeSet effect_union(std::vector<NodeId>{}, g.node_count());
+  double spent = 0.0;
+  double current_cl = 0.0;
+  std::vector<uint8_t> in_pool(usable.size(), 1);
+  size_t pool = usable.size();
+  PathIndex::Probe base_probe(pidx, eval.context(), q);
+  double current_soft = soft_score(effect_union, base_probe);
+
+  while (pool > 0 && current_cl < 1.0 - kEps) {
+    if (CancelRequested(cfg.cancel)) {
+      out.exhaustive = false;
+      break;  // keep the greedy prefix selected so far
+    }
+    ++out.sets_verified;
+    // Score every pool candidate (parallel across executor slots), then
+    // pick the winner serially in ascending candidate order — the same
+    // argmax and tie-break (ratio must beat the incumbent by kEps) as the
+    // serial scan, so parallel rounds select identical operators.
+    std::vector<size_t> pool_idx;
+    pool_idx.reserve(pool);
+    for (size_t i = 0; i < usable.size(); ++i) {
+      if (in_pool[i]) pool_idx.push_back(i);
+    }
+    struct Score {
+      double ratio = -1.0;
+      double gain = 0.0;
+      double soft_gain = 0.0;
+    };
+    std::vector<Score> scores(pool_idx.size());
+    ThreadPool::Shared().ParallelFor(
+        pool_idx.size(), slots.width(), [&](size_t k, size_t slot) {
+          size_t i = pool_idx[k];
+          NodeSet effect = effect_union;
+          for (NodeId v : prep[i].effect) effect.Insert(v);
+          OperatorSet trial_ops;
+          for (size_t j : selected) trial_ops.push_back(usable[j]);
+          trial_ops.push_back(usable[i]);
+          Query rw = ApplyOperators(q, trial_ops);
+          PathIndex::Probe probe(pidx, slots[slot].context(), rw);
+          CloseEstimate est = estimate(effect, probe, slot);
+          Score& s = scores[k];
+          s.gain = est.closeness - current_cl;
+          // Hard gains dominate; soft gains break zero-gain ties.
+          s.soft_gain = soft_score(effect, probe) - current_soft;
+          s.ratio = (s.gain + 1e-3 * s.soft_gain) / costs[i];
+        });
+    long best = -1;
+    double best_ratio = -1.0;
+    double best_gain = 0.0;
+    double best_soft_gain = 0.0;
+    for (size_t k = 0; k < pool_idx.size(); ++k) {
+      if (scores[k].ratio > best_ratio + kEps) {
+        best_ratio = scores[k].ratio;
+        best = static_cast<long>(pool_idx[k]);
+        best_gain = scores[k].gain;
+        best_soft_gain = scores[k].soft_gain;
+      }
+    }
+    if (best < 0) break;
+    size_t b = static_cast<size_t>(best);
+    in_pool[b] = 0;
+    --pool;
+    if (best_gain <= kEps && best_soft_gain <= kEps) {
+      continue;  // not picky w.r.t. the current set
+    }
+    if (spent + costs[b] > cfg.budget + kEps) continue;
+    // Guard screening of the extended set.
+    NodeSet effect = effect_union;
+    for (NodeId v : prep[b].effect) effect.Insert(v);
+    OperatorSet trial_ops;
+    for (size_t j : selected) trial_ops.push_back(usable[j]);
+    trial_ops.push_back(usable[b]);
+    Query rw = ApplyOperators(q, trial_ops);
+    PathIndex::Probe probe(pidx, eval.context(), rw);
+    CloseEstimate est = estimate(effect, probe, 0);
+    if (!est.guard_ok) continue;
+    for (size_t j : conflicts[b]) {
+      if (in_pool[j]) {
+        in_pool[j] = 0;
+        --pool;
+      }
+    }
+    selected.push_back(b);
+    effect_union = std::move(effect);
+    spent += costs[b];
+    current_cl = est.closeness;
+    current_soft = soft_score(effect_union, probe);
+  }
+
+  // Drop bootstrap operators that never paid off (estimated closeness
+  // unchanged without them).
+  bool shrunk = true;
+  while (shrunk && selected.size() > 1 && !CancelRequested(cfg.cancel)) {
+    shrunk = false;
+    for (size_t i = 0; i < selected.size(); ++i) {
+      if (CancelRequested(cfg.cancel)) break;
+      std::vector<size_t> trial = selected;
+      trial.erase(trial.begin() + static_cast<long>(i));
+      NodeSet effect(std::vector<NodeId>{}, g.node_count());
+      OperatorSet trial_ops;
+      for (size_t j : trial) {
+        trial_ops.push_back(usable[j]);
+        for (NodeId v : prep[j].effect) effect.Insert(v);
+      }
+      Query rw = ApplyOperators(q, trial_ops);
+      PathIndex::Probe probe(pidx, eval.context(), rw);
+      CloseEstimate est = estimate(effect, probe, 0);
+      if (est.guard_ok && est.closeness >= current_cl - kEps) {
+        selected = std::move(trial);
+        current_cl = est.closeness;
+        shrunk = true;
+        break;
+      }
+    }
+  }
+
+  // Return the better of O_1 and O_2 (by the optimizer's own view).
+  if (best_single >= 0 &&
+      prep[static_cast<size_t>(best_single)].single_cl > current_cl + kEps) {
+    current_cl = prep[static_cast<size_t>(best_single)].single_cl;
+    selected.assign(1, static_cast<size_t>(best_single));
+  }
+  if (selected.empty()) {
+    out.eval = eval.Evaluate(q);
+    finish_ctx();
+    return out;
+  }
+  for (size_t j : selected) out.ops.push_back(usable[j]);
+  out.rewritten = ApplyOperators(q, out.ops);
+  out.cost = cost.Cost(out.ops);
+  out.eval = eval.Evaluate(out.rewritten);
+  out.estimated_closeness = current_cl;
+  out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
+  finish_ctx();
+  return out;
 }
 
 }  // namespace
@@ -87,387 +647,37 @@ void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace) {
 RewriteAnswer ExactWhy(const Graph& g, const Query& q,
                        const std::vector<NodeId>& answers,
                        const WhyQuestion& w, const AnswerConfig& cfg) {
-  RewriteAnswer out;
-  out.rewritten = q;
-  WhyEvaluator eval(g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel);
-  CostModel cost(q, g, cfg.weighted_cost);
-
-  std::vector<EditOp> picky =
-      GenPickyWhy(g, q, answers, eval.unexpected(), cfg);
-  // Operators that alone exceed the budget can never be in a bounded set.
-  std::vector<EditOp> usable;
-  std::vector<double> costs;
-  for (EditOp& op : picky) {
-    double c = cost.Cost(op);
-    if (c <= cfg.budget + kEps) {
-      usable.push_back(std::move(op));
-      costs.push_back(c);
-    }
-  }
-  out.picky_count = usable.size();
-
-  // Enumerate + verify (guard-admissible MBS search, possibly parallel —
-  // see why/exact_search.h for why the parallel path stays bit-identical).
-  // Admissibility: the guard is monotone under refinement, so enumerating
-  // the maximal elements of {cost <= B, conflict-free, guard <= m} is exact.
-  internal::ExactSearchOutcome search =
-      internal::ExactMbsSearch<WhyEvaluator>(
-          q, usable, costs, cost, cfg, eval, [&] {
-            return std::make_unique<WhyEvaluator>(
-                g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel);
-          });
-  double best_cl = search.best_cl;
-  double best_cost = search.best_cost;
-  OperatorSet best_ops = std::move(search.best_ops);
-  EvalResult best_eval = search.best_eval;
-  out.sets_enumerated = search.stats.emitted;
-  out.sets_verified = search.verified;
-  out.guard_checks = search.guard_checks;
-  out.exhaustive = !search.stats.truncated && !search.timed_out;
-  out.ctx = search.ctx;  // slot evaluators' share
-
-  // Fallback when the capped enumeration missed a solution the greedy can
-  // still reach: the greedy set is a valid bounded set, so adopting it
-  // keeps ExactWhy's answer at least as close as ApproxWhy's. Skipped when
-  // the request itself is cancelled/past deadline — return best-so-far now.
-  if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
-    RewriteAnswer seed = ApproxWhy(g, q, answers, w, cfg);
-    out.ctx.Add(seed.ctx);  // the seeding work happened regardless
-    if (seed.found && seed.eval.guard_ok &&
-        seed.cost <= cfg.budget + kEps &&
-        (seed.eval.closeness > best_cl + kEps ||
-         (seed.eval.closeness > best_cl - kEps && seed.cost < best_cost))) {
-      best_cl = seed.eval.closeness;
-      best_cost = seed.cost;
-      best_ops = std::move(seed.ops);
-      best_eval = seed.eval;
-    }
-  }
-
-  if (best_cl < 0.0 || best_ops.empty()) {
-    // No improving set: answer with the empty rewrite (Q itself).
-    out.eval = eval.Evaluate(q);
-    out.ctx.Add(eval.context().stats());
-    return out;
-  }
-  out.found = best_eval.closeness > 0.0;
-  out.ops = std::move(best_ops);
-  out.rewritten = ApplyOperators(q, out.ops);
-  out.eval = best_eval;
-  if (cfg.minimize_cost && !CancelRequested(cfg.cancel)) {
-    MinimizeCost(g, q, eval, cost, cfg.cancel, out.ops, out.eval,
-                 out.rewritten);
-  }
-  out.cost = cost.Cost(out.ops);
-  out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.context().stats());
-  return out;
+  return Exact<WhyKind>(g, q, answers, w, cfg);
 }
-
-namespace {
-
-// Shared greedy skeleton for ApproxWhy / IsoWhy. When `exact` is true the
-// marginal gains use the exact evaluator (IsoWhy); otherwise EstMatch.
-RewriteAnswer GreedyWhy(const Graph& g, const Query& q,
-                        const std::vector<NodeId>& answers,
-                        const WhyQuestion& w, const AnswerConfig& cfg,
-                        bool exact) {
-  RewriteAnswer out;
-  out.exhaustive = true;  // greedy: nothing to truncate (unless cancelled)
-  out.rewritten = q;
-  WhyEvaluator eval(g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel);
-  CostModel cost(q, g, cfg.weighted_cost);
-  std::optional<PathIndex> own_pidx;
-  if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
-  const PathIndex& pidx = cfg.path_index ? *cfg.path_index : *own_pidx;
-
-  std::vector<NodeId> desired;
-  for (NodeId v : answers) {
-    if (!eval.IsUnexpected(v)) desired.push_back(v);
-  }
-
-  // Intra-question parallelism: evaluators own a stateful MatchEngine, so
-  // each concurrent executor slot gets its own clone (slot 0 reuses `eval`).
-  const size_t width = ResolveParallelWidth(cfg.threads);
-  std::vector<std::unique_ptr<WhyEvaluator>> slot_evals;  // slots 1..width-1
-  for (size_t s = 1; s < width; ++s) {
-    slot_evals.push_back(std::make_unique<WhyEvaluator>(
-        g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel));
-  }
-  auto eval_at = [&](size_t slot) -> const WhyEvaluator& {
-    return slot == 0 ? eval : *slot_evals[slot - 1];
-  };
-  // Sum of every evaluator's candidate-memo counters, folded into the
-  // answer at each exit.
-  auto finish_ctx = [&]() {
-    out.ctx = eval.context().stats();
-    for (const auto& se : slot_evals) out.ctx.Add(se->context().stats());
-  };
-
-  std::vector<EditOp> picky =
-      GenPickyWhy(g, q, answers, eval.unexpected(), cfg);
-  struct Cand {
-    EditOp op;
-    double cost = 0.0;
-    std::vector<NodeId> affected;  // exact Aff(o), computed once
-    double single_cl = 0.0;
-    size_t single_guard = 0;
-  };
-  // Budget screen (cheap, serial) fixes the candidate indexing; the
-  // per-candidate exact Aff(o) sweeps — the expensive part of prep — then
-  // run on the pool, one evaluator per executor slot.
-  std::vector<Cand> cands;
-  for (EditOp& op : picky) {
-    double c = cost.Cost(op);
-    if (c > cfg.budget + kEps) continue;
-    Cand cand;
-    cand.op = std::move(op);
-    cand.cost = c;
-    cands.push_back(std::move(cand));
-  }
-  std::vector<uint8_t> prepped(cands.size(), 0);
-  ThreadPool::Shared().ParallelFor(
-      cands.size(), width, [&](size_t i, size_t slot) {
-        if (CancelRequested(cfg.cancel)) return;  // prefix-kept below
-        const WhyEvaluator& ev = eval_at(slot);
-        Cand& cand = cands[i];
-        Query single = ApplyOperators(q, {cand.op});
-        cand.affected = ev.AffectedAnswers(single);
-        size_t excl = 0;
-        for (NodeId v : cand.affected) {
-          if (ev.IsUnexpected(v)) {
-            ++excl;
-          } else {
-            ++cand.single_guard;
-          }
-        }
-        if (!ev.unexpected().empty()) {
-          cand.single_cl = static_cast<double>(excl) /
-                           static_cast<double>(ev.unexpected().size());
-        }
-        prepped[i] = 1;
-      });
-  // Cancellation mid-prep: keep the longest fully-scored prefix — exactly
-  // the candidates a serial run would have kept before breaking out.
-  size_t scored_prefix = 0;
-  while (scored_prefix < cands.size() && prepped[scored_prefix]) {
-    ++scored_prefix;
-  }
-  if (scored_prefix < cands.size()) {
-    out.exhaustive = false;
-    cands.resize(scored_prefix);
-  }
-  out.picky_count = cands.size();
-
-  // Conflict adjacency: operators editing the same literal/edge cannot
-  // be co-selected.
-  std::vector<EditOp> cand_ops;
-  cand_ops.reserve(cands.size());
-  for (const auto& c : cands) cand_ops.push_back(c.op);
-  std::vector<std::vector<size_t>> conflicts = BuildConflicts(cand_ops);
-
-  // O_1: the best single operator (verified exactly).
-  long best_single = -1;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (cands[i].single_guard > cfg.guard_m) continue;
-    if (best_single < 0 ||
-        cands[i].single_cl >
-            cands[static_cast<size_t>(best_single)].single_cl + kEps ||
-        (cands[i].single_cl >=
-             cands[static_cast<size_t>(best_single)].single_cl - kEps &&
-         cands[i].cost < cands[static_cast<size_t>(best_single)].cost)) {
-      best_single = static_cast<long>(i);
-    }
-  }
-  double cl_o1 =
-      best_single < 0 ? 0.0 : cands[static_cast<size_t>(best_single)].single_cl;
-
-  // O_2: greedy selection by (estimated) marginal gain per unit cost.
-  std::vector<size_t> selected;
-  NodeSet aff_union(std::vector<NodeId>{}, g.node_count());
-  double spent = 0.0;
-  double current_cl = 0.0;
-  std::vector<uint8_t> in_pool(cands.size(), 1);
-  size_t pool = cands.size();
-
-  // `probe` is bound to the rewrite being scored, with the scoring slot's
-  // context; the soft score below reuses it.
-  auto estimate = [&](const NodeSet& aff, PathIndex::Probe& probe,
-                      size_t slot) -> CloseEstimate {
-    if (exact) {
-      (void)aff;
-      EvalResult r = eval_at(slot).Evaluate(probe.query());
-      CloseEstimate e;
-      e.closeness = r.closeness;
-      e.guard = r.guard;
-      e.guard_ok = r.guard_ok;
-      return e;
-    }
-    return EstimateWhy(probe, aff, eval.unexpected(), desired, cfg.guard_m);
-  };
-
-  // Soft (partial-credit) exclusion progress: a refinement can push an
-  // unexpected entity toward failing the path tests without excluding it
-  // outright; the soft score breaks zero-gain ties so such combinations
-  // can bootstrap (see DESIGN.md).
-  // Runs on the scoring slots too, through the caller's probe.
-  auto soft_score = [&](const NodeSet& excluded_union,
-                        PathIndex::Probe& probe) {
-    double s = 0.0;
-    for (NodeId v : eval.unexpected()) {
-      s += excluded_union.Contains(v) ? 1.0 : 1.0 - probe.PassFraction(v);
-    }
-    return eval.unexpected().empty()
-               ? 0.0
-               : s / static_cast<double>(eval.unexpected().size());
-  };
-  PathIndex::Probe base_probe(pidx, eval.context(), q);
-  double current_soft = soft_score(aff_union, base_probe);
-
-  while (pool > 0 && current_cl < 1.0 - kEps) {
-    if (CancelRequested(cfg.cancel)) {
-      out.exhaustive = false;
-      break;  // keep the greedy prefix selected so far
-    }
-    ++out.sets_verified;
-    // Score every pool candidate (parallel across executor slots), then
-    // pick the winner serially in ascending candidate order — the same
-    // argmax and tie-break (ratio must beat the incumbent by kEps) as the
-    // serial scan, so parallel rounds select identical operators.
-    std::vector<size_t> pool_idx;
-    pool_idx.reserve(pool);
-    for (size_t i = 0; i < cands.size(); ++i) {
-      if (in_pool[i]) pool_idx.push_back(i);
-    }
-    struct Score {
-      double ratio = -1.0;
-      double gain = 0.0;
-      double soft_gain = 0.0;
-    };
-    std::vector<Score> scores(pool_idx.size());
-    ThreadPool::Shared().ParallelFor(
-        pool_idx.size(), width, [&](size_t k, size_t slot) {
-          size_t i = pool_idx[k];
-          std::vector<size_t> trial = selected;
-          trial.push_back(i);
-          NodeSet aff = aff_union;
-          for (NodeId v : cands[i].affected) aff.Insert(v);
-          OperatorSet trial_ops;
-          for (size_t j : trial) trial_ops.push_back(cands[j].op);
-          Query rw = ApplyOperators(q, trial_ops);
-          PathIndex::Probe probe(pidx, eval_at(slot).context(), rw);
-          CloseEstimate est = estimate(aff, probe, slot);
-          Score& s = scores[k];
-          s.gain = est.closeness - current_cl;
-          s.soft_gain = soft_score(aff, probe) - current_soft;
-          s.ratio = (s.gain + 1e-3 * s.soft_gain) / cands[i].cost;
-        });
-    long best = -1;
-    double best_ratio = -1.0;
-    double best_gain = 0.0;
-    double best_soft_gain = 0.0;
-    for (size_t k = 0; k < pool_idx.size(); ++k) {
-      if (scores[k].ratio > best_ratio + kEps) {
-        best_ratio = scores[k].ratio;
-        best = static_cast<long>(pool_idx[k]);
-        best_gain = scores[k].gain;
-        best_soft_gain = scores[k].soft_gain;
-      }
-    }
-    if (best < 0) break;
-    size_t b = static_cast<size_t>(best);
-    in_pool[b] = 0;
-    --pool;
-    if (best_gain <= kEps && best_soft_gain <= kEps) {
-      continue;  // not picky w.r.t. the current set
-    }
-    if (spent + cands[b].cost > cfg.budget + kEps) continue;
-    // Guard screening of the extended set.
-    std::vector<size_t> trial = selected;
-    trial.push_back(b);
-    NodeSet aff = aff_union;
-    for (NodeId v : cands[b].affected) aff.Insert(v);
-    OperatorSet trial_ops;
-    for (size_t j : trial) trial_ops.push_back(cands[j].op);
-    Query rw = ApplyOperators(q, trial_ops);
-    PathIndex::Probe probe(pidx, eval.context(), rw);
-    CloseEstimate est = estimate(aff, probe, 0);
-    if (!est.guard_ok) continue;
-    for (size_t j : conflicts[b]) {
-      if (in_pool[j]) {
-        in_pool[j] = 0;
-        --pool;
-      }
-    }
-    selected = std::move(trial);
-    aff_union = std::move(aff);
-    spent += cands[b].cost;
-    current_cl = est.closeness;
-    current_soft = soft_score(aff_union, probe);
-  }
-
-  // Drop bootstrap operators that never paid off (estimated closeness
-  // unchanged without them).
-  bool shrunk = true;
-  while (shrunk && selected.size() > 1 && !CancelRequested(cfg.cancel)) {
-    shrunk = false;
-    for (size_t i = 0; i < selected.size(); ++i) {
-      if (CancelRequested(cfg.cancel)) break;
-      std::vector<size_t> trial = selected;
-      trial.erase(trial.begin() + static_cast<long>(i));
-      NodeSet aff(std::vector<NodeId>{}, g.node_count());
-      OperatorSet trial_ops;
-      for (size_t j : trial) {
-        trial_ops.push_back(cands[j].op);
-        for (NodeId v : cands[j].affected) aff.Insert(v);
-      }
-      Query rw = ApplyOperators(q, trial_ops);
-      PathIndex::Probe probe(pidx, eval.context(), rw);
-      CloseEstimate est = estimate(aff, probe, 0);
-      if (est.guard_ok && est.closeness >= current_cl - kEps) {
-        selected = std::move(trial);
-        current_cl = est.closeness;
-        shrunk = true;
-        break;
-      }
-    }
-  }
-
-  // Return the better of O_1 and O_2 (by the optimizer's own view).
-  if (best_single >= 0 && cl_o1 > current_cl + kEps) {
-    selected.assign(1, static_cast<size_t>(best_single));
-    current_cl = cl_o1;
-  }
-  if (selected.empty()) {
-    out.eval = eval.Evaluate(q);
-    finish_ctx();
-    return out;
-  }
-  OperatorSet ops;
-  for (size_t j : selected) ops.push_back(cands[j].op);
-  out.found = true;
-  out.ops = std::move(ops);
-  out.rewritten = ApplyOperators(q, out.ops);
-  out.cost = cost.Cost(out.ops);
-  out.eval = eval.Evaluate(out.rewritten);
-  out.estimated_closeness = current_cl;
-  out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
-  finish_ctx();
-  return out;
-}
-
-}  // namespace
 
 RewriteAnswer ApproxWhy(const Graph& g, const Query& q,
                         const std::vector<NodeId>& answers,
                         const WhyQuestion& w, const AnswerConfig& cfg) {
-  return GreedyWhy(g, q, answers, w, cfg, /*exact=*/false);
+  return Greedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/false);
 }
 
 RewriteAnswer IsoWhy(const Graph& g, const Query& q,
                      const std::vector<NodeId>& answers, const WhyQuestion& w,
                      const AnswerConfig& cfg) {
-  return GreedyWhy(g, q, answers, w, cfg, /*exact=*/true);
+  return Greedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/true);
+}
+
+RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
+                          const std::vector<NodeId>& answers,
+                          const WhyNotQuestion& w, const AnswerConfig& cfg) {
+  return Exact<WhyNotKind>(g, q, answers, w, cfg);
+}
+
+RewriteAnswer FastWhyNot(const Graph& g, const Query& q,
+                         const std::vector<NodeId>& answers,
+                         const WhyNotQuestion& w, const AnswerConfig& cfg) {
+  return Greedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/false);
+}
+
+RewriteAnswer IsoWhyNot(const Graph& g, const Query& q,
+                        const std::vector<NodeId>& answers,
+                        const WhyNotQuestion& w, const AnswerConfig& cfg) {
+  return Greedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/true);
 }
 
 }  // namespace whyq

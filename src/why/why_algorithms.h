@@ -20,8 +20,9 @@ namespace whyq {
 // call, cfg.threads > 1 fans the MBS verification (exact) or the
 // marginal-gain scans (greedy) out over ThreadPool::Shared(); results are
 // byte-identical to cfg.threads == 1 whenever truncation is deterministic
-// (cfg.exact_time_limit_ms == 0) — see why/exact_search.h and
-// docs/ARCHITECTURE.md "Intra-question parallelism".
+// (cfg.exact_time_limit_ms == 0) — see the exact driver in
+// why/why_algorithms.cc and docs/ARCHITECTURE.md "Intra-question
+// parallelism".
 
 /// The outcome of answering a Why/Why-not question: the chosen operator set
 /// O, the induced rewrite Q' = Q ⊕ O, its editing cost, and its *exact*

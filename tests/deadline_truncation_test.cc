@@ -2,11 +2,11 @@
 // algorithms: an expired CancelToken must make every algorithm return its
 // best-so-far rewrite promptly with `exhaustive` cleared, a live token
 // must not change the answer at all, and the cost-minimizing
-// post-processing (MinimizeCost / MinimizeCostWhyNot — which polls the
-// token per dropped-operator trial) must keep producing minimal rewrites
-// when it does run. The companion static guarantee — every hot loop in
-// src/why/ and src/matcher/ polls the token — is enforced by whyq-lint
-// (rule "cancel-poll", see tools/lint/lint.h).
+// post-processing (MinimizeCost, shared by ExactWhy and ExactWhyNot, which
+// polls the token per dropped-operator trial) must keep producing minimal
+// rewrites when it does run. The companion static guarantee — every hot
+// loop in src/why/ and src/matcher/ polls the token — is enforced by
+// whyq-lint (rule "cancel-poll", see tools/lint/lint.h).
 
 #include <gtest/gtest.h>
 

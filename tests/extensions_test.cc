@@ -2,6 +2,7 @@
 
 #include "gen/figure1.h"
 #include "matcher/matcher.h"
+#include "matcher/simulation.h"
 #include "why/extensions.h"
 
 namespace whyq {
@@ -137,6 +138,44 @@ TEST_F(ExtensionsTest, ApproxMultiOutputEmptyQuestionsNoop) {
       ApproxWhyMultiOutput(f_.graph, q, per, {{}, {}}, cfg_);
   EXPECT_FALSE(a.found);
   EXPECT_TRUE(a.ops.empty());
+}
+
+// One A node with a single B child, queried for an A with two B children:
+// isomorphism needs two distinct B nodes, simulation lets the one B serve
+// both (SimulationTest.DropsInjectivity). Outputs: the A and one B.
+TEST(MultiOutputSemanticsTest, PooledEvalUsesCallerSemantics) {
+  GraphBuilder gb;
+  NodeId a = gb.AddNode("A");
+  NodeId b = gb.AddNode("B");
+  gb.AddEdge(a, b, "r");
+  Graph g = gb.Build();
+  SymbolId lb = *g.node_labels().Find("B");
+  SymbolId r = *g.edge_labels().Find("r");
+  Query q;
+  QNodeId ua = q.AddNode(*g.node_labels().Find("A"));
+  QNodeId u1 = q.AddNode(lb);
+  QNodeId u2 = q.AddNode(lb);
+  q.AddEdge(ua, u1, r);
+  q.AddEdge(ua, u2, r);
+  q.SetOutput(ua);
+  q.AddOutput(u1);
+  std::vector<std::vector<NodeId>> per;
+  for (QNodeId u : q.outputs()) {
+    Query qi = q;
+    qi.SetOutput(u);
+    per.push_back(SimulationAnswers(g, qi));
+  }
+  ASSERT_EQ(per, (std::vector<std::vector<NodeId>>{{a}, {b}}));
+  AnswerConfig cfg;
+  cfg.semantics = MatchSemantics::kSimulation;
+  cfg.budget = 0.0;  // no operator fits: the answer is the no-op rewrite
+  // Under simulation Q itself still matches every given answer, so the
+  // no-op excludes nothing and costs no guard.
+  RewriteAnswer a_exact = ExactWhyMultiOutput(g, q, per, {{a}, {}}, cfg);
+  EXPECT_FALSE(a_exact.found);
+  EXPECT_EQ(a_exact.eval.closeness, 0.0);
+  EXPECT_EQ(a_exact.eval.guard, 0u);
+  EXPECT_TRUE(a_exact.eval.guard_ok);
 }
 
 }  // namespace

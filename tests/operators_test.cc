@@ -104,18 +104,17 @@ TEST_F(OperatorsTest, ApplyCompositeAddENewNode) {
 }
 
 TEST_F(OperatorsTest, ConflictsBetweenLiteralEdits) {
-  Literal before{price_, CompareOp::kLe, Value(int64_t{650})};
   EditOp rxl1;
   rxl1.kind = OpKind::kRxL;
   rxl1.u = 0;
-  rxl1.before = before;
+  rxl1.before = Literal{price_, CompareOp::kLe, Value(int64_t{650})};
   rxl1.after = Literal{price_, CompareOp::kLe, Value(int64_t{700})};
   EditOp rxl2 = rxl1;
   rxl2.after = Literal{price_, CompareOp::kLe, Value(int64_t{800})};
   EditOp rml;
   rml.kind = OpKind::kRmL;
   rml.u = 0;
-  rml.before = before;
+  rml.before = rxl1.before;
   EXPECT_TRUE(OpsConflict(rxl1, rxl2));
   EXPECT_TRUE(OpsConflict(rxl1, rml));
   // Different node or different literal: no conflict.
@@ -139,11 +138,10 @@ TEST_F(OperatorsTest, NoConflictAcrossKinds) {
 }
 
 TEST_F(OperatorsTest, BuildConflictsAdjacency) {
-  Literal before{price_, CompareOp::kLe, Value(int64_t{650})};
   EditOp a;
   a.kind = OpKind::kRxL;
   a.u = 0;
-  a.before = before;
+  a.before = Literal{price_, CompareOp::kLe, Value(int64_t{650})};
   a.after = Literal{price_, CompareOp::kLe, Value(int64_t{700})};
   EditOp b = a;
   b.after = Literal{price_, CompareOp::kLe, Value(int64_t{800})};

@@ -1,7 +1,7 @@
 // Parallel-vs-serial determinism: with an untruncated search, every
 // algorithm must return *identical* answers at threads = 4 and threads = 1
 // (same operators, rewritten query text, closeness, guard, cost, and even
-// sets_verified) — the contract documented in why/exact_search.h. Also
+// sets_verified) — the contract documented in why/why_algorithms.cc. Also
 // covers cancellation: a parallel question past its deadline unwinds
 // without leaking tasks into the shared pool. Test names carry "Parallel"
 // so the CI thread-sanitizer job picks the whole file up.
