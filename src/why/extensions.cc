@@ -408,23 +408,22 @@ RewriteAnswer ApproxWhyMultiOutput(
       }
     });
   }
-  std::vector<EditOp>& cands = mo.usable;
-  cands.resize(effects.size());
-  out.picky_count = cands.size();
-  std::vector<std::vector<size_t>> conflicts = BuildConflicts(cands);
+  mo.usable.resize(effects.size());
+  out.picky_count = mo.usable.size();
+  std::vector<std::vector<size_t>> conflicts = BuildConflicts(mo.usable);
 
   // Budgeted max-coverage greedy over the pooled exclusion sets.
   std::set<std::pair<size_t, NodeId>> covered;
   std::vector<size_t> selected;
-  std::vector<uint8_t> in_pool(cands.size(), 1);
-  size_t pool = cands.size();
+  std::vector<uint8_t> in_pool(mo.usable.size(), 1);
+  size_t pool = mo.usable.size();
   double spent = 0.0;
   size_t guard_used = 0;
   while (pool > 0) {
     ++out.sets_verified;
     long best = -1;
     double best_ratio = 0.0;
-    for (size_t i = 0; i < cands.size(); ++i) {
+    for (size_t i = 0; i < mo.usable.size(); ++i) {
       if (!in_pool[i]) continue;
       if (spent + mo.costs[i] > cfg.budget + kEps) continue;
       if (guard_used + effects[i].guard > cfg.guard_m) continue;
@@ -455,7 +454,7 @@ RewriteAnswer ApproxWhyMultiOutput(
   }
 
   if (selected.empty()) return out;
-  for (size_t j : selected) out.ops.push_back(cands[j]);
+  for (size_t j : selected) out.ops.push_back(mo.usable[j]);
   out.rewritten = ApplyOperators(q, out.ops);
   out.cost = spent;
   // Exact pooled evaluation for reporting; a cancelled request reports
