@@ -24,4 +24,10 @@ const std::string& Dictionary::NameOf(SymbolId id) const {
   return names_[id];
 }
 
+std::string NumberedName(std::string_view prefix, size_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 }  // namespace whyq

@@ -16,6 +16,11 @@ using SymbolId = uint32_t;
 
 inline constexpr SymbolId kInvalidSymbol = UINT32_MAX;
 
+/// "<prefix><n>" (e.g. "L3", "a17"): the names generators intern. Built
+/// by appending, since gcc 12 at -O3 flags `"L" + std::to_string(n)` with
+/// a false -Wrestrict.
+std::string NumberedName(std::string_view prefix, size_t n);
+
 /// A string interning table mapping names (node labels, edge labels,
 /// attribute names) to dense SymbolIds. Append-only; ids are stable.
 ///

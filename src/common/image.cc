@@ -235,8 +235,10 @@ bool PublishFile(const std::string& path, std::span<const ImageRegion> chunks,
   }
   if (durable) {
     // The rename is durable once the directory entry is.
-    std::string dir = std::filesystem::path(path).parent_path();
-    if (dir.empty()) dir = ".";
+    // Built, not assigned: gcc 12 -O3 flags `dir = "."` with a false
+    // -Wrestrict.
+    std::filesystem::path parent = std::filesystem::path(path).parent_path();
+    const std::string dir = parent.empty() ? std::string(".") : parent.string();
     UniqueFd dfd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
     if (!dfd.valid() || ::fsync(dfd.get()) != 0) {
       return Fail(error, what, "cannot sync directory " + dir);

@@ -81,15 +81,15 @@ Graph GenerateProfile(DatasetProfile p, size_t nodes, uint64_t seed) {
   // Pre-intern label / attribute alphabets so ids are dense and stable.
   std::vector<SymbolId> labels(n_labels);
   for (size_t i = 0; i < n_labels; ++i) {
-    labels[i] = b.node_labels().Intern("L" + std::to_string(i));
+    labels[i] = b.node_labels().Intern(NumberedName("L", i));
   }
   std::vector<SymbolId> elabels(pp.edge_labels);
   for (size_t i = 0; i < pp.edge_labels; ++i) {
-    elabels[i] = b.edge_labels().Intern("r" + std::to_string(i));
+    elabels[i] = b.edge_labels().Intern(NumberedName("r", i));
   }
   std::vector<SymbolId> attrs(pp.attr_pool);
   for (size_t i = 0; i < pp.attr_pool; ++i) {
-    attrs[i] = b.attr_names().Intern("a" + std::to_string(i));
+    attrs[i] = b.attr_names().Intern(NumberedName("a", i));
   }
 
   // Nodes: Zipf-skewed labels; per-label attribute pools (deterministic
@@ -121,9 +121,10 @@ Graph GenerateProfile(DatasetProfile p, size_t nodes, uint64_t seed) {
         int64_t step = 1 + static_cast<int64_t>(slot % 7) * 10;
         b.SetAttrById(v, a, Value(rng.Uniform(0, levels) * step));
       } else {
-        b.SetAttrById(
-            v, a, Value("v" + std::to_string(slot) + "_" +
-                        std::to_string(rng.Zipf(20, 1.2))));
+        std::string value = NumberedName("v", slot);
+        value += '_';
+        value += std::to_string(rng.Zipf(20, 1.2));
+        b.SetAttrById(v, a, Value(std::move(value)));
       }
     }
   }

@@ -78,15 +78,16 @@ Graph DecorateGraph(const Graph& g, const DecorationConfig& config) {
     n_attrs = std::min(n_attrs, config.attr_pool);
     for (size_t k = 0; k < n_attrs; ++k) {
       size_t slot = rng.Index(config.attr_pool);
-      std::string name = "a" + std::to_string(slot);
+      std::string name = NumberedName("a", slot);
       if (rng.Double() < config.numeric_frac) {
         int64_t levels = 4 + static_cast<int64_t>(slot % 13);
         int64_t step = 1 + static_cast<int64_t>(slot % 7) * 10;
         b.SetAttr(v, name, Value(rng.Uniform(0, levels) * step));
       } else {
-        b.SetAttr(v, name,
-                  Value("v" + std::to_string(slot) + "_" +
-                        std::to_string(rng.Zipf(20, 1.2))));
+        std::string value = NumberedName("v", slot);
+        value += '_';
+        value += std::to_string(rng.Zipf(20, 1.2));
+        b.SetAttr(v, name, Value(std::move(value)));
       }
     }
   }

@@ -102,17 +102,17 @@ const AttrRange* Graph::RangeOf(SymbolId attr) const {
 
 std::string Graph::NodeLabelName(SymbolId id) const {
   if (id < node_labels_.size()) return node_labels_.NameOf(id);
-  return "#" + std::to_string(id);
+  return NumberedName("#", id);
 }
 
 std::string Graph::EdgeLabelName(SymbolId id) const {
   if (id < edge_labels_.size()) return edge_labels_.NameOf(id);
-  return "#" + std::to_string(id);
+  return NumberedName("#", id);
 }
 
 std::string Graph::AttrName(SymbolId id) const {
   if (id < attr_names_.size()) return attr_names_.NameOf(id);
-  return "#" + std::to_string(id);
+  return NumberedName("#", id);
 }
 
 NodeId GraphBuilder::AddNode(std::string_view label) {

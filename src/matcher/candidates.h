@@ -15,15 +15,6 @@ bool IsCandidate(const Graph& g, NodeId v, const QueryNode& qn);
 /// All candidates of query node u in g (via the label index).
 std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u);
 
-/// Parallel variant for large label buckets: the bucket is filtered in
-/// contiguous chunks on up to `threads` executors of ThreadPool::Shared()
-/// and the chunks are concatenated in order, so the result is the same
-/// ascending-NodeId list the serial overload returns. Falls back to the
-/// serial scan when threads <= 1 or the bucket is small (the fork/join
-/// overhead would dominate literal checks).
-std::vector<NodeId> Candidates(const Graph& g, const Query& q, QNodeId u,
-                               size_t threads);
-
 }  // namespace whyq
 
 #endif  // WHYQ_MATCHER_CANDIDATES_H_

@@ -226,14 +226,4 @@ void MatchContext::Prime(const Query& q) {
   }
 }
 
-void MatchContext::Seed(const QueryNode& qn,
-                        const std::vector<NodeId>& nodes) {
-  uint64_t hash = ConstraintHash(qn);
-  if (Find(qn, hash) != nullptr) return;
-  ++stats_.misses;  // the full scan happened, just outside the context
-  uint64_t* bits = ZeroedBitmap();
-  for (NodeId v : nodes) bits[v >> 6] |= uint64_t{1} << (v & 63);
-  AddEntry(qn.label, SortedLiterals(qn), hash, Freeze(bits, 0, words_));
-}
-
 }  // namespace whyq

@@ -92,12 +92,6 @@ class MatchContext {
   /// a request is still in its prepare stage).
   void Prime(const Query& q);
 
-  /// Installs an externally computed candidate list for `qn` (must be the
-  /// exact ascending IsCandidate filter of the label bucket — e.g. the
-  /// parallel Candidates() result). Counted as a miss: the scan happened,
-  /// just not here. No-op when the constraint is already memoized.
-  void Seed(const QueryNode& qn, const std::vector<NodeId>& nodes);
-
   /// Adds to the pruned-attempts counter: the matcher counts each
   /// label-bucket root and each anchor-slice neighbor that the memoized
   /// list or the bitmap skips.

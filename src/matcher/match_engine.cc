@@ -34,6 +34,7 @@ class IsoMatchEngine : public MatchEngine {
       const Query& q, const std::vector<NodeId>& nodes) const override {
     return matcher_.TestAnswers(q, nodes);
   }
+  void AssumeRefinementsOf(const Query&) override {}
 
  private:
   Matcher matcher_;
@@ -44,7 +45,8 @@ class IsoMatchEngine : public MatchEngine {
 // the query's serialized form absorbs the evaluators' per-rewrite probing
 // patterns (many IsAnswer calls against the same rewrite), and TestAnswers
 // consults it once per batch. The borrowed MatchContext seeds each
-// fixpoint with memoized candidate sets.
+// fixpoint with memoized candidate sets, cut down to the base query's
+// relation once AssumeRefinementsOf has installed it.
 class SimMatchEngine : public MatchEngine {
  public:
   explicit SimMatchEngine(MatchContext& ctx) : ctx_(ctx) {}
@@ -79,6 +81,11 @@ class SimMatchEngine : public MatchEngine {
     }
     return out;
   }
+  void AssumeRefinementsOf(const Query& base) override {
+    // Unbounded is always sound; an expired token skips the fixpoint.
+    if (CancelRequested(cancel_)) return;
+    bound_ = RefinementBound(ctx_, base);
+  }
 
  private:
   const std::vector<NodeId>& AnswersFor(const Query& q) const {
@@ -91,7 +98,7 @@ class SimMatchEngine : public MatchEngine {
         static const std::vector<NodeId> kEmpty;
         return kEmpty;
       }
-      cached_answers_ = SimulationAnswers(ctx_, q);  // ascending
+      cached_answers_ = SimulationAnswers(ctx_, q, bound_);  // ascending
       cached_key_ = std::move(key);
     }
     return cached_answers_;
@@ -99,6 +106,7 @@ class SimMatchEngine : public MatchEngine {
 
   MatchContext& ctx_;
   const CancelToken* cancel_ = nullptr;
+  SimulationBound bound_;  // empty: no base query assumed
   mutable std::string cached_key_;
   mutable std::vector<NodeId> cached_answers_;
 };

@@ -56,6 +56,14 @@ class MatchEngine {
   /// fixpoint) for the whole batch.
   virtual std::vector<uint8_t> TestAnswers(
       const Query& q, const std::vector<NodeId>& nodes) const = 0;
+
+  /// Promises that every later query refines `base` (see RefinementBound
+  /// in matcher/simulation.h: RfL, AddL and AddE only, node ids kept), as
+  /// every rewrite of a Why search does. The simulation engine then starts
+  /// each fixpoint from base's maximum relation instead of the candidate
+  /// sets; the isomorphism engine ignores it. Answers are unchanged as long
+  /// as the promise holds.
+  virtual void AssumeRefinementsOf(const Query& base) = 0;
 };
 
 /// Factory. The returned engine borrows `ctx` (not owned; must outlive the

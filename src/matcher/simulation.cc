@@ -18,8 +18,8 @@ bool Test(const Bitmap& b, NodeId v) {
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
-                                                const Query& q) {
+std::vector<std::vector<NodeId>> DualSimulation(
+    MatchContext& ctx, const Query& q, const SimulationBound& bound) {
   const Graph& g = ctx.graph();
   std::vector<std::vector<NodeId>> lists(q.node_count());
   std::vector<QNodeId> component = q.OutputComponent();
@@ -28,13 +28,22 @@ std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
   for (QNodeId u : component) in_component[u] = 1;
 
   // Initialize with the memoized candidate sets (ascending member list +
-  // bitmap).
+  // bitmap), cut down to the bound where there is one.
   const size_t words = (g.node_count() + 63) / 64;
   std::vector<Bitmap> member(q.node_count());
   for (QNodeId u : component) {
     const MatchContext::CandidateSet& c = ctx.Lookup(q.node(u));
-    lists[u].assign(c.begin(), c.end());
-    member[u].assign(c.bits, c.bits + words);
+    if (u < bound.size() && bound[u].has_value()) {
+      member[u].assign(words, 0);
+      for (NodeId v : *bound[u]) {
+        if (!c.Test(v)) continue;
+        lists[u].push_back(v);
+        member[u][v >> 6] |= uint64_t{1} << (v & 63);
+      }
+    } else {
+      lists[u].assign(c.begin(), c.end());
+      member[u].assign(c.bits, c.bits + words);
+    }
   }
 
   // Fixpoint pruning: drop v from S(u) when some incident query edge has
@@ -71,8 +80,16 @@ std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
   return lists;
 }
 
-std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q) {
-  return DualSimulation(ctx, q)[q.output()];
+SimulationBound RefinementBound(MatchContext& ctx, const Query& base) {
+  std::vector<std::vector<NodeId>> relation = DualSimulation(ctx, base);
+  SimulationBound bound(base.node_count());
+  for (QNodeId u : base.OutputComponent()) bound[u] = std::move(relation[u]);
+  return bound;
+}
+
+std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q,
+                                      const SimulationBound& bound) {
+  return DualSimulation(ctx, q, bound)[q.output()];
 }
 
 std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q) {

@@ -1,6 +1,7 @@
 #ifndef WHYQ_MATCHER_SIMULATION_H_
 #define WHYQ_MATCHER_SIMULATION_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -33,13 +34,32 @@ class MatchContext;
 /// constraint (a hit when an earlier rewrite of the same request shared
 /// it). The context is single-thread state.
 
+/// An upper bound on the maximum dual simulation, indexed by query node:
+/// a sorted node set that contains S(u), or nullopt where u is unbounded.
+/// Nodes past its end are unbounded, so an empty bound bounds nothing.
+using SimulationBound = std::vector<std::optional<std::vector<NodeId>>>;
+
 /// The maximum dual-simulation relation: one (sorted) node set per query
-/// node; nodes outside the output component get empty sets.
-std::vector<std::vector<NodeId>> DualSimulation(MatchContext& ctx,
-                                                const Query& q);
+/// node; nodes outside the output component get empty sets. With a bound,
+/// each S(u) starts from cand(u) ∩ bound(u) instead of cand(u); the result
+/// is the same whenever the bound holds.
+std::vector<std::vector<NodeId>> DualSimulation(
+    MatchContext& ctx, const Query& q, const SimulationBound& bound = {});
+
+/// The bound the maximum dual simulation of `base` places on every
+/// refinement of it: a query that keeps base's node ids, whose nodes'
+/// candidate sets are subsets of base's, and whose edges are a superset
+/// (RfL, AddL and AddE, with or without a new node). Restricted to base's
+/// output component, the relation of such a refinement is a dual simulation
+/// of base, so it lies inside base's maximum one (the incremental-matching
+/// argument of Fan, Wang and Wu, TODS 2013). Nodes outside that component,
+/// and nodes the refinement adds, are unbounded. A relaxation (RxL, RmL,
+/// RmE) grows the relation, so the bound does not hold for it.
+SimulationBound RefinementBound(MatchContext& ctx, const Query& base);
 
 /// Sim(u_o): the output node's set under the maximum dual simulation.
-std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q);
+std::vector<NodeId> SimulationAnswers(MatchContext& ctx, const Query& q,
+                                      const SimulationBound& bound = {});
 
 /// One-off Sim(u_o) over a fresh context on `g`.
 std::vector<NodeId> SimulationAnswers(const Graph& g, const Query& q);

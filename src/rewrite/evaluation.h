@@ -49,6 +49,14 @@ class WhyEvaluator {
   /// (exact; used to seed EstMatch for each single picky operator).
   std::vector<NodeId> AffectedAnswers(const Query& rewritten) const;
 
+  /// Promises that every later rewrite refines `q` (RfL, AddL, AddE), as
+  /// every rewrite of the Why search does. Under simulation semantics each
+  /// fixpoint then starts from Q's own relation, computed here once (see
+  /// MatchEngine::AssumeRefinementsOf); answers are unchanged.
+  void AssumeRefinementsOf(const Query& q) {
+    engine_->AssumeRefinementsOf(q);
+  }
+
   const std::vector<NodeId>& answers() const { return answers_; }
   const std::vector<NodeId>& unexpected() const { return unexpected_; }
   size_t guard_m() const { return guard_m_; }

@@ -68,8 +68,12 @@ std::string JsonValue::Dump() const {
       return bool_ ? "true" : "false";
     case Type::kNumber:
       return JsonNumber(number_);
-    case Type::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+    case Type::kString: {
+      std::string out = "\"";
+      out += JsonEscape(string_);
+      out += '"';
+      return out;
+    }
     case Type::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < array_.size(); ++i) {
@@ -84,7 +88,10 @@ std::string JsonValue::Dump() const {
       for (const auto& [k, v] : object_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + JsonEscape(k) + "\":" + v.Dump();
+        out += '"';
+        out += JsonEscape(k);
+        out += "\":";
+        out += v.Dump();
       }
       return out + "}";
     }

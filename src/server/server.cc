@@ -100,8 +100,10 @@ std::string WhyqServer::StatsJson() const {
   std::string o = "{\"server\":" + Snapshot().ToJson() + ",\"service\":{";
   for (size_t i = 0; i < services_.size(); ++i) {
     if (i > 0) o += ",";
-    o += "\"" + JsonEscape(names_[i]) + "\":" +
-         services_[i]->Stats().ToJson();
+    o += '"';
+    o += JsonEscape(names_[i]);
+    o += "\":";
+    o += services_[i]->Stats().ToJson();
   }
   o += "}}";
   return o;

@@ -6,7 +6,6 @@
 
 #include "common/cancel.h"
 #include "common/timer.h"
-#include "matcher/candidates.h"
 #include "matcher/match_context.h"
 #include "query/query_parser.h"
 
@@ -55,7 +54,7 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
                                                   size_t max_paths,
                                                   const CancelToken* cancel,
                                                   bool* complete,
-                                                  size_t threads,
+                                                  size_t /*threads*/,
                                                   RequestTrace* trace) {
   Timer stage;
   // The PreparedQuery constructor samples the PathIndex.
@@ -65,22 +64,21 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
     trace->path_index_ms = stage.ElapsedMillis();
     stage.Reset();
   }
-  prepared->output_candidates =
-      Candidates(g, prepared->query, prepared->query.output(), threads);
+  // Request-scoped candidate memo: the output candidates are its set of the
+  // output node, built from the literal bitmaps, so the answer match reads
+  // that set back instead of rescanning the label bucket, and every other
+  // query node's set is memoized across the isomorphism matcher's root
+  // loop. Lives only for this build (the prepared artifacts it feeds are
+  // immutable and cacheable; the context is not).
+  MatchContext ctx(g);
+  const MatchContext::CandidateSet& out_cand =
+      ctx.Lookup(prepared->query.node(prepared->query.output()));
+  prepared->output_candidates.assign(out_cand.begin(), out_cand.end());
   if (trace != nullptr) {
     trace->candidates_ms = stage.ElapsedMillis();
     trace->matcher_candidates = prepared->output_candidates.size();
     stage.Reset();
   }
-  // Request-scoped candidate memo for the answer match: the just-computed
-  // output-candidate set is seeded so neither engine rescans the output
-  // label bucket, and every non-output query node's set is memoized across
-  // the isomorphism matcher's root loop. Lives only for this build (the
-  // prepared artifacts it feeds are immutable and cacheable; the context
-  // is not).
-  MatchContext ctx(g);
-  ctx.Seed(prepared->query.node(prepared->query.output()),
-           prepared->output_candidates);
   std::unique_ptr<MatchEngine> engine = MakeMatchEngine(ctx, semantics);
   engine->SetCancelToken(cancel);
   prepared->answers = engine->MatchOutput(prepared->query);

@@ -88,9 +88,8 @@ std::string PreparedQueryKey(const Query& q, const Graph& g,
 /// Builds the artifacts. `cancel` (nullable) clips the answer match; a
 /// clipped build is still usable for its own request (best-so-far) but must
 /// NOT be cached — `complete` reports whether the build ran to the end.
-/// `threads` > 1 filters the output-node candidate bucket in parallel on
-/// ThreadPool::Shared() (same result, see matcher/candidates.h); the answer
-/// match itself stays on the calling worker. `trace` (nullable) receives
+/// The build is serial on the calling worker; `threads` is unused and
+/// stays only so existing callers compile. `trace` (nullable) receives
 /// the build's sub-stage timings (path_index_ms / candidates_ms /
 /// answer_match_ms) and the output-candidate count.
 std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,

@@ -60,6 +60,10 @@ struct WhyKind {
   // Partial credit of a target not yet excluded: a refinement can push it
   // toward failing the path tests without excluding it outright.
   static double SoftTerm(double pass_fraction) { return 1.0 - pass_fraction; }
+  // Every Why rewrite refines Q, so Q's simulation bounds each of theirs.
+  static void WarmStart(Evaluator& ev, const Query& q) {
+    ev.AssumeRefinementsOf(q);
+  }
 
   // The exact Aff(o) even for IsoWhy, since O_1 is scored from it.
   static void Prepare(const Evaluator& ev, const PathIndex&,
@@ -118,6 +122,8 @@ struct WhyNotKind {
   // Single relaxations often gain nothing hard (an entity needs several
   // constraints lifted at once); credit how far along the entity is.
   static double SoftTerm(double pass_fraction) { return pass_fraction; }
+  // Relaxations grow the relation: no bound to start from.
+  static void WarmStart(Evaluator&, const Query&) {}
 
   static void Prepare(const Evaluator& ev, const PathIndex& pidx,
                       const Query& single, bool exact, Prep& p) {
@@ -147,19 +153,22 @@ struct WhyNotKind {
 
 // The executor slots of one question's parallel loops. Evaluators own a
 // stateful MatchEngine, so slot 0 uses the caller's evaluator and each
-// further slot a clone of its own.
+// further slot a clone of its own. Every slot is warm-started from Q
+// (Kind::WarmStart).
 template <typename Kind>
 class SlotEvaluators {
  public:
   using Evaluator = typename Kind::Evaluator;
 
-  SlotEvaluators(const Evaluator& eval, const Graph& g,
+  SlotEvaluators(Evaluator& eval, const Graph& g, const Query& q,
                  const std::vector<NodeId>& answers,
                  const typename Kind::Question& w, const AnswerConfig& cfg)
       : eval_(eval), width_(ResolveParallelWidth(cfg.threads)) {
+    Kind::WarmStart(eval, q);
     for (size_t s = 1; s < width_; ++s) {
       clones_.push_back(std::make_unique<Evaluator>(
           g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel));
+      Kind::WarmStart(*clones_.back(), q);
     }
   }
 
@@ -275,7 +284,7 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
              (cfg.exact_time_limit_ms > 0 &&
               exact_timer.ElapsedMillis() > cfg.exact_time_limit_ms);
     };
-    SlotEvaluators<Kind> slots(eval, g, answers, w, cfg);
+    SlotEvaluators<Kind> slots(eval, g, q, answers, w, cfg);
     // Serial runs flush after every emission (evaluate immediately, stop
     // immediately at closeness 1); parallel runs trade a slightly deeper
     // lookahead for load balance across the slots.
@@ -385,8 +394,8 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
 // ApproxWhy / FastWhyNot (Fig. 4, Section V-B) and their exact-gain
 // baselines IsoWhy / IsoWhyNot (`exact`): budgeted greedy selection by
 // marginal gain per unit cost. Each usable picky operator is prepped once
-// (Kind::Prepare); each round scores every pool candidate by the estimated
-// (or, when `exact`, verified) closeness of the selection plus it.
+// (Kind::Prepare) and scored once per selection, by the estimated (or,
+// when `exact`, verified) closeness of the selection plus it.
 template <typename Kind>
 RewriteAnswer Greedy(const Graph& g, const Query& q,
                      const std::vector<NodeId>& answers,
@@ -404,7 +413,7 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   const Kind kind(eval, answers, cfg);
   const std::vector<NodeId>& targets = Kind::Targets(eval);
 
-  SlotEvaluators<Kind> slots(eval, g, answers, w, cfg);
+  SlotEvaluators<Kind> slots(eval, g, q, answers, w, cfg);
   // Sum of every evaluator's candidate-memo counters, folded into the
   // answer at each exit.
   auto finish_ctx = [&]() {
@@ -490,74 +499,75 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   PathIndex::Probe base_probe(pidx, eval.context(), q);
   double current_soft = soft_score(effect_union, base_probe);
 
+  // One score per candidate: the selection plus it. Only a selection moves
+  // `selected`, `effect_union`, `current_cl` and `current_soft`, so the
+  // pool is scored before the first round and after each round that
+  // selects; a round that only drops its argmax reuses the scores.
+  struct Score {
+    CloseEstimate est;   // of the selection plus the candidate
+    double soft = 0.0;   // soft score of the same
+    double ratio = -1.0;
+    double gain = 0.0;
+    double soft_gain = 0.0;
+  };
+  std::vector<Score> scores(usable.size());
+  bool stale = true;
+  std::vector<size_t> pool_idx;
   while (pool > 0 && current_cl < 1.0 - kEps) {
     if (CancelRequested(cfg.cancel)) {
       out.exhaustive = false;
       break;  // keep the greedy prefix selected so far
     }
     ++out.sets_verified;
-    // Score every pool candidate (parallel across executor slots), then
-    // pick the winner serially in ascending candidate order — the same
-    // argmax and tie-break (ratio must beat the incumbent by kEps) as the
-    // serial scan, so parallel rounds select identical operators.
-    std::vector<size_t> pool_idx;
-    pool_idx.reserve(pool);
-    for (size_t i = 0; i < usable.size(); ++i) {
-      if (in_pool[i]) pool_idx.push_back(i);
+    if (stale) {
+      // Parallel across executor slots; each score depends only on the
+      // selection and the candidate, never on the slot.
+      pool_idx.clear();
+      for (size_t i = 0; i < usable.size(); ++i) {
+        if (in_pool[i]) pool_idx.push_back(i);
+      }
+      OperatorSet selected_ops;
+      for (size_t j : selected) selected_ops.push_back(usable[j]);
+      ThreadPool::Shared().ParallelFor(
+          pool_idx.size(), slots.width(), [&](size_t k, size_t slot) {
+            size_t i = pool_idx[k];
+            NodeSet effect = effect_union;
+            for (NodeId v : prep[i].effect) effect.Insert(v);
+            OperatorSet trial_ops = selected_ops;
+            trial_ops.push_back(usable[i]);
+            Query rw = ApplyOperators(q, trial_ops);
+            PathIndex::Probe probe(pidx, slots[slot].context(), rw);
+            Score& s = scores[i];
+            s.est = estimate(effect, probe, slot);
+            s.soft = soft_score(effect, probe);
+            s.gain = s.est.closeness - current_cl;
+            // Hard gains dominate; soft gains break zero-gain ties.
+            s.soft_gain = s.soft - current_soft;
+            s.ratio = (s.gain + 1e-3 * s.soft_gain) / costs[i];
+          });
+      stale = false;
     }
-    struct Score {
-      double ratio = -1.0;
-      double gain = 0.0;
-      double soft_gain = 0.0;
-    };
-    std::vector<Score> scores(pool_idx.size());
-    ThreadPool::Shared().ParallelFor(
-        pool_idx.size(), slots.width(), [&](size_t k, size_t slot) {
-          size_t i = pool_idx[k];
-          NodeSet effect = effect_union;
-          for (NodeId v : prep[i].effect) effect.Insert(v);
-          OperatorSet trial_ops;
-          for (size_t j : selected) trial_ops.push_back(usable[j]);
-          trial_ops.push_back(usable[i]);
-          Query rw = ApplyOperators(q, trial_ops);
-          PathIndex::Probe probe(pidx, slots[slot].context(), rw);
-          CloseEstimate est = estimate(effect, probe, slot);
-          Score& s = scores[k];
-          s.gain = est.closeness - current_cl;
-          // Hard gains dominate; soft gains break zero-gain ties.
-          s.soft_gain = soft_score(effect, probe) - current_soft;
-          s.ratio = (s.gain + 1e-3 * s.soft_gain) / costs[i];
-        });
+    // The winner in ascending candidate order: the ratio must beat the
+    // incumbent by kEps, so parallel scoring selects what a serial one does.
     long best = -1;
     double best_ratio = -1.0;
-    double best_gain = 0.0;
-    double best_soft_gain = 0.0;
-    for (size_t k = 0; k < pool_idx.size(); ++k) {
-      if (scores[k].ratio > best_ratio + kEps) {
-        best_ratio = scores[k].ratio;
-        best = static_cast<long>(pool_idx[k]);
-        best_gain = scores[k].gain;
-        best_soft_gain = scores[k].soft_gain;
+    for (size_t i = 0; i < usable.size(); ++i) {
+      if (in_pool[i] && scores[i].ratio > best_ratio + kEps) {
+        best_ratio = scores[i].ratio;
+        best = static_cast<long>(i);
       }
     }
     if (best < 0) break;
     size_t b = static_cast<size_t>(best);
     in_pool[b] = 0;
     --pool;
-    if (best_gain <= kEps && best_soft_gain <= kEps) {
+    const Score& s = scores[b];
+    if (s.gain <= kEps && s.soft_gain <= kEps) {
       continue;  // not picky w.r.t. the current set
     }
     if (spent + costs[b] > cfg.budget + kEps) continue;
     // Guard screening of the extended set.
-    NodeSet effect = effect_union;
-    for (NodeId v : prep[b].effect) effect.Insert(v);
-    OperatorSet trial_ops;
-    for (size_t j : selected) trial_ops.push_back(usable[j]);
-    trial_ops.push_back(usable[b]);
-    Query rw = ApplyOperators(q, trial_ops);
-    PathIndex::Probe probe(pidx, eval.context(), rw);
-    CloseEstimate est = estimate(effect, probe, 0);
-    if (!est.guard_ok) continue;
+    if (!s.est.guard_ok) continue;
     for (size_t j : conflicts[b]) {
       if (in_pool[j]) {
         in_pool[j] = 0;
@@ -565,10 +575,11 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
       }
     }
     selected.push_back(b);
-    effect_union = std::move(effect);
+    for (NodeId v : prep[b].effect) effect_union.Insert(v);
     spent += costs[b];
-    current_cl = est.closeness;
-    current_soft = soft_score(effect_union, probe);
+    current_cl = s.est.closeness;
+    current_soft = s.soft;
+    stale = true;
   }
 
   // Drop bootstrap operators that never paid off (estimated closeness

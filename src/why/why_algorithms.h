@@ -56,7 +56,9 @@ void AddAnswerWork(const RewriteAnswer& a, bool exact, RequestTrace* trace);
 /// ExactWhy (Fig. 3): enumerates maximal bounded sets over the refinement
 /// picky set, verifies each with the incremental Match, early-terminates at
 /// closeness 1, and (optionally, cfg.minimize_cost) post-processes the
-/// winner into a cost-minimal subset preserving its closeness.
+/// winner by dropping one operator at a time while closeness and guard
+/// hold. No single operator of the result can then be dropped, but a
+/// cheaper set of the same closeness may still exist.
 /// Worst-case exponential in |O_s| (one Match per maximal bounded set);
 /// bounded in practice by cfg.max_mbs / cfg.exact_time_limit_ms, reported
 /// via RewriteAnswer::exhaustive. When enumeration was truncated, seeds

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "gen/figure1.h"
 #include "matcher/matcher.h"
+#include "query/query_parser.h"
+#include "rewrite/operators.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 
@@ -187,6 +193,58 @@ TEST_F(AlgorithmsTest, ExplainMentionsOperators) {
   RewriteAnswer none;
   EXPECT_NE(none.Explain(f_.graph).find("no valid rewrite"),
             std::string::npos);
+}
+
+// The greedy's conflict pruning. Three unexpected products a, e, b and two
+// desired ones c, d answer `price <= 100`. RfL `price < 50` would exclude
+// all three but also c (guard m = 0), so the first pick is RfL
+// `price < 90` (a and e), and RfL `price < 95`, an edit of the same
+// literal, is still in the pool while b is not yet excluded. The greedy
+// must prune it, never return it next to `price < 90`, and finish b with
+// another operator.
+TEST(GreedyConflictTest, RefinementOfASelectedLiteralIsPruned) {
+  GraphBuilder b;
+  struct Product {
+    int64_t price;
+    int64_t rating;
+  };
+  const Product products[] = {{90, 5}, {95, 5}, {50, 9}, {60, 5}, {10, 5}};
+  std::vector<NodeId> answers;
+  for (const Product& p : products) {
+    NodeId v = b.AddNode("P");
+    b.SetAttr(v, "price", Value(p.price));
+    b.SetAttr(v, "rating", Value(p.rating));
+    answers.push_back(v);
+  }
+  Graph g = b.Build();
+  std::string error;
+  std::optional<Query> q =
+      ParseQuery("node p P price <= i:100\noutput p\n", g, &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  ASSERT_EQ(Matcher(g).MatchOutput(*q), answers);
+  WhyQuestion w{{answers[0], answers[1], answers[2]}};
+  AnswerConfig cfg;
+  cfg.budget = 4.0;
+  cfg.guard_m = 0;
+  cfg.weighted_cost = false;
+  for (MatchSemantics sem :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    cfg.semantics = sem;
+    for (auto algo : {&ApproxWhy, &IsoWhy}) {
+      RewriteAnswer a = algo(g, *q, answers, w, cfg);
+      for (size_t i = 0; i < a.ops.size(); ++i) {
+        for (size_t j = i + 1; j < a.ops.size(); ++j) {
+          EXPECT_FALSE(OpsConflict(a.ops[i], a.ops[j]))
+              << DescribeOperators(a.ops, g);
+        }
+      }
+      EXPECT_TRUE(a.found);
+      EXPECT_DOUBLE_EQ(a.eval.closeness, 1.0) << DescribeOperators(a.ops, g);
+      // The scenario: an RfL of `price` was picked while b still counted.
+      ASSERT_EQ(a.ops.size(), 2u) << DescribeOperators(a.ops, g);
+      EXPECT_EQ(a.ops[0].kind, OpKind::kRfL);
+    }
+  }
 }
 
 }  // namespace

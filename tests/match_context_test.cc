@@ -1,7 +1,8 @@
 // MatchContext coverage in three layers:
 //   1. unit tests of the memo itself (lookup = the IsCandidate filter,
 //      also as a property over mixed-kind values; hit/miss/delta and
-//      literal-scan accounting, literal-order-insensitive keys, Seed/Prime);
+//      literal-scan accounting, literal-order-insensitive keys, Prime, and
+//      the prepared output candidates);
 //   2. an equivalence property: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically over one
 //      context reused across the rewrite sweep and over a fresh context
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "rewrite/operators.h"
+#include "service/prepared.h"
 #include "why/picky.h"
 #include "why/question.h"
 
@@ -152,21 +155,24 @@ TEST(MatchContextTest, RelaxedLiteralsReuseLiteralBitmaps) {
   EXPECT_EQ(ctx.stats().literal_scans, distinct + 1);
 }
 
-TEST(MatchContextTest, SeedInstallsExternalResult) {
+// PrepareQuery takes the output candidates from its context's literal
+// bitmaps: they must be the IsCandidate filter of the label bucket, and
+// the answer match that reads them back must equal a fresh match.
+TEST(MatchContextTest, PreparedOutputCandidatesMatchDirectFilter) {
   Figure1 f = MakeFigure1();
   const QueryNode& qn = f.query.node(f.query.output());
-  std::vector<NodeId> computed =
-      Candidates(f.graph, f.query, f.query.output());
-
-  MatchContext ctx(f.graph);
-  ctx.Seed(qn, computed);
-  EXPECT_EQ(ctx.stats().misses, 1u);  // the scan happened, just elsewhere
-  const MatchContext::CandidateSet& c = ctx.Lookup(qn);
-  EXPECT_EQ(ctx.stats().hits, 1u);  // served from the seeded entry
-  EXPECT_EQ(ToVec(c), computed);
-  // Re-seeding an existing constraint is a no-op.
-  ctx.Seed(qn, {});
-  EXPECT_EQ(ToVec(ctx.Lookup(qn)), computed);
+  for (MatchSemantics sem :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    bool complete = false;
+    RequestTrace trace;
+    std::shared_ptr<const PreparedQuery> p = PrepareQuery(
+        f.graph, Query(f.query), sem, 8, nullptr, &complete, 1, &trace);
+    EXPECT_TRUE(complete);
+    EXPECT_EQ(p->output_candidates, DirectFilter(f.graph, qn));
+    EXPECT_EQ(trace.matcher_candidates, p->output_candidates.size());
+    MatchContext ctx(f.graph);
+    EXPECT_EQ(p->answers, MakeMatchEngine(ctx, sem)->MatchOutput(f.query));
+  }
 }
 
 TEST(MatchContextTest, PrimeMemoizesEveryQueryNode) {

@@ -13,6 +13,7 @@
 #include <functional>
 #include <set>
 
+#include "common/dictionary.h"
 #include "common/rng.h"
 #include "matcher/candidates.h"
 #include "matcher/match_context.h"
@@ -43,7 +44,7 @@ Instance MakeInstance(uint64_t seed) {
   size_t n_labels = 2 + rng.Index(3);    // 2..4 labels
   size_t n_elabels = 1 + rng.Index(2);   // 1..2 edge labels
   for (size_t i = 0; i < n; ++i) {
-    NodeId v = b.AddNode("L" + std::to_string(rng.Index(n_labels)));
+    NodeId v = b.AddNode(NumberedName("L", rng.Index(n_labels)));
     b.SetAttr(v, "x", Value(rng.Uniform(0, 4)));
     if (rng.Chance(0.5)) b.SetAttr(v, "y", Value(rng.Uniform(0, 2)));
   }
@@ -51,7 +52,7 @@ Instance MakeInstance(uint64_t seed) {
   for (size_t i = 0; i < m; ++i) {
     b.AddEdge(static_cast<NodeId>(rng.Index(n)),
               static_cast<NodeId>(rng.Index(n)),
-              "r" + std::to_string(rng.Index(n_elabels)));
+              NumberedName("r", rng.Index(n_elabels)));
   }
   inst.g = b.Build();
 

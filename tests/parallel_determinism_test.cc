@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "gen/profiles.h"
 #include "harness/experiment.h"
-#include "matcher/candidates.h"
 #include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "query/query_parser.h"
@@ -119,18 +118,6 @@ TEST(ParallelDeterminismTest, WhyNotAlgorithmsMatchSerial) {
     }
   }
   EXPECT_GT(compared, 0u);
-}
-
-TEST(ParallelDeterminismTest, CandidateFilterMatchesSerial) {
-  const Graph& g = SweepGraph();
-  Workload w = SweepWorkload(g);
-  ASSERT_FALSE(w.items.empty());
-  for (const Workload::Item& item : w.items) {
-    const Query& q = item.gq.query;
-    for (QNodeId u = 0; u < q.node_count(); ++u) {
-      EXPECT_EQ(Candidates(g, q, u), Candidates(g, q, u, 4));
-    }
-  }
 }
 
 // An already-cancelled parallel question must return promptly with a

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/dictionary.h"
 #include "common/timer.h"
 #include "gen/bsbm.h"
 #include "gen/figure1.h"
@@ -626,7 +627,7 @@ TEST_F(ServiceTest, PreparedCacheConcurrentGetPut) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        std::string key = "k" + std::to_string((t + i) % 3);
+        std::string key = NumberedName("k", static_cast<size_t>((t + i) % 3));
         if (i % 2 == 0) {
           cache.Put(key, value);
         } else {

@@ -196,6 +196,124 @@ TEST(SimulationTest, ReusedContextMatchesFreshContext) {
   EXPECT_GT(ctx.stats().delta_builds, 0u);
 }
 
+TEST(SimulationTest, BoundedByBaseMatchesCold) {
+  // A refinement (RfL, AddL, AddE to an existing or a new node) only
+  // shrinks the maximum dual simulation, so the relation of the query it
+  // refines bounds its own. Over random refinement chains, the simulation
+  // started from the base's relation, and from the previous link's, must
+  // equal the cold one node by node. Each base also carries a node outside
+  // the output component, which an AddE may join to it: that node has no
+  // bound.
+  Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, 17);
+  Rng rng(31);
+  QueryGenConfig qc;
+  qc.edges = 3;
+  qc.min_answers = 2;
+  MatchContext ctx(g);
+  size_t rfl = 0;
+  size_t addl = 0;
+  size_t adde = 0;
+  size_t adde_new = 0;
+  size_t joins = 0;
+  size_t links = 0;
+  for (int i = 0; i < 6; ++i) {
+    qc.literals_per_node = 1 + i % 2;
+    std::optional<GeneratedQuery> gq = GenerateQuery(g, qc, rng);
+    if (!gq.has_value()) continue;
+    std::vector<NodeId> entities(
+        gq->answers.begin(),
+        gq->answers.begin() + std::min<size_t>(2, gq->answers.size()));
+    AnswerConfig cfg;
+    std::vector<EditOp> ops =
+        GenPickyWhy(g, gq->query, gq->answers, entities, cfg);
+    Query base = gq->query;
+    EdgeSpan out = g.out_edges(gq->answers.front());
+    if (!out.empty()) {
+      // The isolated node copies one data edge of an answer, so joining it
+      // keeps that answer matched.
+      QNodeId w = base.AddNode(g.label(out.begin()->other));
+      EditOp join;
+      join.kind = OpKind::kAddE;
+      join.u = base.output();
+      join.v = w;
+      join.edge_label = out.begin()->label;
+      ops.push_back(join);
+    }
+    // Draw a kind first, then an operator of it, so the rare kinds show
+    // up in the chains: RfL, AddL, AddE to an existing node, AddE to a
+    // new one.
+    std::vector<std::vector<EditOp>> by_kind(4);
+    for (EditOp& o : ops) {
+      size_t k = o.kind == OpKind::kRfL    ? 0
+                 : o.kind == OpKind::kAddL ? 1
+                 : o.new_node.has_value()  ? 3
+                                           : 2;
+      by_kind[k].push_back(std::move(o));
+    }
+    by_kind.erase(std::remove_if(by_kind.begin(), by_kind.end(),
+                                 [](const std::vector<EditOp>& v) {
+                                   return v.empty();
+                                 }),
+                  by_kind.end());
+    if (by_kind.empty()) continue;
+    const SimulationBound base_bound = RefinementBound(ctx, base);
+    for (int chain = 0; chain < 8; ++chain) {
+      OperatorSet set;
+      Query prev = base;
+      for (int step = 0; step < 4; ++step) {
+        const std::vector<EditOp>& kind = by_kind[rng.Index(by_kind.size())];
+        const EditOp& op = kind[rng.Index(kind.size())];
+        if (std::any_of(set.begin(), set.end(), [&](const EditOp& o) {
+              return o == op || OpsConflict(o, op);
+            })) {
+          continue;
+        }
+        set.push_back(op);
+        Query rw = ApplyOperators(base, set);
+        std::vector<std::vector<NodeId>> cold = FreshSimulation(g, rw);
+        std::vector<std::vector<NodeId>> from_base =
+            DualSimulation(ctx, rw, base_bound);
+        std::vector<std::vector<NodeId>> from_prev =
+            DualSimulation(ctx, rw, RefinementBound(ctx, prev));
+        ASSERT_EQ(from_base.size(), cold.size());
+        ASSERT_EQ(from_prev.size(), cold.size());
+        for (QNodeId u = 0; u < rw.node_count(); ++u) {
+          EXPECT_EQ(from_base[u], cold[u])
+              << "query " << i << " chain " << chain << " step " << step
+              << " node " << u << " (bound by the base)";
+          EXPECT_EQ(from_prev[u], cold[u])
+              << "query " << i << " chain " << chain << " step " << step
+              << " node " << u << " (bound by the previous link)";
+        }
+        EXPECT_EQ(SimulationAnswers(ctx, rw, base_bound),
+                  SimulationAnswers(g, rw));
+        switch (op.kind) {
+          case OpKind::kRfL:
+            ++rfl;
+            break;
+          case OpKind::kAddL:
+            ++addl;
+            break;
+          case OpKind::kAddE:
+            ++(op.new_node.has_value() ? adde_new : adde);
+            joins += op.v == base.node_count() - 1 ? 1 : 0;
+            break;
+          default:
+            ADD_FAILURE() << "Why generated a relaxation";
+        }
+        ++links;
+        prev = std::move(rw);
+      }
+    }
+  }
+  EXPECT_GT(links, 0u);
+  EXPECT_GT(rfl, 0u);
+  EXPECT_GT(addl, 0u);
+  EXPECT_GT(adde, 0u);
+  EXPECT_GT(adde_new, 0u);
+  EXPECT_GT(joins, 0u);
+}
+
 TEST(SimulationTest, GreedyAlgorithmsUseTheCandidateMemo) {
   // Under simulation semantics ApproxWhy and FastWhyNot path-test and
   // verify through their evaluators' candidate memos, like isomorphism.
