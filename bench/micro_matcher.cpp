@@ -316,6 +316,55 @@ void BM_ContextRelaxedMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextRelaxedMiss);
 
+// --- Literal bitmaps: one literal over one BSBM-500 label bucket --------
+// The inner loop of every candidate-set miss: each iteration builds one
+// literal's bitmap in a fresh MatchContext (one ctx_literal_scans), so
+// nothing is memoized across iterations. Arg 0: an int range literal
+// (Offer.price <= 3000); arg 1: a double constant on the same int column
+// (Offer.price < 2500.5); arg 2: a string equality (Product.brand = the
+// first product's brand).
+
+void BM_LiteralBitmap(benchmark::State& state) {
+  static const Graph* g = [] {
+    BsbmConfig bc;
+    bc.products = 500;
+    bc.seed = 58;
+    return new Graph(GenerateBsbm(bc));
+  }();
+  const Dictionary& labels = g->node_labels();
+  const Dictionary& attrs = g->attr_names();
+  QueryNode qn;
+  Literal lit;
+  switch (state.range(0)) {
+    case 0:
+      qn.label = *labels.Find("Offer");
+      lit = Literal{*attrs.Find("price"), CompareOp::kLe,
+                    Value(int64_t{3000})};
+      break;
+    case 1:
+      qn.label = *labels.Find("Offer");
+      lit = Literal{*attrs.Find("price"), CompareOp::kLt, Value(2500.5)};
+      break;
+    default: {
+      qn.label = *labels.Find("Product");
+      SymbolId brand = *attrs.Find("brand");
+      lit = Literal{brand, CompareOp::kEq,
+                    *g->GetAttr(g->NodesWithLabel(qn.label)[0], brand)};
+    }
+  }
+  qn.literals.push_back(lit);
+  size_t matched = 0;
+  for (auto _ : state) {
+    MatchContext ctx(*g);
+    matched = ctx.Lookup(qn).size();
+    benchmark::DoNotOptimize(matched);
+  }
+  state.counters["bucket"] =
+      static_cast<double>(g->NodesWithLabel(qn.label).size());
+  state.counters["matched"] = static_cast<double>(matched);
+}
+BENCHMARK(BM_LiteralBitmap)->Arg(0)->Arg(1)->Arg(2);
+
 // --- Cold start: frozen snapshot mmap vs GraphBuilder rebuild -----------
 // The snapshot promise (docs/SNAPSHOT_FORMAT.md) is that re-opening a
 // built graph costs a header validation plus one checksum pass over the

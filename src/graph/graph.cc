@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/check.h"
 
@@ -98,6 +99,90 @@ const AttrRange* Graph::RangeOf(SymbolId attr) const {
   if (static_cast<size_t>(attr) >= attr_ranges_.size()) return nullptr;
   const AttrRange& r = attr_ranges_[attr];
   return r.count == 0 ? nullptr : &r;
+}
+
+const AttrColumn* Graph::AttrColumnOf(SymbolId label, SymbolId attr) const {
+  if (static_cast<size_t>(label) >= attr_columns_.size() ||
+      attr_columns_[label] == nullptr) {
+    return nullptr;
+  }
+  const LabelColumns& cols = *attr_columns_[label];
+  auto it = std::lower_bound(cols.attrs.begin(), cols.attrs.end(), attr);
+  if (it == cols.attrs.end() || *it != attr) return nullptr;
+  return &cols.columns[it - cols.attrs.begin()];
+}
+
+// One pass over the members' tuples fills every column, then each
+// column's strings are sorted, deduplicated and their rows rewritten from
+// first-seen index to rank.
+std::shared_ptr<const Graph::LabelColumns> Graph::BuildLabelColumns(
+    NodeSpan bucket) const {
+  auto out = std::make_shared<LabelColumns>();
+  for (NodeId v : bucket) {
+    for (const AttrEntry& e : attrs(v)) out->attrs.push_back(e.attr);
+  }
+  std::sort(out->attrs.begin(), out->attrs.end());
+  out->attrs.erase(std::unique(out->attrs.begin(), out->attrs.end()),
+                   out->attrs.end());
+  out->columns.resize(out->attrs.size());
+  for (AttrColumn& c : out->columns) {
+    c.kinds.assign(bucket.size(), AttrColumn::kAbsent);
+    c.payload.assign(bucket.size(), 0);
+  }
+  std::vector<std::vector<const std::string*>> seen(out->attrs.size());
+  for (size_t i = 0; i < bucket.size(); ++i) {
+    for (const AttrEntry& e : attrs(bucket[i])) {
+      size_t k = std::lower_bound(out->attrs.begin(), out->attrs.end(),
+                                  e.attr) -
+                 out->attrs.begin();
+      AttrColumn& c = out->columns[k];
+      AttrColumn::Kind kind = AttrColumn::kString;
+      if (e.value.is_int()) {
+        kind = AttrColumn::kInt;
+        c.payload[i] = static_cast<uint64_t>(e.value.as_int());
+      } else if (e.value.is_double()) {
+        kind = AttrColumn::kDouble;
+        c.payload[i] = std::bit_cast<uint64_t>(e.value.as_double());
+      } else {
+        c.payload[i] = seen[k].size();
+        seen[k].push_back(&e.value.as_string());
+      }
+      c.kinds[i] = kind;
+      c.present |= static_cast<uint8_t>(1u << kind);
+    }
+  }
+  for (size_t k = 0; k < out->columns.size(); ++k) {
+    AttrColumn& c = out->columns[k];
+    if (seen[k].empty()) continue;
+    for (const std::string* str : seen[k]) c.strings.push_back(*str);
+    std::sort(c.strings.begin(), c.strings.end());
+    c.strings.erase(std::unique(c.strings.begin(), c.strings.end()),
+                    c.strings.end());
+    for (size_t i = 0; i < bucket.size(); ++i) {
+      if (c.kinds[i] != AttrColumn::kString) continue;
+      const std::string& str = *seen[k][c.payload[i]];
+      c.payload[i] = static_cast<uint64_t>(
+          std::lower_bound(c.strings.begin(), c.strings.end(), str) -
+          c.strings.begin());
+    }
+  }
+  return out;
+}
+
+void Graph::FinalizeAttrColumns(const Graph* prev,
+                                const std::vector<SymbolId>& touched) {
+  const size_t labels = bucket_range_.empty() ? 0 : bucket_range_.size() - 1;
+  attr_columns_.assign(labels, nullptr);
+  for (size_t l = 0; l < labels; ++l) {
+    const SymbolId label = static_cast<SymbolId>(l);
+    if (prev != nullptr && l < prev->attr_columns_.size() &&
+        !std::binary_search(touched.begin(), touched.end(), label)) {
+      attr_columns_[l] = prev->attr_columns_[l];
+      continue;
+    }
+    NodeSpan bucket = NodesWithLabel(label);
+    if (!bucket.empty()) attr_columns_[l] = BuildLabelColumns(bucket);
+  }
 }
 
 std::string Graph::NodeLabelName(SymbolId id) const {
@@ -261,6 +346,7 @@ Graph GraphBuilder::Build() {
   g.edge_labels_ = std::move(edge_labels_);
   g.attr_names_ = std::move(attr_names_);
   g.identity_ = graph_internal::NextGraphIdentity();
+  g.FinalizeAttrColumns();
 
   labels_ = std::vector<SymbolId>();
   attrs_.clear();

@@ -2,6 +2,7 @@
 #define WHYQ_GRAPH_GRAPH_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -122,6 +123,26 @@ class Column {
   size_t count_ = 0;
 };
 
+/// One attribute's typed column over one label bucket: row i describes
+/// NodesWithLabel(label)[i].A as a kind byte plus a 64-bit payload (the
+/// int64, the double's bits, or the string's rank among the column's
+/// sorted distinct strings, so string order is integer order). Literal
+/// bitmaps are one pass over it (src/matcher/match_context.cc).
+struct AttrColumn {
+  enum Kind : uint8_t { kAbsent = 0, kInt = 1, kDouble = 2, kString = 3 };
+
+  std::vector<uint8_t> kinds;        // one Kind per bucket position
+  std::vector<uint64_t> payload;     // one row per bucket position
+  std::vector<std::string> strings;  // sorted, distinct
+  uint8_t present = 0;               // bit (1 << kind) per kind present
+
+  bool has(Kind k) const { return (present >> k) & 1u; }
+  int64_t int_at(size_t i) const { return static_cast<int64_t>(payload[i]); }
+  double double_at(size_t i) const {
+    return std::bit_cast<double>(payload[i]);
+  }
+};
+
 struct UpdateBatch;
 struct UpdateResult;
 
@@ -135,15 +156,20 @@ struct UpdateResult;
 /// verbatim into the snapshot image and later re-opened by borrowing the
 /// mapped bytes instead of rebuilding (src/graph/snapshot.h).
 ///
+/// The typed attribute columns (AttrColumnOf) are finalized per epoch, by
+/// Build(), GraphSnapshot::Load() and ApplyUpdate(), from the same buckets
+/// and tuples; they live in memory only and are never persisted, so the
+/// snapshot bytes do not depend on them.
+///
 /// Thread-safety: immutable after construction, shared across workers. All
 /// read accessors are const with no hidden mutable or lazily-built state
-/// (the label index and attribute ranges are finalized in Build()), so any
-/// number of threads may query one Graph concurrently with no locking —
-/// the invariant the service's shared-graph architecture rests on. Updates
-/// never mutate in place: ApplyUpdate() produces a NEW Graph value (the next
-/// epoch) that shares untouched columns copy-on-write, so readers pinned on
-/// the old epoch keep a fully consistent view (docs/ARCHITECTURE.md
-/// "Mutable graphs & epochs").
+/// (the label index, attribute ranges and attribute columns are finalized
+/// with the epoch), so any number of threads may query one Graph
+/// concurrently with no locking — the invariant the service's shared-graph
+/// architecture rests on. Updates never mutate in place: ApplyUpdate()
+/// produces a NEW Graph value (the next epoch) that shares untouched
+/// columns copy-on-write, so readers pinned on the old epoch keep a fully
+/// consistent view (docs/ARCHITECTURE.md "Mutable graphs & epochs").
 class Graph {
  public:
   Graph() = default;
@@ -198,6 +224,10 @@ class Graph {
 
   /// Graph-wide numeric range of attribute A; nullptr if A never appears.
   const AttrRange* RangeOf(SymbolId attr) const;
+
+  /// The typed column of attribute `attr` over label `label`'s bucket, or
+  /// nullptr when no node of the label carries it.
+  const AttrColumn* AttrColumnOf(SymbolId label, SymbolId attr) const;
 
   /// Symbol tables. Node labels, edge labels and attribute names live in
   /// separate id spaces.
@@ -317,6 +347,27 @@ class Graph {
   // Attribute domain ranges, dense by attribute SymbolId (count == 0 rows
   // mean "attribute never appears").
   Column<AttrRange> attr_ranges_;
+
+  // The typed columns of one label: one per attribute some bucket node
+  // carries, in ascending attribute id.
+  struct LabelColumns {
+    std::vector<SymbolId> attrs;
+    std::vector<AttrColumn> columns;
+  };
+
+  // Typed attribute columns, dense by node-label SymbolId (null for empty
+  // buckets). Shared per label, so an update epoch aliases every label
+  // whose bucket and member tuples it left alone.
+  std::vector<std::shared_ptr<const LabelColumns>> attr_columns_;
+
+  // Builds attr_columns_ from the final buckets and tuples. With `prev`
+  // (the previous epoch), only the labels in `touched` (sorted) are built;
+  // the rest alias prev's columns.
+  void FinalizeAttrColumns(const Graph* prev = nullptr,
+                           const std::vector<SymbolId>& touched = {});
+
+  // The typed columns of the label whose bucket is `bucket`.
+  std::shared_ptr<const LabelColumns> BuildLabelColumns(NodeSpan bucket) const;
 
   Dictionary node_labels_;
   Dictionary edge_labels_;

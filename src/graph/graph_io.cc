@@ -197,14 +197,6 @@ void WriteUpdateBatch(const UpdateBatch& batch, std::ostream& os) {
   }
 }
 
-bool WriteUpdateBatchToFile(const UpdateBatch& batch,
-                            const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  WriteUpdateBatch(batch, os);
-  return static_cast<bool>(os);
-}
-
 std::optional<UpdateBatch> ReadUpdateBatch(std::istream& is,
                                            std::string* error) {
   UpdateBatch batch;

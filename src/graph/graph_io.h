@@ -47,7 +47,6 @@ std::string FormatTypedValue(const Value& v);
 ///
 /// Write and read round-trip exactly (modulo comment lines).
 void WriteUpdateBatch(const UpdateBatch& batch, std::ostream& os);
-bool WriteUpdateBatchToFile(const UpdateBatch& batch, const std::string& path);
 
 /// Parses an update batch; on malformed input returns std::nullopt and,
 /// when `error` is non-null, a line-numbered message. Ops are validated

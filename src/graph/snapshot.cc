@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -291,6 +292,11 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
   if (!sec[kSecBucketNodes].Holds<NodeId>(n)) {
     return fail("snapshot: label bucket column size mismatch");
   }
+  const NodeId* bucket_rows = sec[kSecBucketNodes].Rows<NodeId>();
+  if (std::any_of(bucket_rows, bucket_rows + n,
+                  [n](NodeId v) { return v >= n; })) {
+    return fail("snapshot: label bucket node out of range");
+  }
   size_t bucket_offsets = sec[kSecBucketRange].RowCount<uint64_t>();
   if (bucket_offsets == 0 ||
       !sec[kSecBucketRange].IsOffsetColumn(bucket_offsets, n)) {
@@ -377,6 +383,7 @@ std::unique_ptr<GraphSnapshot> GraphSnapshot::Load(const std::string& path,
   g.identity_ = hdr.fingerprint;
   g.generation_ = 0;
   g.frozen_ = true;
+  g.FinalizeAttrColumns();
   snap->fingerprint_ = hdr.fingerprint;
   return snap;
 }

@@ -692,6 +692,17 @@ void GraphUpdater::MaterializeIncremental(Graph* out) {
     g.attr_ranges_.Own(std::move(ranges));
   }
 
+  // --- Typed attribute columns ------------------------------------------
+  // Rebuilt for the labels whose bucket or member tuples changed; every
+  // other label aliases the previous epoch's columns.
+  std::set<SymbolId> touched(new_labels_.begin(), new_labels_.end());
+  for (const auto& [v, l] : relabel_) {
+    touched.insert(g_.label(v));
+    touched.insert(l);
+  }
+  for (const auto& entry : attr_over_) touched.insert(FinalLabel(entry.first));
+  g.FinalizeAttrColumns(&g_, SortedIds(touched));
+
   // --- Symbol tables & epoch stamp ---------------------------------------
   g.node_labels_ = std::move(node_labels_);
   g.edge_labels_ = std::move(edge_labels_);

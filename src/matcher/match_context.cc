@@ -74,47 +74,84 @@ bool SameMultiset(const std::vector<Literal>& sorted,
   return true;
 }
 
-// Sets bit v - 64 * lo of `bits` for every bucket node v that carries
-// `attr` with a value `holds` accepts.
-template <typename Pred>
-void ScanBucket(const Graph& g, NodeSpan bucket, SymbolId attr, size_t lo,
-                uint64_t* bits, Pred holds) {
-  for (NodeId v : bucket) {
-    const Value* x = g.GetAttr(v, attr);
-    if (x != nullptr && holds(*x)) {
-      bits[(v >> 6) - lo] |= uint64_t{1} << (v & 63);
-    }
+// Stores bit v - 64 * lo of `bits` for every bucket position i (node
+// v = bucket[i]) that `holds(i)` accepts. The bucket ascends, so each word
+// is accumulated in a register and stored once.
+template <typename Holds>
+void FillWords(NodeSpan bucket, size_t lo, uint64_t* bits, Holds holds) {
+  const size_t n = bucket.size();
+  for (size_t i = 0; i < n;) {
+    const size_t w = bucket[i] >> 6;
+    uint64_t word = 0;
+    do {
+      word |= uint64_t{holds(i)} << (bucket[i] & 63);
+    } while (++i < n && (bucket[i] >> 6) == w);
+    bits[w - lo] = word;
   }
 }
 
-// The bucket nodes satisfying `l`, with IsCandidate's per-literal verdicts
-// (Value::Satisfies on the node's value). A numeric constant resolves its
-// kind once, so each node costs a typed CompareNumeric instead of a
-// Value::Compare.
-void ScanLiteral(const Graph& g, NodeSpan bucket, const Literal& l,
-                 size_t lo, uint64_t* bits) {
-  const CompareOp op = l.op;
-  if (l.constant.is_int()) {
-    const int64_t c = l.constant.as_int();
-    const double cd = static_cast<double>(c);
-    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
-      if (x.is_int()) return CompareHolds(op, CompareNumeric(x.as_int(), c));
-      return x.is_double() &&
-             CompareHolds(op, CompareNumeric(x.as_double(), cd));
+// The bucket nodes satisfying `l`, as IsCandidate decides them
+// (Value::Satisfies), read off the label's typed column of l.attr. Bit
+// cmp + 1 of `mask` is CompareHolds(op, cmp). A column holding one
+// comparable kind takes a loop typed for it; a column mixing ints and
+// doubles switches per row. Strings compare by rank on a doubled axis: row
+// rank r sits at 2r + 1, and the constant at 2r + 1 when it is the
+// column's r-th string, or at 2r when r strings sort below it and it is
+// absent. The axis is computed unsigned, so rows of other kinds (whose
+// payload is not a rank) wrap harmlessly before the kind test drops them.
+void ScanColumn(const AttrColumn& col, NodeSpan bucket, const Literal& l,
+                size_t lo, uint64_t* bits) {
+  const unsigned mask = CompareHolds(l.op, -1) |
+                        CompareHolds(l.op, 0) << 1 |
+                        CompareHolds(l.op, 1) << 2;
+  const uint8_t* kind = col.kinds.data();
+  auto holds = [mask](int cmp) { return (mask >> (cmp + 1)) & 1u; };
+  // One loop for the rows of kind `k`, each compared by `cmp(i)`.
+  auto fill = [&](AttrColumn::Kind k, auto cmp) {
+    FillWords(bucket, lo, bits, [&](size_t i) {
+      return static_cast<unsigned>(kind[i] == k) & holds(cmp(i));
     });
-  } else if (l.constant.is_double()) {
-    const double c = l.constant.as_double();
-    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
-      if (x.is_double()) {
-        return CompareHolds(op, CompareNumeric(x.as_double(), c));
+  };
+  if (l.constant.is_string()) {
+    if (!col.has(AttrColumn::kString)) return;
+    const std::string& c = l.constant.as_string();
+    auto it = std::lower_bound(col.strings.begin(), col.strings.end(), c);
+    const int64_t at = 2 * (it - col.strings.begin()) +
+                       (it != col.strings.end() && *it == c ? 1 : 0);
+    fill(AttrColumn::kString, [&](size_t i) {
+      return CompareNumeric(static_cast<int64_t>(2 * col.payload[i] + 1), at);
+    });
+    return;
+  }
+  const bool ints = col.has(AttrColumn::kInt);
+  const bool doubles = col.has(AttrColumn::kDouble);
+  const bool int_constant = l.constant.is_int();
+  const int64_t ci = int_constant ? l.constant.as_int() : 0;
+  const double cd = l.constant.numeric();
+  if (ints && doubles) {
+    FillWords(bucket, lo, bits, [&](size_t i) {
+      switch (kind[i]) {
+        case AttrColumn::kInt:
+          return holds(int_constant
+                           ? CompareNumeric(col.int_at(i), ci)
+                           : CompareNumeric(
+                                 static_cast<double>(col.int_at(i)), cd));
+        case AttrColumn::kDouble:
+          return holds(CompareNumeric(col.double_at(i), cd));
+        default:
+          return 0u;
       }
-      return x.is_int() &&
-             CompareHolds(op, CompareNumeric(x.numeric(), c));
     });
-  } else {
-    ScanBucket(g, bucket, l.attr, lo, bits, [&](const Value& x) {
-      return x.Satisfies(op, l.constant);
+  } else if (ints && int_constant) {
+    fill(AttrColumn::kInt,
+         [&](size_t i) { return CompareNumeric(col.int_at(i), ci); });
+  } else if (ints) {
+    fill(AttrColumn::kInt, [&](size_t i) {
+      return CompareNumeric(static_cast<double>(col.int_at(i)), cd);
     });
+  } else if (doubles) {
+    fill(AttrColumn::kDouble,
+         [&](size_t i) { return CompareNumeric(col.double_at(i), cd); });
   }
 }
 
@@ -156,7 +193,9 @@ const uint64_t* MatchContext::LiteralBitmap(SymbolId label, const Literal& l,
   ++stats_.literal_scans;
   uint64_t* bits = arena_.AllocateArray<uint64_t>(span);
   std::fill_n(bits, span, 0);
-  ScanLiteral(g_, bucket, l, lo, bits);
+  if (const AttrColumn* col = g_.AttrColumnOf(label, l.attr)) {
+    ScanColumn(*col, bucket, l, lo, bits);
+  }
   literal_index_.emplace(hash, literals_.size());
   literals_.push_back(LiteralEntry{label, l, bits});
   return bits;

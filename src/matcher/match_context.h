@@ -33,10 +33,11 @@ namespace whyq {
 ///
 /// Literal memo: a constraint not seen before is built as the word AND of
 /// one bitmap per literal (label, attr, op, constant). Each literal bitmap
-/// is memoized too, built once by one scan of the label bucket that
-/// resolves the constant's kind up front (a typed CompareNumeric loop for
-/// numeric constants), and covers only the bucket's word span. The rewrites
-/// of one question edit a few literals each (RxL/RmL/RfL/AddL), so most new
+/// is memoized too, built once by one pass over the epoch's typed column of
+/// (label, attr) (Graph::AttrColumnOf: a kind byte and a 64-bit payload per
+/// bucket position, strings as ranks), with a loop typed for the column's
+/// kind, and covers only the bucket's word span. The rewrites of one
+/// question edit a few literals each (RxL/RmL/RfL/AddL), so most new
 /// constraints are ANDs of bitmaps already held and scan nothing; the AND
 /// itself becomes the set's bitmap and its list is read off with ctz.
 /// Entries are never evicted; a context lives for one request and the
@@ -134,7 +135,8 @@ class MatchContext {
   const CandidateSet& Insert(const QueryNode& qn, uint64_t hash);
 
   // The memoized bitmap of literal `l` on `label` (whose bucket is `bucket`,
-  // spanning words [lo, lo + span)), scanning the bucket on first use.
+  // spanning words [lo, lo + span)), read off the label's typed column of
+  // l.attr on first use.
   const uint64_t* LiteralBitmap(SymbolId label, const Literal& l,
                                 NodeSpan bucket, size_t lo, size_t span);
 

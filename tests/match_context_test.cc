@@ -1,6 +1,8 @@
 // MatchContext coverage in three layers:
 //   1. unit tests of the memo itself (lookup = the IsCandidate filter,
-//      also as a property over mixed-kind values; hit/miss/delta and
+//      also as a property over mixed-kind and single-kind attribute
+//      columns on every graph construction path: built, snapshot-loaded,
+//      and incremental and rebuilt update epochs; hit/miss/delta and
 //      literal-scan accounting, literal-order-insensitive keys, Prime, and
 //      the prepared output candidates);
 //   2. an equivalence property: over random graphs and random operator-set
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,6 +31,8 @@
 #include "gen/profiles.h"
 #include "gen/query_gen.h"
 #include "graph/neighborhood.h"
+#include "graph/snapshot.h"
+#include "graph/update.h"
 #include "matcher/candidates.h"
 #include "matcher/match_context.h"
 #include "matcher/match_engine.h"
@@ -369,55 +374,227 @@ Graph MixedValueGraph(uint64_t seed) {
   return b.Build();
 }
 
+// One graph per construction path of the typed attribute columns:
+// Build(), a snapshot load, and the next epoch of an update batch through
+// the incremental and the rebuild materializer.
+struct Constructed {
+  Graph built;
+  std::unique_ptr<GraphSnapshot> loaded;
+  Graph incremental;
+  Graph rebuilt;
+
+  std::vector<std::pair<std::string, const Graph*>> All() const {
+    std::vector<std::pair<std::string, const Graph*>> all = {
+        {"built", &built}, {"incremental", &incremental}, {"rebuilt", &rebuilt}};
+    if (loaded != nullptr) all.emplace_back("loaded", &loaded->graph());
+    return all;
+  }
+};
+
+Constructed ConstructAll(Graph built, const UpdateBatch& batch,
+                         const std::string& name) {
+  Constructed c;
+  c.built = std::move(built);
+  std::string path = testing::TempDir() + "whyq_ctx_" + name + ".snap";
+  std::string err;
+  EXPECT_TRUE(GraphSnapshot::Write(c.built, path, &err)) << err;
+  c.loaded = GraphSnapshot::Load(path, &err);
+  EXPECT_NE(c.loaded, nullptr) << err;
+  UpdateResult r;
+  EXPECT_TRUE(c.built.ApplyUpdate(batch, &c.incremental, &r)) << r.error;
+  EXPECT_TRUE(ApplyUpdateByRebuild(c.built, batch, &c.rebuilt, &r))
+      << r.error;
+  return c;
+}
+
+// An update batch over MixedValueGraph: overwrites, adds and deletes of
+// T's attributes, a new T node, and a deleted T node.
+UpdateBatch MixedValueBatch(const Graph& g, uint64_t seed) {
+  Rng rng(seed * 5 + 3);
+  const std::vector<Value> pool = MixedValuePool();
+  NodeSpan bucket = g.NodesWithLabel(*g.node_labels().Find("T"));
+  SymbolId x = *g.attr_names().Find("x");
+  std::map<NodeId, bool> has_x;  // whether v carries x, as the batch goes
+  UpdateBatch batch;
+  for (int i = 0; i < 12; ++i) {
+    NodeId v = bucket[1 + rng.Index(bucket.size() - 1)];
+    auto it = has_x.try_emplace(v, g.GetAttr(v, x) != nullptr).first;
+    if (it->second && rng.Chance(0.25)) {
+      batch.ops.push_back(UpdateOp::DelAttr(v, "x"));
+      it->second = false;
+    } else {
+      const bool on_x = rng.Chance(0.5);
+      batch.ops.push_back(UpdateOp::SetAttr(v, on_x ? "x" : "y",
+                                            pool[rng.Index(pool.size())]));
+      it->second = it->second || on_x;
+    }
+  }
+  const NodeId added = static_cast<NodeId>(g.node_count());
+  batch.ops.push_back(UpdateOp::AddNode("T"));
+  batch.ops.push_back(
+      UpdateOp::SetAttr(added, "x", pool[rng.Index(pool.size())]));
+  batch.ops.push_back(UpdateOp::DeleteNode(bucket[0]));
+  return batch;
+}
+
+// Random constraints over `lits` on `label`: each Lookup equals the
+// IsCandidate bucket filter, bit for bit over V.
+void ExpectLookupsMatchFilter(const Graph& g, SymbolId label,
+                              const std::vector<Literal>& lits, Rng& rng,
+                              const std::string& what) {
+  MatchContext ctx(g);
+  uint64_t lookups = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    QueryNode qn;
+    qn.label = label;
+    size_t k = rng.Index(4);
+    for (size_t i = 0; i < k; ++i) {
+      qn.literals.push_back(lits[rng.Index(lits.size())]);
+    }
+    if (k > 0 && rng.Chance(0.2)) qn.literals.push_back(qn.literals[0]);
+    const MatchContext::CandidateSet& c = ctx.Lookup(qn);
+    ++lookups;
+    std::vector<NodeId> expect = DirectFilter(g, qn);
+    ASSERT_EQ(ToVec(c), expect) << what << " trial " << trial;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      ASSERT_EQ(c.Test(v), IsCandidate(g, v, qn))
+          << what << " trial " << trial << " node " << v;
+    }
+    // Bits past |V| in the last word stay clear.
+    size_t words = (g.node_count() + 63) / 64;
+    for (size_t v = g.node_count(); v < words * 64; ++v) {
+      ASSERT_FALSE((c.Word(words - 1) >> (v & 63)) & 1u);
+    }
+  }
+  const MatchContext::Stats& st = ctx.stats();
+  EXPECT_EQ(st.hits + st.misses + st.delta_builds, lookups) << what;
+  EXPECT_GT(st.hits, 0u) << what;
+  EXPECT_GT(st.delta_builds, 0u) << what;
+  EXPECT_LE(st.literal_scans, lits.size()) << what;
+}
+
+const std::vector<CompareOp>& AllOps() {
+  static const std::vector<CompareOp> ops = {CompareOp::kLt, CompareOp::kLe,
+                                             CompareOp::kEq, CompareOp::kGe,
+                                             CompareOp::kGt};
+  return ops;
+}
+
 TEST(MatchContextPropertyTest, LookupEqualsBucketFilterOnMixedValues) {
   const std::vector<Value> pool = MixedValuePool();
-  const std::vector<CompareOp> ops = {CompareOp::kLt, CompareOp::kLe,
-                                      CompareOp::kEq, CompareOp::kGe,
-                                      CompareOp::kGt};
   for (uint64_t seed : {3u, 17u, 29u}) {
-    Graph g = MixedValueGraph(seed);
-    SymbolId label = *g.node_labels().Find("T");
-    std::vector<SymbolId> attrs = {*g.attr_names().Find("x"),
-                                   *g.attr_names().Find("y"),
-                                   *g.attr_names().Find("z")};
-    // A small literal pool, so random multisets repeat literals and share
-    // literal bitmaps across constraints.
-    Rng rng(seed * 7 + 1);
-    std::vector<Literal> lits;
-    for (int i = 0; i < 24; ++i) {
-      lits.push_back(Literal{attrs[rng.Index(attrs.size())],
-                             ops[rng.Index(ops.size())],
-                             pool[rng.Index(pool.size())]});
+    Graph base = MixedValueGraph(seed);
+    UpdateBatch batch = MixedValueBatch(base, seed);
+    Constructed c =
+        ConstructAll(std::move(base), batch, "mixed" + std::to_string(seed));
+    for (const auto& [path, g] : c.All()) {
+      SymbolId label = *g->node_labels().Find("T");
+      std::vector<SymbolId> attrs = {*g->attr_names().Find("x"),
+                                     *g->attr_names().Find("y"),
+                                     *g->attr_names().Find("z")};
+      // A small literal pool, so random multisets repeat literals and
+      // share literal bitmaps across constraints.
+      Rng rng(seed * 7 + 1);
+      std::vector<Literal> lits;
+      for (int i = 0; i < 24; ++i) {
+        lits.push_back(Literal{attrs[rng.Index(attrs.size())],
+                               AllOps()[rng.Index(AllOps().size())],
+                               pool[rng.Index(pool.size())]});
+      }
+      ExpectLookupsMatchFilter(*g, label, lits, rng,
+                               path + " seed " + std::to_string(seed));
     }
-    MatchContext ctx(g);
-    uint64_t lookups = 0;
-    for (int trial = 0; trial < 300; ++trial) {
+  }
+}
+
+// Every (op, constant of the mixed pool) literal on attribute x of label
+// T equals the IsCandidate filter.
+void ExpectEveryLiteralMatchesFilter(const Graph& g, const std::string& what) {
+  SymbolId label = *g.node_labels().Find("T");
+  SymbolId x = *g.attr_names().Find("x");
+  MatchContext ctx(g);
+  for (const Value& c : MixedValuePool()) {
+    for (CompareOp op : AllOps()) {
       QueryNode qn;
       qn.label = label;
-      size_t k = rng.Index(4);
-      for (size_t i = 0; i < k; ++i) {
-        qn.literals.push_back(lits[rng.Index(lits.size())]);
-      }
-      if (k > 0 && rng.Chance(0.2)) qn.literals.push_back(qn.literals[0]);
-      const MatchContext::CandidateSet& c = ctx.Lookup(qn);
-      ++lookups;
-      std::vector<NodeId> expect = DirectFilter(g, qn);
-      ASSERT_EQ(ToVec(c), expect) << "seed " << seed << " trial " << trial;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        ASSERT_EQ(c.Test(v), IsCandidate(g, v, qn))
-            << "seed " << seed << " trial " << trial << " node " << v;
-      }
-      // Bits past |V| in the last word stay clear.
-      size_t words = (g.node_count() + 63) / 64;
-      for (size_t v = g.node_count(); v < words * 64; ++v) {
-        ASSERT_FALSE((c.Word(words - 1) >> (v & 63)) & 1u);
-      }
+      qn.literals.push_back(Literal{x, op, c});
+      EXPECT_EQ(ToVec(ctx.Lookup(qn)), DirectFilter(g, qn))
+          << what << ": x " << CompareOpName(op) << " " << c.ToString();
     }
-    const MatchContext::Stats& st = ctx.stats();
-    EXPECT_EQ(st.hits + st.misses + st.delta_builds, lookups);
-    EXPECT_GT(st.hits, 0u);
-    EXPECT_GT(st.delta_builds, 0u);
-    EXPECT_LE(st.literal_scans, lits.size());
+  }
+}
+
+// "T" nodes (interleaved with "U" nodes) whose x is drawn from `values`
+// or left out.
+Graph SingleKindGraph(const std::vector<Value>& values) {
+  GraphBuilder b;
+  for (size_t i = 0; i < 3 * values.size() + 70; ++i) {
+    NodeId v = b.AddNode(i % 3 == 1 ? "U" : "T");
+    if (i % 5 != 4) b.SetAttr(v, "x", values[i % values.size()]);
+  }
+  return b.Build();
+}
+
+TEST(MatchContextPropertyTest, SingleKindColumnsMatchFilter) {
+  const int64_t two53 = int64_t{1} << 53;
+  struct Case {
+    const char* name;
+    AttrColumn::Kind kind;
+    std::vector<Value> values;
+  };
+  const std::vector<Case> cases = {
+      {"int", AttrColumn::kInt,
+       {Value(two53), Value(two53 + 1), Value(INT64_MIN), Value(INT64_MAX),
+        Value(int64_t{0}), Value(int64_t{5}), Value(int64_t{-3})}},
+      {"double", AttrColumn::kDouble,
+       {Value(std::nan("")), Value(0.0), Value(-0.0), Value(HUGE_VAL),
+        Value(-HUGE_VAL), Value(5.0), Value(5.5),
+        Value(static_cast<double>(two53))}},
+      {"string", AttrColumn::kString,
+       // "a", a constant of the pool, falls between two of the ranks.
+       {Value(""), Value("5"), Value("5.0"), Value("b"), Value("\x01")}},
+  };
+  for (const Case& k : cases) {
+    // The update rewrites one T row with a value of the same kind, so both
+    // epochs rebuild T's columns.
+    Graph base = SingleKindGraph(k.values);
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp::SetAttr(
+        base.NodesWithLabel(*base.node_labels().Find("T"))[1], "x",
+        k.values[0]));
+    Constructed c = ConstructAll(std::move(base), batch,
+                                 std::string("single_") + k.name);
+    for (const auto& [path, g] : c.All()) {
+      const AttrColumn* col = g->AttrColumnOf(*g->node_labels().Find("T"),
+                                              *g->attr_names().Find("x"));
+      ASSERT_NE(col, nullptr);
+      EXPECT_EQ(col->present, 1u << k.kind)
+          << k.name << " column must take its single-kind loop";
+      ExpectEveryLiteralMatchesFilter(*g, path + " " + k.name);
+    }
+  }
+}
+
+TEST(MatchContextPropertyTest, SetAttrTurningIntColumnMixedKeepsBitmaps) {
+  Graph g = SingleKindGraph({Value(int64_t{4}), Value(int64_t{5}),
+                             Value(int64_t{6}), Value(INT64_MAX)});
+  SymbolId label = *g.node_labels().Find("T");
+  SymbolId x = *g.attr_names().Find("x");
+  ASSERT_EQ(g.AttrColumnOf(label, x)->present, 1u << AttrColumn::kInt);
+  ExpectEveryLiteralMatchesFilter(g, "before");
+  UpdateBatch batch;
+  batch.ops.push_back(UpdateOp::SetAttr(g.NodesWithLabel(label)[2], "x",
+                                        Value("5")));
+  for (bool incremental : {true, false}) {
+    Graph next;
+    UpdateResult r;
+    ASSERT_TRUE(incremental ? g.ApplyUpdate(batch, &next, &r)
+                            : ApplyUpdateByRebuild(g, batch, &next, &r))
+        << r.error;
+    EXPECT_EQ(next.AttrColumnOf(label, x)->present,
+              (1u << AttrColumn::kInt) | (1u << AttrColumn::kString));
+    ExpectEveryLiteralMatchesFilter(
+        next, incremental ? "incremental epoch" : "rebuilt epoch");
   }
 }
 

@@ -299,7 +299,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimulationOracleTest, testing::Range(0, 40));
 // guard-admissible sets are closed under subsets and an exhaustive exact
 // run must reach the best closeness of any guard-ok subset. Every
 // algorithm, exact or greedy, must return a conflict-free set within
-// budget whose reported evaluation is that of its rewrite.
+// budget whose reported evaluation is that of its rewrite, and no single
+// operator of an exact answer can be dropped without lowering its
+// closeness or breaking the guard.
 
 constexpr double kOracleEps = 1e-9;
 
@@ -376,6 +378,17 @@ size_t CheckAgainstBruteForce(const Graph& g, const Query& q,
         EXPECT_TRUE(a.eval.guard_ok) << what;
       }
       if (k == 0) {
+        // The cost half: MinimizeCost leaves a 1-minimal set, so dropping
+        // any single operator lowers the closeness or breaks the guard.
+        for (size_t drop = 0; a.ops.size() >= 2 && drop < a.ops.size();
+             ++drop) {
+          OperatorSet trial = a.ops;
+          trial.erase(trial.begin() + static_cast<long>(drop));
+          EvalResult t = fresh.Evaluate(ApplyOperators(q, trial));
+          EXPECT_TRUE(!t.guard_ok ||
+                      t.closeness < a.eval.closeness - kOracleEps)
+              << what << ": operator " << drop << " can be dropped";
+        }
         EXPECT_EQ(a.picky_count, usable.size()) << what;
         if (a.exhaustive) {
           EXPECT_NEAR(a.eval.closeness, std::max(best, 0.0), kOracleEps)

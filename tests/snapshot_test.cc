@@ -336,6 +336,36 @@ class SnapshotRejectTest : public ::testing::Test {
   std::string image_;
 };
 
+TEST_F(SnapshotRejectTest, BucketNodeOutOfRange) {
+  // A well-formed, checksummed image whose label bucket names a node past
+  // |V|: Load builds the typed attribute columns over the buckets, so it
+  // must reject the image before indexing with it.
+  const ImageFormat format{"snapshot", kSnapshotMagic, kSnapshotVersion,
+                           kSnapshotSectionCount};
+  std::vector<uint64_t> aligned((image_.size() + 7) / 8);
+  std::memcpy(aligned.data(), image_.data(), image_.size());
+  ImageRegion sec[kSnapshotSectionCount];
+  std::string err;
+  ASSERT_TRUE(ValidateImage(format, aligned.data(), image_.size(), path_,
+                            sec, &err))
+      << err;
+  SnapHeader hdr;
+  std::memcpy(&hdr, aligned.data(), sizeof(hdr));
+  const ImageRegion& b = sec[kSecBucketNodes];
+  std::vector<NodeId> bucket(b.Rows<NodeId>(),
+                             b.Rows<NodeId>() + b.RowCount<NodeId>());
+  ASSERT_FALSE(bucket.empty());
+  bucket.back() = static_cast<NodeId>(hdr.node_count);
+  sec[kSecBucketNodes] = ImageRegion::Of(bucket);
+  const uint64_t words[kImageFormatWords] = {hdr.node_count, hdr.edge_count,
+                                             hdr.fingerprint};
+  std::string path = TempPath("bucket_range.snap");
+  ASSERT_TRUE(WriteImage(format, words, sec, path, nullptr, &err)) << err;
+  EXPECT_EQ(GraphSnapshot::Load(path, &err), nullptr);
+  EXPECT_NE(err.find("label bucket node out of range"), std::string::npos)
+      << err;
+}
+
 TEST_F(SnapshotRejectTest, GoodImageLoads) {
   std::string err;
   EXPECT_NE(GraphSnapshot::Load(path_, &err), nullptr) << err;

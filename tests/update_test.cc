@@ -219,6 +219,44 @@ TEST(UpdateEpochTest, EdgeOnlyBatchSharesAttributeStorage) {
   EXPECT_NE(next.out_edges(2).data(), g.out_edges(2).data());
 }
 
+TEST(UpdateEpochTest, UntouchedLabelsAliasTheirAttrColumns) {
+  GraphBuilder b;
+  for (int i = 0; i < 3; ++i) {
+    b.SetAttr(b.AddNode("N"), "idx", Value(static_cast<int64_t>(i)));
+    b.SetAttr(b.AddNode("B"), "w", Value(static_cast<int64_t>(i)));
+  }
+  Graph g = b.Build();
+  SymbolId n = *g.node_labels().Find("N");
+  SymbolId bl = *g.node_labels().Find("B");
+  SymbolId idx = *g.attr_names().Find("idx");
+  SymbolId w = *g.attr_names().Find("w");
+  ASSERT_NE(g.AttrColumnOf(n, idx), nullptr);
+  EXPECT_EQ(g.AttrColumnOf(n, w), nullptr);
+
+  // A batch touching one B tuple rebuilds B's columns only.
+  UpdateBatch batch;
+  batch.ops.push_back(UpdateOp::SetAttr(1, "w", Value(int64_t{9})));
+  Graph next;
+  MustApply(g, batch, &next);
+  EXPECT_EQ(next.AttrColumnOf(n, idx), g.AttrColumnOf(n, idx));
+  EXPECT_NE(next.AttrColumnOf(bl, w), g.AttrColumnOf(bl, w));
+  EXPECT_EQ(next.AttrColumnOf(bl, w)->int_at(0), 9);
+  EXPECT_EQ(g.AttrColumnOf(bl, w)->int_at(0), 0);
+
+  // A new label is built; both old labels alias the previous epoch.
+  UpdateBatch grow;
+  grow.ops.push_back(UpdateOp::AddNode("C"));
+  grow.ops.push_back(UpdateOp::SetAttr(6, "w", Value("c")));
+  Graph third;
+  MustApply(next, grow, &third);
+  EXPECT_EQ(third.AttrColumnOf(n, idx), g.AttrColumnOf(n, idx));
+  EXPECT_EQ(third.AttrColumnOf(bl, w), next.AttrColumnOf(bl, w));
+  const AttrColumn* c =
+      third.AttrColumnOf(*third.node_labels().Find("C"), w);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->strings, std::vector<std::string>{"c"});
+}
+
 // ---------------------------------------------------------------------------
 // Frozen (snapshot-backed) graphs
 // ---------------------------------------------------------------------------
