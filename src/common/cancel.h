@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 
 namespace whyq {
 
@@ -44,6 +45,13 @@ class CancelToken {
 
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
+  /// Expires the token at its `n`th Expired() poll from now (n >= 1), as
+  /// if the deadline fired exactly there. Tests sweep n over every poll
+  /// site with it. Arm it before sharing the token.
+  void ExpireAtPoll(uint64_t n) {
+    polls_left_.store(n, std::memory_order_relaxed);
+  }
+
   bool Cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
@@ -51,6 +59,11 @@ class CancelToken {
   /// The poll: cancelled, or past the armed deadline.
   bool Expired() const {
     if (cancelled_.load(std::memory_order_relaxed)) return true;
+    if (polls_left_.load(std::memory_order_relaxed) != 0 &&
+        polls_left_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+      cancelled_.store(true, std::memory_order_relaxed);
+      return true;
+    }
     return has_deadline_ && Clock::now() >= deadline_;
   }
 
@@ -63,7 +76,8 @@ class CancelToken {
   }
 
  private:
-  std::atomic<bool> cancelled_{false};
+  mutable std::atomic<bool> cancelled_{false};
+  mutable std::atomic<uint64_t> polls_left_{0};  // 0: no countdown armed
   bool has_deadline_ = false;  // set before sharing; read-only afterwards
   Clock::time_point deadline_{};
 };

@@ -93,7 +93,8 @@ class SimMatchEngine : public MatchEngine {
     if (key != cached_key_) {
       // Simulation is a polynomial whole-query fixpoint; cancellation is
       // honored at this coarse granularity (skip fresh computations once
-      // expired, returning the empty conservative answer).
+      // expired, returning the empty answer, which the evaluators discard
+      // as cut short).
       if (CancelRequested(cancel_)) {
         static const std::vector<NodeId> kEmpty;
         return kEmpty;

@@ -35,8 +35,9 @@ class MatchEngine {
   virtual ~MatchEngine() = default;
 
   /// Arms cooperative cancellation for subsequent calls (token not owned;
-  /// null disarms). An expired token makes the primitives return partial,
-  /// conservative results instead of blocking.
+  /// null disarms). An expired token makes the primitives return partial
+  /// results instead of blocking; callers must not trust a result that
+  /// ends with the token expired (the evaluators report a failed guard).
   virtual void SetCancelToken(const CancelToken* t) = 0;
 
   /// The answer Q(u_o, G) under this engine's semantics.

@@ -260,7 +260,7 @@ std::vector<uint8_t> Matcher::TestAnswers(
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
       cancel_hit_ = true;
-      break;  // remaining nodes stay 0 (conservative: "not an answer")
+      break;  // remaining nodes stay 0; the evaluators discard the batch
     }
     out[i] = SearchFrom(plan, nodes[i]) ? 1 : 0;
   }
@@ -286,7 +286,7 @@ size_t Matcher::CountAnswersNotIn(const Query& q, const NodeSet& exclude,
   for (NodeId v : RootCandidates(q, plan)) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
       cancel_hit_ = true;
-      break;  // undercount; guard checks treat the partial count as-is
+      break;  // an undercount: the evaluators read it as a failed guard
     }
     if (exclude.Contains(v)) continue;
     if (SearchFrom(plan, v)) {

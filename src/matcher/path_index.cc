@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/check.h"
+
 namespace whyq {
 
 namespace {
@@ -21,6 +23,11 @@ bool StepEdgePresent(const Query& q, const PathIndex::Step& s) {
   }
   const auto& edges = q.edges();
   return std::find(edges.begin(), edges.end(), probe) != edges.end();
+}
+
+// Equal constraints select equal candidate sets (MatchContext::Lookup).
+bool SameConstraint(const QueryNode& a, const QueryNode& b) {
+  return a.label == b.label && a.literals == b.literals;
 }
 
 }  // namespace
@@ -135,21 +142,59 @@ bool PathIndex::Probe::WalkMatches(const std::vector<Step>& path,
   return false;
 }
 
-bool PathIndex::Probe::Passes(NodeId v) {
-  if (!IsCand(rw_.output(), v)) return false;
-  for (size_t p = 0; p < idx_.paths_.size(); ++p) {
-    if (!WalkMatches(idx_.paths_[p], live_[p], 0, v)) return false;
+bool PathIndex::Probe::PassesCheck(size_t c, NodeId v) {
+  if (c == 0) return IsCand(rw_.output(), v);
+  return WalkMatches(idx_.paths_[c - 1], live_[c - 1], 0, v);
+}
+
+bool PathIndex::Probe::Passes(NodeId v, CheckMask checks) {
+  for (size_t c = 0; c < check_count(); ++c) {
+    if (c < kMaskChecks && ((checks >> c) & 1) == 0) continue;
+    if (!PassesCheck(c, v)) return false;
   }
   return true;
 }
 
-double PathIndex::Probe::PassFraction(NodeId v) {
-  size_t total = 1 + idx_.paths_.size();
-  size_t passed = IsCand(rw_.output(), v) ? 1 : 0;
-  for (size_t p = 0; p < idx_.paths_.size(); ++p) {
-    if (WalkMatches(idx_.paths_[p], live_[p], 0, v)) ++passed;
+PathIndex::Probe::CheckMask PathIndex::Probe::FailedChecks(NodeId v,
+                                                           CheckMask among) {
+  CheckMask failed = 0;
+  const size_t masked = std::min(check_count(), kMaskChecks);
+  for (size_t c = 0; c < masked; ++c) {
+    if (((among >> c) & 1) != 0 && !PassesCheck(c, v)) {
+      failed |= CheckMask{1} << c;
+    }
   }
-  return static_cast<double>(passed) / static_cast<double>(total);
+  return failed;
+}
+
+PathIndex::Probe::CheckMask PathIndex::Probe::ChangedChecks(
+    const Probe& base) const {
+  WHYQ_CHECK(&idx_ == &base.idx_);
+  const Query& b = base.rw_;
+  CheckMask changed = 0;
+  if (rw_.output() != b.output() ||
+      !SameConstraint(rw_.node(rw_.output()), b.node(b.output()))) {
+    changed |= 1;
+  }
+  const size_t masked = std::min(check_count(), kMaskChecks);
+  for (size_t c = 1; c < masked; ++c) {
+    const std::vector<Step>& path = idx_.paths_[c - 1];
+    const size_t live = live_[c - 1];
+    bool same = live == base.live_[c - 1];
+    for (size_t pos = 0; same && pos < live; ++pos) {
+      same = SameConstraint(rw_.node(path[pos].to), b.node(path[pos].to));
+    }
+    if (!same) changed |= CheckMask{1} << c;
+  }
+  return changed;
+}
+
+double PathIndex::Probe::PassFraction(NodeId v) {
+  size_t passed = 0;
+  for (size_t c = 0; c < check_count(); ++c) {
+    if (PassesCheck(c, v)) ++passed;
+  }
+  return static_cast<double>(passed) / static_cast<double>(check_count());
 }
 
 std::string PathIndex::ToString(const Graph& g) const {

@@ -2,6 +2,7 @@
 #define WHYQ_MATCHER_PATH_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,25 +64,49 @@ class PathIndex {
   /// bitmap probe. Each path's live prefix (the steps whose query edge
   /// survives the rewrite) is found once, at construction. The index,
   /// query and context must outlive the probe.
+  ///
+  /// The path test of v is the AND of 1 + path_count() checks: check 0 is
+  /// the output-node candidate test and check p + 1 the walk of path p.
+  /// A check's verdict depends only on the constraints (label + literals)
+  /// of the query nodes it tests and, for a walk, on the path's live-prefix
+  /// length; ChangedChecks compares exactly those inputs between two
+  /// probes. A CheckMask holds one bit per check; checks past its width
+  /// (a path index wider than kMaskChecks - 1 paths) have no bit, are
+  /// never reported failed and are run by every test.
   class Probe {
    public:
+    using CheckMask = uint64_t;
+    static constexpr size_t kMaskChecks = 64;
+    static constexpr CheckMask kAllChecks = ~CheckMask{0};
+
     Probe(const PathIndex& idx, MatchContext& ctx, const Query& rewritten);
 
-    /// Path test of v (see class comment).
-    bool Passes(NodeId v);
+    /// Path test of v over the checks in `checks` and the unmasked ones;
+    /// the default is the full test (see class comment).
+    bool Passes(NodeId v, CheckMask checks = kAllChecks);
 
-    /// Partial credit: the fraction of checks v passes — the output-node
-    /// candidate test plus each indexed path, all weighted equally. 1.0
-    /// iff Passes(). Greedy selection uses this to rank operators that
-    /// make progress toward a match (or a non-match) even when no single
-    /// operator flips the full test (zero-marginal-gain bootstrapping; see
-    /// DESIGN.md).
+    /// The checks in `among` that v fails.
+    CheckMask FailedChecks(NodeId v, CheckMask among = kAllChecks);
+
+    /// The checks whose inputs differ between this probe's rewrite and
+    /// `base`'s, which must probe the same index. Every other check gives
+    /// every node the same verdict under both. Reads only the two rewrites
+    /// and live prefixes, never a context, so `base` may be shared with
+    /// probes on other threads as long as nothing tests through it.
+    CheckMask ChangedChecks(const Probe& base) const;
+
+    /// Partial credit: the fraction of checks v passes, all weighted
+    /// equally. 1.0 iff Passes(). Greedy selection uses this to rank
+    /// operators that make progress toward a match (or a non-match) even
+    /// when no single operator flips the full test (zero-marginal-gain
+    /// bootstrapping; see DESIGN.md).
     double PassFraction(NodeId v);
 
-    const Graph& graph() const { return g_; }
+    size_t check_count() const { return 1 + idx_.paths_.size(); }
     const Query& query() const { return rw_; }
 
    private:
+    bool PassesCheck(size_t c, NodeId v);
     bool IsCand(QNodeId u, NodeId v);
     bool WalkMatches(const std::vector<Step>& path, size_t live, size_t pos,
                      NodeId at);

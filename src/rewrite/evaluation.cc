@@ -12,6 +12,18 @@ std::vector<NodeId> Dedup(std::vector<NodeId> v) {
   return v;
 }
 
+// What an evaluation cut short by the cancel token reports. A cut-short
+// answer test or guard count reads "not an answer" or an undercount, which
+// could pass as an exclusion or a met guard; the only safe verdict is a
+// failed guard. Expiry is sticky, so a token still live after an
+// evaluation proves that no poll inside it cut it short.
+EvalResult CutShort(size_t guard_m) {
+  EvalResult r;
+  r.guard = guard_m + 1;
+  r.guard_ok = false;
+  return r;
+}
+
 }  // namespace
 
 WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
@@ -23,7 +35,8 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
       engine_(MakeMatchEngine(*ctx_, semantics)),
       answers_(std::move(answers)),
       unexpected_set_(std::vector<NodeId>{}, g.node_count()),
-      guard_m_(guard_m) {
+      guard_m_(guard_m),
+      cancel_(cancel) {
   engine_->SetCancelToken(cancel);
   NodeSet answer_set(answers_, g.node_count());
   for (NodeId v : Dedup(w.unexpected)) {
@@ -38,6 +51,11 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
 }
 
 EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
+  EvalResult r = EvaluateUncut(rewritten);
+  return CancelRequested(cancel_) ? CutShort(guard_m_) : r;
+}
+
+EvalResult WhyEvaluator::EvaluateUncut(const Query& rewritten) const {
   EvalResult r;
   // Guard first: collateral exclusions from the desired answers (batched:
   // one matching plan for the whole sweep).
@@ -65,7 +83,7 @@ bool WhyEvaluator::GuardOk(const Query& rewritten) const {
   for (uint8_t o : ok) {
     if (!o && ++guard > guard_m_) return false;
   }
-  return true;
+  return !CancelRequested(cancel_);
 }
 
 std::vector<NodeId> WhyEvaluator::AffectedAnswers(
@@ -88,7 +106,8 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
       engine_(MakeMatchEngine(*ctx_, semantics)),
       answers_(std::move(answers)),
       protected_set_(answers_, g.node_count()),
-      guard_m_(guard_m) {
+      guard_m_(guard_m),
+      cancel_(cancel) {
   engine_->SetCancelToken(cancel);
   std::vector<NodeId> missing;
   for (NodeId v : Dedup(w.missing)) {
@@ -102,6 +121,11 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
 }
 
 EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten) const {
+  EvalResult r = EvaluateUncut(rewritten);
+  return CancelRequested(cancel_) ? CutShort(guard_m_) : r;
+}
+
+EvalResult WhyNotEvaluator::EvaluateUncut(const Query& rewritten) const {
   EvalResult r;
   r.guard = engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_);
   if (r.guard > guard_m_) {
@@ -119,7 +143,8 @@ EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten) const {
 
 bool WhyNotEvaluator::GuardOk(const Query& rewritten) const {
   return engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_) <=
-         guard_m_;
+             guard_m_ &&
+         !CancelRequested(cancel_);
 }
 
 std::vector<NodeId> WhyNotEvaluator::NewMatches(

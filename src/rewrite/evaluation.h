@@ -29,7 +29,9 @@ struct EvalResult {
 /// across every rewrite the evaluator verifies or path-tests — see
 /// matcher/match_context.h); `cancel` (not owned, may be null) is forwarded
 /// into the engine so verification sweeps stop mid-search once a deadline
-/// passes.
+/// passes. An Evaluate or GuardOk that ends with the token expired may have
+/// been cut short, so it reports a failed guard (guard m + 1): a cut-short
+/// test never passes as an exclusion, an inclusion or a met guard.
 class WhyEvaluator {
  public:
   WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
@@ -37,7 +39,8 @@ class WhyEvaluator {
                MatchSemantics semantics = MatchSemantics::kIsomorphism,
                const CancelToken* cancel = nullptr);
 
-  /// cl(O) and guard of a refinement rewrite.
+  /// cl(O) and guard of a refinement rewrite; a failed guard when cut
+  /// short (see class comment).
   EvalResult Evaluate(const Query& rewritten) const;
 
   /// Guard-only check (early-terminating): does the rewrite exclude at most
@@ -70,6 +73,8 @@ class WhyEvaluator {
   bool IsUnexpected(NodeId v) const { return unexpected_set_.Contains(v); }
 
  private:
+  EvalResult EvaluateUncut(const Query& rewritten) const;
+
   const Graph& g_;
   std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
   std::unique_ptr<MatchEngine> engine_;
@@ -78,12 +83,14 @@ class WhyEvaluator {
   std::vector<NodeId> desired_answers_;  // Q(u_o,G) \ V_N
   NodeSet unexpected_set_;
   size_t guard_m_;
+  const CancelToken* cancel_;
 };
 
 /// Exact evaluator for Why-not questions against (Q, G, Q(u_o,G), V_C, C).
 /// The missing set is filtered through C once at construction; the guard
 /// |Q'(u_o,G) \ (Q(u_o,G) ∪ V_C)| is counted with early termination at
-/// m + 1 via the matcher's capped answer enumeration.
+/// m + 1 via the matcher's capped answer enumeration. Evaluations cut short
+/// by the cancel token report a failed guard, as WhyEvaluator's do.
 class WhyNotEvaluator {
  public:
   WhyNotEvaluator(const Graph& g, std::vector<NodeId> answers,
@@ -114,6 +121,8 @@ class WhyNotEvaluator {
   MatchContext& context() const { return *ctx_; }
 
  private:
+  EvalResult EvaluateUncut(const Query& rewritten) const;
+
   const Graph& g_;
   std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
   std::unique_ptr<MatchEngine> engine_;
@@ -121,6 +130,7 @@ class WhyNotEvaluator {
   std::vector<NodeId> missing_;  // filtered V_C
   NodeSet protected_set_;        // answers ∪ V_C (exempt from the guard)
   size_t guard_m_;
+  const CancelToken* cancel_;
 };
 
 }  // namespace whyq

@@ -1,5 +1,6 @@
 #include "why/est_match.h"
 
+
 namespace whyq {
 
 CloseEstimate EstimateWhy(PathIndex::Probe& probe,
@@ -30,11 +31,57 @@ CloseEstimate EstimateWhy(PathIndex::Probe& probe,
   return e;
 }
 
+GuardWindow::GuardWindow(const PathIndex& idx, MatchContext& ctx,
+                         const Query& base, const NodeSet& protected_set,
+                         size_t scan_cap)
+    : idx_(idx),
+      ctx_(ctx),
+      base_query_(std::make_unique<Query>(base)),
+      base_(std::make_unique<PathIndex::Probe>(idx, ctx, *base_query_)) {
+  SymbolId out_label = base.node(base.output()).label;
+  for (NodeId v : ctx.graph().NodesWithLabel(out_label)) {
+    if (window_.size() == scan_cap) break;
+    if (!protected_set.Contains(v)) window_.push_back(v);
+  }
+  failed_.reserve(window_.size());
+  for (NodeId v : window_) failed_.push_back(base_->FailedChecks(v));
+}
+
+void GuardWindow::Rebase(const Query& next) {
+  auto next_query = std::make_unique<Query>(next);
+  auto next_probe =
+      std::make_unique<PathIndex::Probe>(idx_, ctx_, *next_query);
+  const CheckMask changed = next_probe->ChangedChecks(*base_);
+  if (changed != 0) {
+    for (size_t i = 0; i < window_.size(); ++i) {
+      failed_[i] = (failed_[i] & ~changed) |
+                   next_probe->FailedChecks(window_[i], changed);
+    }
+  }
+  base_ = std::move(next_probe);
+  base_query_ = std::move(next_query);
+}
+
+size_t GuardWindow::CountPassers(PathIndex::Probe& probe,
+                                 size_t limit) const {
+  const CheckMask changed = probe.ChangedChecks(*base_);
+  size_t passers = 0;
+  for (size_t i = 0; i < window_.size(); ++i) {
+    // A check the node fails under the base and `probe` leaves unchanged
+    // still fails.
+    if ((failed_[i] & ~changed) != 0) continue;
+    if (probe.Passes(window_[i], changed) && ++passers > limit) {
+      return passers;
+    }
+  }
+  return passers;
+}
+
 CloseEstimate EstimateWhyNot(PathIndex::Probe& probe,
+                             const GuardWindow& window,
                              const NodeSet& included_union,
                              const std::vector<NodeId>& missing,
-                             const NodeSet& protected_set, size_t guard_m,
-                             size_t guard_scan_cap) {
+                             size_t guard_m) {
   CloseEstimate e;
   size_t included = 0;
   for (NodeId v : missing) {
@@ -46,20 +93,8 @@ CloseEstimate EstimateWhyNot(PathIndex::Probe& probe,
     e.closeness =
         static_cast<double>(included) / static_cast<double>(missing.size());
   }
-  size_t scanned = 0;
-  const Query& rewritten = probe.query();
-  SymbolId out_label = rewritten.node(rewritten.output()).label;
-  for (NodeId v : probe.graph().NodesWithLabel(out_label)) {
-    if (protected_set.Contains(v)) continue;
-    if (++scanned > guard_scan_cap) break;
-    if (probe.Passes(v)) {
-      ++e.guard;
-      if (e.guard > guard_m) {
-        e.guard_ok = false;
-        break;
-      }
-    }
-  }
+  e.guard = window.CountPassers(probe, guard_m);
+  e.guard_ok = e.guard <= guard_m;
   return e;
 }
 

@@ -90,6 +90,8 @@ struct WhyKind {
       if (!eval.IsUnexpected(v)) desired_.push_back(v);
     }
   }
+  // The Why estimate has no guard window to record.
+  void Rebase(const PathIndex&, const Query&) {}
   CloseEstimate Estimate(PathIndex::Probe& probe,
                          const NodeSet& effect) const {
     return EstimateWhy(probe, effect, eval_.unexpected(), desired_, guard_m_);
@@ -140,15 +142,26 @@ struct WhyNotKind {
   WhyNotKind(const Evaluator& eval, const std::vector<NodeId>&,
              const AnswerConfig& cfg)
       : eval_(eval), cfg_(cfg) {}
+  // Makes `base` the rewrite the next estimates are deltas of. Runs on
+  // slot 0, between the parallel scoring passes.
+  void Rebase(const PathIndex& pidx, const Query& base) {
+    if (window_ != nullptr) {
+      window_->Rebase(base);
+    } else {
+      window_ = std::make_unique<GuardWindow>(pidx, eval_.context(), base,
+                                              eval_.protected_set(),
+                                              cfg_.est_guard_scan);
+    }
+  }
   CloseEstimate Estimate(PathIndex::Probe& probe,
                          const NodeSet& effect) const {
-    return EstimateWhyNot(probe, effect, eval_.missing(),
-                          eval_.protected_set(), cfg_.guard_m,
-                          cfg_.est_guard_scan);
+    return EstimateWhyNot(probe, *window_, effect, eval_.missing(),
+                          cfg_.guard_m);
   }
 
   const Evaluator& eval_;
   const AnswerConfig& cfg_;
+  std::unique_ptr<GuardWindow> window_;
 };
 
 // The executor slots of one question's parallel loops. Evaluators own a
@@ -201,6 +214,17 @@ void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
       costs->push_back(c);
     }
   }
+}
+
+// The evaluation reported when a search answers with Q itself. Past the
+// deadline no more matching runs, but Q's evaluation is known without it:
+// its answers stay answers (guard 0) and no entity of the question changes
+// status (closeness 0).
+template <typename Evaluator>
+EvalResult EvaluateQ(const Evaluator& eval, const Query& q,
+                     const CancelToken* cancel) {
+  EvalResult r = eval.Evaluate(q);
+  return CancelRequested(cancel) ? EvalResult{} : r;
 }
 
 // Exact post-processing: greedily drop operators while the exact closeness
@@ -373,7 +397,7 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
 
   if (best_cl < 0.0 || best_ops.empty()) {
     // No improving set: answer with the empty rewrite (Q itself).
-    out.eval = eval.Evaluate(q);
+    out.eval = EvaluateQ(eval, q, cfg.cancel);
     out.ctx.Add(eval.context().stats());
     return out;
   }
@@ -410,7 +434,7 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   std::optional<PathIndex> own_pidx;
   if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
   const PathIndex& pidx = cfg.path_index ? *cfg.path_index : *own_pidx;
-  const Kind kind(eval, answers, cfg);
+  Kind kind(eval, answers, cfg);
   const std::vector<NodeId>& targets = Kind::Targets(eval);
 
   SlotEvaluators<Kind> slots(eval, g, q, answers, w, cfg);
@@ -434,7 +458,8 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
         if (CancelRequested(cfg.cancel)) return;  // prefix-kept below
         Query single = ApplyOperators(q, {usable[i]});
         Kind::Prepare(slots[slot], pidx, single, exact, prep[i]);
-        prepped[i] = 1;
+        // A prep cut short by the deadline is not kept.
+        prepped[i] = CancelRequested(cfg.cancel) ? 0 : 1;
       });
   // Cancellation mid-prep: keep the longest fully-scored prefix — exactly
   // the candidates a serial run would have kept before breaking out.
@@ -469,7 +494,14 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   }
 
   // `probe` is bound to the rewrite being scored, with the scoring slot's
-  // context; the soft score below reuses it.
+  // context; the soft score below reuses it. Estimates are deltas of the
+  // base `rebase` last recorded, which every caller sets to its own.
+  auto rebase = [&](const std::vector<size_t>& base) {
+    if (exact) return;
+    OperatorSet base_ops;
+    for (size_t j : base) base_ops.push_back(usable[j]);
+    kind.Rebase(pidx, ApplyOperators(q, base_ops));
+  };
   auto estimate = [&](const NodeSet& effect, PathIndex::Probe& probe,
                       size_t slot) -> CloseEstimate {
     if (!exact) return kind.Estimate(probe, effect);
@@ -528,6 +560,7 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
       }
       OperatorSet selected_ops;
       for (size_t j : selected) selected_ops.push_back(usable[j]);
+      rebase(selected);
       ThreadPool::Shared().ParallelFor(
           pool_idx.size(), slots.width(), [&](size_t k, size_t slot) {
             size_t i = pool_idx[k];
@@ -587,6 +620,7 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   bool shrunk = true;
   while (shrunk && selected.size() > 1 && !CancelRequested(cfg.cancel)) {
     shrunk = false;
+    rebase(selected);
     for (size_t i = 0; i < selected.size(); ++i) {
       if (CancelRequested(cfg.cancel)) break;
       std::vector<size_t> trial = selected;
@@ -615,15 +649,24 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
     current_cl = prep[static_cast<size_t>(best_single)].single_cl;
     selected.assign(1, static_cast<size_t>(best_single));
   }
+  if (!selected.empty()) {
+    for (size_t j : selected) out.ops.push_back(usable[j]);
+    out.rewritten = ApplyOperators(q, out.ops);
+    out.eval = eval.Evaluate(out.rewritten);
+    if (CancelRequested(cfg.cancel)) {
+      // The verification may have been cut short: answer with Q instead.
+      out.exhaustive = false;
+      out.ops.clear();
+      out.rewritten = q;
+      selected.clear();
+    }
+  }
   if (selected.empty()) {
-    out.eval = eval.Evaluate(q);
+    out.eval = EvaluateQ(eval, q, cfg.cancel);
     finish_ctx();
     return out;
   }
-  for (size_t j : selected) out.ops.push_back(usable[j]);
-  out.rewritten = ApplyOperators(q, out.ops);
   out.cost = cost.Cost(out.ops);
-  out.eval = eval.Evaluate(out.rewritten);
   out.estimated_closeness = current_cl;
   out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
   finish_ctx();

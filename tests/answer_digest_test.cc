@@ -43,7 +43,7 @@ namespace whyq {
 namespace {
 
 constexpr uint64_t kAnswerDigest = 0xeeeb0c1cd8c929aaull;
-constexpr uint64_t kWorkDigest = 0xd4cca8325bcbfcd9ull;
+constexpr uint64_t kWorkDigest = 0x78682502e3153253ull;
 
 struct PoolItem {
   GeneratedQuery gq;

@@ -401,6 +401,38 @@ size_t CheckAgainstBruteForce(const Graph& g, const Query& q,
   return compared;
 }
 
+// The oracle's questions on one instance under one semantics: a Why
+// question over a random half of the answers (when there are any) and a
+// Why-not question over up to four non-answers of the output label.
+struct OracleQuestions {
+  std::vector<NodeId> answers;
+  WhyQuestion why;
+  WhyNotQuestion whynot;
+};
+
+OracleQuestions MakeQuestions(const Instance& inst, MatchSemantics semantics,
+                              Rng& rng) {
+  const Graph& g = inst.g;
+  const Query& q = inst.q;
+  OracleQuestions out;
+  out.answers = semantics == MatchSemantics::kSimulation
+                    ? SimulationAnswers(g, q)
+                    : Matcher(g).MatchOutput(q);
+  for (NodeId v : out.answers) {
+    if (out.why.unexpected.empty() || rng.Chance(0.5)) {
+      out.why.unexpected.push_back(v);
+    }
+  }
+  for (NodeId v : g.NodesWithLabel(q.node(q.output()).label)) {
+    if (out.whynot.missing.size() < 4 &&
+        std::find(out.answers.begin(), out.answers.end(), v) ==
+            out.answers.end()) {
+      out.whynot.missing.push_back(v);
+    }
+  }
+  return out;
+}
+
 class ExactnessOracleTest : public testing::TestWithParam<int> {};
 
 TEST_P(ExactnessOracleTest, ExactReachesBruteForceOptimum) {
@@ -414,33 +446,18 @@ TEST_P(ExactnessOracleTest, ExactReachesBruteForceOptimum) {
     SCOPED_TRACE(semantics == MatchSemantics::kSimulation ? "simulation"
                                                           : "isomorphism");
     AnswerConfig cfg = OracleConfig(GetParam(), semantics);
-    std::vector<NodeId> answers = semantics == MatchSemantics::kSimulation
-                                      ? SimulationAnswers(g, q)
-                                      : Matcher(g).MatchOutput(q);
-    if (!answers.empty()) {
-      WhyQuestion why;
-      for (NodeId v : answers) {
-        if (why.unexpected.empty() || rng.Chance(0.5)) {
-          why.unexpected.push_back(v);
-        }
-      }
-      WhyEvaluator eval(g, answers, why, cfg.guard_m, semantics);
+    OracleQuestions qs = MakeQuestions(inst, semantics, rng);
+    if (!qs.answers.empty()) {
+      WhyEvaluator eval(g, qs.answers, qs.why, cfg.guard_m, semantics);
       compared += CheckAgainstBruteForce<WhyEvaluator>(
-          g, q, answers, why, cfg,
-          GenPickyWhy(g, q, answers, eval.unexpected(), cfg),
+          g, q, qs.answers, qs.why, cfg,
+          GenPickyWhy(g, q, qs.answers, eval.unexpected(), cfg),
           {&ExactWhy, &ApproxWhy, &IsoWhy});
     }
-    WhyNotQuestion whynot;
-    for (NodeId v : g.NodesWithLabel(q.node(q.output()).label)) {
-      if (whynot.missing.size() < 4 &&
-          std::find(answers.begin(), answers.end(), v) == answers.end()) {
-        whynot.missing.push_back(v);
-      }
-    }
-    if (!whynot.missing.empty()) {
-      WhyNotEvaluator eval(g, answers, whynot, cfg.guard_m, semantics);
+    if (!qs.whynot.missing.empty()) {
+      WhyNotEvaluator eval(g, qs.answers, qs.whynot, cfg.guard_m, semantics);
       compared += CheckAgainstBruteForce<WhyNotEvaluator>(
-          g, q, answers, whynot, cfg,
+          g, q, qs.answers, qs.whynot, cfg,
           GenPickyWhyNot(g, q, eval.missing(), cfg),
           {&ExactWhyNot, &FastWhyNot, &IsoWhyNot});
     }
@@ -449,6 +466,90 @@ TEST_P(ExactnessOracleTest, ExactReachesBruteForceOptimum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactnessOracleTest, testing::Range(0, 40));
+
+// Nth-poll cancellation sweep. The token expires at its nth Expired() poll,
+// for every n up to the polls of an uncancelled run, as if a deadline fired
+// at exactly that poll site. Every answer cut short must still be a
+// conflict-free set within budget whose reported evaluation is a fresh,
+// uncancelled evaluation of its rewrite: a search cut short may answer
+// less, never wrongly. Returns the number of truncated runs.
+template <typename Evaluator, typename Question>
+size_t SweepCancellation(const Graph& g, const Query& q,
+                         const std::vector<NodeId>& answers,
+                         const Question& w, const AnswerConfig& base,
+                         Algorithm<Question> algorithm, const char* name) {
+  CostModel cost(q, g, base.weighted_cost);
+  Evaluator fresh(g, answers, w, base.guard_m, base.semantics);
+  size_t truncated = 0;
+  for (uint64_t n = 1;; ++n) {
+    CancelToken token;
+    token.ExpireAtPoll(n);
+    AnswerConfig cfg = base;
+    cfg.threads = 1;
+    cfg.cancel = &token;
+    RewriteAnswer a = algorithm(g, q, answers, w, cfg);
+    if (!token.Cancelled()) break;  // the run polled fewer than n times
+    ++truncated;
+    std::string what = std::string(name) + " cut at poll " +
+                       std::to_string(n) + ": ops { " +
+                       DescribeOperators(a.ops, g) + " }";
+    for (size_t i = 0; i < a.ops.size(); ++i) {
+      for (size_t j = i + 1; j < a.ops.size(); ++j) {
+        EXPECT_FALSE(OpsConflict(a.ops[i], a.ops[j])) << what;
+      }
+    }
+    EXPECT_LE(cost.Cost(a.ops), cfg.budget + kOracleEps) << what;
+    EXPECT_EQ(WriteQuery(a.rewritten, g),
+              WriteQuery(ApplyOperators(q, a.ops), g))
+        << what;
+    EvalResult r = fresh.Evaluate(a.rewritten);
+    EXPECT_EQ(a.eval.closeness, r.closeness) << what;
+    EXPECT_EQ(a.eval.guard, r.guard) << what;
+    EXPECT_EQ(a.eval.guard_ok, r.guard_ok) << what;
+    if (a.found) {
+      EXPECT_TRUE(a.eval.guard_ok) << what;
+    }
+    if (testing::Test::HasFailure()) break;  // report the first bad cut
+  }
+  return truncated;
+}
+
+class CancellationSweepTest : public testing::TestWithParam<int> {};
+
+TEST_P(CancellationSweepTest, TruncatedAnswersStayValid) {
+  Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 389 + 11);
+  const Graph& g = inst.g;
+  const Query& q = inst.q;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 613 + 7);
+  size_t truncated = 0;
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    SCOPED_TRACE(semantics == MatchSemantics::kSimulation ? "simulation"
+                                                          : "isomorphism");
+    AnswerConfig cfg = OracleConfig(GetParam(), semantics);
+    OracleQuestions qs = MakeQuestions(inst, semantics, rng);
+    if (!qs.answers.empty()) {
+      for (auto [algorithm, name] :
+           {std::pair{&ExactWhy, "ExactWhy"}, {&ApproxWhy, "ApproxWhy"},
+            {&IsoWhy, "IsoWhy"}}) {
+        truncated += SweepCancellation<WhyEvaluator>(
+            g, q, qs.answers, qs.why, cfg, algorithm, name);
+      }
+    }
+    if (!qs.whynot.missing.empty()) {
+      for (auto [algorithm, name] : {std::pair{&ExactWhyNot, "ExactWhyNot"},
+                                     {&FastWhyNot, "FastWhyNot"},
+                                     {&IsoWhyNot, "IsoWhyNot"}}) {
+        truncated += SweepCancellation<WhyNotEvaluator>(
+            g, q, qs.answers, qs.whynot, cfg, algorithm, name);
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);
+  RecordProperty("truncated_runs", static_cast<int>(truncated));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CancellationSweepTest, testing::Range(0, 40));
 
 }  // namespace
 }  // namespace whyq
