@@ -1,5 +1,6 @@
-// Microbenchmarks for the core answering pipeline: picky-set generation,
-// MBS enumeration, and the six end-to-end algorithms on a fixed question.
+// Microbenchmarks for the core answering pipeline: picky-set generation
+// (on BSBM-500 questions), MBS enumeration, and the six end-to-end
+// algorithms on a fixed question.
 
 #include <benchmark/benchmark.h>
 
@@ -49,33 +50,74 @@ AnswerConfig Config() {
   return cfg;
 }
 
-void BM_GenPickyWhy(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  if (!f.ok) {
-    state.SkipWithError("no fixture");
-    return;
-  }
-  AnswerConfig cfg = Config();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GenPickyWhy(f.g, f.gq.query, f.gq.answers,
-                                         f.why.unexpected, cfg));
-  }
+// Picky generation on BSBM-500 (graph seed 7): 24 generated questions,
+// queries from the query pool seed 7 and questions from seed 58, in the
+// shape of the perfbench `exact` workload (4 edges, 2 literals per node,
+// 8-40 answers, |V_N| = |V_C| = 3). One iteration generates the picky sets
+// of all 24 at the exact workload's cap of 24 operators.
+struct PickyFixture {
+  Graph g;
+  std::vector<GeneratedQuery> queries;
+  std::vector<WhyQuestion> why;
+  std::vector<WhyNotQuestion> whynot;
+};
+
+const PickyFixture& Bsbm500Picky() {
+  static PickyFixture* f = [] {
+    auto* out = new PickyFixture();
+    out->g = GenerateBsbm(BsbmConfig{500, 7});
+    QueryGenConfig qc;
+    qc.edges = 4;
+    qc.literals_per_node = 2;
+    qc.slack = 0.6;
+    qc.min_answers = 8;
+    qc.max_answers = 40;
+    for (uint64_t k = 0; k < 48 && out->queries.size() < 24; ++k) {
+      Rng query_rng(7 * 1000003 + k);
+      Rng rng(58 * 1000003 + k);
+      std::optional<GeneratedQuery> gq = GenerateQuery(out->g, qc, query_rng);
+      if (!gq.has_value()) continue;
+      WhyQuestion why = GenerateWhyQuestion(*gq, 3, rng);
+      std::optional<WhyNotQuestion> whynot =
+          GenerateWhyNotQuestion(out->g, *gq, 3, 0, rng);
+      if (why.unexpected.empty() || !whynot.has_value()) continue;
+      out->queries.push_back(std::move(*gq));
+      out->why.push_back(std::move(why));
+      out->whynot.push_back(std::move(*whynot));
+    }
+    return out;
+  }();
+  return *f;
 }
-BENCHMARK(BM_GenPickyWhy);
+
+void BM_GenPickyWhy(benchmark::State& state) {
+  const PickyFixture& f = Bsbm500Picky();
+  AnswerConfig cfg;
+  cfg.max_picky_ops = 24;
+  for (auto _ : state) {
+    for (size_t i = 0; i < f.queries.size(); ++i) {
+      benchmark::DoNotOptimize(GenPickyWhy(f.g, f.queries[i].query,
+                                           f.queries[i].answers,
+                                           f.why[i].unexpected, cfg));
+    }
+  }
+  state.counters["questions"] = static_cast<double>(f.queries.size());
+}
+BENCHMARK(BM_GenPickyWhy)->Unit(benchmark::kMicrosecond);
 
 void BM_GenPickyWhyNot(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  if (!f.ok) {
-    state.SkipWithError("no fixture");
-    return;
-  }
-  AnswerConfig cfg = Config();
+  const PickyFixture& f = Bsbm500Picky();
+  AnswerConfig cfg;
+  cfg.max_picky_ops = 24;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GenPickyWhyNot(f.g, f.gq.query, f.whynot.missing, cfg));
+    for (size_t i = 0; i < f.queries.size(); ++i) {
+      benchmark::DoNotOptimize(GenPickyWhyNot(f.g, f.queries[i].query,
+                                              f.whynot[i].missing, cfg));
+    }
   }
+  state.counters["questions"] = static_cast<double>(f.queries.size());
 }
-BENCHMARK(BM_GenPickyWhyNot);
+BENCHMARK(BM_GenPickyWhyNot)->Unit(benchmark::kMicrosecond);
 
 void BM_MbsEnumeration(benchmark::State& state) {
   // Pure enumeration over synthetic costs (no verification), showing the

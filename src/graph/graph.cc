@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -112,6 +114,75 @@ const AttrColumn* Graph::AttrColumnOf(SymbolId label, SymbolId attr) const {
   return &cols.columns[it - cols.attrs.begin()];
 }
 
+namespace {
+
+// A double's bits with ±0.0 made +0.0 and every NaN the quiet NaN: the
+// representatives of the ranks those values share (see AttrColumn).
+uint64_t CanonicalDoubleBits(uint64_t bits) {
+  double d = std::bit_cast<double>(bits);
+  if (d == 0.0) return 0;
+  if (std::isnan(d)) {
+    return std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  }
+  return bits;
+}
+
+// Value::operator< on canonical doubles: by value, NaN last.
+bool DoubleBitsLess(uint64_t a, uint64_t b) {
+  double x = std::bit_cast<double>(a);
+  double y = std::bit_cast<double>(b);
+  if (std::isnan(x) || std::isnan(y)) return !std::isnan(x) && std::isnan(y);
+  return x < y;
+}
+
+// Fills c.numbers, c.ints and c.ranks from the kinds, payloads and sorted
+// strings.
+void BuildRanks(AttrColumn& c) {
+  std::vector<uint64_t> doubles;
+  for (size_t i = 0; i < c.kinds.size(); ++i) {
+    if (c.kinds[i] == AttrColumn::kInt) c.numbers.push_back(c.payload[i]);
+    if (c.kinds[i] == AttrColumn::kDouble) {
+      doubles.push_back(CanonicalDoubleBits(c.payload[i]));
+    }
+  }
+  auto int_less = [](uint64_t a, uint64_t b) {
+    return static_cast<int64_t>(a) < static_cast<int64_t>(b);
+  };
+  std::sort(c.numbers.begin(), c.numbers.end(), int_less);
+  c.numbers.erase(std::unique(c.numbers.begin(), c.numbers.end()),
+                  c.numbers.end());
+  c.ints = static_cast<uint32_t>(c.numbers.size());
+  std::sort(doubles.begin(), doubles.end(), DoubleBitsLess);
+  doubles.erase(std::unique(doubles.begin(), doubles.end()), doubles.end());
+  c.numbers.insert(c.numbers.end(), doubles.begin(), doubles.end());
+  const auto ints_end = c.numbers.begin() + c.ints;
+  c.ranks.assign(c.kinds.size(), AttrColumn::kNoRank);
+  for (size_t i = 0; i < c.kinds.size(); ++i) {
+    switch (c.kinds[i]) {
+      case AttrColumn::kInt:
+        c.ranks[i] = static_cast<uint32_t>(
+            std::lower_bound(c.numbers.begin(), ints_end, c.payload[i],
+                             int_less) -
+            c.numbers.begin());
+        break;
+      case AttrColumn::kDouble:
+        c.ranks[i] = static_cast<uint32_t>(
+            std::lower_bound(ints_end, c.numbers.end(),
+                             CanonicalDoubleBits(c.payload[i]),
+                             DoubleBitsLess) -
+            c.numbers.begin());
+        break;
+      case AttrColumn::kString:
+        c.ranks[i] = static_cast<uint32_t>(c.numbers.size() + c.payload[i]);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 // One pass over the members' tuples fills every column, then each
 // column's strings are sorted, deduplicated and their rows rewritten from
 // first-seen index to rank.
@@ -153,18 +224,20 @@ std::shared_ptr<const Graph::LabelColumns> Graph::BuildLabelColumns(
   }
   for (size_t k = 0; k < out->columns.size(); ++k) {
     AttrColumn& c = out->columns[k];
-    if (seen[k].empty()) continue;
-    for (const std::string* str : seen[k]) c.strings.push_back(*str);
-    std::sort(c.strings.begin(), c.strings.end());
-    c.strings.erase(std::unique(c.strings.begin(), c.strings.end()),
-                    c.strings.end());
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (c.kinds[i] != AttrColumn::kString) continue;
-      const std::string& str = *seen[k][c.payload[i]];
-      c.payload[i] = static_cast<uint64_t>(
-          std::lower_bound(c.strings.begin(), c.strings.end(), str) -
-          c.strings.begin());
+    if (!seen[k].empty()) {
+      for (const std::string* str : seen[k]) c.strings.push_back(*str);
+      std::sort(c.strings.begin(), c.strings.end());
+      c.strings.erase(std::unique(c.strings.begin(), c.strings.end()),
+                      c.strings.end());
+      for (size_t i = 0; i < bucket.size(); ++i) {
+        if (c.kinds[i] != AttrColumn::kString) continue;
+        const std::string& str = *seen[k][c.payload[i]];
+        c.payload[i] = static_cast<uint64_t>(
+            std::lower_bound(c.strings.begin(), c.strings.end(), str) -
+            c.strings.begin());
+      }
     }
+    BuildRanks(c);
   }
   return out;
 }
@@ -173,15 +246,19 @@ void Graph::FinalizeAttrColumns(const Graph* prev,
                                 const std::vector<SymbolId>& touched) {
   const size_t labels = bucket_range_.empty() ? 0 : bucket_range_.size() - 1;
   attr_columns_.assign(labels, nullptr);
+  bucket_pos_.assign(node_count(), 0);
   for (size_t l = 0; l < labels; ++l) {
     const SymbolId label = static_cast<SymbolId>(l);
+    NodeSpan members = NodesWithLabel(label);
+    for (size_t i = 0; i < members.size(); ++i) {
+      bucket_pos_[members[i]] = static_cast<uint32_t>(i);
+    }
     if (prev != nullptr && l < prev->attr_columns_.size() &&
         !std::binary_search(touched.begin(), touched.end(), label)) {
       attr_columns_[l] = prev->attr_columns_[l];
       continue;
     }
-    NodeSpan bucket = NodesWithLabel(label);
-    if (!bucket.empty()) attr_columns_[l] = BuildLabelColumns(bucket);
+    if (!members.empty()) attr_columns_[l] = BuildLabelColumns(members);
   }
 }
 

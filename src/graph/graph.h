@@ -124,22 +124,47 @@ class Column {
 };
 
 /// One attribute's typed column over one label bucket: row i describes
-/// NodesWithLabel(label)[i].A as a kind byte plus a 64-bit payload (the
-/// int64, the double's bits, or the string's rank among the column's
-/// sorted distinct strings, so string order is integer order). Literal
-/// bitmaps are one pass over it (src/matcher/match_context.cc).
+/// NodesWithLabel(label)[i].A (see Graph::BucketPosition) as a kind byte
+/// plus a 64-bit payload (the int64, the double's bits, or the string's
+/// rank among the column's sorted distinct strings, so string order is
+/// integer order). Literal bitmaps are one pass over it
+/// (src/matcher/match_context.cc).
+///
+/// Each row also carries a dense value rank in Value::operator< order:
+/// kind first (ints, then doubles, then strings), then value. ±0.0 share
+/// one rank and so do all NaNs, which rank after every other double, so
+/// two rows share a rank iff their Values are operator==. ValueAt(r)
+/// materializes rank r's Value; the shared ranks materialize as +0.0 and
+/// as the quiet NaN. Active domains over a node list are one pass over the
+/// ranks with no Value sorted (ActiveDomains, src/graph/graph_stats.h).
 struct AttrColumn {
   enum Kind : uint8_t { kAbsent = 0, kInt = 1, kDouble = 2, kString = 3 };
+  static constexpr uint32_t kNoRank = UINT32_MAX;  // rank of absent rows
 
   std::vector<uint8_t> kinds;        // one Kind per bucket position
   std::vector<uint64_t> payload;     // one row per bucket position
   std::vector<std::string> strings;  // sorted, distinct
   uint8_t present = 0;               // bit (1 << kind) per kind present
+  std::vector<uint32_t> ranks;       // one per bucket position
+  // The numeric ranks' payloads: the distinct ints ascending, then the
+  // distinct doubles ascending. String rank ints + doubles + k is
+  // strings[k].
+  std::vector<uint64_t> numbers;
+  uint32_t ints = 0;  // how many of `numbers` are ints
 
   bool has(Kind k) const { return (present >> k) & 1u; }
   int64_t int_at(size_t i) const { return static_cast<int64_t>(payload[i]); }
   double double_at(size_t i) const {
     return std::bit_cast<double>(payload[i]);
+  }
+  size_t rank_count() const { return numbers.size() + strings.size(); }
+  bool numeric_rank(uint32_t rank) const { return rank < numbers.size(); }
+  Value ValueAt(uint32_t rank) const {
+    if (rank < ints) return Value(static_cast<int64_t>(numbers[rank]));
+    if (rank < numbers.size()) {
+      return Value(std::bit_cast<double>(numbers[rank]));
+    }
+    return Value(strings[rank - numbers.size()]);
   }
 };
 
@@ -156,7 +181,8 @@ struct UpdateResult;
 /// verbatim into the snapshot image and later re-opened by borrowing the
 /// mapped bytes instead of rebuilding (src/graph/snapshot.h).
 ///
-/// The typed attribute columns (AttrColumnOf) are finalized per epoch, by
+/// The typed attribute columns (AttrColumnOf), with their value ranks, and
+/// the bucket positions (BucketPosition) are finalized per epoch, by
 /// Build(), GraphSnapshot::Load() and ApplyUpdate(), from the same buckets
 /// and tuples; they live in memory only and are never persisted, so the
 /// snapshot bytes do not depend on them.
@@ -221,6 +247,10 @@ class Graph {
 
   /// All nodes with label `label`, ascending (empty for unused labels).
   NodeSpan NodesWithLabel(SymbolId label) const;
+
+  /// v's position in NodesWithLabel(label(v)), which is also its row in
+  /// that label's attribute columns. O(1).
+  size_t BucketPosition(NodeId v) const { return bucket_pos_[v]; }
 
   /// Graph-wide numeric range of attribute A; nullptr if A never appears.
   const AttrRange* RangeOf(SymbolId attr) const;
@@ -360,9 +390,12 @@ class Graph {
   // whose bucket and member tuples it left alone.
   std::vector<std::shared_ptr<const LabelColumns>> attr_columns_;
 
-  // Builds attr_columns_ from the final buckets and tuples. With `prev`
-  // (the previous epoch), only the labels in `touched` (sorted) are built;
-  // the rest alias prev's columns.
+  // Each node's position in its label bucket (bucket_nodes_ inverted).
+  std::vector<uint32_t> bucket_pos_;
+
+  // Builds attr_columns_ and bucket_pos_ from the final buckets and
+  // tuples. With `prev` (the previous epoch), only the labels in `touched`
+  // (sorted) get new columns; the rest alias prev's columns.
   void FinalizeAttrColumns(const Graph* prev = nullptr,
                            const std::vector<SymbolId>& touched = {});
 

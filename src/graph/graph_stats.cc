@@ -1,6 +1,7 @@
 #include "graph/graph_stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_set>
 
@@ -42,15 +43,39 @@ GraphStats ComputeStats(const Graph& g) {
   return s;
 }
 
-std::vector<Value> ActiveDomain(const Graph& g, SymbolId attr,
-                                const std::vector<NodeId>& nodes) {
-  std::vector<Value> out;
+std::vector<uint32_t> ActiveDomains::Ranks(const Graph& g,
+                                           const AttrColumn* col,
+                                           NodeSpan nodes, size_t cap) {
+  std::vector<uint32_t> out;
+  if (col == nullptr) return out;
+  const size_t words = (col->rank_count() + 63) / 64;
+  if (bits_.size() < words) bits_.resize(words, 0);
+  size_t lo = words;
+  size_t hi = 0;
   for (NodeId v : nodes) {
-    const Value* val = g.GetAttr(v, attr);
-    if (val != nullptr) out.push_back(*val);
+    uint32_t r = col->ranks[g.BucketPosition(v)];
+    if (r == AttrColumn::kNoRank) continue;
+    bits_[r / 64] |= uint64_t{1} << (r % 64);
+    lo = std::min<size_t>(lo, r / 64);
+    hi = std::max<size_t>(hi, r / 64 + 1);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  size_t n = 0;
+  for (size_t w = lo; w < hi; ++w) n += std::popcount(bits_[w]);
+  // With the cap biting, the k-th present rank is kept when k is the next
+  // spread position.
+  const bool capped = cap > 0 && n > cap;
+  auto next_kept = [&]() {
+    return cap == 1 ? 0 : out.size() * (n - 1) / (cap - 1);
+  };
+  out.reserve(capped ? cap : n);
+  size_t k = 0;
+  for (size_t w = lo; w < hi; ++w) {
+    for (uint64_t word = bits_[w]; word != 0; word &= word - 1, ++k) {
+      if (capped && (out.size() == cap || k != next_kept())) continue;
+      out.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+    }
+    bits_[w] = 0;
+  }
   return out;
 }
 

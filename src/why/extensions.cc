@@ -283,7 +283,9 @@ struct MultiOutput {
 
   // The pooled exact evaluation of Q ⊕ ops: excluded unexpected entities
   // over all outputs / total unexpected, with the collateral exclusions
-  // pooled the same way as the guard.
+  // pooled the same way as the guard. One that ends with the token expired
+  // may have been cut short and reports a failed guard (guard m + 1), as
+  // the single-output evaluators do.
   EvalResult Evaluate(const OperatorSet& ops) const {
     size_t excluded = 0;
     size_t guard = 0;
@@ -299,7 +301,18 @@ struct MultiOutput {
                   static_cast<double>(total_unexpected);
     r.guard = guard;
     r.guard_ok = guard <= cfg.guard_m;
+    if (CancelRequested(cfg.cancel)) {
+      r.guard = cfg.guard_m + 1;
+      r.guard_ok = false;
+    }
     return r;
+  }
+
+  // Q's own evaluation. Past the deadline it is known without matching:
+  // every answer stays an answer (closeness 0, guard 0).
+  EvalResult EvaluateQ() const {
+    EvalResult r = Evaluate({});
+    return CancelRequested(cfg.cancel) ? EvalResult{} : r;
   }
 
   const AnswerConfig& cfg;
@@ -362,7 +375,7 @@ RewriteAnswer ExactWhyMultiOutput(
       admit);
   out.exhaustive = !stats.truncated && !CancelRequested(cfg.cancel);
   if (best_cl <= 0.0 || best_ops.empty()) {
-    out.eval = mo.Evaluate({});
+    out.eval = mo.EvaluateQ();
     return out;
   }
   out.found = true;
@@ -407,6 +420,12 @@ RewriteAnswer ApproxWhyMultiOutput(
         ++e.guard;
       }
     });
+    // A verification cut short is not kept.
+    if (CancelRequested(cfg.cancel)) {
+      effects.pop_back();
+      out.exhaustive = false;
+      break;
+    }
   }
   mo.usable.resize(effects.size());
   out.picky_count = mo.usable.size();
@@ -457,10 +476,17 @@ RewriteAnswer ApproxWhyMultiOutput(
   for (size_t j : selected) out.ops.push_back(mo.usable[j]);
   out.rewritten = ApplyOperators(q, out.ops);
   out.cost = spent;
-  // Exact pooled evaluation for reporting; a cancelled request reports
-  // from the outputs verified so far.
+  // Exact pooled evaluation for reporting. When it was cut short, answer
+  // with Q and Q's known evaluation instead.
   out.eval = mo.Evaluate(out.ops);
-  if (CancelRequested(cfg.cancel)) out.exhaustive = false;
+  if (CancelRequested(cfg.cancel)) {
+    out.exhaustive = false;
+    out.ops.clear();
+    out.rewritten = q;
+    out.cost = 0.0;
+    out.eval = mo.EvaluateQ();
+    return out;
+  }
   out.estimated_closeness =
       static_cast<double>(covered.size()) /
       static_cast<double>(mo.total_unexpected);

@@ -1,83 +1,162 @@
 #include "why/picky.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 
+#include "common/check.h"
 #include "graph/graph_stats.h"
-#include "graph/neighborhood.h"
 
 namespace whyq {
 
 namespace {
 
-// A neighborhood with per-node BFS depths, queryable by (label, max depth).
-struct Layered {
-  NodeSet set;
-  std::vector<size_t> depth;  // aligned with set.nodes()
+// Stamp marks over the graph's nodes, shared by every neighborhood BFS and
+// membership set of one generation: each costs its own size, and the
+// universe-sized array is allocated once.
+class Marks {
+ public:
+  explicit Marks(size_t universe) : stamp_(universe, 0) {}
 
-  std::vector<NodeId> Filter(const Graph& g, SymbolId label,
-                             size_t max_depth) const {
-    std::vector<NodeId> out;
-    const std::vector<NodeId>& nodes = set.nodes();
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (depth[i] <= max_depth && g.label(nodes[i]) == label) {
-        out.push_back(nodes[i]);
-      }
-    }
-    return out;
+  // A fresh, empty set.
+  uint32_t Fresh() { return ++current_; }
+  // Adds v to set `s`; false when it was there already.
+  bool Insert(uint32_t s, NodeId v) {
+    WHYQ_CHECK(v < stamp_.size());
+    if (stamp_[v] == s) return false;
+    stamp_[v] = s;
+    return true;
   }
+  bool Contains(uint32_t s, NodeId v) const {
+    WHYQ_CHECK(v < stamp_.size());
+    return stamp_[v] == s;
+  }
+
+ private:
+  std::vector<uint32_t> stamp_;
+  uint32_t current_ = 0;
 };
 
-Layered BuildLayered(const Graph& g, const std::vector<NodeId>& seeds,
-                     size_t max_depth) {
-  Layered l;
-  l.set = WithinDistanceWithDepth(g, seeds, max_depth, &l.depth);
-  return l;
-}
+// A d-hop neighborhood N_d(seeds) grouped by label. Each label's nodes are
+// kept in BFS discovery order, which is nondecreasing depth, so the nodes
+// of one label within depth d are a prefix of its run.
+class Layered {
+ public:
+  Layered() = default;
 
-// Subsamples a sorted domain down to `cap` spread-out values.
-std::vector<Value> CapDomain(std::vector<Value> dom, size_t cap) {
-  if (dom.size() <= cap || cap == 0) return dom;
-  if (cap == 1) return {dom.front()};
-  std::vector<Value> out;
-  out.reserve(cap);
-  for (size_t i = 0; i < cap; ++i) {
-    size_t idx = i * (dom.size() - 1) / (cap - 1);
-    out.push_back(dom[idx]);
+  // The same BFS as WithinDistanceWithDepth: seeds first, then out- and
+  // in-neighbors of each node in discovery order, up to depth max_depth.
+  Layered(const Graph& g, const std::vector<NodeId>& seeds, size_t max_depth,
+          Marks& marks) {
+    const uint32_t seen = marks.Fresh();
+    std::vector<NodeId> order;
+    std::vector<uint32_t> depth;
+    for (NodeId s : seeds) {
+      if (marks.Insert(seen, s)) {
+        order.push_back(s);
+        depth.push_back(0);
+      }
+    }
+    for (size_t head = 0; head < order.size(); ++head) {
+      const uint32_t next = depth[head] + 1;
+      if (depth[head] == max_depth) continue;
+      auto visit = [&](EdgeSpan adj) {
+        for (const HalfEdge& e : adj) {
+          if (marks.Insert(seen, e.other)) {
+            order.push_back(e.other);
+            depth.push_back(next);
+          }
+        }
+      };
+      visit(g.out_edges(order[head]));
+      visit(g.in_edges(order[head]));
+    }
+    // Stable counting sort by label.
+    SymbolId top = 0;
+    for (NodeId v : order) top = std::max(top, g.label(v));
+    begin_.assign(static_cast<size_t>(top) + 2, 0);
+    for (NodeId v : order) ++begin_[g.label(v) + 1];
+    for (size_t l = 1; l < begin_.size(); ++l) begin_[l] += begin_[l - 1];
+    std::vector<uint32_t> fill(begin_.begin(), begin_.end() - 1);
+    nodes_.resize(order.size());
+    depth_.resize(order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      uint32_t at = fill[g.label(order[i])]++;
+      nodes_[at] = order[i];
+      depth_[at] = depth[i];
+    }
   }
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
-// Distinct attribute names present on any node of `nodes`.
-std::vector<SymbolId> AttrsOn(const Graph& g,
-                              const std::vector<NodeId>& nodes) {
-  std::set<SymbolId> s;
-  for (NodeId v : nodes) {
-    for (const AttrEntry& e : g.attrs(v)) s.insert(e.attr);
+  // The nodes of `label` within depth `max_depth`, in BFS order.
+  NodeSpan Filter(SymbolId label, size_t max_depth) const {
+    if (static_cast<size_t>(label) + 1 >= begin_.size()) return {};
+    auto first = depth_.begin() + begin_[label];
+    auto last = std::upper_bound(first, depth_.begin() + begin_[label + 1],
+                                 max_depth);
+    return NodeSpan(nodes_.data() + begin_[label],
+                    static_cast<size_t>(last - first));
   }
-  return std::vector<SymbolId>(s.begin(), s.end());
-}
 
-bool CarriesAttr(const Graph& g, const std::vector<NodeId>& nodes,
-                 SymbolId attr) {
-  for (NodeId v : nodes) {
-    if (g.GetAttr(v, attr) != nullptr) return true;
-  }
-  return false;
-}
+ private:
+  std::vector<NodeId> nodes_;    // grouped by label, BFS order within one
+  std::vector<uint32_t> depth_;  // aligned with nodes_
+  std::vector<uint32_t> begin_;  // label l's run: [begin_[l], begin_[l+1])
+};
 
-// Does any node in `nodes` carry attr with a value != a (or lack attr)?
-bool SomeDiffersFrom(const Graph& g, const std::vector<NodeId>& nodes,
-                     SymbolId attr, const Value& a) {
-  for (NodeId v : nodes) {
-    const Value* val = g.GetAttr(v, attr);
-    if (val == nullptr || *val != a) return true;
+// Attribute facts about one label's node lists, read from the label's
+// columns (a row per node via Graph::BucketPosition), and their capped
+// active domains by rank.
+class Domains {
+ public:
+  Domains(const Graph& g, size_t cap) : g_(g), cap_(cap) {}
+
+  // The capped dom(A, nodes) of a `label` node list, ascending by rank.
+  std::vector<uint32_t> Capped(SymbolId label, SymbolId attr,
+                               NodeSpan nodes) {
+    return domains_.Ranks(g_, g_.AttrColumnOf(label, attr), nodes, cap_);
   }
-  return false;
-}
+
+  // Distinct attribute names present on any node of `nodes`, ascending.
+  std::vector<SymbolId> AttrsOn(NodeSpan nodes) const {
+    std::vector<SymbolId> out;
+    for (NodeId v : nodes) {
+      for (const AttrEntry& e : g_.attrs(v)) out.push_back(e.attr);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  bool CarriesAttr(SymbolId label, SymbolId attr, NodeSpan nodes) const {
+    const AttrColumn* col = g_.AttrColumnOf(label, attr);
+    if (col == nullptr) return false;
+    for (NodeId v : nodes) {
+      if (col->kinds[g_.BucketPosition(v)] != AttrColumn::kAbsent) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Does any node of `nodes` carry attr with a value of another rank than
+  // `rank` (or lack attr)?
+  bool SomeDiffersFrom(SymbolId label, SymbolId attr, NodeSpan nodes,
+                       uint32_t rank) const {
+    const AttrColumn* col = g_.AttrColumnOf(label, attr);
+    for (NodeId v : nodes) {
+      if (col == nullptr || col->ranks[g_.BucketPosition(v)] != rank) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const Graph& g_;
+  size_t cap_;
+  ActiveDomains domains_;
+};
 
 void PushOp(std::vector<EditOp>& ops, EditOp op, size_t cap) {
   if (ops.size() >= cap) return;
@@ -116,19 +195,22 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
                                 const PickyLimits& limits) {
   std::vector<EditOp> ops;
   const size_t cap = cfg.max_picky_ops;
+  if (unexpected.empty()) return ops;
   size_t d_q = q.Diameter();
 
-  NodeSet unexpected_set(unexpected, g.node_count());
+  Marks marks(g.node_count());
+  const uint32_t unexpected_set = marks.Fresh();
+  for (NodeId v : unexpected) marks.Insert(unexpected_set, v);
   std::vector<NodeId> desired;
   for (NodeId v : answers) {
-    if (!unexpected_set.Contains(v)) desired.push_back(v);
+    if (!marks.Contains(unexpected_set, v)) desired.push_back(v);
   }
-  if (unexpected.empty()) return ops;
 
-  Layered picky_layer = BuildLayered(g, unexpected, d_q + 1);
+  Layered picky_layer(g, unexpected, d_q + 1, marks);
   Layered desired_layer =
-      desired.empty() ? Layered() : BuildLayered(g, desired, d_q + 1);
-  Layered answer_layer = BuildLayered(g, answers, d_q + 1);
+      desired.empty() ? Layered() : Layered(g, desired, d_q + 1, marks);
+  Layered answer_layer(g, answers, d_q + 1, marks);
+  Domains dom(g, limits.max_domain_values);
 
   // AddE operators are assembled separately and appended after the node
   // operators: when the picky cap bites, the cheap-and-usually-pickier
@@ -142,17 +224,18 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   // edge with that label runs between their answer-side neighborhoods.
   std::set<std::tuple<QNodeId, QNodeId, SymbolId>> edge_seen;
   for (QNodeId u1 : component) {
-    size_t d1 = q.DistanceToOutput(u1);
-    std::vector<NodeId> ans1 = answer_layer.Filter(g, q.node(u1).label, d1);
+    NodeSpan ans1 =
+        answer_layer.Filter(q.node(u1).label, q.DistanceToOutput(u1));
     for (QNodeId u2 : component) {
       if (u1 == u2) continue;
-      size_t d2 = q.DistanceToOutput(u2);
-      std::vector<NodeId> ans2 =
-          answer_layer.Filter(g, q.node(u2).label, d2);
-      NodeSet ans2_set(ans2, g.node_count());
+      const uint32_t ans2 = marks.Fresh();
+      for (NodeId v : answer_layer.Filter(q.node(u2).label,
+                                          q.DistanceToOutput(u2))) {
+        marks.Insert(ans2, v);
+      }
       for (NodeId v1 : ans1) {
         for (const HalfEdge& e : g.out_edges(v1)) {
-          if (!ans2_set.Contains(e.other)) continue;
+          if (!marks.Contains(ans2, e.other)) continue;
           if (!edge_seen.insert({u1, u2, e.label}).second) continue;
           // Skip edges already in Q (duplicates are never picky).
           QueryEdge probe{u1, u2, e.label};
@@ -176,24 +259,39 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   // group yields a bare structural operator plus one-literal composites
   // resolved against the picky/desired sides (the paper's template
   // resolution).
+  struct Group {
+    bool forward = true;
+    SymbolId elabel = kInvalidSymbol;
+    SymbolId nlabel = kInvalidSymbol;
+    std::vector<NodeId> desired_nbrs;  // neighbors of non-picky side
+    std::vector<NodeId> picky_nbrs;    // neighbors of picky side
+  };
+  std::vector<Group> groups;
+  // Per direction: (edge label, neighbor label), packed -> index in groups.
+  std::unordered_map<uint64_t, size_t> group_at[2];
+  std::vector<size_t> group_order;
   for (QNodeId u1 : component) {
     size_t d1 = q.DistanceToOutput(u1);
     SymbolId l1 = q.node(u1).label;
-    std::vector<NodeId> ans1 = answer_layer.Filter(g, l1, d1);
-    std::vector<NodeId> picky1 = picky_layer.Filter(g, l1, d1);
-    NodeSet picky1_set(picky1, g.node_count());
+    const uint32_t picky1 = marks.Fresh();
+    for (NodeId v : picky_layer.Filter(l1, d1)) marks.Insert(picky1, v);
 
-    struct Group {
-      std::vector<NodeId> desired_nbrs;  // neighbors of non-picky side
-      std::vector<NodeId> picky_nbrs;    // neighbors of picky side
-    };
-    std::map<std::tuple<bool, SymbolId, SymbolId>, Group> groups;
+    // One flat group per key, in first-seen order, visited below in key
+    // order (direction, edge label, neighbor label), so the label cap keeps
+    // the same groups whatever order they were seen in.
+    groups.clear();
+    group_at[0].clear();
+    group_at[1].clear();
     constexpr size_t kMaxNbrSamples = 256;
-    for (NodeId v1 : ans1) {
-      bool from_picky = picky1_set.Contains(v1);
+    for (NodeId v1 : answer_layer.Filter(l1, d1)) {
+      bool from_picky = marks.Contains(picky1, v1);
       auto scan = [&](EdgeSpan adj, bool forward) {
         for (const HalfEdge& e : adj) {
-          Group& grp = groups[{forward, e.label, g.label(e.other)}];
+          SymbolId nlabel = g.label(e.other);
+          auto [it, fresh] = group_at[forward].try_emplace(
+              (uint64_t{e.label} << 32) | nlabel, groups.size());
+          if (fresh) groups.push_back(Group{forward, e.label, nlabel, {}, {}});
+          Group& grp = groups[it->second];
           std::vector<NodeId>& bucket =
               from_picky ? grp.picky_nbrs : grp.desired_nbrs;
           if (bucket.size() < kMaxNbrSamples) bucket.push_back(e.other);
@@ -202,10 +300,22 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
       scan(g.out_edges(v1), true);
       scan(g.in_edges(v1), false);
     }
+    group_order.resize(groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) group_order[i] = i;
+    std::sort(group_order.begin(), group_order.end(),
+              [&](size_t a, size_t b) {
+                const Group& x = groups[a];
+                const Group& y = groups[b];
+                return std::tie(x.forward, x.elabel, x.nlabel) <
+                       std::tie(y.forward, y.elabel, y.nlabel);
+              });
     size_t labels_used = 0;
-    for (auto& [key, grp] : groups) {
+    for (size_t gi : group_order) {
       if (labels_used >= limits.max_new_node_labels) break;
-      auto [forward, elabel, nlabel] = key;
+      const Group& grp = groups[gi];
+      const bool forward = grp.forward;
+      const SymbolId elabel = grp.elabel;
+      const SymbolId nlabel = grp.nlabel;
       // Skip when Q already constrains u1 by such an edge.
       bool already = false;
       for (const QueryEdge& e : q.edges()) {
@@ -232,31 +342,32 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
       constexpr size_t kMaxVariantsPerGroup = 8;
 
       // One-literal composites over attributes of the adjacent nodes.
-      for (SymbolId attr : AttrsOn(g, grp.desired_nbrs)) {
-        std::vector<Value> dom_desired = CapDomain(
-            ActiveDomain(g, attr, grp.desired_nbrs),
-            limits.max_domain_values);
-        std::vector<Value> dom_picky = CapDomain(
-            ActiveDomain(g, attr, grp.picky_nbrs), limits.max_domain_values);
-        for (const Value& a : dom_desired) {
+      NodeSpan desired_nbrs(grp.desired_nbrs.data(), grp.desired_nbrs.size());
+      NodeSpan picky_nbrs(grp.picky_nbrs.data(), grp.picky_nbrs.size());
+      for (SymbolId attr : dom.AttrsOn(desired_nbrs)) {
+        const AttrColumn& col = *g.AttrColumnOf(nlabel, attr);
+        std::vector<uint32_t> dom_desired =
+            dom.Capped(nlabel, attr, desired_nbrs);
+        std::vector<uint32_t> dom_picky = dom.Capped(nlabel, attr, picky_nbrs);
+        for (uint32_t a : dom_desired) {
           if (variants >= kMaxVariantsPerGroup) break;
-          if (!SomeDiffersFrom(g, grp.picky_nbrs, attr, a)) continue;
+          if (!dom.SomeDiffersFrom(nlabel, attr, picky_nbrs, a)) continue;
           EditOp op = base;
           op.new_node->literals.push_back(
-              MakeLiteral(attr, CompareOp::kEq, a));
+              MakeLiteral(attr, CompareOp::kEq, col.ValueAt(a)));
           PushOp(edge_ops, std::move(op), cap);
           ++variants;
         }
-        for (const Value& a : dom_picky) {
+        for (uint32_t a : dom_picky) {
           if (variants >= kMaxVariantsPerGroup) break;
-          if (!a.is_numeric()) continue;
+          if (!col.numeric_rank(a)) continue;
           EditOp lt = base;
           lt.new_node->literals.push_back(
-              MakeLiteral(attr, CompareOp::kLt, a));
+              MakeLiteral(attr, CompareOp::kLt, col.ValueAt(a)));
           PushOp(edge_ops, std::move(lt), cap);
           EditOp gt = base;
           gt.new_node->literals.push_back(
-              MakeLiteral(attr, CompareOp::kGt, a));
+              MakeLiteral(attr, CompareOp::kGt, col.ValueAt(a)));
           PushOp(edge_ops, std::move(gt), cap);
           variants += 2;
         }
@@ -268,17 +379,22 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   for (QNodeId u : component) {
     size_t d = q.DistanceToOutput(u);
     SymbolId lbl = q.node(u).label;
-    std::vector<NodeId> picky_n = picky_layer.Filter(g, lbl, d);
-    std::vector<NodeId> desired_n = desired_layer.set.empty()
-                                        ? std::vector<NodeId>{}
-                                        : desired_layer.Filter(g, lbl, d);
-    std::vector<NodeId> ans_n = answer_layer.Filter(g, lbl, d);
+    NodeSpan picky_n = picky_layer.Filter(lbl, d);
+    NodeSpan desired_n = desired_layer.Filter(lbl, d);
     if (picky_n.empty()) continue;
+    // The materialized values of a capped domain's ranks.
+    auto values = [&](SymbolId attr, const std::vector<uint32_t>& ranks) {
+      const AttrColumn* col = g.AttrColumnOf(lbl, attr);
+      std::vector<Value> out;
+      out.reserve(ranks.size());
+      for (uint32_t r : ranks) out.push_back(col->ValueAt(r));
+      return out;
+    };
 
     // RfL on existing literals (dom over the picky side).
     for (const Literal& l : q.node(u).literals) {
-      std::vector<Value> dom_picky = CapDomain(
-          ActiveDomain(g, l.attr, picky_n), limits.max_domain_values);
+      std::vector<Value> dom_picky =
+          values(l.attr, dom.Capped(lbl, l.attr, picky_n));
       if (IsUpperBound(l.op)) {
         for (const Value& a : dom_picky) {
           std::optional<int> cmp = l.constant.Compare(a);
@@ -318,8 +434,8 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     // attribute with no opposite bound gets its pair, resolved over the
     // picky-side domain (Example 5: Price <= 650 pairs with Price > 120).
     for (const Literal& l : q.node(u).literals) {
-      bool common = CarriesAttr(g, picky_n, l.attr) &&
-                    CarriesAttr(g, desired_n, l.attr);
+      bool common = dom.CarriesAttr(lbl, l.attr, picky_n) &&
+                    dom.CarriesAttr(lbl, l.attr, desired_n);
       if (!common) continue;
       bool has_upper = false;
       bool has_lower = false;
@@ -328,8 +444,8 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
         has_upper |= IsUpperBound(other.op);
         has_lower |= IsLowerBound(other.op);
       }
-      std::vector<Value> dom_picky = CapDomain(
-          ActiveDomain(g, l.attr, picky_n), limits.max_domain_values);
+      std::vector<Value> dom_picky =
+          values(l.attr, dom.Capped(lbl, l.attr, picky_n));
       if (IsLowerBound(l.op) && !has_upper) {
         for (const Value& a : dom_picky) {
           EditOp op;
@@ -353,10 +469,11 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     // AddL, case 2 — differential attributes: carried on the desired side
     // but absent from the picky side; requiring them (with a desired-side
     // tolerant bound) prunes picky candidates wholesale.
-    for (SymbolId attr : AttrsOn(g, desired_n)) {
-      if (CarriesAttr(g, picky_n, attr)) continue;  // not differential
-      std::vector<Value> dom_desired = CapDomain(
-          ActiveDomain(g, attr, desired_n), limits.max_domain_values);
+    std::vector<SymbolId> desired_attrs = dom.AttrsOn(desired_n);
+    for (SymbolId attr : desired_attrs) {
+      if (dom.CarriesAttr(lbl, attr, picky_n)) continue;  // not differential
+      std::vector<Value> dom_desired =
+          values(attr, dom.Capped(lbl, attr, desired_n));
       if (dom_desired.empty()) continue;
       if (dom_desired.front().is_numeric() &&
           dom_desired.back().is_numeric()) {
@@ -384,36 +501,33 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     // AddL, case 3 — common attributes not yet constrained at u: equality
     // to a desired-side value some picky node misses, plus bounds cut at
     // picky-side values.
-    for (SymbolId attr : AttrsOn(g, desired_n)) {
-      if (!CarriesAttr(g, picky_n, attr)) continue;
+    for (SymbolId attr : desired_attrs) {
+      if (!dom.CarriesAttr(lbl, attr, picky_n)) continue;
       bool constrained = false;
       for (const Literal& other : q.node(u).literals) {
         constrained |= other.attr == attr;
       }
       if (constrained) continue;
-      std::vector<Value> dom_desired = CapDomain(
-          ActiveDomain(g, attr, desired_n), limits.max_domain_values);
-      for (const Value& a : dom_desired) {
-        if (!SomeDiffersFrom(g, picky_n, attr, a)) continue;
+      const AttrColumn& col = *g.AttrColumnOf(lbl, attr);
+      for (uint32_t a : dom.Capped(lbl, attr, desired_n)) {
+        if (!dom.SomeDiffersFrom(lbl, attr, picky_n, a)) continue;
         EditOp op;
         op.kind = OpKind::kAddL;
         op.u = u;
-        op.after = MakeLiteral(attr, CompareOp::kEq, a);
+        op.after = MakeLiteral(attr, CompareOp::kEq, col.ValueAt(a));
         PushOp(ops, std::move(op), cap);
       }
-      std::vector<Value> dom_picky = CapDomain(
-          ActiveDomain(g, attr, picky_n), limits.max_domain_values);
-      for (const Value& a : dom_picky) {
-        if (!a.is_numeric()) continue;
+      for (uint32_t a : dom.Capped(lbl, attr, picky_n)) {
+        if (!col.numeric_rank(a)) continue;
         EditOp lt;
         lt.kind = OpKind::kAddL;
         lt.u = u;
-        lt.after = MakeLiteral(attr, CompareOp::kLt, a);
+        lt.after = MakeLiteral(attr, CompareOp::kLt, col.ValueAt(a));
         PushOp(ops, std::move(lt), cap);
         EditOp gt;
         gt.kind = OpKind::kAddL;
         gt.u = u;
-        gt.after = MakeLiteral(attr, CompareOp::kGt, a);
+        gt.after = MakeLiteral(attr, CompareOp::kGt, col.ValueAt(a));
         PushOp(ops, std::move(gt), cap);
       }
     }
@@ -432,12 +546,14 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
   const size_t cap = cfg.max_picky_ops;
   if (missing.empty()) return ops;
   size_t d_q = q.Diameter();
-  Layered missing_layer = BuildLayered(g, missing, d_q);
+  Marks marks(g.node_count());
+  Layered missing_layer(g, missing, d_q, marks);
+  Domains dom(g, limits.max_domain_values);
 
   std::vector<QNodeId> component = q.OutputComponent();
   for (QNodeId u : component) {
-    size_t d = q.DistanceToOutput(u);
-    std::vector<NodeId> near = missing_layer.Filter(g, q.node(u).label, d);
+    SymbolId lbl = q.node(u).label;
+    NodeSpan near = missing_layer.Filter(lbl, q.DistanceToOutput(u));
 
     for (const Literal& l : q.node(u).literals) {
       // RmL is always available.
@@ -449,9 +565,9 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
 
       // RxL over the missing-side active domain (common attributes only —
       // relaxing toward values nobody near V_C carries cannot help).
-      std::vector<Value> dom =
-          CapDomain(ActiveDomain(g, l.attr, near), limits.max_domain_values);
-      for (const Value& a : dom) {
+      const AttrColumn* col = g.AttrColumnOf(lbl, l.attr);
+      for (uint32_t rank : dom.Capped(lbl, l.attr, near)) {
+        Value a = col->ValueAt(rank);
         std::optional<int> cmp = l.constant.Compare(a);
         if (!cmp.has_value()) continue;
         if ((IsUpperBound(l.op) || l.op == CompareOp::kEq) && *cmp <= 0) {

@@ -17,7 +17,13 @@ namespace whyq {
 ///
 /// Both generators work on the d(u',u_o)-hop, label-filtered neighborhoods
 /// N(V, u') of the question's entities, so their cost depends on Q, the
-/// question and local graph density only — never on |G|.
+/// question and local graph density only — never on |G| (beyond one
+/// node-stamp array per call). Each neighborhood is one BFS whose nodes are
+/// kept per label in BFS order, so N(V, u') is a prefix of its label's run.
+/// Active domains dom(A, N(V, u')) are one pass over the nodes' value ranks
+/// in the label's AttrColumn (graph.h): a bit per rank present, then only
+/// the ranks the cap keeps are materialized as Values. Each list costs its
+/// length plus ranks / 64 words; no Value is sorted.
 ///
 /// Deviations from the paper, documented in DESIGN.md:
 ///  * Composite AddE operators carry their resolved literals inline (one

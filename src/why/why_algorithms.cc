@@ -47,12 +47,6 @@ struct WhyKind {
                                    const AnswerConfig& cfg) {
     return GenPickyWhy(g, q, answers, eval.unexpected(), cfg);
   }
-  // Seeds a truncated exact run.
-  static RewriteAnswer Fallback(const Graph& g, const Query& q,
-                                const std::vector<NodeId>& answers,
-                                const Question& w, const AnswerConfig& cfg) {
-    return ApproxWhy(g, q, answers, w, cfg);
-  }
   // The entities the closeness counts.
   static const std::vector<NodeId>& Targets(const Evaluator& eval) {
     return eval.unexpected();
@@ -112,11 +106,6 @@ struct WhyNotKind {
                                    const Evaluator& eval,
                                    const AnswerConfig& cfg) {
     return GenPickyWhyNot(g, q, eval.missing(), cfg);
-  }
-  static RewriteAnswer Fallback(const Graph& g, const Query& q,
-                                const std::vector<NodeId>& answers,
-                                const Question& w, const AnswerConfig& cfg) {
-    return FastWhyNot(g, q, answers, w, cfg);
   }
   static const std::vector<NodeId>& Targets(const Evaluator& eval) {
     return eval.missing();
@@ -216,6 +205,36 @@ void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
   }
 }
 
+// What every search of one request shares: the exact evaluator and its
+// executor slots, the cost model, and the budget-screened picky pool, which
+// is generated once. A truncated exact run's greedy fallback runs on the
+// same pool (and so on the same candidate memo) as the enumeration.
+template <typename Kind>
+struct SearchSetup {
+  SearchSetup(const Graph& g, const Query& q,
+              const std::vector<NodeId>& answers,
+              const typename Kind::Question& w, const AnswerConfig& cfg)
+      : eval(g, answers, w, cfg.guard_m, cfg.semantics, cfg.cancel),
+        cost(q, g, cfg.weighted_cost),
+        slots(eval, g, q, answers, w, cfg) {
+    BudgetScreen(Kind::Picky(g, q, answers, eval, cfg), cost, cfg.budget,
+                 &usable, &costs);
+  }
+
+  // Every evaluator's candidate-memo counters.
+  MatchContext::Stats Stats() const {
+    MatchContext::Stats s = eval.context().stats();
+    s.Add(slots.CloneStats());
+    return s;
+  }
+
+  typename Kind::Evaluator eval;
+  CostModel cost;
+  SlotEvaluators<Kind> slots;
+  std::vector<EditOp> usable;  // in generation order
+  std::vector<double> costs;   // aligned with usable
+};
+
 // The evaluation reported when a search answers with Q itself. Past the
 // deadline no more matching runs, but Q's evaluation is known without it:
 // its answers stay answers (guard 0) and no entity of the question changes
@@ -281,19 +300,24 @@ void MinimizeCost(const Query& q, const Evaluator& eval,
 // enumeration thread with the caller's evaluator, never concurrently with
 // a batch.
 template <typename Kind>
+RewriteAnswer Greedy(const Graph& g, const Query& q,
+                     const std::vector<NodeId>& answers,
+                     const AnswerConfig& cfg, bool exact,
+                     SearchSetup<Kind>& setup);
+
+template <typename Kind>
 RewriteAnswer Exact(const Graph& g, const Query& q,
                     const std::vector<NodeId>& answers,
                     const typename Kind::Question& w,
                     const AnswerConfig& cfg) {
   RewriteAnswer out;
   out.rewritten = q;
-  typename Kind::Evaluator eval(g, answers, w, cfg.guard_m, cfg.semantics,
-                                cfg.cancel);
-  CostModel cost(q, g, cfg.weighted_cost);
-  std::vector<EditOp> usable;
-  std::vector<double> costs;
-  BudgetScreen(Kind::Picky(g, q, answers, eval, cfg), cost, cfg.budget,
-               &usable, &costs);
+  SearchSetup<Kind> setup(g, q, answers, w, cfg);
+  typename Kind::Evaluator& eval = setup.eval;
+  const CostModel& cost = setup.cost;
+  const std::vector<EditOp>& usable = setup.usable;
+  const std::vector<double>& costs = setup.costs;
+  SlotEvaluators<Kind>& slots = setup.slots;
   out.picky_count = usable.size();
 
   double best_cl = -1.0;
@@ -308,7 +332,6 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
              (cfg.exact_time_limit_ms > 0 &&
               exact_timer.ElapsedMillis() > cfg.exact_time_limit_ms);
     };
-    SlotEvaluators<Kind> slots(eval, g, q, answers, w, cfg);
     // Serial runs flush after every emission (evaluate immediately, stop
     // immediately at closeness 1); parallel runs trade a slightly deeper
     // lookahead for load balance across the slots.
@@ -373,7 +396,6 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
         });
     out.sets_enumerated = stats.emitted;
     out.exhaustive = !stats.truncated && !timed_out;
-    out.ctx = slots.CloneStats();
   }
 
   // Fallback when the capped enumeration missed a solution the greedy can
@@ -382,8 +404,8 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
   // when the request itself is cancelled/past deadline — return
   // best-so-far now.
   if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
-    RewriteAnswer seed = Kind::Fallback(g, q, answers, w, cfg);
-    out.ctx.Add(seed.ctx);  // the seeding work happened regardless
+    RewriteAnswer seed =
+        Greedy<Kind>(g, q, answers, cfg, /*exact=*/false, setup);
     if (seed.found && seed.eval.guard_ok &&
         seed.cost <= cfg.budget + kEps &&
         (seed.eval.closeness > best_cl + kEps ||
@@ -398,7 +420,7 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
   if (best_cl < 0.0 || best_ops.empty()) {
     // No improving set: answer with the empty rewrite (Q itself).
     out.eval = EvaluateQ(eval, q, cfg.cancel);
-    out.ctx.Add(eval.context().stats());
+    out.ctx = setup.Stats();
     return out;
   }
   out.found = best_eval.closeness > 0.0;
@@ -411,7 +433,7 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = out.eval.closeness;
-  out.ctx.Add(eval.context().stats());
+  out.ctx = setup.Stats();
   return out;
 }
 
@@ -420,35 +442,30 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
 // marginal gain per unit cost. Each usable picky operator is prepped once
 // (Kind::Prepare) and scored once per selection, by the estimated (or,
 // when `exact`, verified) closeness of the selection plus it.
+//
+// Runs on `setup`, whose counters the caller folds into its answer: the
+// public greedy algorithms on a setup of their own, a truncated exact run
+// on the one `Exact<Kind>` built.
 template <typename Kind>
 RewriteAnswer Greedy(const Graph& g, const Query& q,
                      const std::vector<NodeId>& answers,
-                     const typename Kind::Question& w,
-                     const AnswerConfig& cfg, bool exact) {
+                     const AnswerConfig& cfg, bool exact,
+                     SearchSetup<Kind>& setup) {
   RewriteAnswer out;
   out.exhaustive = true;  // greedy: nothing to truncate (unless cancelled)
   out.rewritten = q;
-  typename Kind::Evaluator eval(g, answers, w, cfg.guard_m, cfg.semantics,
-                                cfg.cancel);
-  CostModel cost(q, g, cfg.weighted_cost);
+  typename Kind::Evaluator& eval = setup.eval;
+  const CostModel& cost = setup.cost;
+  SlotEvaluators<Kind>& slots = setup.slots;
   std::optional<PathIndex> own_pidx;
   if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
   const PathIndex& pidx = cfg.path_index ? *cfg.path_index : *own_pidx;
   Kind kind(eval, answers, cfg);
   const std::vector<NodeId>& targets = Kind::Targets(eval);
 
-  SlotEvaluators<Kind> slots(eval, g, q, answers, w, cfg);
-  // Sum of every evaluator's candidate-memo counters, folded into the
-  // answer at each exit.
-  auto finish_ctx = [&]() {
-    out.ctx = eval.context().stats();
-    out.ctx.Add(slots.CloneStats());
-  };
-
-  std::vector<EditOp> usable;
-  std::vector<double> costs;
-  BudgetScreen(Kind::Picky(g, q, answers, eval, cfg), cost, cfg.budget,
-               &usable, &costs);
+  // A prep cut short below keeps a prefix of the picky pool.
+  std::vector<EditOp> usable = setup.usable;
+  std::vector<double> costs = setup.costs;
   // The per-candidate prep — the expensive part — runs on the pool, one
   // evaluator per executor slot.
   std::vector<Prep> prep(usable.size());
@@ -663,13 +680,23 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   }
   if (selected.empty()) {
     out.eval = EvaluateQ(eval, q, cfg.cancel);
-    finish_ctx();
     return out;
   }
   out.cost = cost.Cost(out.ops);
   out.estimated_closeness = current_cl;
   out.found = out.eval.guard_ok && out.eval.closeness > 0.0;
-  finish_ctx();
+  return out;
+}
+
+// A greedy algorithm on a setup of its own.
+template <typename Kind>
+RewriteAnswer RunGreedy(const Graph& g, const Query& q,
+                        const std::vector<NodeId>& answers,
+                        const typename Kind::Question& w,
+                        const AnswerConfig& cfg, bool exact) {
+  SearchSetup<Kind> setup(g, q, answers, w, cfg);
+  RewriteAnswer out = Greedy<Kind>(g, q, answers, cfg, exact, setup);
+  out.ctx = setup.Stats();
   return out;
 }
 
@@ -707,13 +734,13 @@ RewriteAnswer ExactWhy(const Graph& g, const Query& q,
 RewriteAnswer ApproxWhy(const Graph& g, const Query& q,
                         const std::vector<NodeId>& answers,
                         const WhyQuestion& w, const AnswerConfig& cfg) {
-  return Greedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/false);
+  return RunGreedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/false);
 }
 
 RewriteAnswer IsoWhy(const Graph& g, const Query& q,
                      const std::vector<NodeId>& answers, const WhyQuestion& w,
                      const AnswerConfig& cfg) {
-  return Greedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/true);
+  return RunGreedy<WhyKind>(g, q, answers, w, cfg, /*exact=*/true);
 }
 
 RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
@@ -725,13 +752,13 @@ RewriteAnswer ExactWhyNot(const Graph& g, const Query& q,
 RewriteAnswer FastWhyNot(const Graph& g, const Query& q,
                          const std::vector<NodeId>& answers,
                          const WhyNotQuestion& w, const AnswerConfig& cfg) {
-  return Greedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/false);
+  return RunGreedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/false);
 }
 
 RewriteAnswer IsoWhyNot(const Graph& g, const Query& q,
                         const std::vector<NodeId>& answers,
                         const WhyNotQuestion& w, const AnswerConfig& cfg) {
-  return Greedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/true);
+  return RunGreedy<WhyNotKind>(g, q, answers, w, cfg, /*exact=*/true);
 }
 
 }  // namespace whyq

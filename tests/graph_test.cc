@@ -163,20 +163,5 @@ TEST(GraphStatsTest, Summary) {
   EXPECT_FALSE(s.ToString().empty());
 }
 
-TEST(ActiveDomainTest, DistinctSortedValues) {
-  GraphBuilder b;
-  for (int i = 0; i < 4; ++i) {
-    NodeId v = b.AddNode("A");
-    b.SetAttr(v, "p", Value(int64_t{i % 2}));  // values {0,1}
-  }
-  b.AddNode("A");  // no attribute: contributes nothing
-  Graph g = b.Build();
-  std::vector<NodeId> all{0, 1, 2, 3, 4};
-  std::vector<Value> dom = ActiveDomain(g, *g.attr_names().Find("p"), all);
-  ASSERT_EQ(dom.size(), 2u);
-  EXPECT_EQ(dom[0].as_int(), 0);
-  EXPECT_EQ(dom[1].as_int(), 1);
-}
-
 }  // namespace
 }  // namespace whyq

@@ -23,6 +23,7 @@
 #include "rewrite/cost_model.h"
 #include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
+#include "why/extensions.h"
 #include "why/picky.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
@@ -457,6 +458,125 @@ TEST_P(CancellationSweepTest, TruncatedAnswersStayValid) {
     }
   }
   EXPECT_GT(truncated, 0u);
+  RecordProperty("truncated_runs", static_cast<int>(truncated));
+}
+
+// The pooled evaluation of Q ⊕ ops over every output, by fresh uncancelled
+// evaluators: the reference a multi-output answer's eval must equal.
+EvalResult PooledEvaluation(const Graph& g, const Query& q,
+                            const std::vector<std::vector<NodeId>>& answers,
+                            const std::vector<std::vector<NodeId>>& unexpected,
+                            const AnswerConfig& cfg, const OperatorSet& ops) {
+  size_t total = 0;
+  size_t excluded = 0;
+  size_t guard = 0;
+  for (size_t i = 0; i < q.outputs().size(); ++i) {
+    Query qi = q;
+    qi.SetOutput(q.outputs()[i]);
+    WhyEvaluator fresh(g, answers[i], WhyQuestion{unexpected[i]}, cfg.guard_m,
+                       cfg.semantics);
+    total += fresh.unexpected().size();
+    for (NodeId v : fresh.AffectedAnswers(ApplyOperators(qi, ops))) {
+      if (fresh.IsUnexpected(v)) {
+        ++excluded;
+      } else {
+        ++guard;
+      }
+    }
+  }
+  EvalResult r;
+  r.closeness = static_cast<double>(excluded) / static_cast<double>(total);
+  r.guard = guard;
+  r.guard_ok = guard <= cfg.guard_m;
+  return r;
+}
+
+using MultiOutputAlgorithm = RewriteAnswer (*)(
+    const Graph&, const Query&, const std::vector<std::vector<NodeId>>&,
+    const std::vector<std::vector<NodeId>>&, const AnswerConfig&);
+
+// The Nth-poll sweep of SweepCancellation for a multi-output algorithm.
+size_t SweepMultiOutput(const Graph& g, const Query& q,
+                        const std::vector<std::vector<NodeId>>& answers,
+                        const std::vector<std::vector<NodeId>>& unexpected,
+                        const AnswerConfig& base,
+                        MultiOutputAlgorithm algorithm, const char* name) {
+  size_t truncated = 0;
+  for (uint64_t n = 1;; ++n) {
+    CancelToken token;
+    token.ExpireAtPoll(n);
+    AnswerConfig cfg = base;
+    cfg.threads = 1;
+    cfg.cancel = &token;
+    RewriteAnswer a = algorithm(g, q, answers, unexpected, cfg);
+    if (!token.Cancelled()) break;  // the run polled fewer than n times
+    ++truncated;
+    std::string what = std::string(name) + " cut at poll " +
+                       std::to_string(n) + ": ops { " +
+                       DescribeOperators(a.ops, g) + " }";
+    for (size_t i = 0; i < a.ops.size(); ++i) {
+      for (size_t j = i + 1; j < a.ops.size(); ++j) {
+        EXPECT_FALSE(OpsConflict(a.ops[i], a.ops[j])) << what;
+      }
+    }
+    EXPECT_LE(a.cost, cfg.budget + kOracleEps) << what;
+    EXPECT_EQ(WriteQuery(a.rewritten, g),
+              WriteQuery(ApplyOperators(q, a.ops), g))
+        << what;
+    EvalResult r = PooledEvaluation(g, q, answers, unexpected, base, a.ops);
+    EXPECT_EQ(a.eval.closeness, r.closeness) << what;
+    EXPECT_EQ(a.eval.guard, r.guard) << what;
+    EXPECT_EQ(a.eval.guard_ok, r.guard_ok) << what;
+    if (a.found) {
+      EXPECT_TRUE(a.eval.guard_ok) << what;
+    }
+    if (testing::Test::HasFailure()) break;  // report the first bad cut
+  }
+  return truncated;
+}
+
+// The same instances with a second output: the next query node after the
+// output, with a Why question over a random half of each output's answers.
+// The picky union of two outputs is up to twice the single-output pool and
+// a sweep costs the square of a run's polls, so each output's picky set is
+// capped at 6 operators.
+TEST_P(CancellationSweepTest, MultiOutputTruncatedAnswersStayValid) {
+  Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 389 + 11);
+  const Graph& g = inst.g;
+  Query q = inst.q;
+  q.AddOutput(static_cast<QNodeId>((q.output() + 1) % q.node_count()));
+  Rng rng(static_cast<uint64_t>(GetParam()) * 827 + 3);
+  size_t truncated = 0;
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    SCOPED_TRACE(semantics == MatchSemantics::kSimulation ? "simulation"
+                                                          : "isomorphism");
+    AnswerConfig cfg = OracleConfig(GetParam(), semantics);
+    cfg.max_picky_ops = 6;
+    std::vector<std::vector<NodeId>> answers;
+    std::vector<std::vector<NodeId>> unexpected;
+    size_t total = 0;
+    for (QNodeId u : q.outputs()) {
+      Query qi = q;
+      qi.SetOutput(u);
+      answers.push_back(semantics == MatchSemantics::kSimulation
+                            ? SimulationAnswers(g, qi)
+                            : Matcher(g).MatchOutput(qi));
+      unexpected.emplace_back();
+      for (NodeId v : answers.back()) {
+        if (unexpected.back().empty() || rng.Chance(0.5)) {
+          unexpected.back().push_back(v);
+        }
+      }
+      total += unexpected.back().size();
+    }
+    if (total == 0) continue;
+    truncated += SweepMultiOutput(g, q, answers, unexpected, cfg,
+                                  &ExactWhyMultiOutput, "ExactWhyMultiOutput");
+    truncated += SweepMultiOutput(g, q, answers, unexpected, cfg,
+                                  &ApproxWhyMultiOutput,
+                                  "ApproxWhyMultiOutput");
+  }
   RecordProperty("truncated_runs", static_cast<int>(truncated));
 }
 
