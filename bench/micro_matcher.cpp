@@ -324,13 +324,18 @@ BENCHMARK(BM_ContextRelaxedMiss);
 // (Offer.price < 2500.5); arg 2: a string equality (Product.brand = the
 // first product's brand).
 
-void BM_LiteralBitmap(benchmark::State& state) {
+const Graph& Bsbm500() {
   static const Graph* g = [] {
     BsbmConfig bc;
     bc.products = 500;
     bc.seed = 58;
     return new Graph(GenerateBsbm(bc));
   }();
+  return *g;
+}
+
+void BM_LiteralBitmap(benchmark::State& state) {
+  const Graph* g = &Bsbm500();
   const Dictionary& labels = g->node_labels();
   const Dictionary& attrs = g->attr_names();
   QueryNode qn;
@@ -364,6 +369,86 @@ void BM_LiteralBitmap(benchmark::State& state) {
   state.counters["matched"] = static_cast<double>(matched);
 }
 BENCHMARK(BM_LiteralBitmap)->Arg(0)->Arg(1)->Arg(2);
+
+// --- Guard admission over a why-not question's relaxations -------------
+// The exact why-not search admits each candidate set through
+// WhyNotEvaluator::GuardOk: a capped count of the answers outside
+// Q(u_o,G) ∪ V_C. Each iteration is one request: a fresh evaluator (and
+// with it one context) checks the guard of every RxL/RmL/RmE picky
+// operator of a BSBM-500 query, singly and in non-conflicting adjacent
+// pairs. iso_tests are the backtracking searches of the same sweep,
+// replayed once through a Matcher outside the timed loop.
+
+struct GuardFixture {
+  Query query;
+  std::vector<NodeId> answers;
+  WhyNotQuestion question;
+  std::vector<Query> rewrites;
+  bool ok = false;
+};
+
+const GuardFixture& SharedGuardFixture() {
+  static GuardFixture* f = [] {
+    auto* fx = new GuardFixture();
+    const Graph& g = Bsbm500();
+    Rng rng(58);
+    QueryGenConfig cfg;
+    cfg.edges = 4;
+    cfg.literals_per_node = 2;
+    cfg.min_answers = 2;
+    std::optional<GeneratedQuery> gq = GenerateQuery(g, cfg, rng);
+    if (!gq.has_value()) return fx;
+    fx->query = gq->query;
+    fx->answers = gq->answers;
+    const SymbolId label = fx->query.node(fx->query.output()).label;
+    for (NodeId v : g.NodesWithLabel(label)) {
+      if (fx->question.missing.size() == 4) break;
+      if (!std::binary_search(fx->answers.begin(), fx->answers.end(), v)) {
+        fx->question.missing.push_back(v);
+      }
+    }
+    std::vector<EditOp> ops =
+        GenPickyWhyNot(g, fx->query, fx->question.missing, {});
+    for (const EditOp& op : ops) {
+      fx->rewrites.push_back(ApplyOperators(fx->query, {op}));
+    }
+    for (size_t i = 0; i + 1 < ops.size(); i += 2) {
+      if (OpsConflict(ops[i], ops[i + 1])) continue;
+      fx->rewrites.push_back(
+          ApplyOperators(fx->query, {ops[i], ops[i + 1]}));
+    }
+    fx->ok = !fx->rewrites.empty();
+    return fx;
+  }();
+  return *f;
+}
+
+void BM_GuardRelaxationSweep(benchmark::State& state) {
+  const GuardFixture& f = SharedGuardFixture();
+  if (!f.ok) {
+    state.SkipWithError("no fixture");
+    return;
+  }
+  const Graph& g = Bsbm500();
+  size_t admitted = 0;
+  uint64_t pruned = 0;
+  for (auto _ : state) {
+    WhyNotEvaluator ev(g, f.answers, f.question, /*guard_m=*/2);
+    admitted = 0;
+    for (const Query& rw : f.rewrites) admitted += ev.GuardOk(rw) ? 1 : 0;
+    pruned = ev.context().stats().pruned;
+  }
+  WhyNotEvaluator ev(g, f.answers, f.question, /*guard_m=*/2);
+  Matcher m(g);
+  for (const Query& rw : f.rewrites) {
+    m.CountAnswersNotIn(rw, ev.protected_set(), ev.guard_m());
+  }
+  state.counters["rewrites"] = static_cast<double>(f.rewrites.size());
+  state.counters["admitted"] = static_cast<double>(admitted);
+  state.counters["iso_tests"] = static_cast<double>(m.stats().iso_tests);
+  state.counters["ctx_pruned"] = static_cast<double>(pruned);
+}
+BENCHMARK(BM_GuardRelaxationSweep);
 
 // --- Cold start: frozen snapshot mmap vs GraphBuilder rebuild -----------
 // The snapshot promise (docs/SNAPSHOT_FORMAT.md) is that re-opening a

@@ -259,6 +259,27 @@ const MatchContext::CandidateSet& MatchContext::AddEntry(
   return *cand;
 }
 
+size_t MatchContext::SupportKeyHash::operator()(const SupportKey& k) const {
+  return Mix(reinterpret_cast<uintptr_t>(k.child) ^
+             (uint64_t{k.label} << 1 | uint64_t{k.out}));
+}
+
+const uint64_t* MatchContext::Support(const CandidateSet& child,
+                                      SymbolId label, bool out) {
+  auto [it, inserted] = supports_.try_emplace(SupportKey{&child, label, out});
+  if (!inserted) return it->second;
+  // v -> c edges are c's in-slice, c -> v edges its out-slice.
+  uint64_t* bits = ZeroedBitmap();
+  for (NodeId c : child) {
+    for (NodeId v : out ? g_.LabeledInNeighbors(c, label)
+                        : g_.LabeledOutNeighbors(c, label)) {
+      bits[v >> 6] |= uint64_t{1} << (v & 63);
+    }
+  }
+  it->second = bits;
+  return bits;
+}
+
 void MatchContext::Prime(const Query& q) {
   for (QNodeId u = 0; u < q.node_count(); ++u) {
     Lookup(q.node(u));

@@ -44,6 +44,17 @@ namespace whyq {
 /// distinct constraints per request are bounded by the picky-operator
 /// universe.
 ///
+/// Support memo: for a candidate set, an edge label and a direction, the
+/// bitmap over V of the nodes with at least one such edge into the set,
+/// built once by one pass over the set's labeled adjacency and keyed by
+/// the set's stable address. The matcher ANDs the supports of a plan's
+/// root-adjacent steps into the root candidates before backtracking, so a
+/// root with no anchor-label neighbour in some child's set is skipped
+/// without a search (and counted in ctx_pruned). The check is
+/// necessary-only (it ignores injectivity and the other edges), so the
+/// surviving roots are searched in the same ascending order. Like the
+/// literal bitmaps, supports live in the arena for the request only.
+///
 /// Thread-safety: none. A MatchContext is mutable per-lookup state and must
 /// be confined to one thread/request, exactly like the Matcher and
 /// evaluators that borrow it (each parallel executor slot owns its own
@@ -93,9 +104,16 @@ class MatchContext {
   /// a request is still in its prepare stage).
   void Prime(const Query& q);
 
+  /// The memoized support bitmap of `child` over `label` edges: bit v of
+  /// the ceil(|V| / 64) words is set iff v has a `label` edge into `child`
+  /// (v -> c for some c in it when `out`, c -> v otherwise). Built on
+  /// first use; the words stay valid for the context's lifetime.
+  const uint64_t* Support(const CandidateSet& child, SymbolId label,
+                          bool out);
+
   /// Adds to the pruned-attempts counter: the matcher counts each
-  /// label-bucket root and each anchor-slice neighbor that the memoized
-  /// list or the bitmap skips.
+  /// label-bucket root that the memoized list or a support bitmap skips
+  /// and each anchor-slice neighbor that a candidate bitmap rejects.
   void CountPruned(uint64_t n) { stats_.pruned += n; }
 
   const Stats& stats() const { return stats_; }
@@ -131,6 +149,17 @@ class MatchContext {
     const uint64_t* bits = nullptr;  // arena-resident, span words
   };
 
+  // The key of one support bitmap: (child set, edge label, direction).
+  struct SupportKey {
+    const CandidateSet* child;
+    SymbolId label;
+    bool out;
+    bool operator==(const SupportKey&) const = default;
+  };
+  struct SupportKeyHash {
+    size_t operator()(const SupportKey& k) const;
+  };
+
   // Builds (and memoizes) the set of a constraint not seen before.
   const CandidateSet& Insert(const QueryNode& qn, uint64_t hash);
 
@@ -161,6 +190,8 @@ class MatchContext {
   std::unordered_multimap<uint64_t, size_t> index_;  // hash -> entry
   std::vector<LiteralEntry> literals_;
   std::unordered_multimap<uint64_t, size_t> literal_index_;  // hash -> literal
+  // Arena-resident support bitmaps over V.
+  std::unordered_map<SupportKey, const uint64_t*, SupportKeyHash> supports_;
   Stats stats_;
 };
 

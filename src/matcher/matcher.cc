@@ -121,8 +121,35 @@ NodeSpan Matcher::RootCandidates(const Query& q,
   // The memoized candidate list: the label bucket in ascending order minus
   // the nodes failing a literal (accounted as pruned).
   const MatchContext::CandidateSet& cand = *plan[0].cand;
-  ctx_.CountPruned(bucket.size() - cand.size());
-  return cand.list();
+  // The BFS places the root's children first. A root needs an anchor-label
+  // neighbour in each child's set, so it must lie in each child's support.
+  size_t children = 1;
+  while (children < plan.size() && plan[children].anchor_pos == 0) {
+    ++children;
+  }
+  if (children == 1 || cand.size() == 0) {
+    ctx_.CountPruned(bucket.size() - cand.size());
+    return cand.list();
+  }
+  const size_t lo = cand.nodes[0] >> 6;
+  root_words_.assign(cand.bits + lo,
+                     cand.bits + (cand.nodes[cand.size() - 1] >> 6) + 1);
+  for (size_t i = 1; i < children; ++i) {
+    const uint64_t* support = ctx_.Support(
+        *plan[i].cand, plan[i].anchor_label, plan[i].anchor_forward);
+    for (size_t w = 0; w < root_words_.size(); ++w) {
+      root_words_[w] &= support[lo + w];
+    }
+  }
+  roots_.clear();
+  for (size_t w = 0; w < root_words_.size(); ++w) {
+    for (uint64_t word = root_words_[w]; word != 0; word &= word - 1) {
+      roots_.push_back(
+          static_cast<NodeId>((lo + w) * 64 + __builtin_ctzll(word)));
+    }
+  }
+  ctx_.CountPruned(bucket.size() - roots_.size());
+  return NodeSpan{roots_.data(), roots_.size()};
 }
 
 bool Matcher::Extend(const std::vector<PlanStep>& plan, size_t pos,

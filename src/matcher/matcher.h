@@ -156,8 +156,10 @@ class Matcher {
     return cancel_hit_;
   }
 
-  // Root candidates of a plan: the memoized list, with the label-bucket
-  // nodes it skips accounted as pruned.
+  // Root candidates of a plan: the memoized list minus the roots that some
+  // root-adjacent step's support bitmap lacks, ascending, with the
+  // label-bucket nodes skipped accounted as pruned. The span is valid until
+  // the next call.
   NodeSpan RootCandidates(const Query& q,
                           const std::vector<PlanStep>& plan) const;
 
@@ -175,6 +177,10 @@ class Matcher {
   // Failed searches restore every slot, so the refill is skipped on the
   // dominant reject path.
   mutable bool assignment_dirty_ = true;
+  // RootCandidates scratch: the root words ANDed with the supports, and the
+  // surviving roots read off them.
+  mutable std::vector<uint64_t> root_words_;
+  mutable std::vector<NodeId> roots_;
   const CancelToken* cancel_ = nullptr;
   mutable bool cancel_hit_ = false;
 };

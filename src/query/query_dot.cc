@@ -1,6 +1,5 @@
 #include "query/query_dot.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace whyq {
@@ -27,17 +26,6 @@ std::string NodeLabel(const Query& q, const Graph& g, QNodeId u) {
   return Escape(os.str());
 }
 
-bool HasLiteral(const Query& q, QNodeId u, const Literal& l) {
-  if (u >= q.node_count()) return false;
-  const auto& lits = q.node(u).literals;
-  return std::find(lits.begin(), lits.end(), l) != lits.end();
-}
-
-bool HasEdge(const Query& q, const QueryEdge& e) {
-  const auto& es = q.edges();
-  return std::find(es.begin(), es.end(), e) != es.end();
-}
-
 }  // namespace
 
 std::string QueryToDot(const Query& q, const Graph& g,
@@ -53,56 +41,6 @@ std::string QueryToDot(const Query& q, const Graph& g,
   for (const QueryEdge& e : q.edges()) {
     os << "  u" << e.src << " -> u" << e.dst << " [label=\""
        << Escape(g.EdgeLabelName(e.label)) << "\"];\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string RewriteToDot(const Query& before, const Query& after,
-                         const Graph& g, const std::string& graph_name) {
-  std::ostringstream os;
-  os << "digraph " << graph_name << " {\n"
-     << "  node [shape=box, fontsize=10];\n";
-  size_t max_nodes = std::max(before.node_count(), after.node_count());
-  for (QNodeId u = 0; u < max_nodes; ++u) {
-    bool in_before = u < before.node_count();
-    bool in_after = u < after.node_count();
-    // Node label: the after-side view (with per-literal diff colors done
-    // via markers); nodes only in `after` are new (green), only in
-    // `before` cannot happen (rewrites append).
-    const Query& src = in_after ? after : before;
-    std::ostringstream label;
-    label << g.NodeLabelName(src.node(u).label);
-    if (in_before && in_after) {
-      for (const Literal& l : before.node(u).literals) {
-        label << "\\n" << (HasLiteral(after, u, l) ? "" : "[-] ")
-              << l.ToString(g);
-      }
-      for (const Literal& l : after.node(u).literals) {
-        if (!HasLiteral(before, u, l)) {
-          label << "\\n[+] " << l.ToString(g);
-        }
-      }
-    } else {
-      for (const Literal& l : src.node(u).literals) {
-        label << "\\n" << l.ToString(g);
-      }
-    }
-    os << "  u" << u << " [label=\"" << Escape(label.str()) << "\"";
-    if (u == after.output()) os << ", peripheries=2";
-    if (!in_before) os << ", color=green";
-    os << "];\n";
-  }
-  for (const QueryEdge& e : before.edges()) {
-    os << "  u" << e.src << " -> u" << e.dst << " [label=\""
-       << Escape(g.EdgeLabelName(e.label)) << "\"";
-    if (!HasEdge(after, e)) os << ", color=red, style=dashed";
-    os << "];\n";
-  }
-  for (const QueryEdge& e : after.edges()) {
-    if (HasEdge(before, e)) continue;
-    os << "  u" << e.src << " -> u" << e.dst << " [label=\""
-       << Escape(g.EdgeLabelName(e.label)) << "\", color=green];\n";
   }
   os << "}\n";
   return os.str();

@@ -18,14 +18,6 @@ namespace whyq {
 std::string QueryToDot(const Query& q, const Graph& g,
                        const std::string& graph_name = "Q");
 
-/// Renders a rewrite diff: elements shared by `before` and `after` are
-/// black, elements only in `after` (added constraints) are green, elements
-/// only in `before` (dropped constraints) are red and dashed. Node ids are
-/// aligned by index (rewrites only append nodes).
-std::string RewriteToDot(const Query& before, const Query& after,
-                         const Graph& g,
-                         const std::string& graph_name = "Rewrite");
-
 }  // namespace whyq
 
 #endif  // WHYQ_QUERY_QUERY_DOT_H_

@@ -1,6 +1,5 @@
 #include "rewrite/explanation.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace whyq {
@@ -134,52 +133,6 @@ Explanation ExplainRewrite(const Graph& g, const Query& q,
     out.changes.push_back(std::move(c));
   }
   return out;
-}
-
-std::string DiffQueries(const Graph& g, const Query& before,
-                        const Query& after) {
-  std::ostringstream os;
-  size_t common_nodes = std::min(before.node_count(), after.node_count());
-  for (QNodeId u = 0; u < common_nodes; ++u) {
-    for (const Literal& l : before.node(u).literals) {
-      const auto& lits = after.node(u).literals;
-      if (std::find(lits.begin(), lits.end(), l) == lits.end()) {
-        os << "- u" << u << ": " << l.ToString(g) << '\n';
-      }
-    }
-    for (const Literal& l : after.node(u).literals) {
-      const auto& lits = before.node(u).literals;
-      if (std::find(lits.begin(), lits.end(), l) == lits.end()) {
-        os << "+ u" << u << ": " << l.ToString(g) << '\n';
-      }
-    }
-  }
-  for (QNodeId u = static_cast<QNodeId>(common_nodes);
-       u < after.node_count(); ++u) {
-    os << "+ node u" << u << ' ' << g.NodeLabelName(after.node(u).label);
-    for (const Literal& l : after.node(u).literals) {
-      os << " [" << l.ToString(g) << ']';
-    }
-    os << '\n';
-  }
-  auto edge_str = [&](const QueryEdge& e) {
-    std::ostringstream s;
-    s << 'u' << e.src << " -" << g.EdgeLabelName(e.label) << "-> u" << e.dst;
-    return s.str();
-  };
-  for (const QueryEdge& e : before.edges()) {
-    const auto& es = after.edges();
-    if (std::find(es.begin(), es.end(), e) == es.end()) {
-      os << "- " << edge_str(e) << '\n';
-    }
-  }
-  for (const QueryEdge& e : after.edges()) {
-    const auto& es = before.edges();
-    if (std::find(es.begin(), es.end(), e) == es.end()) {
-      os << "+ " << edge_str(e) << '\n';
-    }
-  }
-  return os.str();
 }
 
 }  // namespace whyq

@@ -52,12 +52,6 @@ struct Explanation {
 Explanation ExplainRewrite(const Graph& g, const Query& q,
                            const OperatorSet& ops);
 
-/// Structural diff between a query and its rewrite (literal-level), useful
-/// when the operator set is not at hand. Reports literals and edges that
-/// are only in one of the two.
-std::string DiffQueries(const Graph& g, const Query& before,
-                        const Query& after);
-
 }  // namespace whyq
 
 #endif  // WHYQ_REWRITE_EXPLANATION_H_

@@ -250,6 +250,10 @@ struct MultiOutput {
       total_unexpected += evals.back().unexpected().size();
     }
     if (total_unexpected == 0) return;
+    // Every multi-output rewrite refines each projection (WhyKind::WarmStart).
+    for (size_t i = 0; i < evals.size(); ++i) {
+      evals[i].AssumeRefinementsOf(projections[i]);
+    }
     // An operator costs what it costs w.r.t. its *nearest* output (the max
     // of the per-output costs, since centrality grows as distance shrinks).
     for (size_t i = 0; i < projections.size(); ++i) {

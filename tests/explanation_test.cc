@@ -3,6 +3,7 @@
 #include "gen/figure1.h"
 #include "matcher/matcher.h"
 #include "rewrite/explanation.h"
+#include "rewrite_diff.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 

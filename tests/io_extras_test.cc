@@ -8,6 +8,7 @@
 #include "matcher/matcher.h"
 #include "query/query_dot.h"
 #include "rewrite/operators.h"
+#include "rewrite_diff.h"
 
 namespace whyq {
 namespace {

@@ -8,7 +8,10 @@
 //   2. an equivalence property: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically over one
 //      context reused across the rewrite sweep and over a fresh context
-//      per call, under both semantics;
+//      per call, under both semantics; and the support bitmaps equal a
+//      brute-force adjacency scan on every construction path, while the
+//      root scans they filter equal an unfiltered IsAnswer sweep over
+//      random queries, relaxation chains and hand-built corner cases;
 //   3. a counter-based perf regression on a fixed BSBM fixture: the
 //      matcher stays under recorded absolute work budgets, so
 //      candidate-pruning regressions fail loudly instead of just slowing
@@ -681,6 +684,275 @@ TEST(MatchContextEquivalenceTest, ReusedContextMatchesFreshContexts) {
   }
 }
 
+// --- Support bitmaps and the root scans they filter. --------------------
+
+// Brute force over v's whole adjacency: a `label` edge into `child`
+// (v -> c when `out`, c -> v otherwise).
+bool HasSupport(const Graph& g, NodeId v,
+                const MatchContext::CandidateSet& child, SymbolId label,
+                bool out) {
+  for (const HalfEdge& e : out ? g.out_edges(v) : g.in_edges(v)) {
+    if (e.label == label && child.Test(e.other)) return true;
+  }
+  return false;
+}
+
+// An update batch over a BSBM graph that deletes edges, adds edges between
+// random nodes under the graph's own labels, and deletes a node.
+UpdateBatch EdgeBatch(const Graph& g, uint64_t seed) {
+  Rng rng(seed * 13 + 5);
+  UpdateBatch batch;
+  std::vector<std::pair<NodeId, HalfEdge>> deleted;
+  for (int i = 0; i < 10; ++i) {
+    NodeId v = static_cast<NodeId>(rng.Index(g.node_count()));
+    EdgeSpan out = g.out_edges(v);
+    if (out.empty()) continue;
+    const HalfEdge& e = out[rng.Index(out.size())];
+    if (std::find(deleted.begin(), deleted.end(), std::pair{v, e}) !=
+        deleted.end()) {
+      continue;
+    }
+    deleted.emplace_back(v, e);
+    batch.ops.push_back(
+        UpdateOp::DeleteEdge(v, e.other, g.EdgeLabelName(e.label)));
+  }
+  for (int i = 0; i < 10; ++i) {
+    batch.ops.push_back(UpdateOp::AddEdge(
+        static_cast<NodeId>(rng.Index(g.node_count())),
+        static_cast<NodeId>(rng.Index(g.node_count())),
+        g.EdgeLabelName(
+            static_cast<SymbolId>(rng.Index(g.edge_labels().size())))));
+  }
+  batch.ops.push_back(
+      UpdateOp::DeleteNode(static_cast<NodeId>(rng.Index(g.node_count()))));
+  return batch;
+}
+
+TEST(SupportBitmapPropertyTest, EqualsBruteForceOnEveryConstructionPath) {
+  for (uint64_t seed : {5u, 19u}) {
+    Graph base = GenerateBsbm(BsbmConfig{60, seed});
+    UpdateBatch batch = EdgeBatch(base, seed);
+    Constructed c = ConstructAll(std::move(base), batch,
+                                 "support" + std::to_string(seed));
+    for (const auto& [path, g] : c.All()) {
+      const std::string what = path + " seed " + std::to_string(seed);
+      Rng rng(seed * 31 + 5);
+      MatchContext ctx(*g);
+      size_t checked = 0;
+      for (int i = 0; i < 6; ++i) {
+        QueryGenConfig qc;
+        qc.edges = 3;
+        qc.literals_per_node = 1;
+        qc.min_answers = 1;
+        std::optional<GeneratedQuery> gen = GenerateQuery(*g, qc, rng);
+        if (!gen.has_value()) continue;
+        for (QNodeId u = 0; u < gen->query.node_count(); ++u) {
+          const MatchContext::CandidateSet& child =
+              ctx.Lookup(gen->query.node(u));
+          for (SymbolId label = 0; label < g->edge_labels().size(); ++label) {
+            for (bool out : {true, false}) {
+              const uint64_t* bits = ctx.Support(child, label, out);
+              ASSERT_EQ(ctx.Support(child, label, out), bits) << what;
+              for (NodeId v = 0; v < g->node_count(); ++v) {
+                ASSERT_EQ((bits[v >> 6] >> (v & 63)) & 1u,
+                          HasSupport(*g, v, child, label, out) ? 1u : 0u)
+                    << what << " query node " << u << " label " << label
+                    << (out ? " out" : " in") << " node " << v;
+              }
+              const size_t words = (g->node_count() + 63) / 64;
+              for (size_t v = g->node_count(); v < words * 64; ++v) {
+                ASSERT_FALSE((bits[words - 1] >> (v & 63)) & 1u) << what;
+              }
+              ++checked;
+            }
+          }
+        }
+      }
+      EXPECT_GT(checked, 0u) << what;
+    }
+  }
+}
+
+// The unfiltered reference answer set of output `u`: one SearchFrom (an
+// IsAnswer) per root of the plain memoized candidate list, over a context
+// of its own.
+std::vector<NodeId> ReferenceAnswers(const Graph& g, Query q, QNodeId u) {
+  q.SetOutput(u);
+  MatchContext ctx(g);
+  Matcher m(ctx);
+  std::vector<NodeId> out;
+  for (NodeId v : ctx.Lookup(q.node(u))) {
+    if (m.IsAnswer(q, v)) out.push_back(v);
+  }
+  return out;
+}
+
+// Every root-scanning API of `m` (whose context the caller reuses across
+// rewrites) equals the unfiltered reference on `q`. Returns the roots the
+// supports spared MatchOutput from searching.
+size_t ExpectRootScansMatchReference(const Graph& g, const Query& q,
+                                     const Matcher& m,
+                                     const std::string& what) {
+  const std::vector<NodeId> ref = ReferenceAnswers(g, q, q.output());
+  const uint64_t iso_before = m.stats().iso_tests;
+  EXPECT_EQ(m.MatchOutput(q), ref) << what;
+  const uint64_t searched = m.stats().iso_tests - iso_before;
+  EXPECT_EQ(m.HasAnyMatch(q), !ref.empty()) << what;
+  // Counted against no exclusions and against every other answer plus a
+  // few non-answers of the output's label.
+  std::vector<NodeId> some;
+  for (size_t i = 1; i < ref.size(); i += 2) some.push_back(ref[i]);
+  NodeSpan bucket = g.NodesWithLabel(q.node(q.output()).label);
+  for (size_t i = 0; i < bucket.size() && i < 3; ++i) {
+    some.push_back(bucket[bucket.size() - 1 - i]);
+  }
+  for (const std::vector<NodeId>& excluded : {std::vector<NodeId>{}, some}) {
+    NodeSet exclude(excluded, g.node_count());
+    size_t outside = 0;
+    for (NodeId v : ref) outside += exclude.Contains(v) ? 0 : 1;
+    for (size_t limit = 0; limit <= 3; ++limit) {
+      EXPECT_EQ(m.CountAnswersNotIn(q, exclude, limit),
+                std::min(outside, limit + 1))
+          << what << " limit " << limit;
+    }
+  }
+  std::vector<std::vector<NodeId>> all = m.MatchAllOutputs(q);
+  EXPECT_EQ(all.size(), q.outputs().size()) << what;
+  for (size_t i = 0; i < all.size() && i < q.outputs().size(); ++i) {
+    EXPECT_EQ(all[i], ReferenceAnswers(g, q, q.outputs()[i]))
+        << what << " output " << q.outputs()[i];
+  }
+  return m.context().Lookup(q.node(q.output())).size() - searched;
+}
+
+TEST(SupportBitmapPropertyTest, RootScansEqualUnfilteredReference) {
+  const QueryTopology topologies[] = {
+      QueryTopology::kTree, QueryTopology::kAcyclic, QueryTopology::kCyclic};
+  size_t spared = 0;
+  size_t rewrites = 0;
+  for (uint64_t seed : {7u, 13u, 31u}) {
+    Graph g = GenerateBsbm(BsbmConfig{80, seed});
+    Rng rng(seed * 97 + 1);
+    for (int trial = 0; trial < 6; ++trial) {
+      QueryGenConfig qc;
+      qc.edges = 2 + rng.Index(3);
+      qc.literals_per_node = 1;
+      qc.topology = topologies[rng.Index(3)];
+      qc.min_answers = 1;
+      std::optional<GeneratedQuery> gen = GenerateQuery(g, qc, rng);
+      if (!gen.has_value()) continue;
+      Query q = gen->query;
+      q.AddOutput(static_cast<QNodeId>((q.output() + 1) % q.node_count()));
+      const std::string what =
+          "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
+      // One context across the chain, as one why-not question's guards.
+      MatchContext ctx(g);
+      Matcher m(ctx);
+      spared += ExpectRootScansMatchReference(g, q, m, what);
+      // A chain of RxL/RmL/RmE relaxations, each adding one operator that
+      // does not conflict with the chain so far.
+      std::vector<NodeId> missing;
+      for (NodeId v : g.NodesWithLabel(q.node(q.output()).label)) {
+        if (missing.size() == 3) break;
+        if (!std::binary_search(gen->answers.begin(), gen->answers.end(), v)) {
+          missing.push_back(v);
+        }
+      }
+      std::vector<EditOp> ops = GenPickyWhyNot(g, q, missing, AnswerConfig{});
+      OperatorSet chain;
+      for (size_t idx : rng.SampleDistinct(ops.size(),
+                                           std::min<size_t>(8, ops.size()))) {
+        bool conflicts = false;
+        for (const EditOp& o : chain) conflicts |= OpsConflict(o, ops[idx]);
+        if (conflicts) continue;
+        chain.push_back(ops[idx]);
+        spared += ExpectRootScansMatchReference(
+            g, ApplyOperators(q, chain), m,
+            what + " chain of " + std::to_string(chain.size()));
+        ++rewrites;
+      }
+    }
+  }
+  EXPECT_GT(rewrites, 0u);
+  EXPECT_GT(spared, 0u);  // the supports prune on this workload
+}
+
+// Products p0..p4 and reviews: p0 has none, p1 one, p2 two; p3 and p4
+// carry a `same` self-loop and one and two reviews.
+struct ReviewGraph {
+  Graph g;
+  std::vector<NodeId> p;
+  std::vector<NodeId> r;
+  SymbolId product;
+  SymbolId review;
+  SymbolId review_of;
+  SymbolId same;
+};
+
+ReviewGraph MakeReviewGraph() {
+  GraphBuilder b;
+  ReviewGraph rg;
+  for (int i = 0; i < 5; ++i) rg.p.push_back(b.AddNode("P"));
+  const int reviews[] = {0, 1, 2, 1, 2};
+  for (int i = 0; i < 5; ++i) {
+    for (int k = 0; k < reviews[i]; ++k) {
+      rg.r.push_back(b.AddNode("R"));
+      b.AddEdge(rg.r.back(), rg.p[i], "reviewOf");
+    }
+  }
+  b.AddEdge(rg.p[3], rg.p[3], "same");
+  b.AddEdge(rg.p[4], rg.p[4], "same");
+  rg.g = b.Build();
+  rg.product = *rg.g.node_labels().Find("P");
+  rg.review = *rg.g.node_labels().Find("R");
+  rg.review_of = *rg.g.edge_labels().Find("reviewOf");
+  rg.same = *rg.g.edge_labels().Find("same");
+  return rg;
+}
+
+// Two children over one edge label: the support passes every reviewed
+// product, and injectivity (not the filter) rejects p1 and p3.
+TEST(SupportBitmapTest, TwoChildrenSharingALabel) {
+  ReviewGraph rg = MakeReviewGraph();
+  Query q;
+  QNodeId p = q.AddNode(rg.product);
+  QNodeId r1 = q.AddNode(rg.review);
+  QNodeId r2 = q.AddNode(rg.review);
+  q.AddEdge(r1, p, rg.review_of);
+  q.AddEdge(r2, p, rg.review_of);
+  q.SetOutput(p);
+  q.AddOutput(r1);
+  Matcher m(rg.g);
+  EXPECT_EQ(m.MatchOutput(q), (std::vector<NodeId>{rg.p[2], rg.p[4]}));
+  EXPECT_EQ(m.stats().iso_tests, 4u);  // p0 is skipped before searching
+  EXPECT_EQ(m.stats().ctx_pruned, 1u);  // ... and counted as pruned
+  EXPECT_EQ(m.MatchAllOutputs(q)[1],
+            (std::vector<NodeId>{rg.r[1], rg.r[2], rg.r[4], rg.r[5]}));
+  ExpectRootScansMatchReference(rg.g, q, m, "two children");
+}
+
+TEST(SupportBitmapTest, RootSelfLoopAndSingleNodeQueries) {
+  ReviewGraph rg = MakeReviewGraph();
+  Query loop_only;
+  QNodeId p = loop_only.AddNode(rg.product);
+  loop_only.AddEdge(p, p, rg.same);
+  loop_only.SetOutput(p);
+  Query loop_and_child = loop_only;
+  QNodeId r = loop_and_child.AddNode(rg.review);
+  loop_and_child.AddEdge(r, p, rg.review_of);
+  Query single;
+  single.SetOutput(single.AddNode(rg.product));
+
+  Matcher m(rg.g);
+  EXPECT_EQ(m.MatchOutput(loop_only), (std::vector<NodeId>{rg.p[3], rg.p[4]}));
+  EXPECT_EQ(m.MatchOutput(loop_and_child),
+            (std::vector<NodeId>{rg.p[3], rg.p[4]}));
+  EXPECT_EQ(m.MatchOutput(single), std::vector<NodeId>(rg.p));
+  for (const Query* q : {&loop_only, &loop_and_child, &single}) {
+    ExpectRootScansMatchReference(rg.g, *q, m, "self loop / single node");
+  }
+}
+
 // --- Counter-based perf regression on a fixed BSBM fixture. -------------
 
 struct RunCounters {
@@ -722,12 +994,13 @@ TEST(MatchContextRegressionTest, BsbmCountersBoundedAndAccounted) {
   // On this literal-rich fixture the candidate bitmaps prune.
   EXPECT_GT(memo.stats.ctx_pruned, 0u);
 
-  // Absolute budgets for the fixed fixture (recorded: 3808/481 attempts/
+  // Absolute budgets for the fixed fixture (recorded: 3698/101 attempts/
   // iso-tests; ~15-20% slack). A pruning regression — candidate memo gone
-  // stale, label slices scanning too wide — trips these before it would
-  // ever show up in a benchmark.
-  EXPECT_LE(memo.stats.embeddings_tried, 4500u);
-  EXPECT_LE(memo.stats.iso_tests, 580u);
+  // stale, label slices scanning too wide, root supports no longer
+  // skipping roots (481 iso-tests without them) — trips these before it
+  // would ever show up in a benchmark.
+  EXPECT_LE(memo.stats.embeddings_tried, 4300u);
+  EXPECT_LE(memo.stats.iso_tests, 120u);
 
   // Deterministic: a second identical run over a fresh context reproduces
   // the counters bit-for-bit.
