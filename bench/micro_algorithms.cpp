@@ -132,7 +132,8 @@ void BM_MbsEnumeration(benchmark::State& state) {
     size_t emitted = 0;
     EnumerateMaximalBoundedSetsBatched(
         costs, conflicts, 4.0, 5000, /*batch_size=*/1,
-        [&](const std::vector<std::vector<size_t>>&) {
+        [&](const std::vector<std::vector<size_t>>&,
+            const std::vector<std::optional<size_t>>&) {
           ++emitted;
           return true;
         });

@@ -1,8 +1,7 @@
 // Microbenchmarks for the matching substrate: candidate filtering, full
-// answer computation, incremental single-node verification, capped guard
-// counting, and neighborhood expansion. These are the primitives whose
-// costs the paper's complexity analysis is stated in (|N_d(...)|, |Q|,
-// number of iso tests).
+// answer computation, incremental single-node verification, and capped
+// guard counting. These are the primitives whose costs the paper's
+// complexity analysis is stated in (|N_d(...)|, |Q|, number of iso tests).
 
 #include <benchmark/benchmark.h>
 
@@ -101,20 +100,6 @@ void BM_CountAnswersCapped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountAnswersCapped)->Arg(0)->Arg(2)->Arg(16);
-
-void BM_NeighborhoodExpansion(benchmark::State& state) {
-  const Fixture& f =
-      SharedFixture(DatasetProfile::kDBpedia, static_cast<size_t>(4));
-  if (!f.ok) {
-    state.SkipWithError("no query generated");
-    return;
-  }
-  size_t depth = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WithinDistance(f.g, f.gq.answers, depth));
-  }
-}
-BENCHMARK(BM_NeighborhoodExpansion)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_PathIndexBuild(benchmark::State& state) {
   const Fixture& f =

@@ -114,6 +114,15 @@ const AttrColumn* Graph::AttrColumnOf(SymbolId label, SymbolId attr) const {
   return &cols.columns[it - cols.attrs.begin()];
 }
 
+ConstSpan<SymbolId> Graph::AttrsOfLabel(SymbolId label) const {
+  if (static_cast<size_t>(label) >= attr_columns_.size() ||
+      attr_columns_[label] == nullptr) {
+    return {};
+  }
+  const std::vector<SymbolId>& attrs = attr_columns_[label]->attrs;
+  return ConstSpan<SymbolId>(attrs.data(), attrs.size());
+}
+
 namespace {
 
 // A double's bits with ±0.0 made +0.0 and every NaN the quiet NaN: the

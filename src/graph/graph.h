@@ -259,6 +259,10 @@ class Graph {
   /// nullptr when no node of the label carries it.
   const AttrColumn* AttrColumnOf(SymbolId label, SymbolId attr) const;
 
+  /// The attributes some node of `label` carries, ascending: the keys of
+  /// the label's AttrColumnOf columns (empty for unused labels).
+  ConstSpan<SymbolId> AttrsOfLabel(SymbolId label) const;
+
   /// Symbol tables. Node labels, edge labels and attribute names live in
   /// separate id spaces.
   const Dictionary& node_labels() const { return node_labels_; }

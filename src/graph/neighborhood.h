@@ -7,8 +7,8 @@
 
 namespace whyq {
 
-/// A set of graph nodes with O(1) membership, as produced by neighborhood
-/// expansion. Iteration order is BFS discovery order.
+/// A set of graph nodes with O(1) membership. Iteration order is insertion
+/// order.
 class NodeSet {
  public:
   NodeSet() = default;
@@ -30,19 +30,6 @@ class NodeSet {
   std::vector<uint8_t> member_;
   std::vector<NodeId> nodes_;
 };
-
-/// Computes N_d(seeds): all nodes within undirected distance `d` of any seed
-/// (the seeds themselves are included at distance 0). This is the paper's
-/// d-hop neighborhood used to localize picky-operator generation.
-NodeSet WithinDistance(const Graph& g, const std::vector<NodeId>& seeds,
-                       size_t d);
-
-/// As WithinDistance, but also reports each reached node's BFS distance
-/// (distance from its nearest seed) in `dist_out`, aligned with the returned
-/// set's iteration order.
-NodeSet WithinDistanceWithDepth(const Graph& g,
-                                const std::vector<NodeId>& seeds, size_t d,
-                                std::vector<size_t>* dist_out);
 
 }  // namespace whyq
 

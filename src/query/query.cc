@@ -144,6 +144,10 @@ size_t Query::DistanceToOutput(QNodeId u) const {
   return BfsFrom(output_)[u];
 }
 
+std::vector<size_t> Query::DistancesToOutput() const {
+  return BfsFrom(output_);
+}
+
 size_t Query::Diameter() const {
   // Eccentricity max over the output's component (disconnected rewrites keep
   // the diameter of the evaluated component).

@@ -115,6 +115,10 @@ class Query {
   /// Undirected distance d(u, u_o) in Q.
   size_t DistanceToOutput(QNodeId u) const;
 
+  /// d(u, u_o) of every node, indexed by QNodeId (kUnreachable off the
+  /// output's component), from one BFS.
+  std::vector<size_t> DistancesToOutput() const;
+
   /// Undirected diameter d_Q over the component of the output node.
   size_t Diameter() const;
 

@@ -12,16 +12,27 @@ std::vector<NodeId> Dedup(std::vector<NodeId> v) {
   return v;
 }
 
-// What an evaluation cut short by the cancel token reports. A cut-short
+// What an evaluation reports for a failed guard: guard m + 1, closeness 0.
+// It is also the verdict of one cut short by the cancel token: a cut-short
 // answer test or guard count reads "not an answer" or an undercount, which
 // could pass as an exclusion or a met guard; the only safe verdict is a
 // failed guard. Expiry is sticky, so a token still live after an
 // evaluation proves that no poll inside it cut it short.
-EvalResult CutShort(size_t guard_m) {
+EvalResult FailedGuard(size_t guard_m) {
   EvalResult r;
   r.guard = guard_m + 1;
   r.guard_ok = false;
   return r;
+}
+
+// The share of the tested targets whose answer test reads `hit`: the
+// closeness of a rewrite whose tests over V_N (hit = excluded) or V_C
+// (hit = included) gave `ok`.
+double Share(const std::vector<uint8_t>& ok, bool hit) {
+  if (ok.empty()) return 0.0;
+  size_t n = 0;
+  for (uint8_t o : ok) n += (o != 0) == hit ? 1 : 0;
+  return static_cast<double>(n) / static_cast<double>(ok.size());
 }
 
 }  // namespace
@@ -51,39 +62,36 @@ WhyEvaluator::WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
 }
 
 EvalResult WhyEvaluator::Evaluate(const Query& rewritten) const {
-  EvalResult r = EvaluateUncut(rewritten);
-  return CancelRequested(cancel_) ? CutShort(guard_m_) : r;
+  size_t guard = CountGuard(rewritten);
+  if (guard > guard_m_) return FailedGuard(guard_m_);
+  return Evaluate(rewritten, guard);
 }
 
-EvalResult WhyEvaluator::EvaluateUncut(const Query& rewritten) const {
+EvalResult WhyEvaluator::Evaluate(const Query& rewritten,
+                                  size_t known_guard) const {
   EvalResult r;
-  // Guard first: collateral exclusions from the desired answers (batched:
-  // one matching plan for the whole sweep).
-  std::vector<uint8_t> desired_ok =
-      engine_->TestAnswers(rewritten, desired_answers_);
-  for (uint8_t ok : desired_ok) {
-    if (!ok && ++r.guard > guard_m_) {
-      r.guard_ok = false;
-      return r;
-    }
+  r.guard = known_guard;
+  if (!unexpected_.empty()) {
+    r.closeness = Share(engine_->TestAnswers(rewritten, unexpected_), false);
   }
-  if (unexpected_.empty()) return r;
-  std::vector<uint8_t> unexpected_ok =
-      engine_->TestAnswers(rewritten, unexpected_);
-  size_t excluded = 0;
-  for (uint8_t ok : unexpected_ok) excluded += ok ? 0 : 1;
-  r.closeness = static_cast<double>(excluded) /
-                static_cast<double>(unexpected_.size());
-  return r;
+  return CancelRequested(cancel_) ? FailedGuard(guard_m_) : r;
 }
 
-bool WhyEvaluator::GuardOk(const Query& rewritten) const {
+std::optional<size_t> WhyEvaluator::Guard(const Query& rewritten) const {
+  size_t guard = CountGuard(rewritten);
+  if (guard > guard_m_ || CancelRequested(cancel_)) return std::nullopt;
+  return guard;
+}
+
+size_t WhyEvaluator::CountGuard(const Query& rewritten) const {
+  // Collateral exclusions from the desired answers (batched: one matching
+  // plan for the whole sweep).
   size_t guard = 0;
   std::vector<uint8_t> ok = engine_->TestAnswers(rewritten, desired_answers_);
   for (uint8_t o : ok) {
-    if (!o && ++guard > guard_m_) return false;
+    if (!o && ++guard > guard_m_) break;
   }
-  return !CancelRequested(cancel_);
+  return guard;
 }
 
 std::vector<NodeId> WhyEvaluator::AffectedAnswers(
@@ -121,30 +129,29 @@ WhyNotEvaluator::WhyNotEvaluator(const Graph& g,
 }
 
 EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten) const {
-  EvalResult r = EvaluateUncut(rewritten);
-  return CancelRequested(cancel_) ? CutShort(guard_m_) : r;
+  size_t guard = CountGuard(rewritten);
+  if (guard > guard_m_) return FailedGuard(guard_m_);
+  return Evaluate(rewritten, guard);
 }
 
-EvalResult WhyNotEvaluator::EvaluateUncut(const Query& rewritten) const {
+EvalResult WhyNotEvaluator::Evaluate(const Query& rewritten,
+                                     size_t known_guard) const {
   EvalResult r;
-  r.guard = engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_);
-  if (r.guard > guard_m_) {
-    r.guard_ok = false;
-    return r;
+  r.guard = known_guard;
+  if (!missing_.empty()) {
+    r.closeness = Share(engine_->TestAnswers(rewritten, missing_), true);
   }
-  if (missing_.empty()) return r;
-  std::vector<uint8_t> ok = engine_->TestAnswers(rewritten, missing_);
-  size_t included = 0;
-  for (uint8_t o : ok) included += o ? 1 : 0;
-  r.closeness =
-      static_cast<double>(included) / static_cast<double>(missing_.size());
-  return r;
+  return CancelRequested(cancel_) ? FailedGuard(guard_m_) : r;
 }
 
-bool WhyNotEvaluator::GuardOk(const Query& rewritten) const {
-  return engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_) <=
-             guard_m_ &&
-         !CancelRequested(cancel_);
+std::optional<size_t> WhyNotEvaluator::Guard(const Query& rewritten) const {
+  size_t guard = CountGuard(rewritten);
+  if (guard > guard_m_ || CancelRequested(cancel_)) return std::nullopt;
+  return guard;
+}
+
+size_t WhyNotEvaluator::CountGuard(const Query& rewritten) const {
+  return engine_->CountAnswersNotIn(rewritten, protected_set_, guard_m_);
 }
 
 std::vector<NodeId> WhyNotEvaluator::NewMatches(

@@ -1,6 +1,7 @@
 #ifndef WHYQ_REWRITE_EVALUATION_H_
 #define WHYQ_REWRITE_EVALUATION_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -29,9 +30,16 @@ struct EvalResult {
 /// across every rewrite the evaluator verifies or path-tests — see
 /// matcher/match_context.h); `cancel` (not owned, may be null) is forwarded
 /// into the engine so verification sweeps stop mid-search once a deadline
-/// passes. An Evaluate or GuardOk that ends with the token expired may have
-/// been cut short, so it reports a failed guard (guard m + 1): a cut-short
-/// test never passes as an exclusion, an inclusion or a met guard.
+/// passes. An Evaluate, Guard or GuardOk that ends with the token expired
+/// may have been cut short, so it reports a failed guard (guard m + 1, or
+/// none from Guard): a cut-short test never passes as an exclusion, an
+/// inclusion or a met guard.
+///
+/// Both evaluators verify a rewrite in two parts: the guard count, then the
+/// closeness tests. Guard(Q') is the first part alone, and
+/// Evaluate(Q', guard) the second alone for a rewrite whose guard Guard
+/// already counted (the exact search admits every set it verifies through
+/// Guard), so the pair equals Evaluate(Q').
 class WhyEvaluator {
  public:
   WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
@@ -43,10 +51,17 @@ class WhyEvaluator {
   /// short (see class comment).
   EvalResult Evaluate(const Query& rewritten) const;
 
-  /// Guard-only check (early-terminating): does the rewrite exclude at most
-  /// m desired answers? Used as the admissibility predicate of the exact
-  /// guard-aware MBS enumeration.
-  bool GuardOk(const Query& rewritten) const;
+  /// Evaluate for a rewrite whose guard count `known_guard` (<= m) Guard
+  /// returned: tests the unexpected answers only, not the desired ones.
+  EvalResult Evaluate(const Query& rewritten, size_t known_guard) const;
+
+  /// The number of desired answers the rewrite excludes when it is at most
+  /// m (early-terminating past m), none otherwise. The admissibility
+  /// predicate of the exact guard-aware MBS enumeration.
+  std::optional<size_t> Guard(const Query& rewritten) const;
+  bool GuardOk(const Query& rewritten) const {
+    return Guard(rewritten).has_value();
+  }
 
   /// Aff(·): original answers that are no longer matches under `rewritten`
   /// (exact; used to seed EstMatch for each single picky operator).
@@ -73,7 +88,8 @@ class WhyEvaluator {
   bool IsUnexpected(NodeId v) const { return unexpected_set_.Contains(v); }
 
  private:
-  EvalResult EvaluateUncut(const Query& rewritten) const;
+  // Desired answers the rewrite excludes, counted up to m + 1.
+  size_t CountGuard(const Query& rewritten) const;
 
   const Graph& g_;
   std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
@@ -100,8 +116,16 @@ class WhyNotEvaluator {
 
   EvalResult Evaluate(const Query& rewritten) const;
 
-  /// Guard-only check: at most m matches outside Q(u_o,G) ∪ V_C.
-  bool GuardOk(const Query& rewritten) const;
+  /// Evaluate for a rewrite whose guard count `known_guard` (<= m) Guard
+  /// returned: tests the missing entities only, without recounting.
+  EvalResult Evaluate(const Query& rewritten, size_t known_guard) const;
+
+  /// The number of matches outside Q(u_o,G) ∪ V_C when it is at most m
+  /// (the count stops at m + 1), none otherwise.
+  std::optional<size_t> Guard(const Query& rewritten) const;
+  bool GuardOk(const Query& rewritten) const {
+    return Guard(rewritten).has_value();
+  }
 
   /// Missing entities (post-C) that become matches under `rewritten`.
   std::vector<NodeId> NewMatches(const Query& rewritten) const;
@@ -121,7 +145,8 @@ class WhyNotEvaluator {
   MatchContext& context() const { return *ctx_; }
 
  private:
-  EvalResult EvaluateUncut(const Query& rewritten) const;
+  // Matches outside the protected set, counted up to m + 1.
+  size_t CountGuard(const Query& rewritten) const;
 
   const Graph& g_;
   std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)

@@ -350,12 +350,14 @@ RewriteAnswer ExactWhyMultiOutput(
     OperatorSet ops;
     for (size_t i : cur) ops.push_back(mo.usable[i]);
     ops.push_back(mo.usable[next]);
-    return mo.Evaluate(ops).guard_ok;
+    EvalResult r = mo.Evaluate(ops);
+    return r.guard_ok ? std::optional<size_t>(r.guard) : std::nullopt;
   };
   MbsStats stats = EnumerateMaximalBoundedSetsBatched(
       mo.costs, BuildConflicts(mo.usable), cfg.budget, cfg.max_mbs,
       /*batch_size=*/1,
-      [&](const std::vector<std::vector<size_t>>& batch) {
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<std::optional<size_t>>&) {
         const std::vector<size_t>& idx = batch.front();
         if (CancelRequested(cfg.cancel)) return false;  // abort enumeration
         ++out.sets_verified;

@@ -13,13 +13,10 @@ namespace {
 constexpr double kEps = 1e-9;
 
 struct Enumerator {
-  using VisitBatch =
-      std::function<bool(const std::vector<std::vector<size_t>>&)>;
-
   Enumerator(const std::vector<double>& cost_in,
              const std::vector<std::vector<size_t>>& conflicts_in,
              double budget_in, size_t max_sets_in, size_t batch_size_in,
-             const VisitBatch& visit_batch_in, const AdmitFn& admit_in,
+             const VisitBatchFn& visit_batch_in, const AdmitFn& admit_in,
              const std::function<bool()>& should_stop_in)
       : cost(cost_in),
         conflicts(conflicts_in),
@@ -46,7 +43,7 @@ struct Enumerator {
   size_t max_sets;
   size_t max_visits;
   size_t batch_size;
-  const VisitBatch& visit_batch;
+  const VisitBatchFn& visit_batch;
   const AdmitFn& admit;
   const std::function<bool()>& should_stop;
 
@@ -56,8 +53,10 @@ struct Enumerator {
   // `current` as a bitset over the original indices (the picky set can
   // exceed 64 operators); it doubles as the admit memo's key.
   std::vector<bool> in_set;
-  std::unordered_map<std::vector<bool>, bool> admitted;  // set -> verdict
+  // set -> admit's answer
+  std::unordered_map<std::vector<bool>, std::optional<size_t>> admitted;
   std::vector<std::vector<size_t>> batch;  // emitted, not yet visited
+  std::vector<std::optional<size_t>> batch_admitted;  // aligned with batch
   double current_cost = 0.0;
   size_t visits = 0;
   MbsStats stats;
@@ -86,7 +85,7 @@ struct Enumerator {
       it = admitted.emplace(in_set, admit(current, j)).first;
     }
     in_set[j] = false;
-    return it->second;
+    return it->second.has_value();
   }
 
   bool Maximal() {
@@ -99,10 +98,15 @@ struct Enumerator {
     return true;
   }
 
-  // Buffers one MBS; a full batch goes to the visitor.
+  // Buffers one MBS with admit's answer for it (asked when its last
+  // member was included); a full batch goes to the visitor.
   void Emit() {
     ++stats.emitted;
     batch.push_back(current);
+    batch_admitted.emplace_back();
+    if (admit && !current.empty()) {
+      batch_admitted.back() = admitted.at(in_set);
+    }
     if (batch.size() >= batch_size) Flush();
     if (!stop && stats.emitted >= max_sets) {
       stats.truncated = true;
@@ -112,8 +116,9 @@ struct Enumerator {
 
   void Flush() {
     if (batch.empty()) return;
-    if (!visit_batch(batch)) stop = true;
+    if (!visit_batch(batch, batch_admitted)) stop = true;
     batch.clear();
+    batch_admitted.clear();
   }
 
   void Recurse(size_t rank) {
@@ -151,9 +156,7 @@ struct Enumerator {
 MbsStats EnumerateMaximalBoundedSetsBatched(
     const std::vector<double>& costs,
     const std::vector<std::vector<size_t>>& conflicts, double budget,
-    size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch)>&
-        visit_batch,
+    size_t max_sets, size_t batch_size, const VisitBatchFn& visit_batch,
     const AdmitFn& admit, const std::function<bool()>& should_stop) {
   WHYQ_CHECK(conflicts.size() == costs.size());
   Enumerator e(costs, conflicts, budget, max_sets, batch_size, visit_batch,
@@ -162,6 +165,7 @@ MbsStats EnumerateMaximalBoundedSetsBatched(
     // The empty set is trivially the only MBS.
     e.stats.emitted = 1;
     e.batch.emplace_back();
+    e.batch_admitted.emplace_back();
   } else {
     e.Recurse(0);
   }

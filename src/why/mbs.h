@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace whyq {
@@ -26,21 +27,31 @@ struct MbsStats {
 };
 
 /// Optional admissibility predicate: admit(current, next) says whether
-/// current ∪ {next} stays admissible. The guard condition is *monotone*
-/// under pure refinement (and pure relaxation) sets, so the family
-/// {conflict-free, cost <= B, guard <= m} is downward closed and the
-/// optimum is attained at one of its maximal elements; passing the guard
-/// as `admit` makes the enumeration exact under guard constraints (plain
-/// budget-maximal sets can all violate a strict guard while smaller valid
-/// sets exist).
+/// current ∪ {next} stays admissible, by returning none when it does not
+/// and otherwise a count the enumerator keeps with the set and hands back
+/// when it emits the set (ExactWhy/ExactWhyNot return the set's capped
+/// guard count, so verifying an emitted set need not count it again). The
+/// guard condition is *monotone* under pure refinement (and pure
+/// relaxation) sets, so the family {conflict-free, cost <= B, guard <= m}
+/// is downward closed and the optimum is attained at one of its maximal
+/// elements; passing the guard as `admit` makes the enumeration exact under
+/// guard constraints (plain budget-maximal sets can all violate a strict
+/// guard while smaller valid sets exist).
 ///
 /// `admit` must be a function of the *set* current ∪ {next}: the same set
 /// can be reached with its members in different orders (an extension test
 /// at a leaf names an operator ranked before members already in the set),
 /// and the enumerator asks each distinct set at most once per call,
 /// answering repeats from its own memo.
-using AdmitFn =
-    std::function<bool(const std::vector<size_t>& current, size_t next)>;
+using AdmitFn = std::function<std::optional<size_t>(
+    const std::vector<size_t>& current, size_t next)>;
+
+/// A group of emitted MBSs, and aligned with it what `admit` returned for
+/// each (none for a set no admit was asked about: every set when there is
+/// no `admit`, and the empty set).
+using VisitBatchFn =
+    std::function<bool(const std::vector<std::vector<size_t>>& batch,
+                       const std::vector<std::optional<size_t>>& admitted)>;
 
 /// Enumerates the MBSs, handing them to `visit_batch` in groups of at most
 /// `batch_size` (the final group may be smaller) — the intra-question
@@ -69,9 +80,7 @@ using AdmitFn =
 MbsStats EnumerateMaximalBoundedSetsBatched(
     const std::vector<double>& costs,
     const std::vector<std::vector<size_t>>& conflicts, double budget,
-    size_t max_sets, size_t batch_size,
-    const std::function<bool(const std::vector<std::vector<size_t>>& batch)>&
-        visit_batch,
+    size_t max_sets, size_t batch_size, const VisitBatchFn& visit_batch,
     const AdmitFn& admit = nullptr,
     const std::function<bool()>& should_stop = nullptr);
 

@@ -1,7 +1,8 @@
 #include "why/picky.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <memory>
 #include <tuple>
 #include <unordered_map>
 
@@ -33,9 +34,44 @@ class Marks {
     return stamp_[v] == s;
   }
 
+  // Adds v to set `s` at position `at` unless it is there already; Pos(v)
+  // is its position while it stays in `s`. The positions are written only
+  // for members, so their array is allocated on first use and never
+  // cleared.
+  bool Insert(uint32_t s, NodeId v, uint32_t at) {
+    if (!Insert(s, v)) return false;
+    if (pos_ == nullptr) {
+      pos_ = std::make_unique_for_overwrite<uint32_t[]>(stamp_.size());
+    }
+    pos_[v] = at;
+    return true;
+  }
+  uint32_t Pos(NodeId v) const { return pos_[v]; }
+
  private:
   std::vector<uint32_t> stamp_;
+  std::unique_ptr<uint32_t[]> pos_;
   uint32_t current_ = 0;
+};
+
+// Q's output component, from one BFS over Q: each node's undirected
+// distance to the output, the component's nodes ascending, and the
+// output's eccentricity.
+struct OutputDistances {
+  explicit OutputDistances(const Query& q) : dist(q.DistancesToOutput()) {
+    for (QNodeId u = 0; u < dist.size(); ++u) {
+      if (dist[u] == Query::kUnreachable) continue;
+      component.push_back(u);
+      depth = std::max(depth, dist[u]);
+    }
+  }
+
+  std::vector<size_t> dist;  // d(u, u_o), kUnreachable off the component
+  std::vector<QNodeId> component;
+  // The deepest level any Filter reads: N(V, u) keeps the nodes within
+  // d(u, u_o) of V, so every neighborhood BFS stops here. It is at most
+  // Q's diameter d_Q, the paper's N_d depth.
+  size_t depth = 0;
 };
 
 // A d-hop neighborhood N_d(seeds) grouped by label. Each label's nodes are
@@ -45,8 +81,11 @@ class Layered {
  public:
   Layered() = default;
 
-  // The same BFS as WithinDistanceWithDepth: seeds first, then out- and
+  // A BFS over both edge directions: seeds first, then out- and
   // in-neighbors of each node in discovery order, up to depth max_depth.
+  // Every node within depth D is discovered before any node at depth D is
+  // expanded, so a deeper bound would only append nodes: each label's
+  // prefix within max_depth is the same whatever the bound.
   Layered(const Graph& g, const std::vector<NodeId>& seeds, size_t max_depth,
           Marks& marks) {
     const uint32_t seen = marks.Fresh();
@@ -117,14 +156,13 @@ class Domains {
     return domains_.Ranks(g_, g_.AttrColumnOf(label, attr), nodes, cap_);
   }
 
-  // Distinct attribute names present on any node of `nodes`, ascending.
-  std::vector<SymbolId> AttrsOn(NodeSpan nodes) const {
+  // Distinct attribute names present on any node of `nodes` (all of
+  // `label`), ascending: the label's columns some node has a row in.
+  std::vector<SymbolId> AttrsOn(SymbolId label, NodeSpan nodes) const {
     std::vector<SymbolId> out;
-    for (NodeId v : nodes) {
-      for (const AttrEntry& e : g_.attrs(v)) out.push_back(e.attr);
+    for (SymbolId attr : g_.AttrsOfLabel(label)) {
+      if (CarriesAttr(label, attr, nodes)) out.push_back(attr);
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 
@@ -156,6 +194,40 @@ class Domains {
   const Graph& g_;
   size_t cap_;
   ActiveDomains domains_;
+};
+
+// The capped domains of one side of one query node (its neighborhood in
+// one layer), each attribute's computed once.
+class SideDomains {
+ public:
+  SideDomains(const Graph& g, Domains& dom, const Layered& layer,
+              SymbolId label, size_t depth)
+      : g_(g), dom_(dom), layer_(layer), label_(label), depth_(depth) {
+    // One entry per column of the label at most, so the references Capped
+    // hands out stay valid.
+    memo_.reserve(g.AttrsOfLabel(label).size());
+  }
+
+  // dom.Capped(label, attr, layer.Filter(label, depth)).
+  const std::vector<uint32_t>& Capped(SymbolId attr) {
+    for (const auto& [a, ranks] : memo_) {
+      if (a == attr) return ranks;
+    }
+    if (g_.AttrColumnOf(label_, attr) == nullptr) return none_;
+    return memo_
+        .emplace_back(attr,
+                      dom_.Capped(label_, attr, layer_.Filter(label_, depth_)))
+        .second;
+  }
+
+ private:
+  const Graph& g_;
+  Domains& dom_;
+  const Layered& layer_;
+  SymbolId label_;
+  size_t depth_;
+  std::vector<std::pair<SymbolId, std::vector<uint32_t>>> memo_;
+  const std::vector<uint32_t> none_;
 };
 
 void PushOp(std::vector<EditOp>& ops, EditOp op, size_t cap) {
@@ -196,7 +268,9 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   std::vector<EditOp> ops;
   const size_t cap = cfg.max_picky_ops;
   if (unexpected.empty()) return ops;
-  size_t d_q = q.Diameter();
+  const OutputDistances reach(q);
+  const std::vector<size_t>& dist = reach.dist;
+  const std::vector<QNodeId>& component = reach.component;
 
   Marks marks(g.node_count());
   const uint32_t unexpected_set = marks.Fresh();
@@ -206,10 +280,10 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     if (!marks.Contains(unexpected_set, v)) desired.push_back(v);
   }
 
-  Layered picky_layer(g, unexpected, d_q + 1, marks);
+  Layered picky_layer(g, unexpected, reach.depth, marks);
   Layered desired_layer =
-      desired.empty() ? Layered() : Layered(g, desired, d_q + 1, marks);
-  Layered answer_layer(g, answers, d_q + 1, marks);
+      desired.empty() ? Layered() : Layered(g, desired, reach.depth, marks);
+  Layered answer_layer(g, answers, reach.depth, marks);
   Domains dom(g, limits.max_domain_values);
 
   // AddE operators are assembled separately and appended after the node
@@ -219,37 +293,61 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   std::vector<EditOp> edge_ops;
 
   // ---- AddE ----
-  std::vector<QNodeId> component = q.OutputComponent();
   // (a) Between two existing query nodes: insert (u1 -> u2, l) when a data
-  // edge with that label runs between their answer-side neighborhoods.
-  std::set<std::tuple<QNodeId, QNodeId, SymbolId>> edge_seen;
-  for (QNodeId u1 : component) {
-    NodeSpan ans1 =
-        answer_layer.Filter(q.node(u1).label, q.DistanceToOutput(u1));
-    for (QNodeId u2 : component) {
-      if (u1 == u2) continue;
-      const uint32_t ans2 = marks.Fresh();
-      for (NodeId v : answer_layer.Filter(q.node(u2).label,
-                                          q.DistanceToOutput(u2))) {
-        marks.Insert(ans2, v);
+  // edge with that label runs from u1's answer-side neighborhood into
+  // u2's. Each node of some u2's neighborhood carries a mask with a bit
+  // per such u2 (by component index), so one pass over u1's out-edges
+  // tests every u2 at once. Each u2's labels are appended in component
+  // order, each u2's in the order its first edge was scanned.
+  const size_t words = (component.size() + 63) / 64;
+  const uint32_t in_sides = marks.Fresh();
+  std::vector<uint64_t> masks;  // `words` per member of in_sides
+  for (size_t k = 0; k < component.size(); ++k) {
+    QNodeId u = component[k];
+    for (NodeId v : answer_layer.Filter(q.node(u).label, dist[u])) {
+      if (marks.Insert(in_sides, v,
+                       static_cast<uint32_t>(masks.size() / words))) {
+        masks.resize(masks.size() + words, 0);
       }
-      for (NodeId v1 : ans1) {
-        for (const HalfEdge& e : g.out_edges(v1)) {
-          if (!marks.Contains(ans2, e.other)) continue;
-          if (!edge_seen.insert({u1, u2, e.label}).second) continue;
-          // Skip edges already in Q (duplicates are never picky).
-          QueryEdge probe{u1, u2, e.label};
-          if (std::find(q.edges().begin(), q.edges().end(), probe) !=
-              q.edges().end()) {
-            continue;
+      masks[marks.Pos(v) * words + k / 64] |= uint64_t{1} << (k % 64);
+    }
+  }
+  std::vector<std::vector<SymbolId>> labels_to(component.size());
+  for (size_t k1 = 0; k1 < component.size(); ++k1) {
+    QNodeId u1 = component[k1];
+    for (std::vector<SymbolId>& labels : labels_to) labels.clear();
+    for (NodeId v1 : answer_layer.Filter(q.node(u1).label, dist[u1])) {
+      for (const HalfEdge& e : g.out_edges(v1)) {
+        if (!marks.Contains(in_sides, e.other)) continue;
+        const uint64_t* mask = &masks[marks.Pos(e.other) * words];
+        for (size_t w = 0; w < words; ++w) {
+          for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+            size_t k2 = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+            if (k2 == k1) continue;
+            std::vector<SymbolId>& labels = labels_to[k2];
+            if (std::find(labels.begin(), labels.end(), e.label) ==
+                labels.end()) {
+              labels.push_back(e.label);
+            }
           }
-          EditOp op;
-          op.kind = OpKind::kAddE;
-          op.u = u1;
-          op.v = u2;
-          op.edge_label = e.label;
-          PushOp(edge_ops, std::move(op), cap);
         }
+      }
+    }
+    for (size_t k2 = 0; k2 < component.size(); ++k2) {
+      QNodeId u2 = component[k2];
+      for (SymbolId label : labels_to[k2]) {
+        // Skip edges already in Q (duplicates are never picky).
+        QueryEdge probe{u1, u2, label};
+        if (std::find(q.edges().begin(), q.edges().end(), probe) !=
+            q.edges().end()) {
+          continue;
+        }
+        EditOp op;
+        op.kind = OpKind::kAddE;
+        op.u = u1;
+        op.v = u2;
+        op.edge_label = label;
+        PushOp(edge_ops, std::move(op), cap);
       }
     }
   }
@@ -271,7 +369,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
   std::unordered_map<uint64_t, size_t> group_at[2];
   std::vector<size_t> group_order;
   for (QNodeId u1 : component) {
-    size_t d1 = q.DistanceToOutput(u1);
+    size_t d1 = dist[u1];
     SymbolId l1 = q.node(u1).label;
     const uint32_t picky1 = marks.Fresh();
     for (NodeId v : picky_layer.Filter(l1, d1)) marks.Insert(picky1, v);
@@ -344,7 +442,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
       // One-literal composites over attributes of the adjacent nodes.
       NodeSpan desired_nbrs(grp.desired_nbrs.data(), grp.desired_nbrs.size());
       NodeSpan picky_nbrs(grp.picky_nbrs.data(), grp.picky_nbrs.size());
-      for (SymbolId attr : dom.AttrsOn(desired_nbrs)) {
+      for (SymbolId attr : dom.AttrsOn(nlabel, desired_nbrs)) {
         const AttrColumn& col = *g.AttrColumnOf(nlabel, attr);
         std::vector<uint32_t> dom_desired =
             dom.Capped(nlabel, attr, desired_nbrs);
@@ -377,11 +475,12 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
 
   // ---- AddL and RfL on existing query nodes ----
   for (QNodeId u : component) {
-    size_t d = q.DistanceToOutput(u);
     SymbolId lbl = q.node(u).label;
-    NodeSpan picky_n = picky_layer.Filter(lbl, d);
-    NodeSpan desired_n = desired_layer.Filter(lbl, d);
+    NodeSpan picky_n = picky_layer.Filter(lbl, dist[u]);
+    NodeSpan desired_n = desired_layer.Filter(lbl, dist[u]);
     if (picky_n.empty()) continue;
+    SideDomains picky_dom(g, dom, picky_layer, lbl, dist[u]);
+    SideDomains desired_dom(g, dom, desired_layer, lbl, dist[u]);
     // The materialized values of a capped domain's ranks.
     auto values = [&](SymbolId attr, const std::vector<uint32_t>& ranks) {
       const AttrColumn* col = g.AttrColumnOf(lbl, attr);
@@ -393,8 +492,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
 
     // RfL on existing literals (dom over the picky side).
     for (const Literal& l : q.node(u).literals) {
-      std::vector<Value> dom_picky =
-          values(l.attr, dom.Capped(lbl, l.attr, picky_n));
+      std::vector<Value> dom_picky = values(l.attr, picky_dom.Capped(l.attr));
       if (IsUpperBound(l.op)) {
         for (const Value& a : dom_picky) {
           std::optional<int> cmp = l.constant.Compare(a);
@@ -444,8 +542,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
         has_upper |= IsUpperBound(other.op);
         has_lower |= IsLowerBound(other.op);
       }
-      std::vector<Value> dom_picky =
-          values(l.attr, dom.Capped(lbl, l.attr, picky_n));
+      std::vector<Value> dom_picky = values(l.attr, picky_dom.Capped(l.attr));
       if (IsLowerBound(l.op) && !has_upper) {
         for (const Value& a : dom_picky) {
           EditOp op;
@@ -469,11 +566,11 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     // AddL, case 2 — differential attributes: carried on the desired side
     // but absent from the picky side; requiring them (with a desired-side
     // tolerant bound) prunes picky candidates wholesale.
-    std::vector<SymbolId> desired_attrs = dom.AttrsOn(desired_n);
+    std::vector<SymbolId> desired_attrs = dom.AttrsOn(lbl, desired_n);
     for (SymbolId attr : desired_attrs) {
       if (dom.CarriesAttr(lbl, attr, picky_n)) continue;  // not differential
       std::vector<Value> dom_desired =
-          values(attr, dom.Capped(lbl, attr, desired_n));
+          values(attr, desired_dom.Capped(attr));
       if (dom_desired.empty()) continue;
       if (dom_desired.front().is_numeric() &&
           dom_desired.back().is_numeric()) {
@@ -509,7 +606,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
       }
       if (constrained) continue;
       const AttrColumn& col = *g.AttrColumnOf(lbl, attr);
-      for (uint32_t a : dom.Capped(lbl, attr, desired_n)) {
+      for (uint32_t a : desired_dom.Capped(attr)) {
         if (!dom.SomeDiffersFrom(lbl, attr, picky_n, a)) continue;
         EditOp op;
         op.kind = OpKind::kAddL;
@@ -517,7 +614,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
         op.after = MakeLiteral(attr, CompareOp::kEq, col.ValueAt(a));
         PushOp(ops, std::move(op), cap);
       }
-      for (uint32_t a : dom.Capped(lbl, attr, picky_n)) {
+      for (uint32_t a : picky_dom.Capped(attr)) {
         if (!col.numeric_rank(a)) continue;
         EditOp lt;
         lt.kind = OpKind::kAddL;
@@ -545,15 +642,14 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
   std::vector<EditOp> ops;
   const size_t cap = cfg.max_picky_ops;
   if (missing.empty()) return ops;
-  size_t d_q = q.Diameter();
+  const OutputDistances reach(q);
   Marks marks(g.node_count());
-  Layered missing_layer(g, missing, d_q, marks);
+  Layered missing_layer(g, missing, reach.depth, marks);
   Domains dom(g, limits.max_domain_values);
 
-  std::vector<QNodeId> component = q.OutputComponent();
-  for (QNodeId u : component) {
+  for (QNodeId u : reach.component) {
     SymbolId lbl = q.node(u).label;
-    NodeSpan near = missing_layer.Filter(lbl, q.DistanceToOutput(u));
+    SideDomains near(g, dom, missing_layer, lbl, reach.dist[u]);
 
     for (const Literal& l : q.node(u).literals) {
       // RmL is always available.
@@ -566,7 +662,7 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
       // RxL over the missing-side active domain (common attributes only —
       // relaxing toward values nobody near V_C carries cannot help).
       const AttrColumn* col = g.AttrColumnOf(lbl, l.attr);
-      for (uint32_t rank : dom.Capped(lbl, l.attr, near)) {
+      for (uint32_t rank : near.Capped(l.attr)) {
         Value a = col->ValueAt(rank);
         std::optional<int> cmp = l.constant.Compare(a);
         if (!cmp.has_value()) continue;

@@ -19,7 +19,8 @@ namespace whyq {
 /// N(V, u') of the question's entities, so their cost depends on Q, the
 /// question and local graph density only — never on |G| (beyond one
 /// node-stamp array per call). Each neighborhood is one BFS whose nodes are
-/// kept per label in BFS order, so N(V, u') is a prefix of its label's run.
+/// kept per label in BFS order, so N(V, u') is a prefix of its label's run;
+/// the BFS stops at the output's eccentricity, the largest d(u',u_o).
 /// Active domains dom(A, N(V, u')) are one pass over the nodes' value ranks
 /// in the label's AttrColumn (graph.h): a bit per rank present, then only
 /// the ranks the cap keeps are materialized as Values. Each list costs its

@@ -339,13 +339,15 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
 
     // A function of the set cur ∪ {next} (the guard counts answers, which
     // no operator order changes), so the enumerator may ask each set once.
+    // Every emitted set comes back with the guard count measured here, so
+    // its verification runs only the closeness tests.
     AdmitFn admit = [&](const std::vector<size_t>& cur, size_t next) {
       ++out.guard_checks;
       OperatorSet ops;
       ops.reserve(cur.size() + 1);
       for (size_t i : cur) ops.push_back(usable[i]);
       ops.push_back(usable[next]);
-      return eval.GuardOk(ApplyOperators(q, ops));
+      return eval.Guard(ApplyOperators(q, ops));
     };
 
     struct Item {
@@ -354,14 +356,18 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
     };
     MbsStats stats = EnumerateMaximalBoundedSetsBatched(
         costs, BuildConflicts(usable), cfg.budget, cfg.max_mbs, batch_size,
-        [&](const std::vector<std::vector<size_t>>& batch) {
+        [&](const std::vector<std::vector<size_t>>& batch,
+            const std::vector<std::optional<size_t>>& guards) {
           std::vector<Item> items(batch.size());
           ThreadPool::Shared().ParallelFor(
               batch.size(), slots.width(), [&](size_t i, size_t slot) {
                 Item& it = items[i];
                 it.ops.reserve(batch[i].size());
                 for (size_t j : batch[i]) it.ops.push_back(usable[j]);
-                it.r = slots[slot].Evaluate(ApplyOperators(q, it.ops));
+                Query rewritten = ApplyOperators(q, it.ops);
+                it.r = guards[i].has_value()
+                           ? slots[slot].Evaluate(rewritten, *guards[i])
+                           : slots[slot].Evaluate(rewritten);
               });
           // Deterministic reduction in emission order; items past an early
           // stop are discarded unseen, exactly as the serial enumeration

@@ -4,7 +4,7 @@
 
 #include "graph/graph.h"
 #include "graph/graph_stats.h"
-#include "graph/neighborhood.h"
+#include "within_distance.h"
 
 namespace whyq {
 namespace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "why/mbs.h"
@@ -20,7 +21,8 @@ MbsStats EnumerateEach(
     const AdmitFn& admit = nullptr) {
   return EnumerateMaximalBoundedSetsBatched(
       costs, conf, budget, cap, /*batch_size=*/1,
-      [&](const std::vector<std::vector<size_t>>& batch) {
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<std::optional<size_t>>&) {
         EXPECT_EQ(batch.size(), 1u);
         return visit(batch.front());
       },
@@ -219,8 +221,10 @@ TEST(MbsTest, MaxSetsTruncates) {
 // reaches many sets from several leaves (and in different member orders),
 // and the enumerator answers repeats from its memo. The emitted family is
 // still exactly the brute-force one under the same (downward-closed)
-// admissibility rule. Instances exceed 64 operators too, so the memo key
-// spans several bitset words.
+// admissibility rule, and each emitted set comes back with the count admit
+// returned for it (none for the empty set, which admit never sees).
+// Instances exceed 64 operators too, so the memo key spans several bitset
+// words.
 class MbsAdmitMemoTest : public testing::TestWithParam<int> {};
 
 TEST_P(MbsAdmitMemoTest, AdmitsEachDistinctSetOnceAndMatchesBruteForce) {
@@ -247,25 +251,48 @@ TEST_P(MbsAdmitMemoTest, AdmitsEachDistinctSetOnceAndMatchesBruteForce) {
   std::vector<uint8_t> flagged(n);
   for (uint8_t& f : flagged) f = next() % 2;
   size_t cap = next() % 3;
-  auto admissible = [&](const IndexSet& s) {
-    size_t hits = 0;
-    for (size_t i : s) hits += flagged[i];
-    return hits <= cap;
+  auto hits = [&](const IndexSet& s) {
+    size_t n_hits = 0;
+    for (size_t i : s) n_hits += flagged[i];
+    return n_hits;
   };
+  auto admissible = [&](const IndexSet& s) { return hits(s) <= cap; };
 
   std::map<IndexSet, size_t> asked;
-  AdmitFn admit = [&](const std::vector<size_t>& cur, size_t j) {
+  AdmitFn admit = [&](const std::vector<size_t>& cur,
+                      size_t j) -> std::optional<size_t> {
     IndexSet s(cur.begin(), cur.end());
     EXPECT_EQ(s.size(), cur.size());
     EXPECT_EQ(s.count(j), 0u);
     s.insert(j);
     ++asked[s];
-    return admissible(s);
+    if (!admissible(s)) return std::nullopt;
+    return hits(s);
   };
   ExpectSameSets(Enumerate(costs, conf, budget, 100000, admit),
                  BruteForce(costs, conf, budget, admissible));
   ASSERT_FALSE(asked.empty());
   for (const auto& [s, times] : asked) EXPECT_EQ(times, 1u);
+
+  size_t emitted = 0;
+  EnumerateMaximalBoundedSetsBatched(
+      costs, conf, budget, 100000, /*batch_size=*/3,
+      [&](const std::vector<std::vector<size_t>>& batch,
+          const std::vector<std::optional<size_t>>& admitted) {
+        EXPECT_EQ(admitted.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          ++emitted;
+          IndexSet s(batch[i].begin(), batch[i].end());
+          if (s.empty()) {
+            EXPECT_FALSE(admitted[i].has_value());
+          } else {
+            EXPECT_EQ(admitted[i], std::optional<size_t>(hits(s)));
+          }
+        }
+        return true;
+      },
+      admit);
+  EXPECT_GT(emitted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MbsAdmitMemoTest, testing::Range(0, 20));
@@ -276,12 +303,14 @@ TEST(MbsTest, AdmitMemoKeysSetsBeyondOneWord) {
   constexpr size_t kOps = 130;
   std::vector<double> costs(kOps, 1.0);
   std::map<IndexSet, size_t> asked;
-  AdmitFn admit = [&](const std::vector<size_t>& cur, size_t j) {
+  AdmitFn admit = [&](const std::vector<size_t>& cur,
+                      size_t j) -> std::optional<size_t> {
     IndexSet s(cur.begin(), cur.end());
     s.insert(j);
     ++asked[s];
     // Forbid pairing operator 1 with operator 129 (words 0 and 2).
-    return !(s.count(1) && s.count(129));
+    if (s.count(1) && s.count(129)) return std::nullopt;
+    return 0;
   };
   std::vector<IndexSet> sets =
       Enumerate(costs, NoConflicts(kOps), 2.0, 100000, admit);
