@@ -569,8 +569,7 @@ std::vector<EditOp> GenPickyWhy(const Graph& g, const Query& q,
     std::vector<SymbolId> desired_attrs = dom.AttrsOn(lbl, desired_n);
     for (SymbolId attr : desired_attrs) {
       if (dom.CarriesAttr(lbl, attr, picky_n)) continue;  // not differential
-      std::vector<Value> dom_desired =
-          values(attr, desired_dom.Capped(attr));
+      std::vector<Value> dom_desired = values(attr, desired_dom.Capped(attr));
       if (dom_desired.empty()) continue;
       if (dom_desired.front().is_numeric() &&
           dom_desired.back().is_numeric()) {
