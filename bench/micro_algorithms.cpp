@@ -142,9 +142,12 @@ void BM_MbsEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_MbsEnumeration)->Arg(16)->Arg(32)->Arg(64);
 
+// Under simulation the question is asked of Q's simulation answers, a
+// superset of the isomorphism answers that holds the same V_N.
 template <RewriteAnswer (*Algo)(const Graph&, const Query&,
                                 const std::vector<NodeId>&,
-                                const WhyQuestion&, const AnswerConfig&)>
+                                const WhyQuestion&, const AnswerConfig&),
+          MatchSemantics kSemantics = MatchSemantics::kIsomorphism>
 void BM_WhyAlgorithm(benchmark::State& state) {
   const Fixture& f = SharedFixture();
   if (!f.ok) {
@@ -152,9 +155,14 @@ void BM_WhyAlgorithm(benchmark::State& state) {
     return;
   }
   AnswerConfig cfg = Config();
+  cfg.semantics = kSemantics;
+  const std::vector<NodeId> answers =
+      kSemantics == MatchSemantics::kSimulation
+          ? SimulationAnswers(f.g, f.gq.query)
+          : f.gq.answers;
   double closeness = 0.0;
   for (auto _ : state) {
-    RewriteAnswer a = Algo(f.g, f.gq.query, f.gq.answers, f.why, cfg);
+    RewriteAnswer a = Algo(f.g, f.gq.query, answers, f.why, cfg);
     closeness = a.eval.closeness;
     benchmark::DoNotOptimize(a);
   }
@@ -163,6 +171,9 @@ void BM_WhyAlgorithm(benchmark::State& state) {
 BENCHMARK(BM_WhyAlgorithm<ExactWhy>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhyAlgorithm<ApproxWhy>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhyAlgorithm<IsoWhy>)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhyAlgorithm<ApproxWhy, MatchSemantics::kSimulation>)
+    ->Name("BM_WhyAlgorithm<ApproxWhy>/simulation")
+    ->Unit(benchmark::kMillisecond);
 
 template <RewriteAnswer (*Algo)(const Graph&, const Query&,
                                 const std::vector<NodeId>&,
