@@ -139,11 +139,6 @@ bool Query::Validate(std::string* error) const {
   return true;
 }
 
-size_t Query::DistanceToOutput(QNodeId u) const {
-  WHYQ_CHECK(u < nodes_.size());
-  return BfsFrom(output_)[u];
-}
-
 std::vector<size_t> Query::DistancesToOutput() const {
   return BfsFrom(output_);
 }
@@ -162,12 +157,6 @@ size_t Query::Diameter() const {
     }
   }
   return best;
-}
-
-double Query::OutputCentrality(QNodeId u) const {
-  size_t d = DistanceToOutput(u);
-  if (d == kUnreachable) return 0.0;
-  return static_cast<double>(Diameter()) / static_cast<double>(d + 1);
 }
 
 std::vector<QNodeId> Query::UndirectedNeighbors(QNodeId u) const {

@@ -59,7 +59,7 @@ struct QueryEdge {
 /// rewriting layer in rewrite/ is the intended mutator.
 ///
 /// Thread-safety: immutable after construction, shared across workers. All
-/// const accessors (including Size/IsConnected/DistanceToOutput) compute on
+/// const accessors (including Size/IsConnected/DistancesToOutput) compute on
 /// demand with no mutable caches, so a built Query may be read concurrently.
 /// Rewrite application never mutates a shared instance — ApplyOperators
 /// copies, which is what makes sharing cached queries across workers safe.
@@ -112,20 +112,12 @@ class Query {
   /// Sentinel distance for nodes disconnected from the output.
   static constexpr size_t kUnreachable = std::numeric_limits<size_t>::max();
 
-  /// Undirected distance d(u, u_o) in Q.
-  size_t DistanceToOutput(QNodeId u) const;
-
   /// d(u, u_o) of every node, indexed by QNodeId (kUnreachable off the
   /// output's component), from one BFS.
   std::vector<size_t> DistancesToOutput() const;
 
   /// Undirected diameter d_Q over the component of the output node.
   size_t Diameter() const;
-
-  /// Output centrality oc(u) = d_Q / (d(u,u_o) + 1). For the degenerate
-  /// single-node query (d_Q = 0) the paper's formula yields 0; we follow it.
-  /// Unreachable nodes get centrality 0.
-  double OutputCentrality(QNodeId u) const;
 
   /// Undirected neighbors of u (query nodes sharing an edge with u).
   std::vector<QNodeId> UndirectedNeighbors(QNodeId u) const;

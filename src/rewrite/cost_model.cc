@@ -9,11 +9,13 @@ namespace whyq {
 CostModel::CostModel(const Query& q, const Graph& g, bool weighted)
     : g_(g), weighted_(weighted) {
   diameter_ = q.Diameter();
+  dist_ = q.DistancesToOutput();
   centrality_.resize(q.node_count());
-  dist_.resize(q.node_count());
   for (QNodeId u = 0; u < q.node_count(); ++u) {
-    dist_[u] = q.DistanceToOutput(u);
-    centrality_[u] = q.OutputCentrality(u);
+    // oc(u) = d_Q / (d(u, u_o) + 1); 0 off the output's component.
+    if (dist_[u] == Query::kUnreachable) continue;
+    centrality_[u] = static_cast<double>(diameter_) /
+                     static_cast<double>(dist_[u] + 1);
   }
 }
 

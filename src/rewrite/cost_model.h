@@ -32,7 +32,8 @@ class CostModel {
   double Cost(const EditOp& op) const;
   double Cost(const OperatorSet& ops) const;
 
-  /// oc(u) for an original query node.
+  /// oc(u) for an original query node: 0 off the output's component, and
+  /// 0 for the single-node query (d_Q = 0), as the paper's formula gives.
   double Centrality(QNodeId u) const;
 
   /// Smallest possible single-operator cost given this query's shape — any

@@ -3,6 +3,7 @@
 #include "gen/figure1.h"
 #include "query/query.h"
 #include "query/query_parser.h"
+#include "rewrite/cost_model.h"
 
 namespace whyq {
 namespace {
@@ -31,26 +32,26 @@ TEST(QueryTest, SizeCountsLiteralsAndEdges) {
 
 TEST(QueryTest, DistancesAndDiameter) {
   Query q = StarQuery();
-  EXPECT_EQ(q.DistanceToOutput(0), 0u);
-  EXPECT_EQ(q.DistanceToOutput(1), 1u);
-  EXPECT_EQ(q.DistanceToOutput(2), 1u);
-  EXPECT_EQ(q.DistanceToOutput(3), 2u);
+  EXPECT_EQ(q.DistancesToOutput(), (std::vector<size_t>{0, 1, 1, 2}));
   EXPECT_EQ(q.Diameter(), 3u);  // u1 .. u3
 }
 
 TEST(QueryTest, OutputCentrality) {
   Query q = StarQuery();
-  EXPECT_DOUBLE_EQ(q.OutputCentrality(0), 3.0);        // d_Q/(0+1)
-  EXPECT_DOUBLE_EQ(q.OutputCentrality(1), 1.5);        // d_Q/(1+1)
-  EXPECT_DOUBLE_EQ(q.OutputCentrality(3), 1.0);        // d_Q/(2+1)
+  Graph g;
+  CostModel cm(q, g);
+  EXPECT_DOUBLE_EQ(cm.Centrality(0), 3.0);  // d_Q/(0+1)
+  EXPECT_DOUBLE_EQ(cm.Centrality(1), 1.5);  // d_Q/(1+1)
+  EXPECT_DOUBLE_EQ(cm.Centrality(3), 1.0);  // d_Q/(2+1)
 }
 
 TEST(QueryTest, Figure1CentralitiesMatchPaper) {
   // Example 4: d_Q = 2, oc(Cellphone) = 2, neighbors have oc = 1.
   Figure1 f = MakeFigure1();
   EXPECT_EQ(f.query.Diameter(), 2u);
-  EXPECT_DOUBLE_EQ(f.query.OutputCentrality(f.query.output()), 2.0);
-  EXPECT_DOUBLE_EQ(f.query.OutputCentrality(1), 1.0);
+  CostModel cm(f.query, f.graph);
+  EXPECT_DOUBLE_EQ(cm.Centrality(f.query.output()), 2.0);
+  EXPECT_DOUBLE_EQ(cm.Centrality(1), 1.0);
 }
 
 TEST(QueryTest, DisconnectedAfterRemoveEdge) {
@@ -58,8 +59,9 @@ TEST(QueryTest, DisconnectedAfterRemoveEdge) {
   EXPECT_TRUE(q.IsConnected());
   ASSERT_TRUE(q.RemoveEdge(2, 3, 2));
   EXPECT_FALSE(q.IsConnected());
-  EXPECT_EQ(q.DistanceToOutput(3), Query::kUnreachable);
-  EXPECT_DOUBLE_EQ(q.OutputCentrality(3), 0.0);
+  EXPECT_EQ(q.DistancesToOutput()[3], Query::kUnreachable);
+  Graph g;
+  EXPECT_DOUBLE_EQ(CostModel(q, g).Centrality(3), 0.0);
   // Output component excludes the stranded node.
   std::vector<QNodeId> comp = q.OutputComponent();
   EXPECT_EQ(comp.size(), 3u);
