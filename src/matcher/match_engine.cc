@@ -1,10 +1,10 @@
 #include "matcher/match_engine.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
-#include "query/query_parser.h"
 
 namespace whyq {
 
@@ -40,13 +40,32 @@ class IsoMatchEngine : public MatchEngine {
   Matcher matcher_;
 };
 
+// Whether a and b are the same query to the simulation: node for node the
+// same label and literals (Literal::operator==, as the candidate memo
+// compares them), the same edges and the same output. Equal constraints
+// select equal candidate sets, so equal queries have equal answers.
+bool SameQuery(const Query& a, const Query& b) {
+  if (a.output() != b.output() || a.node_count() != b.node_count() ||
+      a.edges() != b.edges()) {
+    return false;
+  }
+  for (QNodeId u = 0; u < a.node_count(); ++u) {
+    if (a.node(u).label != b.node(u).label ||
+        a.node(u).literals != b.node(u).literals) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Dual-simulation semantics. The maximum simulation is a whole-query
-// fixpoint, so single-node probes recompute it; a one-entry cache keyed by
-// the query's serialized form absorbs the evaluators' per-rewrite probing
-// patterns (many IsAnswer calls against the same rewrite), and TestAnswers
-// consults it once per batch. The borrowed MatchContext seeds each
-// fixpoint with memoized candidate sets, cut down to the base query's
-// relation once AssumeRefinementsOf has installed it.
+// fixpoint, so single-node probes recompute it. Once AssumeRefinementsOf
+// has installed a base, each refinement is answered as a counted delta of
+// the base's relation. Every other query runs the cold fixpoint over the
+// borrowed MatchContext, behind a one-entry cache keyed by the last such
+// query, which absorbs the evaluators' per-rewrite probing patterns (many
+// IsAnswer calls against the same rewrite); TestAnswers consults the
+// answers once per batch.
 class SimMatchEngine : public MatchEngine {
  public:
   explicit SimMatchEngine(MatchContext& ctx) : ctx_(ctx) {}
@@ -82,33 +101,40 @@ class SimMatchEngine : public MatchEngine {
     return out;
   }
   void AssumeRefinementsOf(const Query& base) override {
-    // Unbounded is always sound; an expired token skips the fixpoint.
+    // Running cold is always sound; an expired token installs no base.
     if (CancelRequested(cancel_)) return;
-    bound_ = RefinementBound(ctx_, base);
+    refinements_.emplace(ctx_, base);
   }
 
  private:
   const std::vector<NodeId>& AnswersFor(const Query& q) const {
-    std::string key = WriteQuery(q, ctx_.graph());
-    if (key != cached_key_) {
-      // Simulation is a polynomial whole-query fixpoint; cancellation is
-      // honored at this coarse granularity (skip fresh computations once
-      // expired, returning the empty answer, which the evaluators discard
-      // as cut short).
-      if (CancelRequested(cancel_)) {
-        static const std::vector<NodeId> kEmpty;
-        return kEmpty;
-      }
-      cached_answers_ = SimulationAnswers(ctx_, q, bound_);  // ascending
-      cached_key_ = std::move(key);
+    if (cached_query_.has_value() && SameQuery(*cached_query_, q)) {
+      return cached_answers_;
     }
-    return cached_answers_;
+    // Cancellation is honored at the granularity of one call: once the
+    // token expired, a fresh computation is skipped and the answer is
+    // empty, which the evaluators discard as cut short.
+    if (CancelRequested(cancel_)) {
+      static const std::vector<NodeId> kEmpty;
+      return kEmpty;
+    }
+    // A delta is cheaper than copying its query into the cache key.
+    if (refinements_.has_value()) {
+      if (std::optional<std::vector<NodeId>> delta = refinements_->Answers(q)) {
+        cached_query_.reset();
+        cached_answers_ = std::move(*delta);
+        return cached_answers_;
+      }
+    }
+    cached_answers_ = SimulationAnswers(ctx_, q);
+    cached_query_ = q;
+    return cached_answers_;  // ascending
   }
 
   MatchContext& ctx_;
   const CancelToken* cancel_ = nullptr;
-  SimulationBound bound_;  // empty: no base query assumed
-  mutable std::string cached_key_;
+  mutable std::optional<RefinementSimulation> refinements_;  // the base
+  mutable std::optional<Query> cached_query_;  // of a cold answer
   mutable std::vector<NodeId> cached_answers_;
 };
 

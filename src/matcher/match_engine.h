@@ -58,12 +58,15 @@ class MatchEngine {
   virtual std::vector<uint8_t> TestAnswers(
       const Query& q, const std::vector<NodeId>& nodes) const = 0;
 
-  /// Promises that every later query refines `base` (see RefinementBound
-  /// in matcher/simulation.h: RfL, AddL and AddE only, node ids kept), as
-  /// every rewrite of a Why search does. The simulation engine then starts
-  /// each fixpoint from base's maximum relation instead of the candidate
-  /// sets; the isomorphism engine ignores it. Answers are unchanged as long
-  /// as the promise holds.
+  /// Promises that every later query refines `base` (see
+  /// RefinementSimulation in matcher/simulation.h: RfL, AddL and AddE only,
+  /// node ids and output kept), as every rewrite of a Why search does. The
+  /// simulation engine then runs base's fixpoint once, here, and answers
+  /// each later refinement as a counted delta of that relation; a query
+  /// not shaped as a refinement still runs cold. If the cancel token has
+  /// already expired, no base is installed and every query runs cold. The
+  /// isomorphism engine ignores the promise. Answers are unchanged as long
+  /// as it holds.
   virtual void AssumeRefinementsOf(const Query& base) = 0;
 };
 

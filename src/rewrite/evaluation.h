@@ -69,8 +69,9 @@ class WhyEvaluator {
 
   /// Promises that every later rewrite refines `q` (RfL, AddL, AddE), as
   /// every rewrite of the Why search does. Under simulation semantics each
-  /// fixpoint then starts from Q's own relation, computed here once (see
-  /// MatchEngine::AssumeRefinementsOf); answers are unchanged.
+  /// rewrite is then answered as a counted delta of Q's own relation,
+  /// computed here once (see MatchEngine::AssumeRefinementsOf); answers are
+  /// unchanged.
   void AssumeRefinementsOf(const Query& q) {
     engine_->AssumeRefinementsOf(q);
   }

@@ -54,7 +54,7 @@ struct WhyKind {
   // Partial credit of a target not yet excluded: a refinement can push it
   // toward failing the path tests without excluding it outright.
   static double SoftTerm(double pass_fraction) { return 1.0 - pass_fraction; }
-  // Every Why rewrite refines Q, so Q's simulation bounds each of theirs.
+  // Every Why rewrite refines Q, so each is a delta of Q's simulation.
   static void WarmStart(Evaluator& ev, const Query& q) {
     ev.AssumeRefinementsOf(q);
   }

@@ -43,7 +43,7 @@ namespace whyq {
 namespace {
 
 constexpr uint64_t kAnswerDigest = 0xeeeb0c1cd8c929aaull;
-constexpr uint64_t kWorkDigest = 0x45828a73af52127dull;
+constexpr uint64_t kWorkDigest = 0x9266599a710f5c3dull;
 
 struct PoolItem {
   GeneratedQuery gq;

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "matcher/candidates.h"
 #include "matcher/match_context.h"
+#include "matcher/match_engine.h"
 #include "matcher/matcher.h"
 #include "matcher/simulation.h"
 #include "query/query_parser.h"
@@ -242,6 +243,103 @@ TEST_P(SimulationOracleTest, MaximalClosedRelation) {
   Matcher m(g);
   for (NodeId v : m.MatchOutput(q)) {
     EXPECT_TRUE(member(q.output(), v));
+  }
+}
+
+// `base` refined by 1-3 random edits: a literal added on x or y (AddL), an
+// x/y bound tightened by one (RfL), or an edge added between two nodes
+// (AddE; it joins a node outside the output component when it picks one)
+// or from a node to a new one (AddE with a fresh node, sometimes carrying
+// a literal).
+Query RefineRandomly(const Graph& g, const Query& base, Rng& rng) {
+  Query out = base;
+  std::vector<SymbolId> attrs;
+  for (const char* name : {"x", "y"}) {
+    if (std::optional<SymbolId> a = g.attr_names().Find(name)) {
+      attrs.push_back(*a);
+    }
+  }
+  auto random_literal = [&] {
+    return Literal{attrs[rng.Index(attrs.size())],
+                   rng.Chance(0.5) ? CompareOp::kLe : CompareOp::kGe,
+                   Value(rng.Uniform(0, 4))};
+  };
+  auto edge_label = [&] {
+    return static_cast<SymbolId>(rng.Index(g.edge_labels().size()));
+  };
+  size_t edits = 1 + rng.Index(3);
+  for (size_t i = 0; i < edits; ++i) {
+    QNodeId u = static_cast<QNodeId>(rng.Index(out.node_count()));
+    const std::vector<Literal>& lits = out.node(u).literals;
+    switch (rng.Index(4)) {
+      case 0:
+        out.AddLiteral(u, random_literal());
+        break;
+      case 1:
+        if (!lits.empty()) {
+          Literal before = lits[rng.Index(lits.size())];
+          Literal after = before;
+          int64_t c = before.constant.as_int();
+          after.constant = Value(before.op == CompareOp::kLe ? c - 1 : c + 1);
+          out.ReplaceLiteral(u, before, after);
+        }
+        break;
+      case 2: {
+        QNodeId v = static_cast<QNodeId>(rng.Index(out.node_count()));
+        if (rng.Chance(0.5)) std::swap(u, v);
+        out.AddEdge(u, v, edge_label());
+        break;
+      }
+      default: {
+        QNodeId w = out.AddNode(
+            static_cast<SymbolId>(rng.Index(g.node_labels().size())));
+        if (rng.Chance(0.5)) out.AddLiteral(w, random_literal());
+        if (rng.Chance(0.5)) {
+          out.AddEdge(u, w, edge_label());
+        } else {
+          out.AddEdge(w, u, edge_label());
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Counted-delta oracle: random refinements of each instance's query, given
+// an edge outside its output component, are answered as deltas of one
+// RefinementSimulation of it, and by a simulation engine that assumed it;
+// both must equal the brute-force relation node by node. A relaxation is
+// not a refinement, so the delta declines it.
+TEST_P(SimulationOracleTest, CountedDeltaAgreesWithBruteForce) {
+  Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 389 + 11);
+  const Graph& g = inst.g;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 619 + 7);
+  Query base = inst.q;
+  QNodeId w1 = base.AddNode(
+      static_cast<SymbolId>(rng.Index(g.node_labels().size())));
+  QNodeId w2 = base.AddNode(
+      static_cast<SymbolId>(rng.Index(g.node_labels().size())));
+  base.AddEdge(w1, w2, 0);
+
+  MatchContext ctx(g);
+  RefinementSimulation delta(ctx, base);
+  std::unique_ptr<MatchEngine> engine =
+      MakeMatchEngine(ctx, MatchSemantics::kSimulation);
+  engine->AssumeRefinementsOf(base);
+  for (int trial = 0; trial < 12; ++trial) {
+    Query rw = RefineRandomly(g, base, rng);
+    std::vector<std::vector<NodeId>> want = BruteForceSimulation(g, rw);
+    std::optional<std::vector<std::vector<NodeId>>> got = delta.Relation(rw);
+    ASSERT_TRUE(got.has_value()) << rw.ToString(g);
+    EXPECT_EQ(*got, want) << "trial " << trial << "\n" << rw.ToString(g);
+    EXPECT_EQ(engine->MatchOutput(rw), want[rw.output()]) << rw.ToString(g);
+  }
+  EXPECT_EQ(delta.Relation(base), BruteForceSimulation(g, base));
+  if (base.edge_count() > 1) {
+    Query relaxed = base;
+    relaxed.RemoveEdge(base.edges()[0].src, base.edges()[0].dst,
+                       base.edges()[0].label);
+    EXPECT_FALSE(delta.Relation(relaxed).has_value());
   }
 }
 

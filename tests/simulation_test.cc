@@ -196,14 +196,80 @@ TEST(SimulationTest, ReusedContextMatchesFreshContext) {
   EXPECT_GT(ctx.stats().delta_builds, 0u);
 }
 
-TEST(SimulationTest, BoundedByBaseMatchesCold) {
+// The Why operators of a generated query, by kind (RfL, AddL, AddE to an
+// existing node, AddE to a new one; empty kinds dropped), plus a join. The
+// base query gets two nodes outside its output component, joined by a
+// copy of the data edge that leaves one answer's neighbour; the join is an
+// AddE from the output to the first of them, along a data edge of that
+// answer, so the answer stays matched and the edge between the two is
+// counted fresh.
+struct RefinementChains {
+  Query base;
+  QNodeId joined = kInvalidQNode;
+  std::vector<std::vector<EditOp>> by_kind;
+};
+
+RefinementChains MakeChains(const Graph& g, const GeneratedQuery& gq) {
+  RefinementChains out;
+  out.base = gq.query;
+  std::vector<NodeId> entities(
+      gq.answers.begin(),
+      gq.answers.begin() + std::min<size_t>(2, gq.answers.size()));
+  AnswerConfig cfg;
+  std::vector<EditOp> ops =
+      GenPickyWhy(g, gq.query, gq.answers, entities, cfg);
+  EdgeSpan out_edges = g.out_edges(gq.answers.front());
+  if (!out_edges.empty()) {
+    const HalfEdge& first = *out_edges.begin();
+    out.joined = out.base.AddNode(g.label(first.other));
+    EdgeSpan next = g.out_edges(first.other);
+    if (!next.empty()) {
+      QNodeId w = out.base.AddNode(g.label(next.begin()->other));
+      out.base.AddEdge(out.joined, w, next.begin()->label);
+    }
+    EditOp join;
+    join.kind = OpKind::kAddE;
+    join.u = out.base.output();
+    join.v = out.joined;
+    join.edge_label = first.label;
+    ops.push_back(join);
+  }
+  out.by_kind.resize(4);
+  for (EditOp& o : ops) {
+    size_t k = o.kind == OpKind::kRfL    ? 0
+               : o.kind == OpKind::kAddL ? 1
+               : o.new_node.has_value()  ? 3
+                                         : 2;
+    out.by_kind[k].push_back(std::move(o));
+  }
+  out.by_kind.erase(std::remove_if(out.by_kind.begin(), out.by_kind.end(),
+                                   [](const std::vector<EditOp>& v) {
+                                     return v.empty();
+                                   }),
+                    out.by_kind.end());
+  return out;
+}
+
+// Draws a kind first, then an operator of it, so the rare kinds show up;
+// false when the operator is in `set` already or conflicts with it.
+bool ExtendChain(const RefinementChains& c, Rng& rng, OperatorSet& set) {
+  const std::vector<EditOp>& kind = c.by_kind[rng.Index(c.by_kind.size())];
+  const EditOp& op = kind[rng.Index(kind.size())];
+  if (std::any_of(set.begin(), set.end(), [&](const EditOp& o) {
+        return o == op || OpsConflict(o, op);
+      })) {
+    return false;
+  }
+  set.push_back(op);
+  return true;
+}
+
+TEST(SimulationTest, CountedDeltaMatchesCold) {
   // A refinement (RfL, AddL, AddE to an existing or a new node) only
-  // shrinks the maximum dual simulation, so the relation of the query it
-  // refines bounds its own. Over random refinement chains, the simulation
-  // started from the base's relation, and from the previous link's, must
-  // equal the cold one node by node. Each base also carries a node outside
-  // the output component, which an AddE may join to it: that node has no
-  // bound.
+  // shrinks the maximum dual simulation, so it is a delta of the relation
+  // of the query it refines. Over random refinement chains, the counted
+  // delta from the base, and the answers of a simulation engine that
+  // assumed the base, must equal the cold fixpoint node by node.
   Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, 17);
   Rng rng(31);
   QueryGenConfig qc;
@@ -220,73 +286,30 @@ TEST(SimulationTest, BoundedByBaseMatchesCold) {
     qc.literals_per_node = 1 + i % 2;
     std::optional<GeneratedQuery> gq = GenerateQuery(g, qc, rng);
     if (!gq.has_value()) continue;
-    std::vector<NodeId> entities(
-        gq->answers.begin(),
-        gq->answers.begin() + std::min<size_t>(2, gq->answers.size()));
-    AnswerConfig cfg;
-    std::vector<EditOp> ops =
-        GenPickyWhy(g, gq->query, gq->answers, entities, cfg);
-    Query base = gq->query;
-    EdgeSpan out = g.out_edges(gq->answers.front());
-    if (!out.empty()) {
-      // The isolated node copies one data edge of an answer, so joining it
-      // keeps that answer matched.
-      QNodeId w = base.AddNode(g.label(out.begin()->other));
-      EditOp join;
-      join.kind = OpKind::kAddE;
-      join.u = base.output();
-      join.v = w;
-      join.edge_label = out.begin()->label;
-      ops.push_back(join);
-    }
-    // Draw a kind first, then an operator of it, so the rare kinds show
-    // up in the chains: RfL, AddL, AddE to an existing node, AddE to a
-    // new one.
-    std::vector<std::vector<EditOp>> by_kind(4);
-    for (EditOp& o : ops) {
-      size_t k = o.kind == OpKind::kRfL    ? 0
-                 : o.kind == OpKind::kAddL ? 1
-                 : o.new_node.has_value()  ? 3
-                                           : 2;
-      by_kind[k].push_back(std::move(o));
-    }
-    by_kind.erase(std::remove_if(by_kind.begin(), by_kind.end(),
-                                 [](const std::vector<EditOp>& v) {
-                                   return v.empty();
-                                 }),
-                  by_kind.end());
-    if (by_kind.empty()) continue;
-    const SimulationBound base_bound = RefinementBound(ctx, base);
+    RefinementChains chains = MakeChains(g, *gq);
+    if (chains.by_kind.empty()) continue;
+    const Query& base = chains.base;
+    RefinementSimulation delta(ctx, base);
+    std::unique_ptr<MatchEngine> engine =
+        MakeMatchEngine(ctx, MatchSemantics::kSimulation);
+    engine->AssumeRefinementsOf(base);
     for (int chain = 0; chain < 8; ++chain) {
       OperatorSet set;
-      Query prev = base;
       for (int step = 0; step < 4; ++step) {
-        const std::vector<EditOp>& kind = by_kind[rng.Index(by_kind.size())];
-        const EditOp& op = kind[rng.Index(kind.size())];
-        if (std::any_of(set.begin(), set.end(), [&](const EditOp& o) {
-              return o == op || OpsConflict(o, op);
-            })) {
-          continue;
-        }
-        set.push_back(op);
+        if (!ExtendChain(chains, rng, set)) continue;
+        const EditOp& op = set.back();
         Query rw = ApplyOperators(base, set);
         std::vector<std::vector<NodeId>> cold = FreshSimulation(g, rw);
-        std::vector<std::vector<NodeId>> from_base =
-            DualSimulation(ctx, rw, base_bound);
-        std::vector<std::vector<NodeId>> from_prev =
-            DualSimulation(ctx, rw, RefinementBound(ctx, prev));
-        ASSERT_EQ(from_base.size(), cold.size());
-        ASSERT_EQ(from_prev.size(), cold.size());
+        std::optional<std::vector<std::vector<NodeId>>> got =
+            delta.Relation(rw);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(got->size(), cold.size());
         for (QNodeId u = 0; u < rw.node_count(); ++u) {
-          EXPECT_EQ(from_base[u], cold[u])
-              << "query " << i << " chain " << chain << " step " << step
-              << " node " << u << " (bound by the base)";
-          EXPECT_EQ(from_prev[u], cold[u])
-              << "query " << i << " chain " << chain << " step " << step
-              << " node " << u << " (bound by the previous link)";
+          EXPECT_EQ((*got)[u], cold[u]) << "query " << i << " chain "
+                                        << chain << " step " << step
+                                        << " node " << u;
         }
-        EXPECT_EQ(SimulationAnswers(ctx, rw, base_bound),
-                  SimulationAnswers(g, rw));
+        EXPECT_EQ(engine->MatchOutput(rw), cold[rw.output()]);
         switch (op.kind) {
           case OpKind::kRfL:
             ++rfl;
@@ -296,13 +319,12 @@ TEST(SimulationTest, BoundedByBaseMatchesCold) {
             break;
           case OpKind::kAddE:
             ++(op.new_node.has_value() ? adde_new : adde);
-            joins += op.v == base.node_count() - 1 ? 1 : 0;
+            joins += op.v == chains.joined ? 1 : 0;
             break;
           default:
             ADD_FAILURE() << "Why generated a relaxation";
         }
         ++links;
-        prev = std::move(rw);
       }
     }
   }
@@ -312,6 +334,59 @@ TEST(SimulationTest, BoundedByBaseMatchesCold) {
   EXPECT_GT(adde, 0u);
   EXPECT_GT(adde_new, 0u);
   EXPECT_GT(joins, 0u);
+}
+
+TEST(SimulationTest, DeltasLeaveTheBaseIntact) {
+  // Each delta restores the counts and member bits it touched: after a few
+  // hundred refinements on one engine, Q itself still returns S_Q(u_o), the
+  // delta of Q is still its whole cold relation, and further refinements
+  // still equal their cold relations. A query that drops one of Q's edges
+  // is a relaxation, which the delta declines and the engine runs cold.
+  Graph g = GenerateProfile(DatasetProfile::kDBpedia, 1200, 17);
+  Rng rng(37);
+  QueryGenConfig qc;
+  qc.edges = 3;
+  qc.literals_per_node = 2;
+  qc.min_answers = 2;
+  size_t bases = 0;
+  for (int i = 0; i < 4; ++i) {
+    std::optional<GeneratedQuery> gq = GenerateQuery(g, qc, rng);
+    if (!gq.has_value()) continue;
+    RefinementChains chains = MakeChains(g, *gq);
+    if (chains.by_kind.empty()) continue;
+    const Query& base = chains.base;
+    MatchContext ctx(g);
+    RefinementSimulation delta(ctx, base);
+    std::unique_ptr<MatchEngine> engine =
+        MakeMatchEngine(ctx, MatchSemantics::kSimulation);
+    engine->AssumeRefinementsOf(base);
+    size_t deltas = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      OperatorSet set;
+      for (int step = 0; step < 3; ++step) ExtendChain(chains, rng, set);
+      Query rw = ApplyOperators(base, set);
+      engine->MatchOutput(rw);
+      deltas += delta.Relation(rw).has_value() ? 1 : 0;
+    }
+    EXPECT_EQ(deltas, 300u);
+    std::vector<std::vector<NodeId>> cold = FreshSimulation(g, base);
+    EXPECT_EQ(engine->MatchOutput(base), cold[base.output()]);
+    EXPECT_EQ(delta.Relation(base), cold);
+    for (int trial = 0; trial < 20; ++trial) {
+      OperatorSet set;
+      for (int step = 0; step < 3; ++step) ExtendChain(chains, rng, set);
+      Query rw = ApplyOperators(base, set);
+      EXPECT_EQ(delta.Relation(rw), FreshSimulation(g, rw));
+    }
+    Query relaxed = base;
+    const QueryEdge e = base.edges().front();
+    ASSERT_TRUE(relaxed.RemoveEdge(e.src, e.dst, e.label));
+    EXPECT_FALSE(delta.Relation(relaxed).has_value());
+    EXPECT_EQ(engine->MatchOutput(relaxed),
+              FreshSimulation(g, relaxed)[relaxed.output()]);
+    ++bases;
+  }
+  EXPECT_GT(bases, 0u);
 }
 
 TEST(SimulationTest, GreedyAlgorithmsUseTheCandidateMemo) {
