@@ -126,16 +126,23 @@ std::vector<std::vector<NodeId>> BruteForceSimulation(const Graph& g,
   return out;
 }
 
-// `q` with 1-2 random literal edits on its nodes: add a literal on x or y
-// (a refinement), drop one (a relaxation), or move one's constant (either).
-Query EditLiterals(const Graph& g, const Query& q, Rng& rng) {
-  Query out = q;
+// The instance attributes random literals are drawn over: x, and y where
+// some node carries it.
+std::vector<SymbolId> LiteralAttrs(const Graph& g) {
   std::vector<SymbolId> attrs;
   for (const char* name : {"x", "y"}) {
     if (std::optional<SymbolId> a = g.attr_names().Find(name)) {
       attrs.push_back(*a);
     }
   }
+  return attrs;
+}
+
+// `q` with 1-2 random literal edits on its nodes: add a literal on x or y
+// (a refinement), drop one (a relaxation), or move one's constant (either).
+Query EditLiterals(const Graph& g, const Query& q, Rng& rng) {
+  Query out = q;
+  const std::vector<SymbolId> attrs = LiteralAttrs(g);
   size_t edits = 1 + rng.Index(2);
   for (size_t i = 0; i < edits; ++i) {
     QNodeId u = static_cast<QNodeId>(rng.Index(out.node_count()));
@@ -253,12 +260,7 @@ TEST_P(SimulationOracleTest, MaximalClosedRelation) {
 // a literal).
 Query RefineRandomly(const Graph& g, const Query& base, Rng& rng) {
   Query out = base;
-  std::vector<SymbolId> attrs;
-  for (const char* name : {"x", "y"}) {
-    if (std::optional<SymbolId> a = g.attr_names().Find(name)) {
-      attrs.push_back(*a);
-    }
-  }
+  const std::vector<SymbolId> attrs = LiteralAttrs(g);
   auto random_literal = [&] {
     return Literal{attrs[rng.Index(attrs.size())],
                    rng.Chance(0.5) ? CompareOp::kLe : CompareOp::kGe,
