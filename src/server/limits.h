@@ -128,9 +128,9 @@ inline constexpr size_t kMaxMbsVisits = 200000;
 /// atomic epoch.
 inline constexpr size_t kMaxUpdateOps = 65536;
 
-/// Default AnswerConfig::exact_time_limit_ms stamped onto wire requests —
-/// the same 30 s ceiling the CLI applies (tools/whyq_cli.cc MakeConfig),
-/// so an exact enumeration without an explicit deadline still terminates.
+/// Default AnswerConfig::exact_time_limit_ms stamped onto wire requests and
+/// CLI questions, so an exact enumeration without an explicit deadline
+/// still terminates.
 inline constexpr double kExactTimeLimitMs = 30000.0;
 
 }  // namespace whyq::server

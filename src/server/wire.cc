@@ -185,13 +185,7 @@ bool ParseWireRequest(const std::string& line, WireRequest* out,
   if (const JsonValue* algo = doc.Find("algo")) {
     if (!algo->is_string()) return Fail(error, "'algo' must be a string");
     const std::string& a = algo->as_string();
-    if (a == "exact") {
-      req.algo = AlgoChoice::kExact;
-    } else if (a == "iso") {
-      req.algo = AlgoChoice::kIso;
-    } else if (a == "auto" || a == "approx" || a == "fast") {
-      req.algo = AlgoChoice::kAuto;
-    } else {
+    if (!ParseAlgoChoice(a, &req.algo)) {
       return Fail(error, "unknown algo '" + a + "' (auto|exact|iso)");
     }
   }

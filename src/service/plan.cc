@@ -36,6 +36,10 @@ std::vector<SymbolId> SymbolRows(const ImageRegion& r) {
 
 }  // namespace
 
+uint64_t PlanFingerprint(const Graph& g) {
+  return g.frozen() ? g.identity() : GraphFingerprint(g);
+}
+
 CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,
                               std::string query_text, uint64_t max_paths) {
   CompiledPlan plan;

@@ -122,6 +122,11 @@ struct CompiledPlan {
   SymbolFootprint footprint;
 };
 
+/// The fingerprint plans of `g` are stamped with and looked up by: frozen
+/// (snapshot-backed) graphs already carry the content hash as identity();
+/// heap graphs pay one GraphFingerprint pass.
+uint64_t PlanFingerprint(const Graph& g);
+
 /// Flattens a PreparedQuery (plus the canonical text its cache key was
 /// derived from and the max_paths it was built with) into a writable plan.
 CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,

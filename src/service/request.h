@@ -32,6 +32,11 @@ enum class AlgoChoice { kAuto, kExact, kIso };
 
 const char* AlgoChoiceName(AlgoChoice a);
 
+/// Parses an algorithm name: auto|exact|iso, plus approx and fast as the
+/// names of kAuto's algorithms. Returns false (leaving `out` alone) on any
+/// other name.
+bool ParseAlgoChoice(const std::string& name, AlgoChoice* out);
+
 /// One question submitted to the service. The query travels as DSL text
 /// (query_parser.h) so requests are self-contained and cacheable by
 /// canonical form; entities are graph node ids.

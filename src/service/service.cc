@@ -36,6 +36,19 @@ const char* AlgoChoiceName(AlgoChoice a) {
   return "?";
 }
 
+bool ParseAlgoChoice(const std::string& name, AlgoChoice* out) {
+  if (name == "auto" || name == "approx" || name == "fast") {
+    *out = AlgoChoice::kAuto;
+  } else if (name == "exact") {
+    *out = AlgoChoice::kExact;
+  } else if (name == "iso") {
+    *out = AlgoChoice::kIso;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 const char* ResponseStatusName(ResponseStatus s) {
   switch (s) {
     case ResponseStatus::kOk:
@@ -62,12 +75,9 @@ WhyqService::WhyqService(std::shared_ptr<const Graph> graph,
   if (cfg_.workers == 0) cfg_.workers = 1;
   stats_.ConfigureSlowLog(cfg_.slow_query_ms, cfg_.slow_log_capacity);
   if (cfg_.plan_store != nullptr) {
-    // One content hash per epoch: frozen (snapshot-backed) graphs already
-    // carry it as identity(); heap graphs pay one fingerprint pass here
-    // (and one per update) so every request can stamp/validate plans
-    // without rehashing the graph.
-    plan_fp_ = graph_->frozen() ? graph_->identity()
-                                : GraphFingerprint(*graph_);
+    // One content hash per epoch, paid here (and once per update) so every
+    // request can stamp/validate plans without rehashing the graph.
+    plan_fp_ = PlanFingerprint(*graph_);
     // Warm the prepared cache from the store before the workers exist:
     // the first repeated question after a restart hits memory, not disk.
     cfg_.plan_store->WarmLoad(*graph_, plan_fp_, cfg_.cache_capacity,
@@ -274,7 +284,7 @@ bool WhyqService::ApplyUpdate(const UpdateBatch& batch, UpdateResult* result) {
   if (cfg_.plan_store != nullptr) {
     // The new epoch's content hash (an update never targets a frozen
     // graph, so this is always a real fingerprint pass).
-    new_fp = GraphFingerprint(*next);
+    new_fp = PlanFingerprint(*next);
     MutexLock lock(graph_mu_);
     old_fp = plan_fp_;
   }

@@ -207,9 +207,8 @@ class WhyqService {
   // apply-invalidate-publish sequence so deltas land in order.
   mutable Mutex graph_mu_;
   std::shared_ptr<const Graph> graph_ WHYQ_GUARDED_BY(graph_mu_);
-  // The published epoch's GraphFingerprint (frozen graphs reuse identity(),
-  // which already is the content hash). Only meaningful when a plan store
-  // is configured; republished with the graph.
+  // The published epoch's PlanFingerprint. Only meaningful when a plan
+  // store is configured; republished with the graph.
   uint64_t plan_fp_ WHYQ_GUARDED_BY(graph_mu_) = 0;
   Mutex update_mu_;
   ServiceConfig cfg_;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 
-#include "matcher/matcher.h"
+#include "matcher/match_context.h"
+#include "matcher/match_engine.h"
 #include "matcher/path_index.h"
 #include "rewrite/cost_model.h"
 #include "why/mbs.h"
@@ -35,14 +37,15 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
                               const AnswerConfig& cfg) {
   WhyEmptyResult out;
   out.rewritten = q;
-  Matcher matcher(g);
-  matcher.set_cancel_token(cfg.cancel);
+  MatchContext ctx(g);
+  std::unique_ptr<MatchEngine> matcher = MakeMatchEngine(ctx, cfg.semantics);
+  matcher->SetCancelToken(cfg.cancel);
   auto harvest = [&](const Query& rewritten) {
-    std::vector<NodeId> all = matcher.MatchOutput(rewritten);
+    std::vector<NodeId> all = matcher->MatchOutput(rewritten);
     if (all.size() > 10) all.resize(10);
     out.sample_answers = std::move(all);
   };
-  if (matcher.HasAnyMatch(q)) {
+  if (matcher->HasAnyMatch(q)) {
     out.found = true;
     harvest(q);
     return out;
@@ -71,7 +74,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
   auto score = [&](const Query& rewritten) {
     double best = 0.0;
     double sum = 0.0;
-    PathIndex::Probe probe(pidx, matcher.context(), rewritten);
+    PathIndex::Probe probe(pidx, ctx, rewritten);
     for (NodeId v : proxy) {
       double fr = probe.PassFraction(v);
       best = std::max(best, fr);
@@ -113,7 +116,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
     spent += costs[i];
     Query rewritten = ApplyOperators(q, selected);
     current_score = score(rewritten);
-    if (matcher.HasAnyMatch(rewritten)) {
+    if (matcher->HasAnyMatch(rewritten)) {
       // Drop unnecessary operators, cheapest kept.
       bool changed = true;
       while (changed && selected.size() > 1) {
@@ -122,7 +125,7 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
           OperatorSet trial = selected;
           trial.erase(trial.begin() + static_cast<long>(j));
           Query tq = ApplyOperators(q, trial);
-          if (matcher.HasAnyMatch(tq)) {
+          if (matcher->HasAnyMatch(tq)) {
             selected = std::move(trial);
             changed = true;
             break;
@@ -151,8 +154,9 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
     out.found = true;
     return out;
   }
-  Matcher matcher(g);
-  matcher.set_cancel_token(cfg.cancel);
+  MatchContext ctx(g);
+  std::unique_ptr<MatchEngine> matcher = MakeMatchEngine(ctx, cfg.semantics);
+  matcher->SetCancelToken(cfg.cancel);
   CostModel cost(q, g, cfg.weighted_cost);
   std::optional<PathIndex> own_pidx;
   if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
@@ -173,7 +177,7 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   // Greedy: maximize estimated removals per unit cost (path screening).
   auto survivors = [&](const Query& rewritten) {
     size_t kept = 0;
-    PathIndex::Probe probe(pidx, matcher.context(), rewritten);
+    PathIndex::Probe probe(pidx, ctx, rewritten);
     for (NodeId v : answers) {
       if (probe.Passes(v)) ++kept;
     }
@@ -222,7 +226,7 @@ WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
   out.ops = selected;
   out.rewritten = ApplyOperators(q, selected);
   out.cost = cost.Cost(selected);
-  out.after = matcher.MatchOutput(out.rewritten).size();
+  out.after = matcher->MatchOutput(out.rewritten).size();
   out.found = out.after <= target_k;
   return out;
 }

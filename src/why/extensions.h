@@ -13,7 +13,8 @@ namespace whyq {
 
 /// Why-empty (Section V "Extensions"): a Why-not question with no V_C — the
 /// user only wants *some* answer. Returns a relaxation rewrite within
-/// budget whose answer is non-empty, preferring cheap operator sets.
+/// budget whose answer under cfg.semantics is non-empty, preferring cheap
+/// operator sets.
 struct WhyEmptyResult {
   bool found = false;
   OperatorSet ops;
@@ -28,7 +29,8 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
 /// Why-so-many (Section V "Extensions"): a Why question with no V_N — the
 /// user wants the answer shrunk to at most `target_k` entities. Greedy
 /// refinement over the picky set with path-index screening; the final
-/// rewrite is re-evaluated exactly.
+/// rewrite is re-evaluated exactly under cfg.semantics, the semantics
+/// `answers` must have been matched under.
 struct WhySoManyResult {
   bool found = false;  // reached <= target_k within budget
   OperatorSet ops;

@@ -15,12 +15,12 @@
 //   whyq_cli whyempty GRAPH QUERYFILE [common]
 //   whyq_cli whysomany GRAPH QUERYFILE --target=K [common]
 //   whyq_cli serve-batch GRAPH QUESTIONSFILE [--workers=N] [--queue=N]
-//                        [--cache=N] [--deadline-ms=D] [--stats-json=FILE]
-//                        [--slow-ms=D] [common]
+//                        [--cache=N] [--stats-json=FILE] [--slow-ms=D]
+//                        [common]
 //   whyq_cli serve GRAPH... [--port=P] [--max-conns=N] [--idle-ms=D]
 //                  [--drain-ms=D] [--stats-json=FILE] [--stats-period-ms=D]
-//                  [--workers=N] [--queue=N] [--cache=N] [--deadline-ms=D]
-//                  [--slow-ms=D] [common]
+//                  [--workers=N] [--queue=N] [--cache=N] [--slow-ms=D]
+//                  [common]
 //   whyq_cli snapshot build GRAPH --out=FILE
 //   whyq_cli snapshot info FILE
 //   whyq_cli explain-plan PLANFILE [GRAPH]
@@ -29,7 +29,12 @@
 //   whyq_cli demo
 //   whyq_cli --version
 // Common flags: --budget=B --guard=M --semantics=iso|sim --threads=N
-//               --trace --snapshot --plan-store=DIR
+//               --deadline-ms=D --trace --snapshot --plan-store=DIR
+// why/whynot/whyempty/whysomany ask their one question through
+// WhyqService::Execute, the code serve-batch and serve answer with: the
+// service validates the request (a bad one, such as an entity id past the
+// graph, exits 1 with the service's error) and --deadline-ms clips the
+// search.
 // --snapshot makes every GRAPH positional (dot/stats/query/why/whynot/
 // whyempty/whysomany/serve-batch/serve) load a frozen snapshot image
 // (docs/SNAPSHOT_FORMAT.md) via mmap instead of parsing the text format —
@@ -38,14 +43,14 @@
 // prints an image's header and section table without loading the graph.
 // --trace prints the per-request stage breakdown (queue/parse/prepare/
 // search) and hot-loop work counters after each why/whynot/whyempty/
-// whysomany answer, and per-request under serve-batch.
+// whysomany answer, and after each result row under serve-batch.
 // serve-batch --stats-json=FILE writes the full stats snapshot (counters,
 // per-class latency histograms with p50/p95/p99, per-stage time totals,
 // slow-query log) as JSON; --slow-ms=D retains traces of requests slower
 // than D ms in the stats block and the JSON.
 // --plan-store=DIR persists compiled query plans (docs/PLAN_FORMAT.md)
-// across processes: why/whynot/whyempty/whysomany and serve-batch probe
-// DIR before preparing a query and persist completed builds, so a restarted
+// across processes: the question subcommands and serve-batch probe DIR
+// before preparing a query and persist completed builds, so a restarted
 // process answers a repeated question from a validated store load instead
 // of re-running the answer match. serve gives each graph its own store
 // under DIR/<graph name> and warm-loads its prepared cache from it at boot.
@@ -99,6 +104,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -143,7 +149,7 @@ struct Options {
   double attrs = 0.0;
   size_t target = 10;
   std::vector<NodeId> entities;
-  std::string algo = "auto";
+  AlgoChoice algo = AlgoChoice::kAuto;
   double budget = 4.0;
   size_t guard = 2;
   MatchSemantics semantics = MatchSemantics::kIsomorphism;
@@ -256,9 +262,7 @@ bool ParseArgs(int argc, char** argv, Options* o, std::string* error) {
     } else if (value_of("--threads")) {
       ok = ParseSize(v, &o->threads) && o->threads > 0;
     } else if (value_of("--algo")) {
-      o->algo = v;
-      if (o->algo != "auto" && o->algo != "exact" && o->algo != "iso" &&
-          o->algo != "approx" && o->algo != "fast") {
+      if (!ParseAlgoChoice(v, &o->algo)) {
         *error = "unknown algo (use exact|approx|fast|iso)";
         return false;
       }
@@ -356,7 +360,8 @@ std::optional<LoadedGraph> LoadGraphAuto(const Options& o,
   return lg;
 }
 
-std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
+// Reads a whole text file (a query), reporting a missing one on stderr.
+std::optional<std::string> ReadTextFile(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
     std::fprintf(stderr, "whyq: cannot open %s\n", path.c_str());
@@ -364,64 +369,63 @@ std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
   }
   std::stringstream buf;
   buf << is.rdbuf();
+  return buf.str();
+}
+
+std::optional<Query> LoadQuery(const std::string& path, const Graph& g) {
+  std::optional<std::string> text = ReadTextFile(path);
+  if (!text.has_value()) return std::nullopt;
   std::string err;
-  std::optional<Query> q = ParseQuery(buf.str(), g, &err);
+  std::optional<Query> q = ParseQuery(*text, g, &err);
   if (!q.has_value()) std::fprintf(stderr, "whyq: %s\n", err.c_str());
   return q;
 }
 
-AnswerConfig MakeConfig(const Options& o) {
-  AnswerConfig cfg;
-  cfg.budget = o.budget;
-  cfg.guard_m = o.guard;
-  cfg.semantics = o.semantics;
-  cfg.exact_time_limit_ms = 30000;
-  cfg.threads = o.threads;
-  return cfg;
+// The service tuning serve, serve-batch and the question subcommands
+// share; --deadline-ms reaches every request as the default deadline.
+// The plan store is left to the caller: serve opens one per graph under
+// --plan-store, the others one at --plan-store itself.
+ServiceConfig MakeServiceConfig(const Options& o) {
+  ServiceConfig sc;
+  sc.workers = o.workers;
+  sc.queue_capacity = o.queue;
+  sc.cache_capacity = o.cache;
+  sc.default_deadline_ms = o.deadline_ms;
+  sc.intra_threads = o.threads;
+  sc.slow_query_ms = o.slow_ms;
+  return sc;
 }
 
-// The graph's plan-relocation fingerprint: frozen (snapshot-backed) graphs
-// already carry the content hash as identity(); heap graphs pay one
-// GraphFingerprint pass (same rule as WhyqService).
-uint64_t PlanFingerprint(const Graph& g) {
-  return g.frozen() ? g.identity() : GraphFingerprint(g);
+// The request a question subcommand or a serve-batch line asks: `kind`
+// over `query_text`, tuned by the shared flags. Entities and the
+// Why-so-many target come from --entities and --target; a serve-batch
+// line overrides them with its own.
+ServiceRequest MakeRequest(const Options& o, RequestKind kind,
+                           std::string query_text) {
+  ServiceRequest req;
+  req.kind = kind;
+  req.query_text = std::move(query_text);
+  req.entities = o.entities;
+  req.target_k = o.target;
+  req.algo = o.algo;
+  req.config.budget = o.budget;
+  req.config.guard_m = o.guard;
+  req.config.semantics = o.semantics;
+  req.config.exact_time_limit_ms = server::kExactTimeLimitMs;
+  req.config.threads = o.threads;
+  return req;
 }
 
-// A one-shot question's prepared artifacts routed through --plan-store:
-// probe the store, build and persist on a miss. The store handle is kept
-// alive until the command returns so the async save drains (its destructor
-// flushes the writer queue).
-struct StorePrepared {
-  std::shared_ptr<PlanStore> store;
-  std::shared_ptr<const PreparedQuery> prepared;
-};
-
-std::optional<StorePrepared> PrepareViaStore(const Options& o, const Graph& g,
-                                             const Query& q,
-                                             size_t max_paths) {
-  if (o.plan_store.empty()) return std::nullopt;
-  StorePrepared sp;
-  sp.store = std::make_shared<PlanStore>(o.plan_store);
-  uint64_t fp = PlanFingerprint(g);
-  std::string canonical = WriteQuery(q, g);
-  sp.prepared = sp.store->TryLoad(g, fp, o.semantics, max_paths, canonical);
-  if (sp.prepared == nullptr) {
-    bool complete = false;
-    sp.prepared = PrepareQuery(g, Query(q), o.semantics, max_paths,
-                               /*cancel=*/nullptr, &complete, o.threads);
-    if (complete) {
-      sp.store->SaveAsync(sp.prepared, std::move(canonical), max_paths,
-                          PlanStamp{fp, g.identity(), g.generation()});
+// The question kind a questions-file line names.
+bool ParseRequestKind(const std::string& name, RequestKind* out) {
+  for (RequestKind k : {RequestKind::kWhy, RequestKind::kWhyNot,
+                        RequestKind::kWhyEmpty, RequestKind::kWhySoMany}) {
+    if (name == RequestKindName(k)) {
+      *out = k;
+      return true;
     }
   }
-  return sp;
-}
-
-void PrintAnswer(const Graph& g, const Query& q, const RewriteAnswer& a) {
-  std::printf("%s\n", a.Explain(g).c_str());
-  if (!a.found) return;
-  std::printf("explanation:\n%s", ExplainRewrite(g, q, a.ops).ToString().c_str());
-  std::printf("rewritten query:\n%s", WriteQuery(a.rewritten, g).c_str());
+  return false;
 }
 
 int CmdGenerate(const Options& o) {
@@ -516,127 +520,75 @@ int CmdQuery(const Options& o) {
   return 0;
 }
 
-int CmdWhy(const Options& o, bool why_not) {
-  if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
-  if (o.entities.empty()) return Fail("needs --entities=ID,ID,...");
-  std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
-  if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  std::vector<NodeId> answers;
-  if (sp.has_value()) {
-    // Store-routed prepare: the answers and the sampled PathIndex come from
-    // the (loaded or freshly persisted) plan. Answers are byte-identical to
-    // the direct path — a fresh deterministic sample equals the stored one.
-    answers = sp->prepared->answers;
-    cfg.path_index = &sp->prepared->path_index;
-  } else {
-    MatchContext ctx(g);
-    answers = MakeMatchEngine(ctx, o.semantics)->MatchOutput(*q);
-  }
-  trace.answer_match_ms = stage.ElapsedMillis();
-  trace.prepare_ms = trace.answer_match_ms;
-  stage.Reset();
-  RewriteAnswer a;
-  if (why_not) {
-    WhyNotQuestion w;
-    w.missing = o.entities;
-    if (o.algo == "exact") {
-      a = ExactWhyNot(g, *q, answers, w, cfg);
-    } else if (o.algo == "iso") {
-      a = IsoWhyNot(g, *q, answers, w, cfg);
-    } else {
-      a = FastWhyNot(g, *q, answers, w, cfg);
+// Prints one answered question and returns the question subcommands'
+// exit code: 0, or 2 when no rewrite was found. `q` is the query as
+// written, which the explanation describes the operators against.
+int PrintQuestionAnswer(const Graph& g, const Query& q, RequestKind kind,
+                        const ServiceResponse& r, double budget) {
+  switch (kind) {
+    case RequestKind::kWhy:
+    case RequestKind::kWhyNot: {
+      const RewriteAnswer& a = r.answer;
+      std::printf("%s\n", a.Explain(g).c_str());
+      if (!a.found) return 2;
+      std::printf("explanation:\n%s",
+                  ExplainRewrite(g, q, a.ops).ToString().c_str());
+      std::printf("rewritten query:\n%s", WriteQuery(a.rewritten, g).c_str());
+      return 0;
     }
-  } else {
-    WhyQuestion w{o.entities};
-    if (o.algo == "exact") {
-      a = ExactWhy(g, *q, answers, w, cfg);
-    } else if (o.algo == "iso") {
-      a = IsoWhy(g, *q, answers, w, cfg);
-    } else {
-      a = ApproxWhy(g, *q, answers, w, cfg);
+    case RequestKind::kWhyEmpty: {
+      const WhyEmptyResult& e = r.why_empty;
+      if (!e.found) {
+        std::printf("not repairable within budget %.1f\n", budget);
+        return 2;
+      }
+      if (e.ops.empty()) {
+        std::printf("the query already has answers\n");
+      } else {
+        std::printf("repaired at cost %.2f via { %s }\n", e.cost,
+                    DescribeOperators(e.ops, g).c_str());
+        std::printf("%s", ExplainRewrite(g, q, e.ops).ToString().c_str());
+      }
+      std::printf("%zu sample answers\n", e.sample_answers.size());
+      return 0;
+    }
+    case RequestKind::kWhySoMany: {
+      const WhySoManyResult& m = r.why_so_many;
+      std::printf("%zu -> %zu answers via { %s }\n", m.before, m.after,
+                  DescribeOperators(m.ops, g).c_str());
+      std::printf("%s", ExplainRewrite(g, q, m.ops).ToString().c_str());
+      return m.found ? 0 : 2;
     }
   }
-  trace.search_ms = stage.ElapsedMillis();
-  AddAnswerWork(a, o.algo == "exact", &trace);
-  PrintAnswer(g, *q, a);
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  return a.found ? 0 : 2;
+  return 1;
 }
 
-int CmdWhyEmpty(const Options& o) {
+// why / whynot / whyempty / whysomany: one question, answered by
+// WhyqService::Execute on a service over the loaded graph — the code
+// serve-batch and serve answer with. Execute runs inline, so one worker
+// suffices; the prepared cache is off, so boot warm-loads no plans and a
+// --plan-store run probes the store once. A request the service rejects
+// (say, an entity id past the graph) exits 1 with its error.
+int CmdQuestion(const Options& o, RequestKind kind) {
   if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
   std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
   if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  if (sp.has_value()) cfg.path_index = &sp->prepared->path_index;
-  WhyEmptyResult r = AnswerWhyEmpty(g, *q, cfg);
-  trace.search_ms = stage.ElapsedMillis();
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  if (!r.found) {
-    std::printf("not repairable within budget %.1f\n", o.budget);
-    return 2;
+  std::optional<std::string> text = ReadTextFile(o.positional[1]);
+  if (!text.has_value()) return 1;
+  ServiceConfig sc = MakeServiceConfig(o);
+  sc.workers = 1;
+  sc.cache_capacity = 0;
+  if (!o.plan_store.empty()) {
+    sc.plan_store = std::make_shared<PlanStore>(o.plan_store);
   }
-  if (r.ops.empty()) {
-    std::printf("the query already has answers\n");
-  } else {
-    std::printf("repaired at cost %.2f via { %s }\n", r.cost,
-                DescribeOperators(r.ops, g).c_str());
-    std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
-  }
-  std::printf("%zu sample answers\n", r.sample_answers.size());
-  return 0;
-}
-
-int CmdWhySoMany(const Options& o) {
-  if (o.positional.size() < 2) return Fail("needs GRAPH QUERYFILE");
-  std::optional<LoadedGraph> lg = LoadGraphAuto(o, o.positional[0]);
-  if (!lg.has_value()) return 1;
-  const Graph& g = lg->get();
-  RequestTrace trace;
-  Timer stage;
-  std::optional<Query> q = LoadQuery(o.positional[1], g);
-  if (!q.has_value()) return 1;
-  trace.parse_ms = stage.ElapsedMillis();
-  stage.Reset();
-  AnswerConfig cfg = MakeConfig(o);
-  std::optional<StorePrepared> sp =
-      PrepareViaStore(o, g, *q, cfg.path_index_paths);
-  std::vector<NodeId> answers;
-  if (sp.has_value()) {
-    answers = sp->prepared->answers;
-    cfg.path_index = &sp->prepared->path_index;
-  } else {
-    answers = Matcher(g).MatchOutput(*q);
-  }
-  trace.answer_match_ms = stage.ElapsedMillis();
-  trace.prepare_ms = trace.answer_match_ms;
-  stage.Reset();
-  WhySoManyResult r = AnswerWhySoMany(g, *q, answers, o.target, cfg);
-  trace.search_ms = stage.ElapsedMillis();
-  std::printf("%zu -> %zu answers via { %s }\n", r.before, r.after,
-              DescribeOperators(r.ops, g).c_str());
-  std::printf("%s", ExplainRewrite(g, *q, r.ops).ToString().c_str());
-  if (o.trace) std::printf("%s", trace.ToString().c_str());
-  return r.found ? 0 : 2;
+  WhyqService service(lg->share(), sc);
+  ServiceResponse r = service.Execute(MakeRequest(o, kind, *text));
+  if (r.status != ResponseStatus::kOk) return Fail(r.error);
+  // The service parsed the same text against the same graph.
+  std::optional<Query> q = ParseQuery(*text, *r.graph, nullptr);
+  int rc = PrintQuestionAnswer(*r.graph, *q, kind, r, o.budget);
+  if (o.trace) std::printf("%s", r.trace.ToString().c_str());
+  return rc;
 }
 
 // Reads the raw text of a query file, memoizing by path so a batch that
@@ -646,14 +598,9 @@ const std::string* QueryTextOf(const std::string& path,
                                std::map<std::string, std::string>* texts) {
   auto it = texts->find(path);
   if (it != texts->end()) return &it->second;
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "whyq: cannot open %s\n", path.c_str());
-    return nullptr;
-  }
-  std::stringstream buf;
-  buf << is.rdbuf();
-  return &texts->emplace(path, buf.str()).first->second;
+  std::optional<std::string> text = ReadTextFile(path);
+  if (!text.has_value()) return nullptr;
+  return &texts->emplace(path, std::move(*text)).first->second;
 }
 
 // Parses one questions-file line into a request; empty lines and `#`
@@ -663,8 +610,8 @@ bool ParseQuestionLine(const std::string& line, const Options& o,
                        ServiceRequest* req, bool* has, std::string* error) {
   *has = false;
   std::stringstream ss(line);
-  std::string kind;
-  if (!(ss >> kind) || kind[0] == '#') return true;
+  std::string kind_name;
+  if (!(ss >> kind_name) || kind_name[0] == '#') return true;
   std::string queryfile;
   if (!(ss >> queryfile)) {
     *error = "missing query file";
@@ -675,38 +622,24 @@ bool ParseQuestionLine(const std::string& line, const Options& o,
     *error = "cannot open " + queryfile;
     return false;
   }
-  req->query_text = *text;
-  req->config = MakeConfig(o);
-  req->deadline_ms = o.deadline_ms;
-  if (o.algo == "exact") {
-    req->algo = AlgoChoice::kExact;
-  } else if (o.algo == "iso") {
-    req->algo = AlgoChoice::kIso;
-  } else {
-    req->algo = AlgoChoice::kAuto;
+  RequestKind kind = RequestKind::kWhy;
+  if (!ParseRequestKind(kind_name, &kind)) {
+    *error = "unknown question kind '" + kind_name + "'";
+    return false;
   }
+  *req = MakeRequest(o, kind, *text);
   std::string rest;
   ss >> rest;
-  if (kind == "why" || kind == "whynot") {
-    req->kind = kind == "why" ? RequestKind::kWhy : RequestKind::kWhyNot;
+  if (kind == RequestKind::kWhy || kind == RequestKind::kWhyNot) {
     if (rest.empty()) {
       *error = "missing entity list";
       return false;
     }
     req->entities.clear();
     if (!ParseEntityList(rest, &req->entities, error)) return false;
-  } else if (kind == "whyempty") {
-    req->kind = RequestKind::kWhyEmpty;
-  } else if (kind == "whysomany") {
-    req->kind = RequestKind::kWhySoMany;
-    size_t k = o.target;
-    if (!rest.empty() && !ParseSize(rest.c_str(), &k)) {
-      *error = "bad target '" + rest + "'";
-      return false;
-    }
-    req->target_k = k;
-  } else {
-    *error = "unknown question kind '" + kind + "'";
+  } else if (kind == RequestKind::kWhySoMany && !rest.empty() &&
+             !ParseSize(rest.c_str(), &req->target_k)) {
+    *error = "bad target '" + rest + "'";
     return false;
   }
   *has = true;
@@ -728,16 +661,9 @@ int CmdServeBatch(const Options& o) {
   if (!qs) return Fail("cannot open " + o.positional[1]);
 
   InstallStopHandlers();
-  ServiceConfig sc;
-  sc.workers = o.workers;
-  sc.queue_capacity = o.queue;
-  sc.cache_capacity = o.cache;
-  sc.intra_threads = o.threads;
-  sc.slow_query_ms = o.slow_ms;
-  std::shared_ptr<PlanStore> store;
+  ServiceConfig sc = MakeServiceConfig(o);
   if (!o.plan_store.empty()) {
-    store = std::make_shared<PlanStore>(o.plan_store);
-    sc.plan_store = store;
+    sc.plan_store = std::make_shared<PlanStore>(o.plan_store);
   }
   WhyqService service(lg->share(), sc);
 
@@ -822,7 +748,7 @@ int CmdServeBatch(const Options& o) {
   }
   // Drain pending plan persists before snapshotting, so the printed stats
   // (and the JSON scripts reconcile) include every durable write.
-  if (store != nullptr) store->Flush();
+  if (sc.plan_store != nullptr) sc.plan_store->Flush();
   StatsSnapshot snap = service.Stats();
   std::printf("\n%s\n", snap.ToString().c_str());
   if (!o.stats_json.empty()) {
@@ -873,12 +799,7 @@ int CmdServe(const Options& o) {
   sc.drain_deadline_ms = o.drain_ms;
   sc.stats_json_path = o.stats_json;
   sc.stats_period_ms = o.stats_period_ms;
-  sc.service.workers = o.workers;
-  sc.service.queue_capacity = o.queue;
-  sc.service.cache_capacity = o.cache;
-  sc.service.default_deadline_ms = o.deadline_ms;
-  sc.service.intra_threads = o.threads;
-  sc.service.slow_query_ms = o.slow_ms;
+  sc.service = MakeServiceConfig(o);
   sc.plan_store_dir = o.plan_store;
   server::WhyqServer srv(std::move(graphs), sc);
   std::string err;
@@ -1153,10 +1074,10 @@ int Main(int argc, char** argv) {
   if (cmd == "dot") return CmdDot(o);
   if (cmd == "stats") return CmdStats(o);
   if (cmd == "query") return CmdQuery(o);
-  if (cmd == "why") return CmdWhy(o, /*why_not=*/false);
-  if (cmd == "whynot") return CmdWhy(o, /*why_not=*/true);
-  if (cmd == "whyempty") return CmdWhyEmpty(o);
-  if (cmd == "whysomany") return CmdWhySoMany(o);
+  if (cmd == "why") return CmdQuestion(o, RequestKind::kWhy);
+  if (cmd == "whynot") return CmdQuestion(o, RequestKind::kWhyNot);
+  if (cmd == "whyempty") return CmdQuestion(o, RequestKind::kWhyEmpty);
+  if (cmd == "whysomany") return CmdQuestion(o, RequestKind::kWhySoMany);
   if (cmd == "serve-batch") return CmdServeBatch(o);
   if (cmd == "serve") return CmdServe(o);
   if (cmd == "snapshot") return CmdSnapshot(o);
