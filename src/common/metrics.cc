@@ -81,6 +81,7 @@ std::string RequestTrace::ToString() const {
   os << "work: candidates=" << matcher_candidates
      << " mbs-enumerated=" << mbs_enumerated
      << " mbs-verified=" << mbs_verified
+     << " guard-checks=" << guard_checks
      << " greedy-rounds=" << greedy_rounds << "\n";
   os << "ctx: hits=" << ctx_hits << " misses=" << ctx_misses
      << " delta-builds=" << ctx_delta_builds << " pruned=" << ctx_pruned

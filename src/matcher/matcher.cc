@@ -28,11 +28,12 @@ Matcher::Matcher(const Graph& g)
 
 Matcher::Matcher(MatchContext& ctx) : ctx_(ctx), g_(ctx.graph()) {}
 
-std::vector<Matcher::PlanStep> Matcher::BuildPlan(const Query& q,
-                                                  QNodeId root) const {
-  // BFS over the undirected structure from the root. Each non-root step is
-  // anchored at the tree edge used to discover it; all other edges between
-  // the step's node and earlier nodes become backward checks.
+std::vector<Matcher::PlanStep> Matcher::BuildPlan(const Query& q) const {
+  // BFS over the undirected structure from the output node (the root). Each
+  // non-root step is anchored at the tree edge used to discover it; all
+  // other edges between the step's node and earlier nodes become backward
+  // checks.
+  const QNodeId root = q.output();
   std::vector<PlanStep> plan;
   std::vector<size_t> pos_of(q.node_count(), SIZE_MAX);
 
@@ -264,7 +265,7 @@ bool Matcher::SearchFrom(const std::vector<PlanStep>& plan, NodeId v) const {
 
 std::vector<NodeId> Matcher::MatchOutput(const Query& q) const {
   std::vector<NodeId> answers;
-  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  std::vector<PlanStep> plan = BuildPlan(q);
   for (NodeId v : RootCandidates(q, plan)) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
       cancel_hit_ = true;
@@ -276,13 +277,13 @@ std::vector<NodeId> Matcher::MatchOutput(const Query& q) const {
 }
 
 bool Matcher::IsAnswer(const Query& q, NodeId v) const {
-  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  std::vector<PlanStep> plan = BuildPlan(q);
   return SearchFrom(plan, v);
 }
 
 std::vector<uint8_t> Matcher::TestAnswers(
     const Query& q, const std::vector<NodeId>& nodes) const {
-  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  std::vector<PlanStep> plan = BuildPlan(q);
   std::vector<uint8_t> out(nodes.size(), 0);
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
@@ -295,7 +296,7 @@ std::vector<uint8_t> Matcher::TestAnswers(
 }
 
 bool Matcher::HasAnyMatch(const Query& q) const {
-  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  std::vector<PlanStep> plan = BuildPlan(q);
   for (NodeId v : RootCandidates(q, plan)) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
       cancel_hit_ = true;
@@ -308,7 +309,7 @@ bool Matcher::HasAnyMatch(const Query& q) const {
 
 size_t Matcher::CountAnswersNotIn(const Query& q, const NodeSet& exclude,
                                   size_t limit) const {
-  std::vector<PlanStep> plan = BuildPlan(q, q.output());
+  std::vector<PlanStep> plan = BuildPlan(q);
   size_t count = 0;
   for (NodeId v : RootCandidates(q, plan)) {
     if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
@@ -322,25 +323,6 @@ size_t Matcher::CountAnswersNotIn(const Query& q, const NodeSet& exclude,
     }
   }
   return count;
-}
-
-std::vector<std::vector<NodeId>> Matcher::MatchAllOutputs(
-    const Query& q) const {
-  std::vector<std::vector<NodeId>> out;
-  out.reserve(q.outputs().size());
-  for (QNodeId u : q.outputs()) {
-    std::vector<PlanStep> plan = BuildPlan(q, u);
-    std::vector<NodeId> answers;
-    for (NodeId v : RootCandidates(q, plan)) {
-      if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
-        cancel_hit_ = true;
-        break;  // truncate this output; later outputs break immediately
-      }
-      if (SearchFrom(plan, v)) answers.push_back(v);
-    }
-    out.push_back(std::move(answers));
-  }
-  return out;
 }
 
 MatcherStats Matcher::stats() const {

@@ -98,13 +98,6 @@ class Matcher {
   size_t CountAnswersNotIn(const Query& q, const NodeSet& exclude,
                            size_t limit) const;
 
-  /// Multi-output extension: the answer set of each node in q.outputs().
-  /// Polls the armed cancel token like every other enumeration loop; on
-  /// expiry the current output's answer list is truncated and the
-  /// remaining outputs come back empty (the result always has one list
-  /// per output node), with cancelled() reporting the truncation.
-  std::vector<std::vector<NodeId>> MatchAllOutputs(const Query& q) const;
-
   /// Snapshot of the work counters. ctx_* fields reflect the context's
   /// whole lifetime (a context may serve several matchers);
   /// ResetStats clears only the matcher-local counters.
@@ -135,8 +128,9 @@ class Matcher {
     const MatchContext::CandidateSet* cand = nullptr;
   };
 
-  // Builds a matching order (BFS from `root`) over the root's component.
-  std::vector<PlanStep> BuildPlan(const Query& q, QNodeId root) const;
+  // Builds a matching order (BFS from the output node) over the output's
+  // component.
+  std::vector<PlanStep> BuildPlan(const Query& q) const;
 
   // Backtracking search with h(root) = v fixed. Returns true if an
   // embedding exists.

@@ -32,22 +32,6 @@ void Query::AddEdge(QNodeId src, QNodeId dst, SymbolId label) {
 void Query::SetOutput(QNodeId u) {
   WHYQ_CHECK(u < nodes_.size());
   output_ = u;
-  if (outputs_.empty()) {
-    outputs_.push_back(u);
-  } else {
-    outputs_[0] = u;
-  }
-}
-
-void Query::AddOutput(QNodeId u) {
-  WHYQ_CHECK(u < nodes_.size());
-  if (outputs_.empty()) {
-    SetOutput(u);
-    return;
-  }
-  if (std::find(outputs_.begin(), outputs_.end(), u) == outputs_.end()) {
-    outputs_.push_back(u);
-  }
 }
 
 bool Query::RemoveEdge(QNodeId src, QNodeId dst, SymbolId label) {
@@ -130,12 +114,6 @@ bool Query::Validate(std::string* error) const {
       return false;
     }
   }
-  for (QNodeId u : outputs_) {
-    if (u >= nodes_.size()) {
-      if (error) *error = "output list references unknown node";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -157,17 +135,6 @@ size_t Query::Diameter() const {
     }
   }
   return best;
-}
-
-std::vector<QNodeId> Query::UndirectedNeighbors(QNodeId u) const {
-  std::vector<QNodeId> out;
-  for (const QueryEdge& e : edges_) {
-    if (e.src == u) out.push_back(e.dst);
-    if (e.dst == u) out.push_back(e.src);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<QNodeId> Query::OutputComponent() const {

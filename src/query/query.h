@@ -81,11 +81,6 @@ class Query {
 
   QNodeId output() const { return output_; }
 
-  /// Additional output nodes for the multi-output extension (Section V);
-  /// `output()` is always the first entry.
-  const std::vector<QNodeId>& outputs() const { return outputs_; }
-  void AddOutput(QNodeId u);
-
   /// Removes the edge (src, dst) with the given label; returns false when
   /// absent. Nodes are never removed (a disconnected rewrite keeps them; the
   /// matcher evaluates the component of the output node only).
@@ -119,9 +114,6 @@ class Query {
   /// Undirected diameter d_Q over the component of the output node.
   size_t Diameter() const;
 
-  /// Undirected neighbors of u (query nodes sharing an edge with u).
-  std::vector<QNodeId> UndirectedNeighbors(QNodeId u) const;
-
   /// The set of query nodes in the output node's undirected component.
   std::vector<QNodeId> OutputComponent() const;
 
@@ -134,7 +126,6 @@ class Query {
   std::vector<QueryNode> nodes_;
   std::vector<QueryEdge> edges_;
   QNodeId output_ = kInvalidQNode;
-  std::vector<QNodeId> outputs_;
 };
 
 }  // namespace whyq

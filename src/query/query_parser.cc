@@ -44,7 +44,6 @@ std::optional<Query> ParseQuery(const std::string& text, const Graph& g,
   auto fail = [&](const std::string& what) {
     if (error) *error = "line " + std::to_string(line_no) + ": " + what;
   };
-  bool saw_output = false;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -88,23 +87,20 @@ std::optional<Query> ParseQuery(const std::string& text, const Graph& g,
       q.AddEdge(s->second, d->second,
                 ResolveOrInvalid(g.edge_labels(), toks[3]));
     } else if (toks[0] == "output") {
-      if (toks.size() < 2) {
-        fail("output needs at least one node name");
+      if (toks.size() != 2) {
+        fail("output needs exactly one node name");
         return std::nullopt;
       }
-      for (size_t i = 1; i < toks.size(); ++i) {
-        auto it = names.find(toks[i]);
-        if (it == names.end()) {
-          fail("output references undeclared node " + toks[i]);
-          return std::nullopt;
-        }
-        if (i == 1 && !saw_output) {
-          q.SetOutput(it->second);
-          saw_output = true;
-        } else {
-          q.AddOutput(it->second);
-        }
+      if (q.output() != kInvalidQNode) {
+        fail("second output declaration");
+        return std::nullopt;
       }
+      auto it = names.find(toks[1]);
+      if (it == names.end()) {
+        fail("output references undeclared node " + toks[1]);
+        return std::nullopt;
+      }
+      q.SetOutput(it->second);
     } else {
       fail("unknown declaration " + toks[0]);
       return std::nullopt;
@@ -133,9 +129,7 @@ std::string WriteQuery(const Query& q, const Graph& g) {
     os << "edge n" << e.src << " n" << e.dst << ' '
        << g.EdgeLabelName(e.label) << '\n';
   }
-  os << "output";
-  for (QNodeId u : q.outputs()) os << " n" << u;
-  os << '\n';
+  os << "output n" << q.output() << '\n';
   return os.str();
 }
 

@@ -13,9 +13,11 @@ namespace whyq {
 ///
 ///   node <name> <Label> [<Attr> <op> <typed-value>]...
 ///   edge <name> <name> <EdgeLabel>
-///   output <name> [<name> ...]
+///   output <name>
 ///   # comment
 ///
+/// A query has exactly one output node: a second `output` line, or a second
+/// name on the one line, is a parse error.
 /// `op` is one of < <= = >= >; typed values use graph_io's `i:`/`d:`/`s:`
 /// forms. Labels / attribute names are resolved in `g`'s symbol space; names
 /// absent from the graph are accepted (they match nothing), which mirrors a

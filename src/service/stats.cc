@@ -174,6 +174,7 @@ std::string StatsSnapshot::ToString() const {
     os << "work totals: candidates=" << work.matcher_candidates
        << " mbs-enumerated=" << work.mbs_enumerated
        << " mbs-verified=" << work.mbs_verified
+       << " guard-checks=" << work.guard_checks
        << " greedy-rounds=" << work.greedy_rounds << "\n";
     os << "ctx totals: hits=" << work.ctx_hits
        << " misses=" << work.ctx_misses

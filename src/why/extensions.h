@@ -7,7 +7,6 @@
 #include "query/query.h"
 #include "rewrite/operators.h"
 #include "why/question.h"
-#include "why/why_algorithms.h"
 
 namespace whyq {
 
@@ -30,7 +29,11 @@ WhyEmptyResult AnswerWhyEmpty(const Graph& g, const Query& q,
 /// user wants the answer shrunk to at most `target_k` entities. Greedy
 /// refinement over the picky set with path-index screening; the final
 /// rewrite is re-evaluated exactly under cfg.semantics, the semantics
-/// `answers` must have been matched under.
+/// `answers` must have been matched under. Every answer is passed to
+/// GenPickyWhy as unexpected, so its desired side is empty and no AddL or
+/// literal AddE operator (both take their constants from desired answers)
+/// is generated: the candidates are RfL of Q's own literals and structural
+/// AddE only, so a literal-free Q gets structural AddE alone.
 struct WhySoManyResult {
   bool found = false;  // reached <= target_k within budget
   OperatorSet ops;
@@ -43,27 +46,6 @@ struct WhySoManyResult {
 WhySoManyResult AnswerWhySoMany(const Graph& g, const Query& q,
                                 const std::vector<NodeId>& answers,
                                 size_t target_k, const AnswerConfig& cfg);
-
-/// Multi-output extension: a Why question over all of q.outputs(), with one
-/// unexpected set per output node (aligned with q.outputs()). Closeness is
-/// pooled: excluded unexpected entities over all outputs / total
-/// unexpected; the guard pools collateral exclusions the same way.
-/// Exact (MBS-based) algorithm; operator costs use the nearest output.
-RewriteAnswer ExactWhyMultiOutput(
-    const Graph& g, const Query& q,
-    const std::vector<std::vector<NodeId>>& answers_per_output,
-    const std::vector<std::vector<NodeId>>& unexpected_per_output,
-    const AnswerConfig& cfg);
-
-/// Greedy multi-output Why (the extension keeps ApproxWhy's budgeted
-/// submodular structure: the pooled closeness is a coverage function over
-/// per-operator affected sets). Per-operator effects are verified exactly
-/// once per output; set-level gains use their union.
-RewriteAnswer ApproxWhyMultiOutput(
-    const Graph& g, const Query& q,
-    const std::vector<std::vector<NodeId>>& answers_per_output,
-    const std::vector<std::vector<NodeId>>& unexpected_per_output,
-    const AnswerConfig& cfg);
 
 }  // namespace whyq
 

@@ -12,7 +12,6 @@
 
 #include "gen/figure1.h"
 #include "matcher/matcher.h"
-#include "why/extensions.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
 
@@ -111,38 +110,6 @@ TEST_F(DeadlineTruncationTest, LiveTokenDoesNotChangeTheAnswer) {
   EXPECT_EQ(eplain.ops.size(), etok.ops.size());
   EXPECT_DOUBLE_EQ(eplain.eval.closeness, etok.eval.closeness);
   EXPECT_DOUBLE_EQ(eplain.cost, etok.cost);
-}
-
-TEST_F(DeadlineTruncationTest, MultiOutputAlgorithmsHonorExpiredDeadline) {
-  // Regression: the multi-output extension paths used to ignore
-  // cfg.cancel entirely — the pooled per-output verification loops and
-  // the MBS callback now poll it and clear `exhaustive` when truncated.
-  Query q = f_.query;
-  q.AddOutput(1);
-  Matcher m(f_.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  ASSERT_EQ(per.size(), 2u);
-  std::vector<std::vector<NodeId>> unexpected{{f_.a5}, {}};
-  AnswerConfig cfg = cfg_;
-  CancelToken token;
-  Expire(token);
-  cfg.cancel = &token;
-  RewriteAnswer exact =
-      ExactWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  EXPECT_FALSE(exact.exhaustive);
-  RewriteAnswer approx =
-      ApproxWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  EXPECT_FALSE(approx.exhaustive);
-  // A live token leaves the multi-output answer untouched.
-  CancelToken live;
-  cfg.cancel = &live;
-  RewriteAnswer a = ExactWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  AnswerConfig plain = cfg_;
-  RewriteAnswer b =
-      ExactWhyMultiOutput(f_.graph, q, per, unexpected, plain);
-  EXPECT_EQ(a.found, b.found);
-  EXPECT_DOUBLE_EQ(a.eval.closeness, b.eval.closeness);
-  EXPECT_EQ(a.ops.size(), b.ops.size());
 }
 
 TEST_F(DeadlineTruncationTest, MinimizeCostStillProducesMinimalRewrites) {

@@ -80,107 +80,6 @@ TEST_F(ExtensionsTest, WhySoManyReducesAnswer) {
   }
 }
 
-TEST_F(ExtensionsTest, MultiOutputWhyPoolsCloseness) {
-  // Outputs: Cellphone and Color. Unexpected: {A5} for the phone output,
-  // nothing for the color output.
-  Query q = f_.query;
-  q.AddOutput(1);
-  Matcher m(f_.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  ASSERT_EQ(per.size(), 2u);
-  std::vector<std::vector<NodeId>> unexpected{{f_.a5}, {}};
-  AnswerConfig cfg = cfg_;
-  cfg.budget = 4.0;
-  cfg.guard_m = 0;
-  RewriteAnswer a = ExactWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  ASSERT_TRUE(a.found);
-  EXPECT_DOUBLE_EQ(a.eval.closeness, 1.0);
-  // The A5 is excluded from the phone output's answers.
-  Query check = a.rewritten;
-  check.SetOutput(q.outputs()[0]);
-  EXPECT_FALSE(m.IsAnswer(check, f_.a5));
-  EXPECT_TRUE(m.IsAnswer(check, f_.s6));
-}
-
-TEST_F(ExtensionsTest, MultiOutputNoUnexpectedIsNoop) {
-  Query q = f_.query;
-  q.AddOutput(1);
-  Matcher m(f_.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  RewriteAnswer a =
-      ExactWhyMultiOutput(f_.graph, q, per, {{}, {}}, cfg_);
-  EXPECT_FALSE(a.found);
-}
-
-
-TEST_F(ExtensionsTest, ApproxMultiOutputMatchesExactOnFigure1) {
-  Query q = f_.query;
-  q.AddOutput(1);
-  Matcher m(f_.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  std::vector<std::vector<NodeId>> unexpected{{f_.a5}, {}};
-  AnswerConfig cfg = cfg_;
-  cfg.budget = 4.0;
-  cfg.guard_m = 0;
-  RewriteAnswer exact = ExactWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  RewriteAnswer approx =
-      ApproxWhyMultiOutput(f_.graph, q, per, unexpected, cfg);
-  ASSERT_TRUE(approx.found);
-  EXPECT_TRUE(approx.eval.guard_ok);
-  EXPECT_GE(approx.eval.closeness, 0.5 * exact.eval.closeness);
-  EXPECT_LE(approx.cost, cfg.budget + 1e-9);
-  for (const EditOp& op : approx.ops) EXPECT_TRUE(IsRefinement(op.kind));
-}
-
-TEST_F(ExtensionsTest, ApproxMultiOutputEmptyQuestionsNoop) {
-  Query q = f_.query;
-  q.AddOutput(1);
-  Matcher m(f_.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  RewriteAnswer a =
-      ApproxWhyMultiOutput(f_.graph, q, per, {{}, {}}, cfg_);
-  EXPECT_FALSE(a.found);
-  EXPECT_TRUE(a.ops.empty());
-}
-
-// One A node with a single B child, queried for an A with two B children:
-// isomorphism needs two distinct B nodes, simulation lets the one B serve
-// both (SimulationTest.DropsInjectivity). Outputs: the A and one B.
-TEST(MultiOutputSemanticsTest, PooledEvalUsesCallerSemantics) {
-  GraphBuilder gb;
-  NodeId a = gb.AddNode("A");
-  NodeId b = gb.AddNode("B");
-  gb.AddEdge(a, b, "r");
-  Graph g = gb.Build();
-  SymbolId lb = *g.node_labels().Find("B");
-  SymbolId r = *g.edge_labels().Find("r");
-  Query q;
-  QNodeId ua = q.AddNode(*g.node_labels().Find("A"));
-  QNodeId u1 = q.AddNode(lb);
-  QNodeId u2 = q.AddNode(lb);
-  q.AddEdge(ua, u1, r);
-  q.AddEdge(ua, u2, r);
-  q.SetOutput(ua);
-  q.AddOutput(u1);
-  std::vector<std::vector<NodeId>> per;
-  for (QNodeId u : q.outputs()) {
-    Query qi = q;
-    qi.SetOutput(u);
-    per.push_back(SimulationAnswers(g, qi));
-  }
-  ASSERT_EQ(per, (std::vector<std::vector<NodeId>>{{a}, {b}}));
-  AnswerConfig cfg;
-  cfg.semantics = MatchSemantics::kSimulation;
-  cfg.budget = 0.0;  // no operator fits: the answer is the no-op rewrite
-  // Under simulation Q itself still matches every given answer, so the
-  // no-op excludes nothing and costs no guard.
-  RewriteAnswer a_exact = ExactWhyMultiOutput(g, q, per, {{a}, {}}, cfg);
-  EXPECT_FALSE(a_exact.found);
-  EXPECT_EQ(a_exact.eval.closeness, 0.0);
-  EXPECT_EQ(a_exact.eval.guard, 0u);
-  EXPECT_TRUE(a_exact.eval.guard_ok);
-}
-
 // Products with reviews, where the two semantics part through injectivity:
 // P0 has two reviews, P1..P3 one each. A query asking for a Product with
 // two reviews matches P0 under isomorphism and all four under simulation

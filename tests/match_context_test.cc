@@ -773,15 +773,13 @@ TEST(SupportBitmapPropertyTest, EqualsBruteForceOnEveryConstructionPath) {
   }
 }
 
-// The unfiltered reference answer set of output `u`: one SearchFrom (an
-// IsAnswer) per root of the plain memoized candidate list, over a context
-// of its own.
-std::vector<NodeId> ReferenceAnswers(const Graph& g, Query q, QNodeId u) {
-  q.SetOutput(u);
+// The unfiltered reference answer set of q: one SearchFrom (an IsAnswer)
+// per root of the plain memoized candidate list, over a context of its own.
+std::vector<NodeId> ReferenceAnswers(const Graph& g, const Query& q) {
   MatchContext ctx(g);
   Matcher m(ctx);
   std::vector<NodeId> out;
-  for (NodeId v : ctx.Lookup(q.node(u))) {
+  for (NodeId v : ctx.Lookup(q.node(q.output()))) {
     if (m.IsAnswer(q, v)) out.push_back(v);
   }
   return out;
@@ -793,7 +791,7 @@ std::vector<NodeId> ReferenceAnswers(const Graph& g, Query q, QNodeId u) {
 size_t ExpectRootScansMatchReference(const Graph& g, const Query& q,
                                      const Matcher& m,
                                      const std::string& what) {
-  const std::vector<NodeId> ref = ReferenceAnswers(g, q, q.output());
+  const std::vector<NodeId> ref = ReferenceAnswers(g, q);
   const uint64_t iso_before = m.stats().iso_tests;
   EXPECT_EQ(m.MatchOutput(q), ref) << what;
   const uint64_t searched = m.stats().iso_tests - iso_before;
@@ -816,12 +814,6 @@ size_t ExpectRootScansMatchReference(const Graph& g, const Query& q,
           << what << " limit " << limit;
     }
   }
-  std::vector<std::vector<NodeId>> all = m.MatchAllOutputs(q);
-  EXPECT_EQ(all.size(), q.outputs().size()) << what;
-  for (size_t i = 0; i < all.size() && i < q.outputs().size(); ++i) {
-    EXPECT_EQ(all[i], ReferenceAnswers(g, q, q.outputs()[i]))
-        << what << " output " << q.outputs()[i];
-  }
   return m.context().Lookup(q.node(q.output())).size() - searched;
 }
 
@@ -842,7 +834,6 @@ TEST(SupportBitmapPropertyTest, RootScansEqualUnfilteredReference) {
       std::optional<GeneratedQuery> gen = GenerateQuery(g, qc, rng);
       if (!gen.has_value()) continue;
       Query q = gen->query;
-      q.AddOutput(static_cast<QNodeId>((q.output() + 1) % q.node_count()));
       const std::string what =
           "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
       // One context across the chain, as one why-not question's guards.
@@ -921,12 +912,13 @@ TEST(SupportBitmapTest, TwoChildrenSharingALabel) {
   q.AddEdge(r1, p, rg.review_of);
   q.AddEdge(r2, p, rg.review_of);
   q.SetOutput(p);
-  q.AddOutput(r1);
   Matcher m(rg.g);
   EXPECT_EQ(m.MatchOutput(q), (std::vector<NodeId>{rg.p[2], rg.p[4]}));
   EXPECT_EQ(m.stats().iso_tests, 4u);  // p0 is skipped before searching
   EXPECT_EQ(m.stats().ctx_pruned, 1u);  // ... and counted as pruned
-  EXPECT_EQ(m.MatchAllOutputs(q)[1],
+  Query reviews = q;
+  reviews.SetOutput(r1);
+  EXPECT_EQ(m.MatchOutput(reviews),
             (std::vector<NodeId>{rg.r[1], rg.r[2], rg.r[4], rg.r[5]}));
   ExpectRootScansMatchReference(rg.g, q, m, "two children");
 }

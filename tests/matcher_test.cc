@@ -219,17 +219,6 @@ TEST(MatcherTest, CountAnswersNotInWithEarlyStop) {
   EXPECT_EQ(m.CountAnswersNotIn(f.query, none, 1), 2u);
 }
 
-TEST(MatcherTest, MatchAllOutputs) {
-  Figure1 f = MakeFigure1();
-  Query q = f.query;
-  q.AddOutput(1);  // also return colors
-  Matcher m(f.graph);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  ASSERT_EQ(per.size(), 2u);
-  EXPECT_EQ(per[0].size(), 3u);
-  EXPECT_EQ(per[1].size(), 1u);  // only the pink color node
-}
-
 TEST(MatcherTest, TestAnswersMatchesPointwiseIsAnswer) {
   Figure1 f = MakeFigure1();
   Matcher m(f.graph);
@@ -239,33 +228,6 @@ TEST(MatcherTest, TestAnswersMatchesPointwiseIsAnswer) {
   for (size_t i = 0; i < probe.size(); ++i) {
     EXPECT_EQ(batch[i] != 0, m.IsAnswer(f.query, probe[i])) << i;
   }
-}
-
-TEST(MatcherTest, MatchAllOutputsHonorsCancelToken) {
-  Figure1 f = MakeFigure1();
-  Query q = f.query;
-  q.AddOutput(1);  // two outputs: phones and colors
-  Matcher m(f.graph);
-  // An already-expired token: every output's enumeration must break before
-  // testing any candidate, the shape must be preserved (one list per
-  // output), and cancelled() must report the truncation.
-  CancelToken token;
-  token.Cancel();
-  m.set_cancel_token(&token);
-  std::vector<std::vector<NodeId>> per = m.MatchAllOutputs(q);
-  ASSERT_EQ(per.size(), 2u);
-  EXPECT_TRUE(per[0].empty());
-  EXPECT_TRUE(per[1].empty());
-  EXPECT_TRUE(m.cancelled());
-  // Re-arming with a live (deadline-free) token resets the latch and the
-  // full answer comes back.
-  CancelToken live;
-  m.set_cancel_token(&live);
-  per = m.MatchAllOutputs(q);
-  ASSERT_EQ(per.size(), 2u);
-  EXPECT_EQ(per[0].size(), 3u);
-  EXPECT_EQ(per[1].size(), 1u);
-  EXPECT_FALSE(m.cancelled());
 }
 
 TEST(MatcherTest, StatsAccumulate) {

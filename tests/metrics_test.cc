@@ -152,6 +152,7 @@ RequestTrace GoldenTrace() {
   t.matcher_candidates = 11;
   t.mbs_enumerated = 12;
   t.mbs_verified = 13;
+  t.guard_checks = 20;
   t.greedy_rounds = 14;
   t.ctx_hits = 15;
   t.ctx_misses = 16;
@@ -167,7 +168,7 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "(candidates=0.50ms match=0.62ms path-index=0.88ms) "
             "search=10.12ms\n"
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
-            "greedy-rounds=14\n"
+            "guard-checks=20 greedy-rounds=14\n"
             "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
             "literal-scans=19\n");
   RequestTrace hit = GoldenTrace();
@@ -178,7 +179,7 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "stages: queue=1.25ms parse=2.50ms prepare=3.75ms "
             "search=10.12ms\n"
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
-            "greedy-rounds=14\n"
+            "guard-checks=20 greedy-rounds=14\n"
             "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
             "literal-scans=19\n");
 }

@@ -97,23 +97,6 @@ TEST(QueryTest, ValidateCatchesProblems) {
   EXPECT_NE(err.find("output"), std::string::npos);
 }
 
-TEST(QueryTest, MultiOutput) {
-  Query q = StarQuery();
-  q.AddOutput(2);
-  q.AddOutput(2);  // duplicate ignored
-  ASSERT_EQ(q.outputs().size(), 2u);
-  EXPECT_EQ(q.outputs()[0], q.output());
-}
-
-TEST(QueryTest, UndirectedNeighbors) {
-  Query q = StarQuery();
-  std::vector<QNodeId> n0 = q.UndirectedNeighbors(0);
-  EXPECT_EQ(n0.size(), 2u);
-  std::vector<QNodeId> n3 = q.UndirectedNeighbors(3);
-  ASSERT_EQ(n3.size(), 1u);
-  EXPECT_EQ(n3[0], 2u);
-}
-
 TEST(QueryParserTest, ParsesFigure1StyleQuery) {
   Figure1 f = MakeFigure1();
   std::string text =
@@ -166,6 +149,26 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("node x A\n", f.graph, &err).has_value());
   EXPECT_FALSE(
       ParseQuery("node x A p <> i:1\noutput x\n", f.graph, &err).has_value());
+}
+
+// A query has one output node: a second name on the `output` line and a
+// second `output` line are both rejected at their own line.
+TEST(QueryParserTest, RejectsSecondOutput) {
+  Figure1 f = MakeFigure1();
+  std::string err;
+  EXPECT_FALSE(
+      ParseQuery("node a A\nnode b B\noutput a b\n", f.graph, &err)
+          .has_value());
+  EXPECT_EQ(err, "line 3: output needs exactly one node name");
+  EXPECT_FALSE(
+      ParseQuery("node a A\nnode b B\noutput a\n# again\noutput b\n",
+                 f.graph, &err)
+          .has_value());
+  EXPECT_EQ(err, "line 5: second output declaration");
+  EXPECT_FALSE(
+      ParseQuery("node a A\noutput a\noutput a\n", f.graph, &err)
+          .has_value());
+  EXPECT_EQ(err, "line 3: second output declaration");
 }
 
 TEST(QueryParserTest, ParseCompareOps) {

@@ -136,6 +136,20 @@ TEST_F(ServiceTest, BadRequestsAreReported) {
   EXPECT_EQ(s.bad_requests, 3u);
 }
 
+// A query names one output node. One that declares a second is refused, not
+// answered for its first.
+TEST_F(ServiceTest, TwoOutputQueryIsBadRequest) {
+  WhyqService service(graph_, ServiceConfig{1, 4, 4, 0});
+  for (const char* outputs : {"output n0 n1\n", "output n0\noutput n1\n"}) {
+    ServiceRequest two = Why({a5_});
+    two.query_text = query_text_.substr(0, query_text_.rfind("output")) +
+                     outputs;
+    ServiceResponse r = service.Execute(two);
+    EXPECT_EQ(r.status, ResponseStatus::kBadRequest) << outputs;
+    EXPECT_NE(r.error.find("output"), std::string::npos) << r.error;
+  }
+}
+
 // The determinism invariant the pool must preserve: N workers racing over
 // the same mixed workload produce responses identical to serial Execute().
 // Run under TSan this doubles as the data-race stress test.
@@ -813,7 +827,7 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "(candidates=0.2ms match=0.4ms path-index=0.1ms) "
             "search=20.1ms | latency=27.8ms\n"
             "work totals: candidates=201 mbs-enumerated=202 "
-            "mbs-verified=203 greedy-rounds=204\n"
+            "mbs-verified=203 guard-checks=209 greedy-rounds=204\n"
             "ctx totals: hits=205 misses=206 delta-builds=207 pruned=208 "
             "literal-scans=210 (33.2% hit rate)\n"
             "slow queries (>= 5.5ms): 2 retained\n"
@@ -822,14 +836,14 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "(candidates=0.06ms match=0.19ms path-index=0.31ms) "
             "search=4.50ms\n"
             "    work: candidates=301 mbs-enumerated=302 "
-            "mbs-verified=303 greedy-rounds=304\n"
+            "mbs-verified=303 guard-checks=309 greedy-rounds=304\n"
             "    ctx: hits=305 misses=306 delta-builds=307 pruned=308 "
             "literal-scans=310\n"
             "  #8 why/exact 9.25ms cached\n"
             "    stages: queue=0.00ms parse=0.00ms prepare=0.00ms "
             "search=0.00ms\n"
             "    work: candidates=0 mbs-enumerated=0 mbs-verified=0 "
-            "greedy-rounds=0\n"
+            "guard-checks=0 greedy-rounds=0\n"
             "    ctx: hits=0 misses=0 delta-builds=0 pruned=0 "
             "literal-scans=0\n");
 }

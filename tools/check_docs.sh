@@ -22,6 +22,9 @@
 #   6. every whyq-lint rule name emitted by tools/lint/lint.cc is
 #      documented in docs/ARCHITECTURE.md — a new rule must land with its
 #      rationale, or the docs job fails.
+#   7. every backticked identifier in the Algorithms column of README's
+#      question table is declared in a header under src/, so the table
+#      cannot advertise an API that does not exist.
 # Pure grep/sed — no dependencies beyond POSIX sh.
 set -u
 
@@ -149,7 +152,20 @@ for r in $(grep -o '"[a-z][a-z]*-[a-z-]*"' "$lint_cc" | tr -d '"' | sort -u); do
     err "$lint_h: rule '$r' emitted by $lint_cc missing from the catalog"
 done
 
+# --- 7. README question table <-> declared API ----------------------------
+# The Algorithms column is the last cell of each row after the table's
+# "| Question |" header; a declaration is the name followed by '('.
+algos=$(sed -n '/^| Question |/,/^$/s/.*| *\([^|]*\) |$/\1/p' README.md |
+        grep -o '`[A-Za-z_][A-Za-z0-9_]*`' | tr -d '\140' | sort -u)
+[ -n "$algos" ] || err "no algorithms extracted from README.md's question table"
+headers=$(find src -name '*.h')
+for a in $algos; do
+  # shellcheck disable=SC2086
+  grep -q "[ *&]$a(" $headers ||
+    err "README.md: question-table algorithm '$a' is declared in no src/ header"
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_docs: OK (links, subcommands, flags, format specs, update ops, lint rules in sync)"
+  echo "check_docs: OK (links, subcommands, flags, format specs, update ops, lint rules, question table in sync)"
 fi
 exit "$fail"

@@ -34,7 +34,7 @@
 // WhyqService::Execute, the code serve-batch and serve answer with: the
 // service validates the request (a bad one, such as an entity id past the
 // graph, exits 1 with the service's error) and --deadline-ms clips the
-// search.
+// search; an answer cut short is followed by a `truncated` line.
 // --snapshot makes every GRAPH positional (dot/stats/query/why/whynot/
 // whyempty/whysomany/serve-batch/serve) load a frozen snapshot image
 // (docs/SNAPSHOT_FORMAT.md) via mmap instead of parsing the text format —
@@ -587,6 +587,7 @@ int CmdQuestion(const Options& o, RequestKind kind) {
   // The service parsed the same text against the same graph.
   std::optional<Query> q = ParseQuery(*text, *r.graph, nullptr);
   int rc = PrintQuestionAnswer(*r.graph, *q, kind, r, o.budget);
+  if (r.truncated) std::printf("truncated\n");
   if (o.trace) std::printf("%s", r.trace.ToString().c_str());
   return rc;
 }
