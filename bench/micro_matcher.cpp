@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+
 #include "whyq.h"
 
 namespace whyq {
@@ -274,7 +276,9 @@ std::vector<QueryNode> RelaxedVariants(const MbsFixture& f) {
 
 // A warmed context (every node of the query memoized) looking up the RxL
 // variants: each is a candidate-memo miss, the shape of a why-not guard
-// check or relaxed verification.
+// check or relaxed verification. From the second iteration on, the graph's
+// literal store holds the variants' bitmaps, as on a served epoch, so the
+// misses are delta builds.
 void BM_ContextRelaxedMiss(benchmark::State& state) {
   const MbsFixture& f = SharedMbsFixture();
   static const std::vector<QueryNode>* variants =
@@ -302,12 +306,15 @@ void BM_ContextRelaxedMiss(benchmark::State& state) {
 BENCHMARK(BM_ContextRelaxedMiss);
 
 // --- Literal bitmaps: one literal over one BSBM-500 label bucket --------
-// The inner loop of every candidate-set miss: each iteration builds one
-// literal's bitmap in a fresh MatchContext (one ctx_literal_scans), so
-// nothing is memoized across iterations. Arg 0: an int range literal
-// (Offer.price <= 3000); arg 1: a double constant on the same int column
-// (Offer.price < 2500.5); arg 2: a string equality (Product.brand = the
-// first product's brand).
+// The inner loop of every candidate-set build: one literal's bitmap from
+// the epoch's literal store. Arg `hit` picks the arm. hit:0 asks a fresh
+// LiteralStore each iteration, so every iteration is a miss that scans the
+// label's typed column (one ctx_literal_scans); hit:1 asks the graph's own
+// store, warmed before timing, so every iteration finds the stored bitmap
+// (one ctx_literal_hits). Arg `lit`: 0, an int range literal (Offer.price
+// <= 3000); 1, a double constant on the same int column (Offer.price <
+// 2500.5); 2, a string equality (Product.brand = the first product's
+// brand).
 
 const Graph& Bsbm500() {
   static const Graph* g = [] {
@@ -323,37 +330,53 @@ void BM_LiteralBitmap(benchmark::State& state) {
   const Graph* g = &Bsbm500();
   const Dictionary& labels = g->node_labels();
   const Dictionary& attrs = g->attr_names();
-  QueryNode qn;
+  SymbolId label = kInvalidSymbol;
   Literal lit;
-  switch (state.range(0)) {
+  switch (state.range(1)) {
     case 0:
-      qn.label = *labels.Find("Offer");
+      label = *labels.Find("Offer");
       lit = Literal{*attrs.Find("price"), CompareOp::kLe,
                     Value(int64_t{3000})};
       break;
     case 1:
-      qn.label = *labels.Find("Offer");
+      label = *labels.Find("Offer");
       lit = Literal{*attrs.Find("price"), CompareOp::kLt, Value(2500.5)};
       break;
     default: {
-      qn.label = *labels.Find("Product");
+      label = *labels.Find("Product");
       SymbolId brand = *attrs.Find("brand");
       lit = Literal{brand, CompareOp::kEq,
-                    *g->GetAttr(g->NodesWithLabel(qn.label)[0], brand)};
+                    *g->GetAttr(g->NodesWithLabel(label)[0], brand)};
     }
   }
-  qn.literals.push_back(lit);
-  size_t matched = 0;
+  const bool hit = state.range(0) == 1;
+  Arena overflow;
+  bool scanned = false;
+  auto ask = [&](LiteralStore& store) {
+    return store.Bitmap(*g, label, lit.attr, lit.op, lit.constant, overflow,
+                        &scanned);
+  };
+  // Warms the hit arm; the miss arm's bitmaps die with their stores.
+  const uint64_t* bits = ask(g->literal_store());
   for (auto _ : state) {
-    MatchContext ctx(*g);
-    matched = ctx.Lookup(qn).size();
-    benchmark::DoNotOptimize(matched);
+    if (hit) {
+      benchmark::DoNotOptimize(ask(g->literal_store()));
+    } else {
+      LiteralStore fresh;
+      benchmark::DoNotOptimize(ask(fresh));
+    }
   }
-  state.counters["bucket"] =
-      static_cast<double>(g->NodesWithLabel(qn.label).size());
+  if (scanned == hit) state.SkipWithError("the arm did not hit/miss");
+  NodeSpan bucket = g->NodesWithLabel(label);
+  const size_t span = (bucket[bucket.size() - 1] >> 6) - (bucket[0] >> 6) + 1;
+  size_t matched = 0;
+  for (size_t w = 0; w < span; ++w) matched += std::popcount(bits[w]);
+  state.counters["bucket"] = static_cast<double>(bucket.size());
   state.counters["matched"] = static_cast<double>(matched);
 }
-BENCHMARK(BM_LiteralBitmap)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_LiteralBitmap)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->ArgNames({"hit", "lit"});
 
 // --- Guard admission over a why-not question's relaxations -------------
 // The exact why-not search admits each candidate set through

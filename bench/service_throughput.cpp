@@ -540,7 +540,7 @@ void PartPlanStore(const std::shared_ptr<const Graph>& graph,
         std::fprintf(stderr, "part f: PrepareQuery did not complete\n");
         return;
       }
-      store.SaveAsync(built, canonical, max_paths, stamp);
+      store.SaveAsync(graph, built, canonical, max_paths, stamp);
       store.Flush();
       Timer load_timer;
       for (int rep = 0; rep < kLoadReps; ++rep) {

@@ -85,7 +85,8 @@ std::string RequestTrace::ToString() const {
      << " greedy-rounds=" << greedy_rounds << "\n";
   os << "ctx: hits=" << ctx_hits << " misses=" << ctx_misses
      << " delta-builds=" << ctx_delta_builds << " pruned=" << ctx_pruned
-     << " literal-scans=" << ctx_literal_scans << "\n";
+     << " literal-scans=" << ctx_literal_scans
+     << " literal-hits=" << ctx_literal_hits << "\n";
   return os.str();
 }
 

@@ -56,7 +56,9 @@
     "sets built from memoized literal bitmaps alone")                         \
   X(pruned, "ctx_pruned", "match attempts skipped via bitmaps")               \
   X(literal_scans, "ctx_literal_scans",                                       \
-    "literal bitmaps built, one label-bucket scan each")
+    "literal bitmaps built, one label-bucket scan each")                      \
+  X(literal_hits, "ctx_literal_hits",                                         \
+    "literal bitmaps read from the epoch's literal store")
 
 /// Service counters (StatsSnapshot, JSON "counters"). received, rejected,
 /// shutdown and bad_requests are lock-free Counters in ServiceStats; the

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "graph/literal_store.h"
 
 namespace whyq {
 
@@ -67,6 +68,11 @@ uint64_t NextGraphIdentity() {
 }
 
 }  // namespace graph_internal
+
+Graph::Graph() : literal_store_(std::make_unique<LiteralStore>()) {}
+Graph::~Graph() = default;
+Graph::Graph(Graph&&) = default;
+Graph& Graph::operator=(Graph&&) = default;
 
 namespace {
 

@@ -127,8 +127,8 @@ class Column {
 /// NodesWithLabel(label)[i].A (see Graph::BucketPosition) as a kind byte
 /// plus a 64-bit payload (the int64, the double's bits, or the string's
 /// rank among the column's sorted distinct strings, so string order is
-/// integer order). Literal bitmaps are one pass over it
-/// (src/matcher/match_context.cc).
+/// integer order). Literal bitmaps are one pass over it (ScanColumn,
+/// src/graph/literal_store.h).
 ///
 /// Each row also carries a dense value rank in Value::operator< order:
 /// kind first (ints, then doubles, then strings), then value. ±0.0 share
@@ -168,6 +168,7 @@ struct AttrColumn {
   }
 };
 
+class LiteralStore;
 struct UpdateBatch;
 struct UpdateResult;
 
@@ -187,23 +188,26 @@ struct UpdateResult;
 /// and tuples; they live in memory only and are never persisted, so the
 /// snapshot bytes do not depend on them.
 ///
-/// Thread-safety: immutable after construction, shared across workers. All
-/// read accessors are const with no hidden mutable or lazily-built state
-/// (the label index, attribute ranges and attribute columns are finalized
-/// with the epoch), so any number of threads may query one Graph
-/// concurrently with no locking — the invariant the service's shared-graph
-/// architecture rests on. Updates never mutate in place: ApplyUpdate()
+/// Thread-safety: immutable after construction, shared across workers. The
+/// label index, attribute ranges and attribute columns are finalized with
+/// the epoch, and their read accessors take no lock, so any number of
+/// threads may query one Graph concurrently — the invariant the service's
+/// shared-graph architecture rests on. The one lazily built state is the
+/// epoch's literal-bitmap store (literal_store()): an append-only memo of
+/// pure functions of the epoch, filled under its own mutex, whose bitmaps
+/// never change once handed out. Updates never mutate in place: ApplyUpdate()
 /// produces a NEW Graph value (the next epoch) that shares untouched
 /// columns copy-on-write, so readers pinned on the old epoch keep a fully
 /// consistent view (docs/ARCHITECTURE.md "Mutable graphs & epochs").
 class Graph {
  public:
-  Graph() = default;
+  Graph();
+  ~Graph();
 
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
-  Graph(Graph&&) = default;
-  Graph& operator=(Graph&&) = default;
+  Graph(Graph&&);
+  Graph& operator=(Graph&&);
 
   size_t node_count() const { return node_label_.size(); }
   size_t edge_count() const { return edge_count_; }
@@ -262,6 +266,12 @@ class Graph {
   /// The attributes some node of `label` carries, ascending: the keys of
   /// the label's AttrColumnOf columns (empty for unused labels).
   ConstSpan<SymbolId> AttrsOfLabel(SymbolId label) const;
+
+  /// This epoch's literal bitmaps, shared by every MatchContext on it
+  /// (graph/literal_store.h). Every Graph value starts with an empty store,
+  /// so a new epoch never sees its predecessor's bitmaps. Internally
+  /// synchronized, hence reachable from a const Graph.
+  LiteralStore& literal_store() const { return *literal_store_; }
 
   /// Symbol tables. Node labels, edge labels and attribute names live in
   /// separate id spaces.
@@ -409,6 +419,9 @@ class Graph {
   Dictionary node_labels_;
   Dictionary edge_labels_;
   Dictionary attr_names_;
+
+  // Behind a pointer so the Graph stays movable (the store holds a mutex).
+  std::unique_ptr<LiteralStore> literal_store_;
 
   // Epoch bookkeeping (see identity()/generation()/frozen()). Stamped by
   // GraphBuilder::Build(), GraphSnapshot::Load() and ApplyUpdate().

@@ -1,11 +1,10 @@
 #include "matcher/match_context.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <functional>
 #include <new>
 #include <utility>
+
+#include "graph/literal_store.h"
 
 namespace whyq {
 
@@ -20,36 +19,12 @@ bool LiteralLess(const Literal& a, const Literal& b) {
   return a.constant < b.constant;
 }
 
-uint64_t Mix(uint64_t x) {  // splitmix64 finalizer
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Equal Values hash equally: 0.0 and -0.0 are one key, as are all NaNs.
-uint64_t ValueHash(const Value& v) {
-  if (v.is_int()) return Mix(static_cast<uint64_t>(v.as_int()));
-  if (v.is_double()) {
-    double d = v.as_double();
-    if (d == 0.0) d = 0.0;
-    if (std::isnan(d)) d = std::nan("");
-    uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return Mix(bits ^ 0x1);
-  }
-  return Mix(std::hash<std::string>{}(v.as_string()) ^ 0x2);
-}
-
-uint64_t LiteralHash(const Literal& l) {
-  return Mix(ValueHash(l.constant) ^
-             (uint64_t{l.attr} << 8 | static_cast<uint64_t>(l.op)));
-}
-
 // Order-independent: the label's hash plus the sum of the literal hashes.
 uint64_t ConstraintHash(const QueryNode& qn) {
-  uint64_t h = Mix(qn.label);
-  for (const Literal& l : qn.literals) h += LiteralHash(l);
+  uint64_t h = MixHash(qn.label);
+  for (const Literal& l : qn.literals) {
+    h += LiteralHash(l.attr, l.op, l.constant);
+  }
   return h;
 }
 
@@ -72,87 +47,6 @@ bool SameMultiset(const std::vector<Literal>& sorted,
     }
   }
   return true;
-}
-
-// Stores bit v - 64 * lo of `bits` for every bucket position i (node
-// v = bucket[i]) that `holds(i)` accepts. The bucket ascends, so each word
-// is accumulated in a register and stored once.
-template <typename Holds>
-void FillWords(NodeSpan bucket, size_t lo, uint64_t* bits, Holds holds) {
-  const size_t n = bucket.size();
-  for (size_t i = 0; i < n;) {
-    const size_t w = bucket[i] >> 6;
-    uint64_t word = 0;
-    do {
-      word |= uint64_t{holds(i)} << (bucket[i] & 63);
-    } while (++i < n && (bucket[i] >> 6) == w);
-    bits[w - lo] = word;
-  }
-}
-
-// The bucket nodes satisfying `l`, as IsCandidate decides them
-// (Value::Satisfies), read off the label's typed column of l.attr. Bit
-// cmp + 1 of `mask` is CompareHolds(op, cmp). A column holding one
-// comparable kind takes a loop typed for it; a column mixing ints and
-// doubles switches per row. Strings compare by rank on a doubled axis: row
-// rank r sits at 2r + 1, and the constant at 2r + 1 when it is the
-// column's r-th string, or at 2r when r strings sort below it and it is
-// absent. The axis is computed unsigned, so rows of other kinds (whose
-// payload is not a rank) wrap harmlessly before the kind test drops them.
-void ScanColumn(const AttrColumn& col, NodeSpan bucket, const Literal& l,
-                size_t lo, uint64_t* bits) {
-  const unsigned mask = CompareHolds(l.op, -1) |
-                        CompareHolds(l.op, 0) << 1 |
-                        CompareHolds(l.op, 1) << 2;
-  const uint8_t* kind = col.kinds.data();
-  auto holds = [mask](int cmp) { return (mask >> (cmp + 1)) & 1u; };
-  // One loop for the rows of kind `k`, each compared by `cmp(i)`.
-  auto fill = [&](AttrColumn::Kind k, auto cmp) {
-    FillWords(bucket, lo, bits, [&](size_t i) {
-      return static_cast<unsigned>(kind[i] == k) & holds(cmp(i));
-    });
-  };
-  if (l.constant.is_string()) {
-    if (!col.has(AttrColumn::kString)) return;
-    const std::string& c = l.constant.as_string();
-    auto it = std::lower_bound(col.strings.begin(), col.strings.end(), c);
-    const int64_t at = 2 * (it - col.strings.begin()) +
-                       (it != col.strings.end() && *it == c ? 1 : 0);
-    fill(AttrColumn::kString, [&](size_t i) {
-      return CompareNumeric(static_cast<int64_t>(2 * col.payload[i] + 1), at);
-    });
-    return;
-  }
-  const bool ints = col.has(AttrColumn::kInt);
-  const bool doubles = col.has(AttrColumn::kDouble);
-  const bool int_constant = l.constant.is_int();
-  const int64_t ci = int_constant ? l.constant.as_int() : 0;
-  const double cd = l.constant.numeric();
-  if (ints && doubles) {
-    FillWords(bucket, lo, bits, [&](size_t i) {
-      switch (kind[i]) {
-        case AttrColumn::kInt:
-          return holds(int_constant
-                           ? CompareNumeric(col.int_at(i), ci)
-                           : CompareNumeric(
-                                 static_cast<double>(col.int_at(i)), cd));
-        case AttrColumn::kDouble:
-          return holds(CompareNumeric(col.double_at(i), cd));
-        default:
-          return 0u;
-      }
-    });
-  } else if (ints && int_constant) {
-    fill(AttrColumn::kInt,
-         [&](size_t i) { return CompareNumeric(col.int_at(i), ci); });
-  } else if (ints) {
-    fill(AttrColumn::kInt, [&](size_t i) {
-      return CompareNumeric(static_cast<double>(col.int_at(i)), cd);
-    });
-  } else if (doubles) {
-    fill(AttrColumn::kDouble,
-         [&](size_t i) { return CompareNumeric(col.double_at(i), cd); });
-  }
 }
 
 }  // namespace
@@ -181,23 +75,12 @@ uint64_t* MatchContext::ZeroedBitmap() {
   return bits;
 }
 
-const uint64_t* MatchContext::LiteralBitmap(SymbolId label, const Literal& l,
-                                            NodeSpan bucket, size_t lo,
-                                            size_t span) {
-  uint64_t hash = Mix(label) + LiteralHash(l);
-  auto [it, end] = literal_index_.equal_range(hash);
-  for (; it != end; ++it) {
-    const LiteralEntry& e = literals_[it->second];
-    if (e.label == label && e.lit == l) return e.bits;
-  }
-  ++stats_.literal_scans;
-  uint64_t* bits = arena_.AllocateArray<uint64_t>(span);
-  std::fill_n(bits, span, 0);
-  if (const AttrColumn* col = g_.AttrColumnOf(label, l.attr)) {
-    ScanColumn(*col, bucket, l, lo, bits);
-  }
-  literal_index_.emplace(hash, literals_.size());
-  literals_.push_back(LiteralEntry{label, l, bits});
+const uint64_t* MatchContext::LiteralBitmap(SymbolId label,
+                                            const Literal& l) {
+  bool scanned = false;
+  const uint64_t* bits = g_.literal_store().Bitmap(
+      g_, label, l.attr, l.op, l.constant, arena_, &scanned);
+  ++(scanned ? stats_.literal_scans : stats_.literal_hits);
   return bits;
 }
 
@@ -235,11 +118,10 @@ const MatchContext::CandidateSet& MatchContext::Insert(const QueryNode& qn,
   if (lits.empty()) {
     for (NodeId v : bucket) bits[v >> 6] |= uint64_t{1} << (v & 63);
   } else {
-    std::copy_n(LiteralBitmap(qn.label, lits[0], bucket, lo, span), span,
-                out);
+    std::copy_n(LiteralBitmap(qn.label, lits[0]), span, out);
     for (size_t i = 1; i < lits.size(); ++i) {
       if (lits[i] == lits[i - 1]) continue;  // a repeat changes nothing
-      const uint64_t* b = LiteralBitmap(qn.label, lits[i], bucket, lo, span);
+      const uint64_t* b = LiteralBitmap(qn.label, lits[i]);
       for (size_t w = 0; w < span; ++w) out[w] &= b[w];
     }
   }
@@ -260,8 +142,8 @@ const MatchContext::CandidateSet& MatchContext::AddEntry(
 }
 
 size_t MatchContext::SupportKeyHash::operator()(const SupportKey& k) const {
-  return Mix(reinterpret_cast<uintptr_t>(k.child) ^
-             (uint64_t{k.label} << 1 | uint64_t{k.out}));
+  return MixHash(reinterpret_cast<uintptr_t>(k.child) ^
+                 (uint64_t{k.label} << 1 | uint64_t{k.out}));
 }
 
 const uint64_t* MatchContext::Support(const CandidateSet& child,

@@ -31,18 +31,20 @@ namespace whyq {
 /// predicates, and root enumeration iterates the memoized list instead of
 /// the label bucket.
 ///
-/// Literal memo: a constraint not seen before is built as the word AND of
-/// one bitmap per literal (label, attr, op, constant). Each literal bitmap
-/// is memoized too, built once by one pass over the epoch's typed column of
-/// (label, attr) (Graph::AttrColumnOf: a kind byte and a 64-bit payload per
-/// bucket position, strings as ranks), with a loop typed for the column's
-/// kind, and covers only the bucket's word span. The rewrites of one
-/// question edit a few literals each (RxL/RmL/RfL/AddL), so most new
-/// constraints are ANDs of bitmaps already held and scan nothing; the AND
-/// itself becomes the set's bitmap and its list is read off with ctz.
-/// Entries are never evicted; a context lives for one request and the
-/// distinct constraints per request are bounded by the picky-operator
-/// universe.
+/// Literal bitmaps: a constraint not seen before is built as the word AND
+/// of one bitmap per literal (label, attr, op, constant). Those bitmaps are
+/// not the context's: they live in the graph epoch's LiteralStore
+/// (graph/literal_store.h), shared by every context on the epoch, so a
+/// literal is scanned once per epoch, by the first request that needs it
+/// (one pass over the label's typed column, Graph::AttrColumnOf), and read
+/// by every later one (ctx_literal_hits). Each covers only its bucket's
+/// word span. The rewrites of one question edit a few literals each
+/// (RxL/RmL/RfL/AddL), so most new constraints are ANDs of bitmaps the
+/// store already holds; the AND itself becomes the set's bitmap and its
+/// list is read off with ctz. Past the store's cap a bitmap is scanned into
+/// this context's arena and used for that one build. Candidate sets are
+/// never evicted; a context lives for one request and the distinct
+/// constraints per request are bounded by the picky-operator universe.
 ///
 /// Support memo: for a candidate set, an edge label and a direction, the
 /// bitmap over V of the nodes with at least one such edge into the set,
@@ -53,13 +55,13 @@ namespace whyq {
 /// without a search (and counted in ctx_pruned). The check is
 /// necessary-only (it ignores injectivity and the other edges), so the
 /// surviving roots are searched in the same ascending order. Like the
-/// literal bitmaps, supports live in the arena for the request only.
+/// candidate sets, supports live in the arena for the request only.
 ///
 /// Thread-safety: none. A MatchContext is mutable per-lookup state and must
 /// be confined to one thread/request, exactly like the Matcher and
 /// evaluators that borrow it (each parallel executor slot owns its own
-/// context via its own evaluator). The Graph it borrows is shared and
-/// immutable.
+/// context via its own evaluator). The Graph it borrows is shared, and so
+/// is the graph's literal store, which synchronizes itself.
 class MatchContext {
  public:
   /// One memoized candidate set: the candidates in ascending NodeId order
@@ -140,15 +142,6 @@ class MatchContext {
   // The entry memoizing `qn`'s constraint (whose hash is `hash`), or null.
   const Entry* Find(const QueryNode& qn, uint64_t hash) const;
 
-  // One memoized literal of one label: the bucket nodes satisfying it, as
-  // the words [lo, lo + span) of a bitmap over V, where the label bucket
-  // spans exactly those words.
-  struct LiteralEntry {
-    SymbolId label = kInvalidSymbol;
-    Literal lit;
-    const uint64_t* bits = nullptr;  // arena-resident, span words
-  };
-
   // The key of one support bitmap: (child set, edge label, direction).
   struct SupportKey {
     const CandidateSet* child;
@@ -163,11 +156,9 @@ class MatchContext {
   // Builds (and memoizes) the set of a constraint not seen before.
   const CandidateSet& Insert(const QueryNode& qn, uint64_t hash);
 
-  // The memoized bitmap of literal `l` on `label` (whose bucket is `bucket`,
-  // spanning words [lo, lo + span)), read off the label's typed column of
-  // l.attr on first use.
-  const uint64_t* LiteralBitmap(SymbolId label, const Literal& l,
-                                NodeSpan bucket, size_t lo, size_t span);
+  // The bitmap of literal `l` on `label` over the label bucket's word span,
+  // from the epoch's literal store (counted as a scan or a store hit).
+  const uint64_t* LiteralBitmap(SymbolId label, const Literal& l);
 
   // Memoizes `cand` as the set of the constraint (label, sorted_lits).
   const CandidateSet& AddEntry(SymbolId label,
@@ -188,8 +179,6 @@ class MatchContext {
   std::vector<NodeId> scratch_;  // build-time node list, reused per Freeze
   std::vector<Entry> entries_;
   std::unordered_multimap<uint64_t, size_t> index_;  // hash -> entry
-  std::vector<LiteralEntry> literals_;
-  std::unordered_multimap<uint64_t, size_t> literal_index_;  // hash -> literal
   // Arena-resident support bitmaps over V.
   std::unordered_map<SupportKey, const uint64_t*, SupportKeyHash> supports_;
   Stats stats_;

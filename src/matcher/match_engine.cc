@@ -34,6 +34,10 @@ class IsoMatchEngine : public MatchEngine {
       const Query& q, const std::vector<NodeId>& nodes) const override {
     return matcher_.TestAnswers(q, nodes);
   }
+  size_t CountFailures(const Query& q, const std::vector<NodeId>& nodes,
+                       size_t limit) const override {
+    return matcher_.CountFailures(q, nodes, limit);
+  }
   void AssumeRefinementsOf(const Query&) override {}
 
  private:
@@ -99,6 +103,19 @@ class SimMatchEngine : public MatchEngine {
       out[i] = hit ? 1 : 0;
     }
     return out;
+  }
+  size_t CountFailures(const Query& q, const std::vector<NodeId>& nodes,
+                       size_t limit) const override {
+    // A cut-short fixpoint reads as no answers, so every node fails.
+    const std::vector<NodeId>& answers = AnswersFor(q);
+    size_t failures = 0;
+    for (NodeId v : nodes) {
+      if (!std::binary_search(answers.begin(), answers.end(), v) &&
+          ++failures > limit) {
+        break;
+      }
+    }
+    return failures;
   }
   void AssumeRefinementsOf(const Query& base) override {
     // Running cold is always sound; an expired token installs no base.

@@ -58,6 +58,14 @@ class MatchEngine {
   virtual std::vector<uint8_t> TestAnswers(
       const Query& q, const std::vector<NodeId>& nodes) const = 0;
 
+  /// How many of `nodes` are not answers, stopping past `limit` (returns
+  /// limit + 1 then) — the Why guard's early-terminating batch test. One
+  /// plan (or one fixpoint) serves the batch; the isomorphism engine stops
+  /// searching at the (limit + 1)-th failure. As with TestAnswers, a count
+  /// cut short by the cancel token must not be trusted.
+  virtual size_t CountFailures(const Query& q, const std::vector<NodeId>& nodes,
+                               size_t limit) const = 0;
+
   /// Promises that every later query refines `base` (see
   /// RefinementSimulation in matcher/simulation.h: RfL, AddL and AddE only,
   /// node ids and output kept), as every rewrite of a Why search does. The

@@ -295,6 +295,22 @@ std::vector<uint8_t> Matcher::TestAnswers(
   return out;
 }
 
+size_t Matcher::CountFailures(const Query& q,
+                              const std::vector<NodeId>& nodes,
+                              size_t limit) const {
+  std::vector<PlanStep> plan = BuildPlan(q);
+  size_t failures = 0;
+  for (NodeId v : nodes) {
+    if (cancel_ != nullptr && (cancel_hit_ || cancel_->Expired())) {
+      cancel_hit_ = true;
+      break;
+    }
+    if (!SearchFrom(plan, v) && ++failures > limit) break;
+  }
+  // A cut-short count is unknown: the evaluators read a failed guard.
+  return cancel_hit_ ? limit + 1 : failures;
+}
+
 bool Matcher::HasAnyMatch(const Query& q) const {
   std::vector<PlanStep> plan = BuildPlan(q);
   for (NodeId v : RootCandidates(q, plan)) {

@@ -89,6 +89,13 @@ class Matcher {
   std::vector<uint8_t> TestAnswers(const Query& q,
                                    const std::vector<NodeId>& nodes) const;
 
+  /// How many of `nodes` are not answers, stopping past `limit` (returns
+  /// limit + 1 then, and also when the token expires during the batch).
+  /// Builds the plan once, like TestAnswers, and searches no node after the
+  /// (limit + 1)-th failure.
+  size_t CountFailures(const Query& q, const std::vector<NodeId>& nodes,
+                       size_t limit) const;
+
   /// Does the query have at least one match at all?
   bool HasAnyMatch(const Query& q) const;
 

@@ -85,13 +85,8 @@ std::optional<size_t> WhyEvaluator::Guard(const Query& rewritten) const {
 
 size_t WhyEvaluator::CountGuard(const Query& rewritten) const {
   // Collateral exclusions from the desired answers (batched: one matching
-  // plan for the whole sweep).
-  size_t guard = 0;
-  std::vector<uint8_t> ok = engine_->TestAnswers(rewritten, desired_answers_);
-  for (uint8_t o : ok) {
-    if (!o && ++guard > guard_m_) break;
-  }
-  return guard;
+  // plan for the whole sweep), no longer searched once the count is past m.
+  return engine_->CountFailures(rewritten, desired_answers_, guard_m_);
 }
 
 std::vector<NodeId> WhyEvaluator::AffectedAnswers(

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "matcher/match_context.h"
 #include "query/query_parser.h"
 
 namespace whyq {
@@ -40,14 +41,17 @@ uint64_t PlanFingerprint(const Graph& g) {
   return g.frozen() ? g.identity() : GraphFingerprint(g);
 }
 
-CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,
+CompiledPlan PlanFromPrepared(const PreparedQuery& prepared, const Graph& g,
                               std::string query_text, uint64_t max_paths) {
   CompiledPlan plan;
   plan.query_text = std::move(query_text);
   plan.semantics = prepared.semantics;
   plan.max_paths = max_paths;
   plan.answers = prepared.answers;
-  plan.output_candidates = prepared.output_candidates;
+  MatchContext ctx(g);
+  NodeSpan candidates =
+      ctx.Lookup(prepared.query.node(prepared.query.output())).list();
+  plan.output_candidates.assign(candidates.begin(), candidates.end());
   plan.paths = prepared.path_index.paths();
   plan.footprint = prepared.footprint;
   return plan;
@@ -243,8 +247,8 @@ std::shared_ptr<const PreparedQuery> PreparedFromPlan(const CompiledPlan& plan,
     return fail("plan: stored footprint disagrees with the query");
   }
   return std::make_shared<const PreparedQuery>(
-      std::move(*q), plan.semantics, plan.answers, plan.output_candidates,
-      PathIndex::FromPaths(plan.paths), fresh);
+      std::move(*q), plan.semantics, plan.answers,
+      plan.output_candidates.size(), PathIndex::FromPaths(plan.paths), fresh);
 }
 
 uint64_t PlanKeyHash(uint64_t graph_fingerprint,
@@ -456,11 +460,12 @@ std::shared_ptr<const PreparedQuery> PlanStore::TryLoad(
   return prepared;
 }
 
-void PlanStore::SaveAsync(std::shared_ptr<const PreparedQuery> prepared,
+void PlanStore::SaveAsync(std::shared_ptr<const Graph> graph,
+                          std::shared_ptr<const PreparedQuery> prepared,
                           std::string query_text, uint64_t max_paths,
                           PlanStamp stamp) {
-  if (prepared == nullptr) return;
-  Enqueue([this, prepared = std::move(prepared),
+  if (graph == nullptr || prepared == nullptr) return;
+  Enqueue([this, graph = std::move(graph), prepared = std::move(prepared),
            query_text = std::move(query_text), max_paths, stamp] {
     const std::string body =
         PreparedQueryKeyBody(prepared->semantics, max_paths, query_text);
@@ -470,7 +475,8 @@ void PlanStore::SaveAsync(std::shared_ptr<const PreparedQuery> prepared,
       MutexLock lock(mu_);
       if (index_.count(name) != 0) return;  // already persisted
     }
-    CompiledPlan plan = PlanFromPrepared(*prepared, query_text, max_paths);
+    CompiledPlan plan =
+        PlanFromPrepared(*prepared, *graph, query_text, max_paths);
     std::string error;
     uint64_t bytes = 0;
     if (!WritePlanFile(plan, stamp, dir_ + "/" + name, &error, &bytes)) {

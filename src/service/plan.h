@@ -127,9 +127,12 @@ struct CompiledPlan {
 /// heap graphs pay one GraphFingerprint pass.
 uint64_t PlanFingerprint(const Graph& g);
 
-/// Flattens a PreparedQuery (plus the canonical text its cache key was
-/// derived from and the max_paths it was built with) into a writable plan.
-CompiledPlan PlanFromPrepared(const PreparedQuery& prepared,
+/// Flattens a PreparedQuery built over `g` (plus the canonical text its
+/// cache key was derived from and the max_paths it was built with) into a
+/// writable plan. The output candidates, which the PreparedQuery does not
+/// keep, are rebuilt by one MatchContext lookup of u_o over `g`, whose
+/// literal bitmaps the epoch's store already holds from the prepare.
+CompiledPlan PlanFromPrepared(const PreparedQuery& prepared, const Graph& g,
                               std::string query_text, uint64_t max_paths);
 
 /// Serializes `plan` + `stamp` into `path` (PublishFile, durable: an
@@ -216,10 +219,12 @@ class PlanStore {
       size_t max_paths, const std::string& canonical_text)
       WHYQ_EXCLUDES(mu_, queue_mu_);
 
-  /// Enqueues a completed build for persistence (no-op if the store
-  /// already holds a file for its key). Returns immediately; the write
-  /// happens on the writer thread.
-  void SaveAsync(std::shared_ptr<const PreparedQuery> prepared,
+  /// Enqueues a completed build over `graph` for persistence (no-op if the
+  /// store already holds a file for its key). Returns immediately; the
+  /// write happens on the writer thread, which holds the graph pinned until
+  /// it has rebuilt the plan's candidate list (PlanFromPrepared).
+  void SaveAsync(std::shared_ptr<const Graph> graph,
+                 std::shared_ptr<const PreparedQuery> prepared,
                  std::string query_text, uint64_t max_paths, PlanStamp stamp)
       WHYQ_EXCLUDES(queue_mu_);
 

@@ -65,18 +65,17 @@ std::shared_ptr<const PreparedQuery> PrepareQuery(const Graph& g, Query q,
     stage.Reset();
   }
   // Request-scoped candidate memo: the output candidates are its set of the
-  // output node, built from the literal bitmaps, so the answer match reads
-  // that set back instead of rescanning the label bucket, and every other
-  // query node's set is memoized across the isomorphism matcher's root
-  // loop. Lives only for this build (the prepared artifacts it feeds are
-  // immutable and cacheable; the context is not).
+  // output node, built from the epoch's literal bitmaps, so the answer
+  // match reads that set back instead of rescanning the label bucket, and
+  // every other query node's set is memoized across the isomorphism
+  // matcher's root loop. Lives only for this build (the prepared artifacts
+  // it feeds are immutable and cacheable; the context is not).
   MatchContext ctx(g);
-  const MatchContext::CandidateSet& out_cand =
-      ctx.Lookup(prepared->query.node(prepared->query.output()));
-  prepared->output_candidates.assign(out_cand.begin(), out_cand.end());
+  prepared->output_candidate_count =
+      ctx.Lookup(prepared->query.node(prepared->query.output())).size();
   if (trace != nullptr) {
     trace->candidates_ms = stage.ElapsedMillis();
-    trace->matcher_candidates = prepared->output_candidates.size();
+    trace->matcher_candidates = prepared->output_candidate_count;
     stage.Reset();
   }
   std::unique_ptr<MatchEngine> engine = MakeMatchEngine(ctx, semantics);

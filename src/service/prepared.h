@@ -28,19 +28,21 @@ class CancelToken;
 SymbolFootprint FootprintOfQuery(const Query& q);
 
 /// Per-(query, semantics) artifacts every question over that query needs:
-/// the parsed query, its answer set Q(u_o, G), the output node's candidate
-/// set, and the sampled PathIndex (the estimation backbone). Building these
-/// is the dominant fixed cost of a request — the answer match scans every
-/// output-label node — so repeated questions over the same query share one
-/// immutable PreparedQuery through the service's LRU cache.
+/// the parsed query, its answer set Q(u_o, G), the size of the output
+/// node's candidate set, and the sampled PathIndex (the estimation
+/// backbone). The candidate list itself is not kept: the plan writer
+/// rebuilds it from the graph's literal store (PlanFromPrepared). Building
+/// these is the dominant fixed cost of a request — the answer match scans
+/// every output-label node — so repeated questions over the same query
+/// share one immutable PreparedQuery through the service's LRU cache.
 ///
 /// Thread-safety: immutable after construction; shared across workers via
 /// shared_ptr<const PreparedQuery>.
 struct PreparedQuery {
   Query query;
   MatchSemantics semantics = MatchSemantics::kIsomorphism;
-  std::vector<NodeId> answers;            // Q(u_o, G) under `semantics`
-  std::vector<NodeId> output_candidates;  // label+literal candidates of u_o
+  std::vector<NodeId> answers;  // Q(u_o, G) under `semantics`
+  size_t output_candidate_count = 0;  // |label+literal candidates of u_o|
   PathIndex path_index;
   SymbolFootprint footprint;  // symbols the artifacts depend on (see below)
 
@@ -53,12 +55,11 @@ struct PreparedQuery {
   /// Artifact-loading constructor (service/plan.cc): every field was
   /// deserialized from a validated CompiledPlan instead of being built.
   PreparedQuery(Query q, MatchSemantics s, std::vector<NodeId> answers_in,
-                std::vector<NodeId> candidates, PathIndex index,
-                SymbolFootprint fp)
+                size_t candidate_count, PathIndex index, SymbolFootprint fp)
       : query(std::move(q)),
         semantics(s),
         answers(std::move(answers_in)),
-        output_candidates(std::move(candidates)),
+        output_candidate_count(candidate_count),
         path_index(std::move(index)),
         footprint(std::move(fp)) {}
 };

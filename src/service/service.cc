@@ -377,13 +377,13 @@ ServiceResponse WhyqService::Run(const ServiceRequest& req,
       cache_.Put(key, prepared);
       if (cfg_.plan_store != nullptr) {
         cfg_.plan_store->SaveAsync(
-            prepared, std::move(canonical), cfg.path_index_paths,
+            pinned, prepared, std::move(canonical), cfg.path_index_paths,
             PlanStamp{plan_fp, g.identity(), g.generation()});
       }
     }
   }
   resp.trace.prepare_ms = stage.ElapsedMillis();
-  resp.trace.matcher_candidates = prepared->output_candidates.size();
+  resp.trace.matcher_candidates = prepared->output_candidate_count;
   stage.Reset();
 
   cfg.cancel = token;

@@ -30,6 +30,7 @@
 #include "graph/edge_list.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
+#include "graph/literal_store.h"
 #include "graph/neighborhood.h"
 #include "graph/snapshot.h"
 #include "harness/experiment.h"

@@ -86,7 +86,8 @@ std::vector<Writer> Writers() {
       PrepareQuery(fig->graph, Query(fig->query), MatchSemantics::kIsomorphism,
                    8, /*cancel=*/nullptr, &complete);
   auto plan = std::make_shared<CompiledPlan>(
-      PlanFromPrepared(*prepared, WriteQuery(fig->query, fig->graph), 8));
+      PlanFromPrepared(*prepared, fig->graph,
+                       WriteQuery(fig->query, fig->graph), 8));
   const PlanStamp stamp{GraphFingerprint(fig->graph), fig->graph.identity(),
                         fig->graph.generation()};
   return {

@@ -4,7 +4,11 @@
 //      columns on every graph construction path: built, snapshot-loaded,
 //      and incremental and rebuilt update epochs; hit/miss/delta and
 //      literal-scan accounting, literal-order-insensitive keys, Prime, and
-//      the prepared output candidates);
+//      the prepared output candidates), and of the epoch's literal store
+//      the contexts share (a warm graph scans nothing, contexts on a new
+//      epoch scan afresh, and past the store's cap sets stay correct).
+//      Counter pins say whether the store is warm: a graph built inside a
+//      test starts with a cold one;
 //   2. an equivalence property: over random graphs and random operator-set
 //      rewrites, every matcher API answers byte-identically over one
 //      context reused across the rewrite sweep and over a fresh context
@@ -33,6 +37,7 @@
 #include "gen/figure1.h"
 #include "gen/profiles.h"
 #include "gen/query_gen.h"
+#include "graph/literal_store.h"
 #include "graph/neighborhood.h"
 #include "graph/snapshot.h"
 #include "graph/update.h"
@@ -112,8 +117,9 @@ TEST(MatchContextTest, LiteralOrderDoesNotSplitEntries) {
   EXPECT_EQ(ctx.stats().hits, 1u);
 }
 
-// Every literal bitmap an uncached constraint needs is memoized already:
-// the set is their AND, built without a bucket scan.
+// Every literal bitmap an uncached constraint needs is in the literal
+// store already: the set is their AND, built without a bucket scan. The
+// Figure 1 graph is built here, so its store starts cold.
 TEST(MatchContextTest, SupersetLiteralsBuildByDelta) {
   Figure1 f = MakeFigure1();
   const QueryNode& base = f.query.node(f.query.output());
@@ -140,7 +146,8 @@ TEST(MatchContextTest, SupersetLiteralsBuildByDelta) {
 }
 
 // A relaxation that drops a literal (RmL) or loosens one (RxL) needs at
-// most one new literal bitmap, not a rescan of every literal.
+// most one new literal bitmap, not a rescan of every literal (on a graph
+// built here, with a cold literal store).
 TEST(MatchContextTest, RelaxedLiteralsReuseLiteralBitmaps) {
   Figure1 f = MakeFigure1();
   QueryNode full = f.query.node(f.query.output());
@@ -163,6 +170,108 @@ TEST(MatchContextTest, RelaxedLiteralsReuseLiteralBitmaps) {
   EXPECT_EQ(ctx.stats().literal_scans, distinct + 1);
 }
 
+// --- The epoch's literal store, shared by every context on the graph. ----
+
+// A second context on a warm graph reads every literal bitmap from the
+// store: it scans nothing and builds each literal-bearing set by delta.
+TEST(LiteralStoreTest, SecondContextOnAWarmGraphScansNothing) {
+  Figure1 f = MakeFigure1();  // built here: a cold store
+  EXPECT_EQ(f.graph.literal_store().size(), 0u);
+  MatchContext first(f.graph);
+  first.Prime(f.query);
+  const uint64_t scans = first.stats().literal_scans;
+  EXPECT_GT(scans, 0u);
+  EXPECT_EQ(f.graph.literal_store().size(), scans);
+
+  MatchContext second(f.graph);
+  second.Prime(f.query);
+  EXPECT_EQ(second.stats().literal_scans, 0u);
+  EXPECT_EQ(second.stats().literal_hits,
+            scans + first.stats().literal_hits);
+  EXPECT_EQ(second.stats().misses + second.stats().delta_builds,
+            first.stats().misses + first.stats().delta_builds);
+  for (QNodeId u = 0; u < f.query.node_count(); ++u) {
+    const QueryNode& qn = f.query.node(u);
+    EXPECT_EQ(ToVec(second.Lookup(qn)), DirectFilter(f.graph, qn));
+  }
+  EXPECT_EQ(f.graph.literal_store().size(), scans);
+}
+
+// An update publishes a new Graph value with an empty store: its contexts
+// scan afresh (the old epoch's bitmaps describe the old attribute values)
+// and read the new epoch's sets, while the old epoch keeps its own.
+TEST(LiteralStoreTest, UpdateEpochStartsWithAnEmptyStore) {
+  Figure1 f = MakeFigure1();
+  const QueryNode& qn = f.query.node(f.query.output());
+  ASSERT_FALSE(qn.literals.empty());
+  MatchContext warm(f.graph);
+  const std::vector<NodeId> before = ToVec(warm.Lookup(qn));
+  ASSERT_FALSE(before.empty());
+  const size_t held = f.graph.literal_store().size();
+
+  // Move the first candidate out of the literal's range.
+  const Literal& lit = qn.literals[0];
+  UpdateBatch batch;
+  batch.ops.push_back(
+      UpdateOp::SetAttr(before[0], f.graph.AttrName(lit.attr), Value("x")));
+  Graph next;
+  UpdateResult r;
+  ASSERT_TRUE(f.graph.ApplyUpdate(batch, &next, &r)) << r.error;
+  EXPECT_EQ(next.literal_store().size(), 0u);
+
+  MatchContext fresh(next);
+  EXPECT_EQ(ToVec(fresh.Lookup(qn)), DirectFilter(next, qn));
+  EXPECT_NE(ToVec(fresh.Lookup(qn)), before);
+  EXPECT_GT(fresh.stats().literal_scans, 0u);
+  EXPECT_EQ(fresh.stats().literal_hits, 0u);
+  EXPECT_EQ(f.graph.literal_store().size(), held);
+  MatchContext old(f.graph);
+  EXPECT_EQ(ToVec(old.Lookup(qn)), before);
+  EXPECT_EQ(old.stats().literal_scans, 0u);
+}
+
+// A small graph and more distinct literals than the store admits: the
+// store fills to its cap and stops, and every set is still the IsCandidate
+// filter. Past the cap each context scans into its own arena, once per
+// build, and stores nothing.
+TEST(LiteralStoreTest, PastTheCapSetsStayCorrect) {
+  GraphBuilder b;
+  for (int64_t i = 0; i < 64; ++i) {
+    NodeId v = b.AddNode("T");
+    b.SetAttr(v, "x", Value(i));
+  }
+  Graph g = b.Build();
+  const SymbolId label = *g.node_labels().Find("T");
+  const SymbolId x = *g.attr_names().Find("x");
+  // One word per bitmap (the bucket spans one word), so the cap admits
+  // exactly WordCap(g) literals.
+  const size_t cap = LiteralStore::WordCap(g);
+  ASSERT_EQ(cap, kLiteralStoreFullBitmaps);
+  const size_t extra = 100;
+  std::vector<QueryNode> constraints;
+  for (size_t c = 0; c < cap + extra; ++c) {
+    QueryNode qn;
+    qn.label = label;
+    qn.literals.push_back(Literal{
+        x, c % 2 == 0 ? CompareOp::kLe : CompareOp::kGt,
+        Value(static_cast<int64_t>(c / 2) - 1000)});
+    constraints.push_back(qn);
+  }
+  for (int round = 0; round < 2; ++round) {
+    MatchContext ctx(g);
+    for (const QueryNode& qn : constraints) {
+      ASSERT_EQ(ToVec(ctx.Lookup(qn)), DirectFilter(g, qn))
+          << "round " << round << " " << qn.literals[0].constant.ToString();
+    }
+    EXPECT_EQ(g.literal_store().size(), cap);
+    EXPECT_EQ(g.literal_store().words(), cap);
+    // The first round scans everything; the second reads the stored
+    // literals and rescans only those past the cap.
+    EXPECT_EQ(ctx.stats().literal_scans, round == 0 ? cap + extra : extra);
+    EXPECT_EQ(ctx.stats().literal_hits, round == 0 ? 0u : cap);
+  }
+}
+
 // PrepareQuery takes the output candidates from its context's literal
 // bitmaps: they must be the IsCandidate filter of the label bucket, and
 // the answer match that reads them back must equal a fresh match.
@@ -176,8 +285,8 @@ TEST(MatchContextTest, PreparedOutputCandidatesMatchDirectFilter) {
     std::shared_ptr<const PreparedQuery> p = PrepareQuery(
         f.graph, Query(f.query), sem, 8, nullptr, &complete, 1, &trace);
     EXPECT_TRUE(complete);
-    EXPECT_EQ(p->output_candidates, DirectFilter(f.graph, qn));
-    EXPECT_EQ(trace.matcher_candidates, p->output_candidates.size());
+    EXPECT_EQ(p->output_candidate_count, DirectFilter(f.graph, qn).size());
+    EXPECT_EQ(trace.matcher_candidates, p->output_candidate_count);
     MatchContext ctx(f.graph);
     EXPECT_EQ(p->answers, MakeMatchEngine(ctx, sem)->MatchOutput(f.query));
   }
@@ -301,9 +410,9 @@ TEST(MatchContextTest, SignedZeroAndIntDoubleLiteralsGiveCorrectSets) {
       {"", "", Value(-1.0)},       {"", "", Value("5")},
       {"", "", std::nullopt},
   };
-  Graph g = TinyGraph(rows);
-  SymbolId label = *g.node_labels().Find("T");
-  SymbolId x = *g.attr_names().Find("x");
+  const Graph symbols = TinyGraph(rows);
+  SymbolId label = *symbols.node_labels().Find("T");
+  SymbolId x = *symbols.attr_names().Find("x");
   const std::vector<Value> constants = {
       Value(int64_t{5}), Value(5.0), Value(int64_t{0}), Value(0.0),
       Value(-0.0), Value(std::nan("")), Value("5")};
@@ -319,11 +428,13 @@ TEST(MatchContextTest, SignedZeroAndIntDoubleLiteralsGiveCorrectSets) {
       constraints.push_back(qn);
     }
   }
-  // Two lookup orders, each in a fresh context: whichever of an equal pair
-  // (0.0 / -0.0) is built first, both read the right set.
+  // Two lookup orders, each on a fresh graph (so with a cold literal
+  // store): whichever of an equal pair (0.0 / -0.0) is built first, both
+  // read the right set.
   for (bool reversed : {false, true}) {
     std::vector<QueryNode> order = constraints;
     if (reversed) std::reverse(order.begin(), order.end());
+    Graph g = TinyGraph(rows);
     MatchContext ctx(g);
     for (int round = 0; round < 2; ++round) {
       for (const QueryNode& qn : order) {
@@ -773,6 +884,56 @@ TEST(SupportBitmapPropertyTest, EqualsBruteForceOnEveryConstructionPath) {
   }
 }
 
+// Store-backed lookups equal the IsCandidate filter on every construction
+// path of SupportBitmapPropertyTest (built, snapshot-loaded, incremental
+// and rebuilt update epochs of BSBM graphs), first through a context that
+// fills the epoch's empty store and then through one that reads it.
+TEST(LiteralStorePropertyTest, LookupEqualsIsCandidateOnEveryPath) {
+  for (uint64_t seed : {5u, 19u}) {
+    Graph base = GenerateBsbm(BsbmConfig{60, seed});
+    UpdateBatch batch = EdgeBatch(base, seed);
+    Constructed c =
+        ConstructAll(std::move(base), batch, "store" + std::to_string(seed));
+    for (const auto& [path, g] : c.All()) {
+      const std::string what = path + " seed " + std::to_string(seed);
+      EXPECT_EQ(g->literal_store().size(), 0u) << what;
+      // Constraints drawn from the graph's own values: a label and one or
+      // two literals whose constants some node of the label carries.
+      Rng rng(seed * 11 + 3);
+      std::vector<QueryNode> constraints;
+      for (int i = 0; i < 60; ++i) {
+        const NodeId v = static_cast<NodeId>(rng.Index(g->node_count()));
+        AttrSpan attrs = g->attrs(v);
+        QueryNode qn;
+        qn.label = g->label(v);
+        for (size_t k = 0; k < 2 && !attrs.empty(); ++k) {
+          const AttrEntry& a = attrs[rng.Index(attrs.size())];
+          qn.literals.push_back(Literal{
+              a.attr, AllOps()[rng.Index(AllOps().size())], a.value});
+        }
+        constraints.push_back(qn);
+      }
+      for (const char* round : {"filling", "reading"}) {
+        MatchContext ctx(*g);
+        for (const QueryNode& qn : constraints) {
+          const MatchContext::CandidateSet& set = ctx.Lookup(qn);
+          for (NodeId v = 0; v < g->node_count(); ++v) {
+            ASSERT_EQ(set.Test(v), IsCandidate(*g, v, qn))
+                << what << " " << round << " node " << v;
+          }
+          ASSERT_EQ(ToVec(set), DirectFilter(*g, qn)) << what << " " << round;
+        }
+        if (std::string(round) == "reading") {
+          EXPECT_EQ(ctx.stats().literal_scans, 0u) << what;
+        } else {
+          EXPECT_EQ(ctx.stats().literal_scans, g->literal_store().size())
+              << what;
+        }
+      }
+    }
+  }
+}
+
 // The unfiltered reference answer set of q: one SearchFrom (an IsAnswer)
 // per root of the plain memoized candidate list, over a context of its own.
 std::vector<NodeId> ReferenceAnswers(const Graph& g, const Query& q) {
@@ -995,12 +1156,16 @@ TEST(MatchContextRegressionTest, BsbmCountersBoundedAndAccounted) {
   EXPECT_LE(memo.stats.iso_tests, 120u);
 
   // Deterministic: a second identical run over a fresh context reproduces
-  // the counters bit-for-bit.
+  // the counters bit-for-bit. GenerateQuery matched q over g already, so
+  // both runs read a warm literal store and scan nothing.
   RunCounters memo2 = RunMatch(g, q, probes);
   EXPECT_EQ(memo2.stats.embeddings_tried, memo.stats.embeddings_tried);
   EXPECT_EQ(memo2.stats.iso_tests, memo.stats.iso_tests);
   EXPECT_EQ(memo2.stats.ctx_pruned, memo.stats.ctx_pruned);
   EXPECT_EQ(memo2.stats.ctx_misses, memo.stats.ctx_misses);
+  EXPECT_EQ(memo2.stats.ctx_literal_hits, memo.stats.ctx_literal_hits);
+  EXPECT_EQ(memo.stats.ctx_literal_scans, 0u);
+  EXPECT_EQ(memo2.stats.ctx_literal_scans, 0u);
 }
 
 }  // namespace

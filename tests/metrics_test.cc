@@ -159,6 +159,7 @@ RequestTrace GoldenTrace() {
   t.ctx_delta_builds = 17;
   t.ctx_pruned = 18;
   t.ctx_literal_scans = 19;
+  t.ctx_literal_hits = 21;
   return t;
 }
 
@@ -170,7 +171,7 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
             "guard-checks=20 greedy-rounds=14\n"
             "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
-            "literal-scans=19\n");
+            "literal-scans=19 literal-hits=21\n");
   RequestTrace hit = GoldenTrace();
   hit.candidates_ms = 0;
   hit.answer_match_ms = 0;
@@ -181,7 +182,7 @@ TEST(MetricsTest, RequestTraceToStringGoldenBytes) {
             "work: candidates=11 mbs-enumerated=12 mbs-verified=13 "
             "guard-checks=20 greedy-rounds=14\n"
             "ctx: hits=15 misses=16 delta-builds=17 pruned=18 "
-            "literal-scans=19\n");
+            "literal-scans=19 literal-hits=21\n");
 }
 
 }  // namespace

@@ -172,7 +172,8 @@ WrittenPlan WriteFigure1Plan(const std::string& file_tag) {
   w.graph = std::move(fig.graph);
   w.query = std::move(fig.query);
   w.prepared = Prepare(w.graph, w.query, MatchSemantics::kIsomorphism, 8);
-  w.plan = PlanFromPrepared(*w.prepared, WriteQuery(w.query, w.graph), 8);
+  w.plan =
+      PlanFromPrepared(*w.prepared, w.graph, WriteQuery(w.query, w.graph), 8);
   w.stamp = StampOf(w.graph);
   w.path = TempPath(file_tag + ".plan");
   std::string error;
@@ -225,7 +226,8 @@ TEST(PlanFormatTest, PreparedFromPlanRebuildsTheOriginalArtifacts) {
 
   EXPECT_EQ(rebuilt->semantics, w.prepared->semantics);
   EXPECT_EQ(rebuilt->answers, w.prepared->answers);
-  EXPECT_EQ(rebuilt->output_candidates, w.prepared->output_candidates);
+  EXPECT_EQ(rebuilt->output_candidate_count,
+            w.prepared->output_candidate_count);
   EXPECT_TRUE(
       StepsEqual(rebuilt->path_index.paths(), w.prepared->path_index.paths()));
   EXPECT_EQ(rebuilt->footprint.node_labels, w.prepared->footprint.node_labels);
@@ -481,7 +483,8 @@ TEST(PlanRejectTest, WrappingPathCountWithValidChecksumIsRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(PlanStoreTest, SaveThenTryLoadHits) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Query q = MustParse(kReviewQuery, g);
   std::string canonical = WriteQuery(q, g);
   auto prepared = Prepare(g, q, MatchSemantics::kIsomorphism, 8);
@@ -490,7 +493,7 @@ TEST(PlanStoreTest, SaveThenTryLoadHits) {
   PlanStore store(FreshDir("save_hit"));
   EXPECT_EQ(store.TryLoad(g, fp, MatchSemantics::kIsomorphism, 8, canonical),
             nullptr);
-  store.SaveAsync(prepared, canonical, 8, StampOf(g));
+  store.SaveAsync(graph, prepared, canonical, 8, StampOf(g));
   store.Flush();
   EXPECT_EQ(store.counters().writes, 1u);
   EXPECT_EQ(store.file_count(), 1u);
@@ -500,7 +503,8 @@ TEST(PlanStoreTest, SaveThenTryLoadHits) {
       store.TryLoad(g, fp, MatchSemantics::kIsomorphism, 8, canonical);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->answers, prepared->answers);
-  EXPECT_EQ(loaded->output_candidates, prepared->output_candidates);
+  EXPECT_EQ(loaded->output_candidate_count,
+            prepared->output_candidate_count);
   EXPECT_TRUE(
       StepsEqual(loaded->path_index.paths(), prepared->path_index.paths()));
   PlanStore::Counters c = store.counters();
@@ -508,7 +512,7 @@ TEST(PlanStoreTest, SaveThenTryLoadHits) {
   EXPECT_EQ(c.misses, 1u);
   EXPECT_EQ(c.invalid, 0u);
   // Duplicate saves are no-ops: the file already exists for this key.
-  store.SaveAsync(prepared, canonical, 8, StampOf(g));
+  store.SaveAsync(graph, prepared, canonical, 8, StampOf(g));
   store.Flush();
   EXPECT_EQ(store.counters().writes, 1u);
 }
@@ -527,7 +531,7 @@ TEST(PlanStoreTest, StalePlanIsNeverServed) {
       PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
 
   std::string dir = FreshDir("stale");
-  CompiledPlan plan = PlanFromPrepared(*prepared, canonical, 8);
+  CompiledPlan plan = PlanFromPrepared(*prepared, g, canonical, 8);
   PlanStamp stale{fp, g.identity(), g.generation() + 1};  // a foreign epoch
   std::string error;
   ASSERT_TRUE(WritePlanFile(plan, stale,
@@ -557,7 +561,7 @@ TEST(PlanStoreTest, WrongFingerprintAtTheProbedAddressIsInvalid) {
       PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
 
   std::string dir = FreshDir("wrong_fp");
-  CompiledPlan plan = PlanFromPrepared(*prepared, canonical, 8);
+  CompiledPlan plan = PlanFromPrepared(*prepared, g, canonical, 8);
   PlanStamp foreign{fp ^ 0xdeadbeefull, g.identity() + 1, 0};
   std::string error;
   ASSERT_TRUE(WritePlanFile(plan, foreign,
@@ -585,7 +589,7 @@ TEST(PlanStoreTest, CollidingFileWithDifferentKeyFieldsIsInvalid) {
       PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
 
   std::string dir = FreshDir("collision");
-  CompiledPlan plan = PlanFromPrepared(*prepared, canonical, 4);
+  CompiledPlan plan = PlanFromPrepared(*prepared, g, canonical, 4);
   std::string error;
   ASSERT_TRUE(
       WritePlanFile(plan, StampOf(g),
@@ -602,7 +606,8 @@ TEST(PlanStoreTest, CollidingFileWithDifferentKeyFieldsIsInvalid) {
 }
 
 TEST(PlanStoreTest, CorruptFileIsRejectedAndDeleted) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Query q = MustParse(kReviewQuery, g);
   std::string canonical = WriteQuery(q, g);
   auto prepared = Prepare(g, q, MatchSemantics::kIsomorphism, 8);
@@ -612,7 +617,7 @@ TEST(PlanStoreTest, CorruptFileIsRejectedAndDeleted) {
   std::string file;
   {
     PlanStore store(dir);
-    store.SaveAsync(prepared, canonical, 8, StampOf(g));
+    store.SaveAsync(graph, prepared, canonical, 8, StampOf(g));
     store.Flush();
     std::string body =
         PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
@@ -640,14 +645,15 @@ TEST(PlanStoreTest, CorruptFileIsRejectedAndDeleted) {
 TEST(PlanStoreTest, IndexedFileThatIsGoneIsAMissNotInvalid) {
   // The state a racing eviction leaves a load in: the name was indexed,
   // the file is gone by the time it is opened.
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Query q = MustParse(kReviewQuery, g);
   std::string canonical = WriteQuery(q, g);
   auto prepared = Prepare(g, q, MatchSemantics::kIsomorphism, 8);
   uint64_t fp = GraphFingerprint(g);
 
   PlanStore store(FreshDir("gone"));
-  store.SaveAsync(prepared, canonical, 8, StampOf(g));
+  store.SaveAsync(graph, prepared, canonical, 8, StampOf(g));
   store.Flush();
   std::string body =
       PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
@@ -665,7 +671,8 @@ TEST(PlanStoreTest, IndexedFileThatIsGoneIsAMissNotInvalid) {
 }
 
 TEST(PlanStoreTest, EvictionFollowsTheByteBudgetInRecencyOrder) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Query review = MustParse(kReviewQuery, g);
   Query vendor = MustParse(kVendorQuery, g);
   Query product = MustParse("node p Product\noutput p\n", g);
@@ -682,9 +689,9 @@ TEST(PlanStoreTest, EvictionFollowsTheByteBudgetInRecencyOrder) {
   uint64_t all;
   {
     PlanStore probe(FreshDir("evict_probe"));
-    probe.SaveAsync(prep(review), review_text, 8, StampOf(g));
-    probe.SaveAsync(prep(vendor), vendor_text, 8, StampOf(g));
-    probe.SaveAsync(prep(product), product_text, 8, StampOf(g));
+    probe.SaveAsync(graph, prep(review), review_text, 8, StampOf(g));
+    probe.SaveAsync(graph, prep(vendor), vendor_text, 8, StampOf(g));
+    probe.SaveAsync(graph, prep(product), product_text, 8, StampOf(g));
     probe.Flush();
     ASSERT_EQ(probe.file_count(), 3u);
     all = probe.stored_bytes();
@@ -692,14 +699,14 @@ TEST(PlanStoreTest, EvictionFollowsTheByteBudgetInRecencyOrder) {
   }
 
   PlanStore store(FreshDir("evict"), /*byte_budget=*/all - 1);
-  store.SaveAsync(prep(review), review_text, 8, StampOf(g));
-  store.SaveAsync(prep(vendor), vendor_text, 8, StampOf(g));
+  store.SaveAsync(graph, prep(review), review_text, 8, StampOf(g));
+  store.SaveAsync(graph, prep(vendor), vendor_text, 8, StampOf(g));
   store.Flush();
   EXPECT_EQ(store.file_count(), 2u);
   // Touch the older plan so the untouched one becomes the LRU victim.
   ASSERT_NE(store.TryLoad(g, fp, MatchSemantics::kIsomorphism, 8, review_text),
             nullptr);
-  store.SaveAsync(prep(product), product_text, 8, StampOf(g));
+  store.SaveAsync(graph, prep(product), product_text, 8, StampOf(g));
   store.Flush();
 
   PlanStore::Counters c = store.counters();
@@ -716,7 +723,8 @@ TEST(PlanStoreTest, EvictionFollowsTheByteBudgetInRecencyOrder) {
 }
 
 TEST(PlanStoreTest, WarmLoadFillsTheCacheMostRecentFirst) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Query review = MustParse(kReviewQuery, g);
   Query vendor = MustParse(kVendorQuery, g);
   uint64_t fp = GraphFingerprint(g);
@@ -725,10 +733,10 @@ TEST(PlanStoreTest, WarmLoadFillsTheCacheMostRecentFirst) {
   std::string dir = FreshDir("warm");
   {
     PlanStore store(dir);
-    store.SaveAsync(Prepare(g, review, MatchSemantics::kIsomorphism, 8),
+    store.SaveAsync(graph, Prepare(g, review, MatchSemantics::kIsomorphism, 8),
                     review_text, 8, StampOf(g));
     store.Flush();  // order the recencies: review first (older) ...
-    store.SaveAsync(Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
+    store.SaveAsync(graph, Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
                     vendor_text, 8, StampOf(g));
     store.Flush();
   }
@@ -766,8 +774,10 @@ TEST(PlanStoreTest, WarmLoadFillsTheCacheMostRecentFirst) {
 }
 
 TEST(PlanStoreTest, WarmLoadSkipsForeignPlansAndDeletesCorruptOnes) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Figure1 other = MakeFigure1();
+  auto other_graph = std::make_shared<const Graph>(std::move(other.graph));
   Query review = MustParse(kReviewQuery, g);
   Query vendor = MustParse(kVendorQuery, g);
   uint64_t fp = GraphFingerprint(g);
@@ -777,14 +787,16 @@ TEST(PlanStoreTest, WarmLoadSkipsForeignPlansAndDeletesCorruptOnes) {
   std::string corrupt_file;
   {
     PlanStore store(dir);
-    store.SaveAsync(Prepare(g, review, MatchSemantics::kIsomorphism, 8),
+    store.SaveAsync(graph, Prepare(g, review, MatchSemantics::kIsomorphism, 8),
                     review_text, 8, StampOf(g));
-    store.SaveAsync(Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
+    store.SaveAsync(graph, Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
                     vendor_text, 8, StampOf(g));
     // A third plan for an unrelated graph shares the directory.
-    store.SaveAsync(
-        Prepare(other.graph, other.query, MatchSemantics::kIsomorphism, 8),
-        WriteQuery(other.query, other.graph), 8, StampOf(other.graph));
+    store.SaveAsync(other_graph,
+                    Prepare(*other_graph, other.query,
+                            MatchSemantics::kIsomorphism, 8),
+                    WriteQuery(other.query, *other_graph), 8,
+                    StampOf(*other_graph));
     store.Flush();
     std::string body =
         PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, vendor_text);
@@ -810,7 +822,8 @@ TEST(PlanStoreTest, WarmLoadSkipsForeignPlansAndDeletesCorruptOnes) {
 }
 
 TEST(PlanStoreTest, OnUpdateDeletesDroppedAndRestampsCarriedPlans) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Graph next;
   UpdateResult r;
   ASSERT_TRUE(g.ApplyUpdate(DisjointBatch(g), &next, &r)) << r.error;
@@ -827,9 +840,9 @@ TEST(PlanStoreTest, OnUpdateDeletesDroppedAndRestampsCarriedPlans) {
       PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, vendor_text);
 
   PlanStore store(FreshDir("on_update"));
-  store.SaveAsync(Prepare(g, review, MatchSemantics::kIsomorphism, 8),
+  store.SaveAsync(graph, Prepare(g, review, MatchSemantics::kIsomorphism, 8),
                   review_text, 8, StampOf(g));
-  store.SaveAsync(Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
+  store.SaveAsync(graph, Prepare(g, vendor, MatchSemantics::kIsomorphism, 8),
                   vendor_text, 8, StampOf(g));
   store.Flush();
   ASSERT_EQ(store.file_count(), 2u);
@@ -859,7 +872,8 @@ TEST(PlanStoreTest, OnUpdateDeletesDroppedAndRestampsCarriedPlans) {
 // The index charges each file the byte count its write reported; that
 // must be the file's size on disk, through saves and restamps alike.
 TEST(PlanStoreTest, IndexedBytesAreTheFileSizes) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   Graph next;
   UpdateResult r;
   ASSERT_TRUE(g.ApplyUpdate(DisjointBatch(g), &next, &r)) << r.error;
@@ -876,7 +890,8 @@ TEST(PlanStoreTest, IndexedBytesAreTheFileSizes) {
   for (const char* text : {kReviewQuery, kVendorQuery}) {
     Query q = MustParse(text, g);
     std::string canonical = WriteQuery(q, g);
-    store.SaveAsync(Prepare(g, q, MatchSemantics::kIsomorphism, 8), canonical,
+    store.SaveAsync(graph,
+                    Prepare(g, q, MatchSemantics::kIsomorphism, 8), canonical,
                     8, StampOf(g));
     body = PreparedQueryKeyBody(MatchSemantics::kIsomorphism, 8, canonical);
   }
@@ -893,7 +908,8 @@ TEST(PlanStoreTest, IndexedBytesAreTheFileSizes) {
 // Runs TryLoad probes from several threads against writer-thread save and
 // eviction churn. The suite name keeps it under the CI TSan filter.
 TEST(PlanStoreConcurrencyTest, LoadsRaceEvictionsWithoutTearing) {
-  Graph g = ReviewGraph();
+  auto graph = std::make_shared<const Graph>(ReviewGraph());
+  const Graph& g = *graph;
   uint64_t fp = GraphFingerprint(g);
   std::vector<Query> queries;
   std::vector<std::string> texts;
@@ -912,7 +928,7 @@ TEST(PlanStoreConcurrencyTest, LoadsRaceEvictionsWithoutTearing) {
   uint64_t one;
   {
     PlanStore probe(FreshDir("race_probe"));
-    probe.SaveAsync(prepared[0], texts[0], 8, StampOf(g));
+    probe.SaveAsync(graph, prepared[0], texts[0], 8, StampOf(g));
     probe.Flush();
     one = probe.stored_bytes();
   }
@@ -937,7 +953,7 @@ TEST(PlanStoreConcurrencyTest, LoadsRaceEvictionsWithoutTearing) {
   }
   for (int i = 0; i < kRounds; ++i) {
     for (size_t t = 0; t < queries.size(); ++t) {
-      store.SaveAsync(prepared[t], texts[t], 8, StampOf(g));
+      store.SaveAsync(graph, prepared[t], texts[t], 8, StampOf(g));
     }
   }
   for (std::thread& th : readers) th.join();
@@ -1133,8 +1149,8 @@ TEST(PlanEquivalenceTest, LoadedPlanAnswersByteIdenticallyUnderBothSemantics) {
     SCOPED_TRACE(static_cast<int>(sem));
     auto fresh = Prepare(fig.graph, fig.query, sem, 8);
 
-    CompiledPlan plan =
-        PlanFromPrepared(*fresh, WriteQuery(fig.query, fig.graph), 8);
+    CompiledPlan plan = PlanFromPrepared(
+        *fresh, fig.graph, WriteQuery(fig.query, fig.graph), 8);
     std::string path = TempPath("equiv.plan");
     std::string error;
     ASSERT_TRUE(WritePlanFile(plan, StampOf(fig.graph), path, &error))
@@ -1148,11 +1164,14 @@ TEST(PlanEquivalenceTest, LoadedPlanAnswersByteIdenticallyUnderBothSemantics) {
 
     // The same Why question answered from both artifact sets — every
     // result field and work counter must agree, or the loaded plan did
-    // different work than the build it claims to cache.
+    // different work than the build it claims to cache. Both runs read a
+    // warm literal store: a first run scans every literal the question
+    // needs, so neither counted run scans.
     AnswerConfig cfg;
     cfg.semantics = sem;
     WhyQuestion why{{fig.a5, fig.s5}};
     cfg.path_index = &fresh->path_index;
+    ApproxWhy(fig.graph, fresh->query, fresh->answers, why, cfg);
     RewriteAnswer a = ApproxWhy(fig.graph, fresh->query, fresh->answers, why,
                                 cfg);
     cfg.path_index = &loaded->path_index;
@@ -1167,6 +1186,9 @@ TEST(PlanEquivalenceTest, LoadedPlanAnswersByteIdenticallyUnderBothSemantics) {
     EXPECT_EQ(a.ctx.hits, b.ctx.hits);
     EXPECT_EQ(a.ctx.misses, b.ctx.misses);
     EXPECT_EQ(a.ctx.pruned, b.ctx.pruned);
+    EXPECT_EQ(a.ctx.literal_hits, b.ctx.literal_hits);
+    EXPECT_EQ(a.ctx.literal_scans, 0u);
+    EXPECT_EQ(b.ctx.literal_scans, 0u);
 
     // And the same for a Why-not question over the loaded candidates.
     WhyNotQuestion whynot;

@@ -13,6 +13,10 @@
 #include "common/timer.h"
 #include "gen/bsbm.h"
 #include "gen/figure1.h"
+#include "gen/query_gen.h"
+#include "gen/question_gen.h"
+#include "graph/literal_store.h"
+#include "graph/update.h"
 #include "matcher/matcher.h"
 #include "query/query_parser.h"
 #include "rewrite/operators.h"
@@ -195,6 +199,111 @@ TEST_F(ServiceTest, PooledMatchesSerialByteForByte) {
     StatsSnapshot s = pooled.Stats();
     EXPECT_EQ(s.completed, workload.size());
     EXPECT_EQ(s.truncated, 0u);
+  }
+}
+
+// Several workers fill and read one epoch's literal store at once, with
+// intra-request slots on top, and an update publishes a new epoch (with an
+// empty store) while requests are in flight: every answer equals a serial
+// run on a graph of its own, and each epoch's store holds exactly the
+// literals its requests report scanning, so no literal was scanned twice.
+// The suite name keeps this inside the TSan job's filter.
+TEST_F(ServiceTest, ConcurrentWorkersShareOneLiteralStore) {
+  const BsbmConfig bc{200, 11};
+  const Graph gen_graph = GenerateBsbm(bc);
+  std::vector<ServiceRequest> workload;
+  for (uint64_t seed = 1; seed <= 64 && workload.size() < 48; ++seed) {
+    Rng rng(seed * 6151 + 17);
+    QueryGenConfig qc;
+    qc.edges = 2 + seed % 2;
+    qc.literals_per_node = 1 + seed % 2;
+    qc.min_answers = 3;
+    qc.max_answers = 120;
+    std::optional<GeneratedQuery> gq = GenerateQuery(gen_graph, qc, rng);
+    if (!gq.has_value()) continue;
+    WhyQuestion why = GenerateWhyQuestion(*gq, 2, rng);
+    std::optional<WhyNotQuestion> whynot =
+        GenerateWhyNotQuestion(gen_graph, *gq, 2, false, rng);
+    if (why.unexpected.empty() || !whynot.has_value()) continue;
+    for (MatchSemantics sem :
+         {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+      for (AlgoChoice algo : {AlgoChoice::kExact, AlgoChoice::kAuto}) {
+        ServiceRequest r;
+        r.query_text = WriteQuery(gq->query, gen_graph);
+        r.algo = algo;
+        r.config.semantics = sem;
+        r.config.guard_m = 2;
+        r.config.budget = 4.0;
+        r.config.max_mbs = 32;
+        r.config.exact_time_limit_ms = 0;
+        r.kind = RequestKind::kWhy;
+        r.entities = why.unexpected;
+        workload.push_back(r);
+        r.kind = RequestKind::kWhyNot;
+        r.entities = whynot->missing;
+        workload.push_back(r);
+      }
+    }
+  }
+  ASSERT_GE(workload.size(), 16u);
+
+  std::vector<std::string> expected;
+  {
+    WhyqService serial(std::make_shared<const Graph>(GenerateBsbm(bc)),
+                       ServiceConfig{1, 256, 256, 0});
+    for (const ServiceRequest& req : workload) {
+      ServiceResponse r = serial.Execute(req);
+      ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
+      expected.push_back(ResultKey(*r.graph, r));
+    }
+  }
+
+  ServiceConfig sc{4, 256, 256, 0};
+  sc.intra_threads = 2;
+  WhyqService pooled(std::make_shared<const Graph>(GenerateBsbm(bc)), sc);
+  std::vector<std::future<ServiceResponse>> futures;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    if (i == workload.size() / 2) {
+      // A fresh label, attribute and node: no query here depends on them,
+      // so answers stay put while the requests after it run on epoch 1.
+      // Workers pin the epoch when they start a request, so wait for the
+      // first one: epoch 0 then serves at least one request, while the
+      // rest of the first half is still queued or running.
+      futures[0].wait();
+      std::shared_ptr<const Graph> cur = pooled.graph();
+      UpdateBatch batch;
+      const NodeId fresh = static_cast<NodeId>(cur->node_count());
+      batch.ops.push_back(UpdateOp::AddNode("Tag"));
+      batch.ops.push_back(UpdateOp::SetAttr(fresh, "tag", Value("t")));
+      UpdateResult ur;
+      ASSERT_TRUE(pooled.ApplyUpdate(batch, &ur)) << ur.error;
+    }
+    std::optional<std::future<ServiceResponse>> f =
+        pooled.Submit(workload[i]);
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  std::vector<std::shared_ptr<const Graph>> epochs;
+  std::vector<uint64_t> scans;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ServiceResponse r = futures[i].get();
+    ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
+    EXPECT_EQ(ResultKey(*r.graph, r), expected[i]) << "request " << i;
+    auto it = std::find(epochs.begin(), epochs.end(), r.graph);
+    if (it == epochs.end()) {
+      epochs.push_back(r.graph);
+      scans.push_back(0);
+      it = epochs.end() - 1;
+    }
+    scans[it - epochs.begin()] += r.trace.ctx_literal_scans;
+  }
+  ASSERT_EQ(epochs.size(), 2u);
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    const LiteralStore& store = epochs[e]->literal_store();
+    EXPECT_GT(store.size(), 0u) << "generation " << epochs[e]->generation();
+    EXPECT_LT(store.words(), LiteralStore::WordCap(*epochs[e]));
+    EXPECT_EQ(scans[e], store.size())
+        << "generation " << epochs[e]->generation();
   }
 }
 
@@ -415,7 +524,9 @@ TEST_F(ServiceTest, TightDeadlineTruncatesInsteadOfHanging) {
   // Exact Why over this query enumerates maximal bounded sets with an
   // isomorphism verification per set — seconds of work, far past the
   // deadline. The entities must be actual answers; any reviewed+offered
-  // product is one.
+  // product is one. The guard of 100 keeps it long: the Why guard stops
+  // testing desired answers once more than m are excluded, so at m = 0
+  // the whole search takes about 12 ms, and at m = 100 over a second.
   Matcher m(*big);
   std::vector<NodeId> answers = m.MatchOutput(q);
   ASSERT_GE(answers.size(), 2u);
@@ -426,7 +537,7 @@ TEST_F(ServiceTest, TightDeadlineTruncatesInsteadOfHanging) {
   req.entities = {answers[0], answers[1]};
   req.algo = AlgoChoice::kExact;
   req.config.budget = 8.0;
-  req.config.guard_m = 0;
+  req.config.guard_m = 100;
   req.deadline_ms = 15;
 
   Timer t;
@@ -729,6 +840,7 @@ StatsSnapshot GoldenSnapshot() {
   s.work.ctx_delta_builds = 207;
   s.work.ctx_pruned = 208;
   s.work.ctx_literal_scans = 210;
+  s.work.ctx_literal_hits = 211;
   s.slow_threshold_ms = 5.5;
   SlowQueryEntry e;
   e.seq = 7;
@@ -753,6 +865,7 @@ StatsSnapshot GoldenSnapshot() {
   e.trace.ctx_delta_builds = 307;
   e.trace.ctx_pruned = 308;
   e.trace.ctx_literal_scans = 310;
+  e.trace.ctx_literal_hits = 311;
   s.slow.push_back(e);
   e.seq = 8;
   e.truncated = false;
@@ -785,7 +898,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":203,\"guard_checks\":209,"
             "\"greedy_rounds\":204,\"ctx_hits\":205,"
             "\"ctx_misses\":206,\"ctx_delta_builds\":207,"
-            "\"ctx_pruned\":208,\"ctx_literal_scans\":210},"
+            "\"ctx_pruned\":208,\"ctx_literal_scans\":210,"
+            "\"ctx_literal_hits\":211},"
             "\"slow_queries\":{\"threshold_ms\":5.5,"
             "\"entries\":[{\"seq\":7,\"class\":\"why/exact\","
             "\"latency_ms\":9.25,\"truncated\":true,\"cache_hit\":false,"
@@ -797,7 +911,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":303,\"guard_checks\":309,"
             "\"greedy_rounds\":304,\"ctx_hits\":305,"
             "\"ctx_misses\":306,\"ctx_delta_builds\":307,"
-            "\"ctx_pruned\":308,\"ctx_literal_scans\":310}},"
+            "\"ctx_pruned\":308,\"ctx_literal_scans\":310,"
+            "\"ctx_literal_hits\":311}},"
             "{\"seq\":8,\"class\":\"why/exact\","
             "\"latency_ms\":9.25,\"truncated\":false,\"cache_hit\":true,"
             "\"stages_ms\":{\"queue\":0,\"parse\":0,\"prepare\":0,"
@@ -807,7 +922,8 @@ TEST_F(ServiceTest, StatsSnapshotToJsonGoldenBytes) {
             "\"mbs_verified\":0,\"guard_checks\":0,"
             "\"greedy_rounds\":0,\"ctx_hits\":0,"
             "\"ctx_misses\":0,\"ctx_delta_builds\":0,"
-            "\"ctx_pruned\":0,\"ctx_literal_scans\":0}}]}}");
+            "\"ctx_pruned\":0,\"ctx_literal_scans\":0,"
+            "\"ctx_literal_hits\":0}}]}}");
 }
 
 TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
@@ -829,7 +945,7 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "work totals: candidates=201 mbs-enumerated=202 "
             "mbs-verified=203 guard-checks=209 greedy-rounds=204\n"
             "ctx totals: hits=205 misses=206 delta-builds=207 pruned=208 "
-            "literal-scans=210 (33.2% hit rate)\n"
+            "literal-scans=210 literal-hits=211 (33.2% hit rate)\n"
             "slow queries (>= 5.5ms): 2 retained\n"
             "  #7 why/exact 9.25ms truncated\n"
             "    stages: queue=0.75ms parse=1.25ms prepare=2.12ms "
@@ -838,14 +954,14 @@ TEST_F(ServiceTest, StatsSnapshotToStringGoldenBytes) {
             "    work: candidates=301 mbs-enumerated=302 "
             "mbs-verified=303 guard-checks=309 greedy-rounds=304\n"
             "    ctx: hits=305 misses=306 delta-builds=307 pruned=308 "
-            "literal-scans=310\n"
+            "literal-scans=310 literal-hits=311\n"
             "  #8 why/exact 9.25ms cached\n"
             "    stages: queue=0.00ms parse=0.00ms prepare=0.00ms "
             "search=0.00ms\n"
             "    work: candidates=0 mbs-enumerated=0 mbs-verified=0 "
             "guard-checks=0 greedy-rounds=0\n"
             "    ctx: hits=0 misses=0 delta-builds=0 pruned=0 "
-            "literal-scans=0\n");
+            "literal-scans=0 literal-hits=0\n");
 }
 
 }  // namespace
