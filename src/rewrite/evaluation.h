@@ -1,6 +1,7 @@
 #ifndef WHYQ_REWRITE_EVALUATION_H_
 #define WHYQ_REWRITE_EVALUATION_H_
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -19,11 +20,19 @@ struct EvalResult {
   bool guard_ok = true;    // guard <= m
 };
 
-/// Exact closeness/guard evaluator for Why questions against a fixed
-/// (Q, G, Q(u_o,G), V_N). This is the paper's Match procedure: it checks
-/// incrementally which original answers survive the rewrite instead of
-/// recomputing Q'(u_o, G) from scratch, early-terminating per node on the
-/// first embedding and early-terminating the guard count beyond m.
+/// Exact closeness/guard evaluators for a fixed (Q, G, Q(u_o,G)) and one
+/// question: WhyEvaluator for a Why question, whose targets are V_N and
+/// whose rewrites refine Q until the targets leave the answer, and
+/// WhyNotEvaluator for a Why-not question, whose targets are V_C filtered
+/// through C once at construction and whose rewrites relax Q until the
+/// targets enter it. Both are the paper's Match procedure run in opposite
+/// directions: they test incrementally which targets change status under a
+/// rewrite instead of recomputing Q'(u_o, G) from scratch, early-
+/// terminating per node on the first embedding. The closeness is the share
+/// of targets that changed status. The guard counts the collateral
+/// changes, with early termination at m + 1: the desired answers
+/// Q(u_o,G) \ V_N a refinement excludes, or the matches outside
+/// Q(u_o,G) ∪ V_C a relaxation admits.
 ///
 /// Evaluators are per-request objects (they own a stateful MatchEngine and,
 /// under either semantics, a MatchContext that memoizes candidate sets
@@ -35,37 +44,74 @@ struct EvalResult {
 /// none from Guard): a cut-short test never passes as an exclusion, an
 /// inclusion or a met guard.
 ///
-/// Both evaluators verify a rewrite in two parts: the guard count, then the
-/// closeness tests. Guard(Q') is the first part alone, and
-/// Evaluate(Q', guard) the second alone for a rewrite whose guard Guard
-/// already counted (the exact search admits every set it verifies through
-/// Guard), so the pair equals Evaluate(Q').
-class WhyEvaluator {
+/// A rewrite is verified in two parts: the guard count, then the target
+/// tests. Guard(Q') is the first part alone, and Evaluate(Q', guard) the
+/// second alone for a rewrite whose guard Guard already counted (the exact
+/// search admits every set it verifies through Guard), so the pair equals
+/// Evaluate(Q').
+class RewriteEvaluator {
+ public:
+  virtual ~RewriteEvaluator() = default;
+
+  /// cl(O) and guard of a rewrite; a failed guard when cut short.
+  EvalResult Evaluate(const Query& rewritten) const;
+
+  /// Evaluate for a rewrite whose guard count `known_guard` (<= m) Guard
+  /// returned: tests the targets only, without recounting.
+  EvalResult Evaluate(const Query& rewritten, size_t known_guard) const;
+
+  /// The guard count when it is at most m (the count stops at m + 1), none
+  /// otherwise. The admissibility predicate of the exact guard-aware MBS
+  /// enumeration.
+  std::optional<size_t> Guard(const Query& rewritten) const;
+  bool GuardOk(const Query& rewritten) const {
+    return Guard(rewritten).has_value();
+  }
+
+  /// The entities the closeness counts: V_N, or V_C after C.
+  const std::vector<NodeId>& targets() const { return targets_; }
+  size_t guard_m() const { return guard_m_; }
+
+  /// The evaluator's candidate memo, under either semantics. Single-thread
+  /// state, like the evaluator itself.
+  MatchContext& context() const { return *ctx_; }
+
+ protected:
+  // `hit` is the answer test that counts a target toward closeness: false
+  // (excluded) for Why, true (included) for Why-not.
+  RewriteEvaluator(const Graph& g, std::vector<NodeId> answers,
+                   size_t guard_m, MatchSemantics semantics,
+                   const CancelToken* cancel, bool hit);
+
+  // The collateral changes of `rewritten`, counted up to m + 1.
+  virtual size_t CountGuard(const Query& rewritten) const = 0;
+
+  // The nodes whose answer test under `rewritten` reads `hit`.
+  std::vector<NodeId> Select(const Query& rewritten,
+                             const std::vector<NodeId>& nodes,
+                             bool hit) const;
+
+  std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
+  std::unique_ptr<MatchEngine> engine_;
+  std::vector<NodeId> answers_;
+  std::vector<NodeId> targets_;  // ascending; filled by the subclass
+  size_t guard_m_;
+  const CancelToken* cancel_;
+  bool hit_;
+};
+
+class WhyEvaluator : public RewriteEvaluator {
  public:
   WhyEvaluator(const Graph& g, std::vector<NodeId> answers,
                const WhyQuestion& w, size_t guard_m,
                MatchSemantics semantics = MatchSemantics::kIsomorphism,
                const CancelToken* cancel = nullptr);
 
-  /// cl(O) and guard of a refinement rewrite; a failed guard when cut
-  /// short (see class comment).
-  EvalResult Evaluate(const Query& rewritten) const;
-
-  /// Evaluate for a rewrite whose guard count `known_guard` (<= m) Guard
-  /// returned: tests the unexpected answers only, not the desired ones.
-  EvalResult Evaluate(const Query& rewritten, size_t known_guard) const;
-
-  /// The number of desired answers the rewrite excludes when it is at most
-  /// m (early-terminating past m), none otherwise. The admissibility
-  /// predicate of the exact guard-aware MBS enumeration.
-  std::optional<size_t> Guard(const Query& rewritten) const;
-  bool GuardOk(const Query& rewritten) const {
-    return Guard(rewritten).has_value();
-  }
-
   /// Aff(·): original answers that are no longer matches under `rewritten`
   /// (exact; used to seed EstMatch for each single picky operator).
-  std::vector<NodeId> AffectedAnswers(const Query& rewritten) const;
+  std::vector<NodeId> AffectedAnswers(const Query& rewritten) const {
+    return Select(rewritten, answers_, false);
+  }
 
   /// Promises that every later rewrite refines `q` (RfL, AddL, AddE), as
   /// every rewrite of the Why search does. Under simulation semantics each
@@ -76,87 +122,37 @@ class WhyEvaluator {
     engine_->AssumeRefinementsOf(q);
   }
 
-  const std::vector<NodeId>& answers() const { return answers_; }
-  const std::vector<NodeId>& unexpected() const { return unexpected_; }
-  size_t guard_m() const { return guard_m_; }
-  const MatchEngine& engine() const { return *engine_; }
-  const Graph& graph() const { return g_; }
-
-  /// The evaluator's candidate memo, under either semantics. Single-thread
-  /// state, like the evaluator itself.
-  MatchContext& context() const { return *ctx_; }
-
-  bool IsUnexpected(NodeId v) const { return unexpected_set_.Contains(v); }
+  /// Q(u_o,G) \ V_N: the answers the guard protects.
+  const std::vector<NodeId>& desired() const { return desired_; }
+  bool IsUnexpected(NodeId v) const {
+    return std::binary_search(targets_.begin(), targets_.end(), v);
+  }
 
  private:
-  // Desired answers the rewrite excludes, counted up to m + 1.
-  size_t CountGuard(const Query& rewritten) const;
+  size_t CountGuard(const Query& rewritten) const override;
 
-  const Graph& g_;
-  std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
-  std::unique_ptr<MatchEngine> engine_;
-  std::vector<NodeId> answers_;
-  std::vector<NodeId> unexpected_;       // V_N (deduplicated, ⊆ answers)
-  std::vector<NodeId> desired_answers_;  // Q(u_o,G) \ V_N
-  NodeSet unexpected_set_;
-  size_t guard_m_;
-  const CancelToken* cancel_;
+  std::vector<NodeId> desired_;
 };
 
-/// Exact evaluator for Why-not questions against (Q, G, Q(u_o,G), V_C, C).
-/// The missing set is filtered through C once at construction; the guard
-/// |Q'(u_o,G) \ (Q(u_o,G) ∪ V_C)| is counted with early termination at
-/// m + 1 via the matcher's capped answer enumeration. Evaluations cut short
-/// by the cancel token report a failed guard, as WhyEvaluator's do.
-class WhyNotEvaluator {
+class WhyNotEvaluator : public RewriteEvaluator {
  public:
   WhyNotEvaluator(const Graph& g, std::vector<NodeId> answers,
                   const WhyNotQuestion& w, size_t guard_m,
                   MatchSemantics semantics = MatchSemantics::kIsomorphism,
                   const CancelToken* cancel = nullptr);
 
-  EvalResult Evaluate(const Query& rewritten) const;
-
-  /// Evaluate for a rewrite whose guard count `known_guard` (<= m) Guard
-  /// returned: tests the missing entities only, without recounting.
-  EvalResult Evaluate(const Query& rewritten, size_t known_guard) const;
-
-  /// The number of matches outside Q(u_o,G) ∪ V_C when it is at most m
-  /// (the count stops at m + 1), none otherwise.
-  std::optional<size_t> Guard(const Query& rewritten) const;
-  bool GuardOk(const Query& rewritten) const {
-    return Guard(rewritten).has_value();
-  }
-
   /// Missing entities (post-C) that become matches under `rewritten`.
-  std::vector<NodeId> NewMatches(const Query& rewritten) const;
-
-  const std::vector<NodeId>& answers() const { return answers_; }
-
-  /// V_C after applying the selection condition C.
-  const std::vector<NodeId>& missing() const { return missing_; }
+  std::vector<NodeId> NewMatches(const Query& rewritten) const {
+    return Select(rewritten, targets_, true);
+  }
 
   /// Q(u_o,G) ∪ V_C (raw, pre-C): the nodes exempt from the guard.
   const NodeSet& protected_set() const { return protected_set_; }
-  size_t guard_m() const { return guard_m_; }
-  const MatchEngine& engine() const { return *engine_; }
-  const Graph& graph() const { return g_; }
-
-  /// The evaluator's candidate memo, under either semantics.
-  MatchContext& context() const { return *ctx_; }
 
  private:
-  // Matches outside the protected set, counted up to m + 1.
-  size_t CountGuard(const Query& rewritten) const;
+  size_t CountGuard(const Query& rewritten) const override;
 
-  const Graph& g_;
-  std::unique_ptr<MatchContext> ctx_;  // declared before engine_ (init order)
-  std::unique_ptr<MatchEngine> engine_;
-  std::vector<NodeId> answers_;
-  std::vector<NodeId> missing_;  // filtered V_C
-  NodeSet protected_set_;        // answers ∪ V_C (exempt from the guard)
-  size_t guard_m_;
-  const CancelToken* cancel_;
+  NodeSet protected_set_;
 };
 
 }  // namespace whyq

@@ -109,7 +109,11 @@ void WhyqService::Stop() {
   }
 }
 
-SubmitResult WhyqService::Enqueue(std::unique_ptr<Job> job) {
+SubmitResult WhyqService::TrySubmit(ServiceRequest req,
+                                    std::function<void(ServiceResponse)> done) {
+  auto job = std::make_unique<Job>();
+  job->request = std::move(req);
+  job->done = std::move(done);
   double deadline = job->request.deadline_ms > 0 ? job->request.deadline_ms
                                                  : cfg_.default_deadline_ms;
   job->token.SetDeadlineAfterMillis(deadline);
@@ -117,13 +121,6 @@ SubmitResult WhyqService::Enqueue(std::unique_ptr<Job> job) {
     MutexLock lock(mu_);
     if (stopping_) {
       stats_.RecordShutdown();
-      // Future path: resolve so the caller's future does not dangle. The
-      // callback path never fires `done` for an unadmitted request.
-      if (!job->done) {
-        ServiceResponse r;
-        r.status = ResponseStatus::kShutdown;
-        job->promise.set_value(std::move(r));
-      }
       return SubmitResult::kShutdown;
     }
     if (queue_.size() >= cfg_.queue_capacity) {
@@ -143,21 +140,24 @@ SubmitResult WhyqService::Enqueue(std::unique_ptr<Job> job) {
 
 std::optional<std::future<ServiceResponse>> WhyqService::Submit(
     ServiceRequest req) {
-  auto job = std::make_unique<Job>();
-  job->request = std::move(req);
-  std::future<ServiceResponse> future = job->promise.get_future();
-  SubmitResult admitted = Enqueue(std::move(job));
-  if (admitted == SubmitResult::kQueueFull) return std::nullopt;
-  // kAccepted: a worker will resolve it; kShutdown: already resolved.
+  auto promise = std::make_shared<std::promise<ServiceResponse>>();
+  std::future<ServiceResponse> future = promise->get_future();
+  switch (TrySubmit(std::move(req), [promise](ServiceResponse resp) {
+    promise->set_value(std::move(resp));
+  })) {
+    case SubmitResult::kAccepted:
+      break;  // a worker resolves it
+    case SubmitResult::kQueueFull:
+      return std::nullopt;
+    case SubmitResult::kShutdown: {
+      // Resolve now, so the caller's future does not dangle.
+      ServiceResponse r;
+      r.status = ResponseStatus::kShutdown;
+      promise->set_value(std::move(r));
+      break;
+    }
+  }
   return future;
-}
-
-SubmitResult WhyqService::TrySubmit(ServiceRequest req,
-                                    std::function<void(ServiceResponse)> done) {
-  auto job = std::make_unique<Job>();
-  job->request = std::move(req);
-  job->done = std::move(done);
-  return Enqueue(std::move(job));
 }
 
 size_t WhyqService::InFlight() const {
@@ -228,12 +228,8 @@ void WhyqService::WorkerLoop() {
     double queue_ms = job->timer.ElapsedMillis();
     ServiceResponse resp =
         RunContained(job->request, &job->token, job->timer, queue_ms);
-    if (job->done) {
-      job->done(std::move(resp));
-    } else {
-      job->promise.set_value(std::move(resp));
-    }
-    // Delivered (callback or future) before the decrement: WaitDrained()
+    job->done(std::move(resp));
+    // Delivered before the decrement: WaitDrained()
     // returning true means every admitted request has its response.
     {
       MutexLock lock(mu_);

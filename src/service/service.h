@@ -72,9 +72,10 @@ enum class SubmitResult {
 /// artifacts for its query (LRU cache keyed by canonical query text +
 /// semantics: answer set, output candidates, sampled PathIndex), runs the
 /// requested algorithm with the request's CancelToken plumbed into the
-/// matcher/enumeration hot loops, and fulfills the future. A request past
-/// its deadline unwinds mid-search and reports its best-so-far rewrite with
-/// `truncated` set — a slow question degrades, it never wedges a worker.
+/// matcher/enumeration hot loops, and hands the response to the request's
+/// callback (Submit's is a future). A request past its deadline unwinds
+/// mid-search and reports its best-so-far rewrite with `truncated` set — a
+/// slow question degrades, it never wedges a worker.
 ///
 /// Sharing rule: every graph EPOCH (and every cached PreparedQuery) is
 /// immutable and shared across workers; all per-request state (engines,
@@ -107,10 +108,11 @@ class WhyqService {
   WhyqService(const WhyqService&) = delete;
   WhyqService& operator=(const WhyqService&) = delete;
 
-  /// Enqueues a request. Returns std::nullopt when the bounded queue is
-  /// full (backpressure — the caller decides whether to retry) or a future
-  /// that resolves to the response otherwise. After Stop(), the returned
-  /// future resolves immediately with ResponseStatus::kShutdown.
+  /// Enqueues a request through TrySubmit, with a future as its callback.
+  /// Returns std::nullopt when the bounded queue is full (backpressure —
+  /// the caller decides whether to retry) or a future that resolves to the
+  /// response otherwise. After Stop(), the returned future resolves
+  /// immediately with ResponseStatus::kShutdown.
   std::optional<std::future<ServiceResponse>> Submit(ServiceRequest req)
       WHYQ_EXCLUDES(mu_);
 
@@ -174,16 +176,10 @@ class WhyqService {
  private:
   struct Job {
     ServiceRequest request;
-    std::promise<ServiceResponse> promise;  // future path (Submit)
-    std::function<void(ServiceResponse)> done;  // callback path (TrySubmit)
+    std::function<void(ServiceResponse)> done;  // runs once, on the worker
     CancelToken token;  // armed at submission; address-stable (no moves)
     Timer timer;        // latency clock starts at submission
   };
-
-  /// Shared tail of Submit/TrySubmit: stamps the deadline and enqueues
-  /// under the lock. Returns the admission outcome; on kAccepted the job
-  /// was consumed and a worker notified.
-  SubmitResult Enqueue(std::unique_ptr<Job> job) WHYQ_EXCLUDES(mu_);
 
   ServiceResponse Run(const ServiceRequest& req, const CancelToken* token,
                       const Timer& timer, double queue_ms);

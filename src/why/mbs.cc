@@ -10,8 +10,6 @@ namespace whyq {
 
 namespace {
 
-constexpr double kEps = 1e-9;
-
 struct Enumerator {
   Enumerator(const std::vector<double>& cost_in,
              const std::vector<std::vector<size_t>>& conflicts_in,

@@ -8,6 +8,10 @@
 
 namespace whyq {
 
+/// The tolerance of every budget, closeness and gain comparison in the
+/// searches of src/why.
+constexpr double kEps = 1e-9;
+
 /// Enumeration of *maximal bounded sets* (MBS) — phase two of GenMBS.
 /// Given per-operator costs, pairwise conflicts, and a budget B, an index
 /// set S is an MBS when it is conflict-free, cost(S) <= B, and no operator

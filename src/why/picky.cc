@@ -8,6 +8,9 @@
 
 #include "common/check.h"
 #include "graph/graph_stats.h"
+#include "matcher/path_index.h"
+#include "rewrite/cost_model.h"
+#include "why/mbs.h"
 
 namespace whyq {
 
@@ -702,6 +705,25 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
 
   DedupOps(ops);
   return ops;
+}
+
+void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
+                  double budget, std::vector<EditOp>* usable,
+                  std::vector<double>* costs) {
+  for (EditOp& op : picky) {
+    double c = cost.Cost(op);
+    if (c <= budget + kEps) {
+      usable->push_back(std::move(op));
+      costs->push_back(c);
+    }
+  }
+}
+
+const PathIndex& SearchPathIndex(const Query& q, const AnswerConfig& cfg,
+                                 std::optional<PathIndex>* own) {
+  if (cfg.path_index != nullptr) return *cfg.path_index;
+  own->emplace(q, cfg.path_index_paths);
+  return **own;
 }
 
 }  // namespace whyq

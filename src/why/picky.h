@@ -1,6 +1,7 @@
 #ifndef WHYQ_WHY_PICKY_H_
 #define WHYQ_WHY_PICKY_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -9,6 +10,8 @@
 #include "why/question.h"
 
 namespace whyq {
+
+class CostModel;
 
 /// Picky-operator generation — phase one of the paper's GenMBS (Sections IV
 /// and V). A refinement operator is *picky* when applying it alone may
@@ -52,6 +55,19 @@ std::vector<EditOp> GenPickyWhyNot(const Graph& g, const Query& q,
                                    const std::vector<NodeId>& missing,
                                    const AnswerConfig& cfg,
                                    const PickyLimits& limits = PickyLimits());
+
+/// The budget screen every search applies to its picky set: the operators
+/// that fit the budget alone (no bounded set can hold one that does not),
+/// kept in generation order, which fixes the candidate indexing, with
+/// their costs aligned in `costs`.
+void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
+                  double budget, std::vector<EditOp>* usable,
+                  std::vector<double>* costs);
+
+/// The path index a search over `q` probes: cfg.path_index when the caller
+/// lends one, else one sampled from `q` into `own`.
+const PathIndex& SearchPathIndex(const Query& q, const AnswerConfig& cfg,
+                                 std::optional<PathIndex>* own);
 
 }  // namespace whyq
 

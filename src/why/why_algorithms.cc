@@ -20,8 +20,6 @@ namespace whyq {
 
 namespace {
 
-constexpr double kEps = 1e-9;
-
 // What the greedy prep learns about one picky operator o.
 struct Prep {
   // Why: the exact Aff(o). Why-not: the new matches in V_C (exact for
@@ -45,11 +43,7 @@ struct WhyKind {
                                    const std::vector<NodeId>& answers,
                                    const Evaluator& eval,
                                    const AnswerConfig& cfg) {
-    return GenPickyWhy(g, q, answers, eval.unexpected(), cfg);
-  }
-  // The entities the closeness counts.
-  static const std::vector<NodeId>& Targets(const Evaluator& eval) {
-    return eval.unexpected();
+    return GenPickyWhy(g, q, answers, eval.targets(), cfg);
   }
   // Partial credit of a target not yet excluded: a refinement can push it
   // toward failing the path tests without excluding it outright.
@@ -71,29 +65,22 @@ struct WhyKind {
         ++p.single_guard;
       }
     }
-    if (!ev.unexpected().empty()) {
+    if (!ev.targets().empty()) {
       p.single_cl = static_cast<double>(excl) /
-                    static_cast<double>(ev.unexpected().size());
+                    static_cast<double>(ev.targets().size());
     }
   }
 
-  WhyKind(const Evaluator& eval, const std::vector<NodeId>& answers,
-          const AnswerConfig& cfg)
-      : eval_(eval), guard_m_(cfg.guard_m) {
-    for (NodeId v : answers) {
-      if (!eval.IsUnexpected(v)) desired_.push_back(v);
-    }
-  }
+  WhyKind(const Evaluator& eval, const AnswerConfig&) : eval_(eval) {}
   // The Why estimate has no guard window to record.
   void Rebase(const PathIndex&, const Query&) {}
   CloseEstimate Estimate(PathIndex::Probe& probe,
                          const NodeSet& effect) const {
-    return EstimateWhy(probe, effect, eval_.unexpected(), desired_, guard_m_);
+    return EstimateWhy(probe, effect, eval_.targets(), eval_.desired(),
+                       eval_.guard_m());
   }
 
   const Evaluator& eval_;
-  std::vector<NodeId> desired_;  // Q(u_o,G) \ V_N
-  size_t guard_m_;
 };
 
 struct WhyNotKind {
@@ -105,10 +92,7 @@ struct WhyNotKind {
                                    const std::vector<NodeId>&,
                                    const Evaluator& eval,
                                    const AnswerConfig& cfg) {
-    return GenPickyWhyNot(g, q, eval.missing(), cfg);
-  }
-  static const std::vector<NodeId>& Targets(const Evaluator& eval) {
-    return eval.missing();
+    return GenPickyWhyNot(g, q, eval.targets(), cfg);
   }
   // Single relaxations often gain nothing hard (an entity needs several
   // constraints lifted at once); credit how far along the entity is.
@@ -123,13 +107,12 @@ struct WhyNotKind {
       return;
     }
     PathIndex::Probe probe(pidx, ev.context(), single);
-    for (NodeId v : ev.missing()) {
+    for (NodeId v : ev.targets()) {
       if (probe.Passes(v)) p.effect.push_back(v);
     }
   }
 
-  WhyNotKind(const Evaluator& eval, const std::vector<NodeId>&,
-             const AnswerConfig& cfg)
+  WhyNotKind(const Evaluator& eval, const AnswerConfig& cfg)
       : eval_(eval), cfg_(cfg) {}
   // Makes `base` the rewrite the next estimates are deltas of. Runs on
   // slot 0, between the parallel scoring passes.
@@ -144,7 +127,7 @@ struct WhyNotKind {
   }
   CloseEstimate Estimate(PathIndex::Probe& probe,
                          const NodeSet& effect) const {
-    return EstimateWhyNot(probe, *window_, effect, eval_.missing(),
+    return EstimateWhyNot(probe, *window_, effect, eval_.targets(),
                           cfg_.guard_m);
   }
 
@@ -191,20 +174,6 @@ class SlotEvaluators {
   std::vector<std::unique_ptr<Evaluator>> clones_;
 };
 
-// Operators that alone exceed the budget can never be in a bounded set.
-// Keeps the others in generation order, which fixes the candidate indexing.
-void BudgetScreen(std::vector<EditOp> picky, const CostModel& cost,
-                  double budget, std::vector<EditOp>* usable,
-                  std::vector<double>* costs) {
-  for (EditOp& op : picky) {
-    double c = cost.Cost(op);
-    if (c <= budget + kEps) {
-      usable->push_back(std::move(op));
-      costs->push_back(c);
-    }
-  }
-}
-
 // What every search of one request shares: the exact evaluator and its
 // executor slots, the cost model, and the budget-screened picky pool, which
 // is generated once. A truncated exact run's greedy fallback runs on the
@@ -239,8 +208,7 @@ struct SearchSetup {
 // deadline no more matching runs, but Q's evaluation is known without it:
 // its answers stay answers (guard 0) and no entity of the question changes
 // status (closeness 0).
-template <typename Evaluator>
-EvalResult EvaluateQ(const Evaluator& eval, const Query& q,
+EvalResult EvaluateQ(const RewriteEvaluator& eval, const Query& q,
                      const CancelToken* cancel) {
   EvalResult r = eval.Evaluate(q);
   return CancelRequested(cancel) ? EvalResult{} : r;
@@ -251,8 +219,7 @@ EvalResult EvaluateQ(const Evaluator& eval, const Query& q,
 // dropped-operator trial is a full exact evaluation, so the loop polls
 // `cancel` per trial: an expiring deadline keeps the current (valid, just
 // not yet minimal) rewrite.
-template <typename Evaluator>
-void MinimizeCost(const Query& q, const Evaluator& eval,
+void MinimizeCost(const Query& q, const RewriteEvaluator& eval,
                   const CostModel& cost, const CancelToken* cancel,
                   OperatorSet& ops, EvalResult& result, Query& rewritten) {
   bool changed = true;
@@ -300,10 +267,8 @@ void MinimizeCost(const Query& q, const Evaluator& eval,
 // enumeration thread with the caller's evaluator, never concurrently with
 // a batch.
 template <typename Kind>
-RewriteAnswer Greedy(const Graph& g, const Query& q,
-                     const std::vector<NodeId>& answers,
-                     const AnswerConfig& cfg, bool exact,
-                     SearchSetup<Kind>& setup);
+RewriteAnswer Greedy(const Graph& g, const Query& q, const AnswerConfig& cfg,
+                     bool exact, SearchSetup<Kind>& setup);
 
 template <typename Kind>
 RewriteAnswer Exact(const Graph& g, const Query& q,
@@ -324,6 +289,17 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
   double best_cost = std::numeric_limits<double>::infinity();
   OperatorSet best_ops;
   EvalResult best_eval;
+  // Keeps a guard-valid set that beats the best so far: higher closeness,
+  // then lower cost; the earlier set wins a tie.
+  auto offer = [&](OperatorSet& ops, const EvalResult& r, double c) {
+    if (r.closeness > best_cl + kEps ||
+        (r.closeness > best_cl - kEps && c < best_cost)) {
+      best_cl = r.closeness;
+      best_cost = c;
+      best_ops = std::move(ops);
+      best_eval = r;
+    }
+  };
   {
     Timer exact_timer;
     bool timed_out = false;
@@ -374,16 +350,7 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
           // would never have evaluated them.
           for (Item& it : items) {
             ++out.sets_verified;
-            if (it.r.guard_ok) {
-              double c = cost.Cost(it.ops);
-              if (it.r.closeness > best_cl + kEps ||
-                  (it.r.closeness > best_cl - kEps && c < best_cost)) {
-                best_cl = it.r.closeness;
-                best_cost = c;
-                best_ops = std::move(it.ops);
-                best_eval = it.r;
-              }
-            }
+            if (it.r.guard_ok) offer(it.ops, it.r, cost.Cost(it.ops));
             if (past_deadline()) {
               timed_out = true;
               return false;
@@ -411,15 +378,9 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
   // best-so-far now.
   if (!out.exhaustive && !CancelRequested(cfg.cancel)) {
     RewriteAnswer seed =
-        Greedy<Kind>(g, q, answers, cfg, /*exact=*/false, setup);
-    if (seed.found && seed.eval.guard_ok &&
-        seed.cost <= cfg.budget + kEps &&
-        (seed.eval.closeness > best_cl + kEps ||
-         (seed.eval.closeness > best_cl - kEps && seed.cost < best_cost))) {
-      best_cl = seed.eval.closeness;
-      best_cost = seed.cost;
-      best_ops = std::move(seed.ops);
-      best_eval = seed.eval;
+        Greedy<Kind>(g, q, cfg, /*exact=*/false, setup);
+    if (seed.found && seed.eval.guard_ok && seed.cost <= cfg.budget + kEps) {
+      offer(seed.ops, seed.eval, seed.cost);
     }
   }
 
@@ -453,10 +414,8 @@ RewriteAnswer Exact(const Graph& g, const Query& q,
 // public greedy algorithms on a setup of their own, a truncated exact run
 // on the one `Exact<Kind>` built.
 template <typename Kind>
-RewriteAnswer Greedy(const Graph& g, const Query& q,
-                     const std::vector<NodeId>& answers,
-                     const AnswerConfig& cfg, bool exact,
-                     SearchSetup<Kind>& setup) {
+RewriteAnswer Greedy(const Graph& g, const Query& q, const AnswerConfig& cfg,
+                     bool exact, SearchSetup<Kind>& setup) {
   RewriteAnswer out;
   out.exhaustive = true;  // greedy: nothing to truncate (unless cancelled)
   out.rewritten = q;
@@ -464,10 +423,9 @@ RewriteAnswer Greedy(const Graph& g, const Query& q,
   const CostModel& cost = setup.cost;
   SlotEvaluators<Kind>& slots = setup.slots;
   std::optional<PathIndex> own_pidx;
-  if (cfg.path_index == nullptr) own_pidx.emplace(q, cfg.path_index_paths);
-  const PathIndex& pidx = cfg.path_index ? *cfg.path_index : *own_pidx;
-  Kind kind(eval, answers, cfg);
-  const std::vector<NodeId>& targets = Kind::Targets(eval);
+  const PathIndex& pidx = SearchPathIndex(q, cfg, &own_pidx);
+  Kind kind(eval, cfg);
+  const std::vector<NodeId>& targets = eval.targets();
 
   // A prep cut short below keeps a prefix of the picky pool.
   std::vector<EditOp> usable = setup.usable;
@@ -701,7 +659,7 @@ RewriteAnswer RunGreedy(const Graph& g, const Query& q,
                         const typename Kind::Question& w,
                         const AnswerConfig& cfg, bool exact) {
   SearchSetup<Kind> setup(g, q, answers, w, cfg);
-  RewriteAnswer out = Greedy<Kind>(g, q, answers, cfg, exact, setup);
+  RewriteAnswer out = Greedy<Kind>(g, q, cfg, exact, setup);
   out.ctx = setup.Stats();
   return out;
 }

@@ -58,8 +58,8 @@ TEST_F(EvaluationTest, WhyGuardCountsCollateralExclusions) {
 TEST_F(EvaluationTest, WhyUnexpectedOutsideAnswersIsDropped) {
   WhyQuestion w{{f_.s8, f_.a5}};  // S8 is not an answer
   WhyEvaluator eval(f_.graph, answers_, w, 1);
-  ASSERT_EQ(eval.unexpected().size(), 1u);
-  EXPECT_EQ(eval.unexpected()[0], f_.a5);
+  ASSERT_EQ(eval.targets().size(), 1u);
+  EXPECT_EQ(eval.targets()[0], f_.a5);
   EXPECT_TRUE(eval.IsUnexpected(f_.a5));
   EXPECT_FALSE(eval.IsUnexpected(f_.s8));
 }
@@ -118,8 +118,8 @@ TEST_F(EvaluationTest, WhyNotMissingFilteredByAnswers) {
   WhyNotQuestion w;
   w.missing = {f_.s8, f_.s6};  // S6 is already an answer
   WhyNotEvaluator eval(f_.graph, answers_, w, 2);
-  ASSERT_EQ(eval.missing().size(), 1u);
-  EXPECT_EQ(eval.missing()[0], f_.s8);
+  ASSERT_EQ(eval.targets().size(), 1u);
+  EXPECT_EQ(eval.targets()[0], f_.s8);
 }
 
 TEST_F(EvaluationTest, ConstraintUnaryFiltersMissing) {
@@ -132,8 +132,8 @@ TEST_F(EvaluationTest, ConstraintUnaryFiltersMissing) {
   w.condition.literals.push_back(os_ge8);
   WhyNotEvaluator eval(f_.graph, answers_, w, 2);
   // Only S9 (OS 8.0) survives C.
-  ASSERT_EQ(eval.missing().size(), 1u);
-  EXPECT_EQ(eval.missing()[0], f_.s9);
+  ASSERT_EQ(eval.targets().size(), 1u);
+  EXPECT_EQ(eval.targets()[0], f_.s9);
 }
 
 TEST_F(EvaluationTest, ConstraintBinaryExistential) {

@@ -1,6 +1,6 @@
 // Fixture (never compiled): greedy-round loop that calls the evaluator
 // but never polls the CancelToken — linted under a virtual src/why/ path,
-// rule "cancel-poll" must flag both loops.
+// rule "cancel-poll" must flag all three loops.
 #include "why/question.h"
 
 namespace whyq {
@@ -14,6 +14,10 @@ double GreedyRoundsWithoutPoll(const Evaluator& eval, const Query& q) {
   }
   for (size_t i = 0; i < 100; ++i) {  // BAD: verification sweep, no poll
     eval.TestAnswers(q, {});
+  }
+  bool changed = true;
+  while (changed) {  // BAD: emptiness probes, no poll
+    changed = eval.HasAnyMatch(q);
   }
   return best;
 }

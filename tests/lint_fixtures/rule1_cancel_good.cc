@@ -18,6 +18,10 @@ double GreedyRoundsWithPoll(const Evaluator& eval, const Query& q,
     if (cancel != nullptr && cancel->Expired()) break;  // OK
     eval.TestAnswers(q, {});
   }
+  bool changed = true;
+  while (changed && !CancelRequested(cancel)) {  // OK
+    changed = eval.HasAnyMatch(q);
+  }
   // A loop with no evaluator work needs no poll.
   for (size_t i = 0; i < 100; ++i) {
     best += 0.0;

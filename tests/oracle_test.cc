@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <set>
 
 #include "common/dictionary.h"
@@ -24,6 +25,7 @@
 #include "rewrite/cost_model.h"
 #include "rewrite/evaluation.h"
 #include "rewrite/operators.h"
+#include "why/extensions.h"
 #include "why/picky.h"
 #include "why/why_algorithms.h"
 #include "why/whynot_algorithms.h"
@@ -462,14 +464,14 @@ TEST_P(ExactnessOracleTest, ExactReachesBruteForceOptimum) {
       WhyEvaluator eval(g, qs.answers, qs.why, cfg.guard_m, semantics);
       compared += CheckAgainstBruteForce<WhyEvaluator>(
           g, q, qs.answers, qs.why, cfg,
-          GenPickyWhy(g, q, qs.answers, eval.unexpected(), cfg),
+          GenPickyWhy(g, q, qs.answers, eval.targets(), cfg),
           {&ExactWhy, &ApproxWhy, &IsoWhy});
     }
     if (!qs.whynot.missing.empty()) {
       WhyNotEvaluator eval(g, qs.answers, qs.whynot, cfg.guard_m, semantics);
       compared += CheckAgainstBruteForce<WhyNotEvaluator>(
           g, q, qs.answers, qs.whynot, cfg,
-          GenPickyWhyNot(g, q, eval.missing(), cfg),
+          GenPickyWhyNot(g, q, eval.targets(), cfg),
           {&ExactWhyNot, &FastWhyNot, &IsoWhyNot});
     }
   }
@@ -557,6 +559,84 @@ TEST_P(CancellationSweepTest, TruncatedAnswersStayValid) {
     }
   }
   EXPECT_GT(truncated, 0u);
+  RecordProperty("truncated_runs", static_cast<int>(truncated));
+}
+
+// Q(u_o, G) under `semantics`, ascending.
+std::vector<NodeId> AnswersUnder(const Graph& g, const Query& q,
+                                 MatchSemantics semantics) {
+  MatchContext ctx(g);
+  std::vector<NodeId> out = MakeMatchEngine(ctx, semantics)->MatchOutput(q);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The extensions under the same nth-poll sweep. A Why-so-many cut short
+// reports the fresh, uncancelled count of the rewrite it returns, and
+// found only when that count is at most k; a Why-empty cut short reports a
+// repair only when the repair matches, with true answers as its samples.
+// Returns the number of truncated runs.
+size_t SweepExtensions(const Graph& g, const Query& q,
+                       const std::vector<NodeId>& answers,
+                       const AnswerConfig& base) {
+  MatchContext ctx(g);
+  std::unique_ptr<MatchEngine> fresh = MakeMatchEngine(ctx, base.semantics);
+  CostModel cost(q, g, base.weighted_cost);
+  size_t truncated = 0;
+  auto sweep = [&](const std::function<void(const AnswerConfig&,
+                                            const std::string&)>& run) {
+    for (uint64_t n = 1; !testing::Test::HasFailure(); ++n) {
+      CancelToken token;
+      token.ExpireAtPoll(n);
+      AnswerConfig cfg = base;
+      cfg.cancel = &token;
+      run(cfg, "cut at poll " + std::to_string(n));
+      if (!token.Cancelled()) break;  // the run polled fewer than n times
+      ++truncated;
+    }
+  };
+  for (size_t k = 0; k < 3 && k < answers.size(); ++k) {
+    sweep([&](const AnswerConfig& cfg, const std::string& cut) {
+      WhySoManyResult r = AnswerWhySoMany(g, q, answers, k, cfg);
+      std::string what = "Why-so-many k=" + std::to_string(k) + " " + cut +
+                         ": ops { " + DescribeOperators(r.ops, g) + " }";
+      EXPECT_EQ(WriteQuery(r.rewritten, g),
+                WriteQuery(ApplyOperators(q, r.ops), g))
+          << what;
+      EXPECT_LE(cost.Cost(r.ops), cfg.budget + kOracleEps) << what;
+      EXPECT_EQ(r.after, fresh->MatchOutput(r.rewritten).size()) << what;
+      EXPECT_EQ(r.found, r.after <= k) << what;
+    });
+  }
+  if (answers.empty()) {
+    sweep([&](const AnswerConfig& cfg, const std::string& cut) {
+      WhyEmptyResult r = AnswerWhyEmpty(g, q, cfg);
+      std::string what = "Why-empty " + cut + ": ops { " +
+                         DescribeOperators(r.ops, g) + " }";
+      if (!r.found) return;
+      EXPECT_LE(cost.Cost(r.ops), cfg.budget + kOracleEps) << what;
+      std::vector<NodeId> all = AnswersUnder(g, r.rewritten, cfg.semantics);
+      EXPECT_FALSE(all.empty()) << what;
+      for (NodeId v : r.sample_answers) {
+        EXPECT_TRUE(std::binary_search(all.begin(), all.end(), v))
+            << what << ": sample " << v;
+      }
+    });
+  }
+  return truncated;
+}
+
+TEST_P(CancellationSweepTest, TruncatedExtensionsStayValid) {
+  Instance inst = MakeInstance(static_cast<uint64_t>(GetParam()) * 389 + 11);
+  size_t truncated = 0;
+  for (MatchSemantics semantics :
+       {MatchSemantics::kIsomorphism, MatchSemantics::kSimulation}) {
+    SCOPED_TRACE(semantics == MatchSemantics::kSimulation ? "simulation"
+                                                          : "isomorphism");
+    AnswerConfig cfg = OracleConfig(GetParam(), semantics);
+    std::vector<NodeId> answers = AnswersUnder(inst.g, inst.q, semantics);
+    truncated += SweepExtensions(inst.g, inst.q, answers, cfg);
+  }
   RecordProperty("truncated_runs", static_cast<int>(truncated));
 }
 

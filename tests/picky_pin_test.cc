@@ -103,8 +103,8 @@ TEST(PickyPinTest, OracleInstances) {
       for (size_t cap : {cfg.max_picky_ops, size_t{100000}}) {
         cfg.max_picky_ops = cap;
         std::vector<EditOp> w =
-            GenPickyWhy(g, q, qs.answers, why.unexpected(), cfg);
-        std::vector<EditOp> n = GenPickyWhyNot(g, q, whynot.missing(), cfg);
+            GenPickyWhy(g, q, qs.answers, why.targets(), cfg);
+        std::vector<EditOp> n = GenPickyWhyNot(g, q, whynot.targets(), cfg);
         HashOps(f, w);
         HashOps(f, n);
         ops += w.size() + n.size();

@@ -194,6 +194,7 @@ const char* const kWorkTokens[] = {
     "Evaluate",
     "EnumerateMaximalBoundedSetsBatched",
     "MatchOutput",
+    "HasAnyMatch",
     "TestAnswers",
     "NewMatches",
     "AffectedAnswers",

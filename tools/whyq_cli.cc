@@ -688,30 +688,18 @@ int CmdServeBatch(const Options& o) {
     if (!has) continue;
     labels.push_back(std::string(RequestKindName(req.kind)) + " line " +
                      std::to_string(lineno));
-    // Backpressure: TrySubmit reports a full queue as an explicit status;
-    // retry until the pool drains (or a stop signal arrives). TrySubmit
-    // consumes its argument, so each attempt gets its own copy — moving
-    // here would leave retries submitting a hollowed-out request.
+    // Backpressure: a full queue answers no future; retry until the pool
+    // drains (or a stop signal arrives). Submit consumes its argument, so
+    // each attempt gets its own copy — moving here would leave retries
+    // submitting a hollowed-out request.
     bool accepted = false;
     while (!accepted && g_stop == 0) {
-      auto promise = std::make_shared<std::promise<ServiceResponse>>();
-      SubmitResult admitted = service.TrySubmit(
-          req, [promise](ServiceResponse resp) {
-            promise->set_value(std::move(resp));
-          });
-      switch (admitted) {
-        case SubmitResult::kAccepted:
-          futures.push_back(promise->get_future());
-          accepted = true;
-          break;
-        case SubmitResult::kQueueFull:
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          break;
-        case SubmitResult::kShutdown:
-          labels.pop_back();
-          rc = 1;
-          accepted = true;  // unreachable in practice; avoid spinning
-          break;
+      std::optional<std::future<ServiceResponse>> f = service.Submit(req);
+      if (f.has_value()) {
+        futures.push_back(std::move(*f));
+        accepted = true;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
     if (g_stop != 0 && !accepted) {
